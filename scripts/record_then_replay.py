@@ -19,6 +19,9 @@ from gdprkit.taskgen import build_task2, dump_entries
 from gdprkit.corpus import load_corpus
 
 DEFAULT_CORPUS = Path(__file__).resolve().parent.parent / "tests" / "data" / "fixture_corpus.json"
+# Responses are cached under the id of the binding that recorded them: the
+# stub records as "stub:<model>", the live HTTP binding as "http:<model>".
+RECORDED_ID_PREFIX = {"stub": "stub", "live": "http"}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -52,7 +55,7 @@ def main(argv: list[str] | None = None) -> int:
     replayed = run(
         RunConfig(
             reasoner="cache_replay",
-            replay_reasoner_id=f"{args.reasoner}:{args.model}",
+            replay_reasoner_id=f"{RECORDED_ID_PREFIX[args.reasoner]}:{args.model}",
             output_dir=str(out / "replayed"),
             **common,
         )

@@ -599,6 +599,20 @@ class RunResult:
     output_dir: Path
 
 
+def _status_counts(
+    instances: Sequence[Instance], records: Sequence[PredictionRecord]
+) -> dict[str, int]:
+    """Records per status, which must account for every instance exactly once.
+
+    Raises ReconciliationError when records and instances do not join
+    one-to-one.
+    """
+    counts = {"scored": 0, "errored": 0, "skipped": 0}
+    for _, record in _join(instances, records):
+        counts[record.status] += 1
+    return counts
+
+
 def run(config: RunConfig) -> RunResult:
     """Predict, evaluate, and write all artifacts for one configured run."""
     started = time.monotonic()
@@ -629,10 +643,7 @@ def run(config: RunConfig) -> RunResult:
         labels=labels_metrics,
     )
 
-    counts = {"scored": 0, "errored": 0, "skipped": 0}
-    for record in records:
-        counts[record.status] += 1
-    assert counts["scored"] + counts["errored"] + counts["skipped"] == len(instances)
+    counts = _status_counts(instances, records)
 
     datasets = {"dataset": {"path": config.dataset_path, "sha256": _sha256_file(config.dataset_path)}}
     if config.corpus_path:

@@ -4,14 +4,19 @@ The catalog maps article numbers to titles and one-line summaries; prompt
 construction and the agent's lookup tool both read from it.  The knowledge
 base holds article texts plus labeled violation examples and answers
 nearest-neighbour queries with a plain token-frequency cosine, which keeps
-retrieval deterministic and dependency-free.
+retrieval deterministic and dependency-free.  Construction tokenizes every
+document once into an inverted index, so a query only tokenizes itself and
+scores the documents it shares a token with; every score equals
+``similarity(query, doc.body)`` exactly.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 import re
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -106,6 +111,20 @@ class KnowledgeBase:
         self._by_id = {d.doc_id: d for d in self.docs}
         if len(self._by_id) != len(self.docs):
             raise ConfigurationError("knowledge base doc ids must be unique")
+        # Per document: squared norm of its token counts.  Per token: flat
+        # (doc index, count) pairs, as arrays to keep the index small.
+        self._norms: list[int] = []
+        self._postings: dict[str, array] = {}
+        for i, doc in enumerate(self.docs):
+            counts = Counter(tokenize(doc.body))
+            self._norms.append(sum(c * c for c in counts.values()))
+            for token, count in counts.items():
+                postings = self._postings.get(token)
+                if postings is None:
+                    postings = self._postings[token] = array("i")
+                postings.append(i)
+                postings.append(count)
+        self._id_order = sorted(range(len(self.docs)), key=lambda i: self.docs[i].doc_id)
 
     def __len__(self) -> int:
         return len(self.docs)
@@ -114,17 +133,37 @@ class KnowledgeBase:
         return self._by_id.get(doc_id)
 
     def retrieve(self, query: str, top_n: int = 3) -> list[tuple[KbDoc, float]]:
-        """Best-scoring docs first; ties broken by doc id for determinism."""
-        scored = [(doc, similarity(query, doc.body)) for doc in self.docs]
-        scored.sort(key=lambda pair: (-pair[1], pair[0].doc_id))
-        return scored[: max(top_n, 0)]
+        """Best-scoring docs first; ties broken by doc id for determinism.
+
+        Each score is ``similarity(query, doc.body)``, computed with the same
+        integer dot product and norms.  Docs sharing no token with the query
+        score 0.0 and fill any remaining places in doc id order.
+        """
+        if top_n <= 0:
+            return []
+        query_counts = Counter(tokenize(query))
+        query_norm = sum(c * c for c in query_counts.values())
+        dots: dict[int, int] = {}
+        for token, query_count in query_counts.items():
+            postings = self._postings.get(token)
+            if postings is None:
+                continue
+            pairs = iter(postings)
+            for i, count in zip(pairs, pairs):
+                dots[i] = dots.get(i, 0) + query_count * count
+        scores = {i: dot / math.sqrt(query_norm * self._norms[i]) for i, dot in dots.items()}
+        best = heapq.nsmallest(top_n, scores, key=lambda i: (-scores[i], self.docs[i].doc_id))
+        hits = [(self.docs[i], scores[i]) for i in best]
+        for i in self._id_order:
+            if len(hits) >= top_n:
+                break
+            if i not in scores:
+                hits.append((self.docs[i], 0.0))
+        return hits
 
     def to_json(self) -> str:
         payload = {"version": 1, "docs": [d.to_dict() for d in self.docs]}
         return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_json(), encoding="utf-8")
 
     @classmethod
     def from_json(cls, text: str) -> "KnowledgeBase":
@@ -143,10 +182,6 @@ class KnowledgeBase:
                 )
             )
         return cls(docs)
-
-    @classmethod
-    def load(cls, path: str | Path) -> "KnowledgeBase":
-        return cls.from_json(Path(path).read_text(encoding="utf-8"))
 
 
 def build_kb(

@@ -1,9 +1,11 @@
 """Run orchestration: instance catalogs, prediction, evaluation, artifacts."""
 
+import importlib.util
 import json
 
 import pytest
 
+from gdprkit import methods
 from gdprkit.corpus import load_corpus
 from gdprkit.errors import (
     ConfigurationError,
@@ -13,6 +15,7 @@ from gdprkit.errors import (
 )
 from gdprkit.harness import (
     PredictionRecord,
+    _status_counts,
     RunConfig,
     emit_report,
     evaluate_task1,
@@ -250,6 +253,27 @@ class TestCachingAndReplay:
             run(config)
         assert len(err.value.missing_keys) == 9
 
+    def test_record_then_replay_script_replays_live_recordings(self, tmp_path, monkeypatch):
+        class Response:
+            def raise_for_status(self):
+                pass
+
+            def json(self):
+                return {"text": "6"}
+
+        class Session:
+            def post(self, *args, **kwargs):
+                return Response()
+
+        monkeypatch.setattr(methods.requests, "Session", Session)
+        monkeypatch.setenv("GDPRKIT_ENDPOINT", "http://localhost:1/v1")
+        path = DATA_DIR.parent.parent / "scripts" / "record_then_replay.py"
+        spec = importlib.util.spec_from_file_location("record_then_replay", path)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        argv = ["--reasoner", "live", "--model", "gpt-4o", "--out", str(tmp_path)]
+        assert script.main(argv) == 0
+
 
 class FailingMethod:
     def predict_labels(self, snippet, language="java", path=""):
@@ -462,6 +486,17 @@ class TestReconciliation:
             evaluate_task2(entries, records, None)
         assert "t2-9999" in err.value.orphan_ids
         assert instances[-1].instance_id in err.value.missing_ids
+
+    def test_status_counts_require_one_record_per_instance(self, workspace):
+        instances = task2_instances(load_task2(workspace["task2"]))
+        records = [
+            PredictionRecord(inst.instance_id, status)
+            for inst, status in zip(instances, ("scored", "errored", "skipped"))
+        ]
+        with pytest.raises(ReconciliationError) as err:
+            _status_counts(instances, records)
+        assert err.value.missing_ids == [inst.instance_id for inst in instances[3:]]
+        assert _status_counts(instances[:3], records) == {"scored": 1, "errored": 1, "skipped": 1}
 
     def test_duplicate_prediction_ids_detected(self, workspace):
         entries = load_task2(workspace["task2"])

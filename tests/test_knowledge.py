@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gdprkit.errors import ConfigurationError, UnknownArticleError
@@ -99,6 +99,19 @@ class TestBuildKb:
             assert record.annotation_note in body
 
 
+# Few distinct words, so that documents share tokens and scores tie; the
+# punctuation-only words yield documents and queries without any token.
+_TEXT = st.lists(st.sampled_from(["a", "b", "B", "cam", "x1", "...", "!?"]), max_size=8).map(
+    " ".join
+)
+
+
+def _brute_force(kb, query):
+    """Reference ranking: similarity() against every doc, sorted by (-score, doc_id)."""
+    scored = [(doc.doc_id, similarity(query, doc.body)) for doc in kb.docs]
+    return sorted(scored, key=lambda pair: (-pair[1], pair[0]))
+
+
 class TestRetrieve:
     def test_exact_snippet_query_ranks_its_doc_first(self, fixture_corpus):
         kb = build_kb(fixture_corpus)
@@ -110,12 +123,31 @@ class TestRetrieve:
     def test_ranking_matches_brute_force_scorer(self, fixture_corpus):
         kb = build_kb(fixture_corpus)
         query = "openCamera"
-        got = [doc.doc_id for doc, _ in kb.retrieve(query, top_n=5)]
-        brute = sorted(
-            ((similarity(query, d.body), d.doc_id) for d in kb.docs),
-            key=lambda pair: (-pair[0], pair[1]),
+        got = [(doc.doc_id, score) for doc, score in kb.retrieve(query, top_n=5)]
+        assert got == _brute_force(kb, query)[:5]
+
+    @given(
+        bodies=st.lists(_TEXT, max_size=12),
+        query=_TEXT,
+        pick=st.integers(0, 5),
+        shift=st.integers(0, 11),
+    )
+    @example(bodies=["a b", "", "!?", "b a"], query="", pick=5, shift=1)
+    @example(bodies=["a b", "", "!?", "b a"], query="... !?", pick=4, shift=2)
+    @example(bodies=["a", "b a", "a", "a a"], query="a", pick=2, shift=3)
+    @settings(max_examples=300, deadline=None)
+    def test_indexed_scores_equal_similarity_exactly(self, bodies, query, pick, shift):
+        # Doc ids are rotated so that id order differs from insertion order.
+        n = len(bodies)
+        kb = KnowledgeBase(
+            [
+                KbDoc(f"d{(j + shift) % n:02d}", VIOLATION_EXAMPLE, body, frozenset())
+                for j, body in enumerate(bodies)
+            ]
         )
-        assert got == [doc_id for _, doc_id in brute[:5]]
+        top_n = (-1, 0, 1, 3, n, n + 5)[pick]
+        got = [(doc.doc_id, score) for doc, score in kb.retrieve(query, top_n)]
+        assert got == _brute_force(kb, query)[: max(top_n, 0)]
 
     def test_camera_query_surfaces_camera_example(self, fixture_corpus):
         kb = build_kb(fixture_corpus)
@@ -135,12 +167,12 @@ class TestRetrieve:
 
 
 class TestPersistence:
-    def test_save_load_round_trip(self, tmp_path, fixture_corpus):
+    def test_save_load_round_trip(self, fixture_corpus):
         kb = build_kb(fixture_corpus)
-        path = tmp_path / "kb.json"
-        kb.save(path)
-        loaded = KnowledgeBase.load(path)
+        loaded = KnowledgeBase.from_json(kb.to_json())
         assert loaded.docs == kb.docs
+        for query in ("openCamera", "location consent", ""):
+            assert loaded.retrieve(query, top_n=len(kb)) == kb.retrieve(query, top_n=len(kb))
 
     def test_duplicate_doc_ids_rejected(self):
         doc = KbDoc(doc_id="d1", kind=ARTICLE_TEXT, body="x", labels=frozenset())

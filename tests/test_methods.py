@@ -1,5 +1,8 @@
 """Prompt protocol, output parsing, reasoner bindings, and method adapters."""
 
+import hashlib
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +13,7 @@ from gdprkit.errors import (
     ModelOutputError,
     ReplayMissError,
 )
+from gdprkit.harness import _task1_prompt_texts, group_corpus_by_file, reconstruct_source
 from gdprkit.knowledge import ArticleInfo, build_kb
 from gdprkit.methods import (
     CacheReplayReasoner,
@@ -31,6 +35,8 @@ from gdprkit.methods import (
     render_zero_shot_prompt,
     zero_shot_predict,
 )
+from gdprkit.taskgen import build_task1, build_task2
+from tests.conftest import GOLDEN_DIR
 
 CAMERA_SNIPPET = "            manager.openCamera(camerId, stateCallback, null);\n"
 
@@ -300,6 +306,33 @@ class TestRagMethodPath:
         labels, ranking = method.predict_labels("storage of location data")
         assert labels == LabelSet({5})
         assert ranking.articles == (5,)
+
+    def test_fixture_prompts_match_golden_hashes(self, fixture_corpus):
+        """Every rag prompt of both fixture tasks keeps its recorded bytes.
+
+        Cached responses are keyed by prompt bytes, so a retrieval change that
+        alters any prompt invalidates existing recordings.
+        """
+        kb = build_kb(fixture_corpus)
+        groups = group_corpus_by_file(fixture_corpus)
+        entries1 = build_task1(fixture_corpus)
+        sources = [
+            reconstruct_source(groups.get((e.repo_url, e.app_name, e.file_path), []))[0]
+            for e in entries1
+        ]
+        texts = {
+            "task2": [e.code_snippet for e in build_task2(fixture_corpus)],
+            "task1": _task1_prompt_texts(entries1, sources),
+        }
+        got = {
+            task: [
+                hashlib.sha256(render_rag_prompt(t, kb, top_n=3).encode("utf-8")).hexdigest()
+                for t in task_texts
+            ]
+            for task, task_texts in texts.items()
+        }
+        golden = json.loads((GOLDEN_DIR / "rag_prompts_fixture.json").read_text(encoding="utf-8"))
+        assert got == golden
 
 
 class TestReactLoop:
