@@ -210,7 +210,6 @@ def populate_predicates(facts: Sequence[Fact]) -> dict[str, Predicate]:
         [f for f in local if f.kind is FactKind.API_CALL and f.data_category is DataCategory.GENERIC],
     )
 
-    assert set(state) == set(atom_inventory())
     return state
 
 

@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .corpus import SpanRef
 from .errors import ConfigurationError
@@ -112,6 +112,20 @@ def _compile_word(pattern: str) -> re.Pattern:
     # qualified names ("Log.d") tolerate whitespace around the dot
     parts = [re.escape(p) for p in pattern.split(".")]
     return re.compile(r"\b" + r"\s*\.\s*".join(parts) + r"\b")
+
+
+def _word_matches(entry: PatternEntry, text: str) -> Iterator[re.Match]:
+    """Matches of a word entry in ``text``; the regex runs only where one is possible.
+
+    ``_compile_word`` joins the escaped dot-separated parts of the pattern
+    only with ``\\s*\\.\\s*`` and never ignores case, so every match holds
+    each part verbatim.  A text that lacks one of the parts has no match,
+    and the regex is not run over it.
+    """
+    for part in entry.pattern.split("."):
+        if part not in text:
+            return iter(())
+    return entry.compiled.finditer(text)
 
 
 class PatternTable:
@@ -279,15 +293,18 @@ def lexical_fallback(
     """Pattern-table scan with no parsing at all.
 
     Word entries match on identifier boundaries, so ``getDeviceId`` does not
-    fire inside ``widgetDeviceIdx``.  Used for every language that has no
-    structural frontend registered, and as the safety net when a structural
-    frontend raises.
+    fire inside ``widgetDeviceIdx``.  A word entry's regex runs only when
+    every dot-separated part of its pattern occurs in ``source``; that check
+    is exact (see ``_word_matches``), so most entries cost one substring
+    test instead of a scan.  Used for every language that has no structural
+    frontend registered, and as the safety net when a structural frontend
+    raises.
     """
     table = table or default_pattern_table()
     index = _LineIndex(source)
     facts = []
     for entry in table.word_entries(language):
-        for m in entry.compiled.finditer(source):
+        for m in _word_matches(entry, source):
             line = index.line_of(m.start())
             facts.append(
                 Fact(
@@ -475,7 +492,7 @@ def structural_frontend(
     for entry in table.word_entries(language):
         if entry.kind not in (FactKind.CONSENT_GUARD, FactKind.PERMISSION_DECL):
             continue
-        for m in entry.compiled.finditer(blanked):
+        for m in _word_matches(entry, blanked):
             tail = blanked[m.end():].lstrip(" \t")
             if tail.startswith("("):
                 continue  # call form is covered by the call pass above
@@ -507,39 +524,24 @@ Frontend = Callable[..., list[Fact]]
 class FrontendRegistry:
     """Maps language tags to extraction frontends.
 
-    The registry freezes when analysis starts; registering a frontend after
-    that point, or re-binding a tag, is a configuration error.
+    Languages with no registered frontend use the fallback.  Re-binding a
+    tag is a configuration error.
     """
 
     def __init__(self, fallback: Frontend = lexical_fallback):
         self._frontends: dict[str, Frontend] = {}
         self._fallback = fallback
-        self._frozen = False
 
     def register(self, language: str, frontend: Frontend) -> None:
-        if self._frozen:
-            raise ConfigurationError(
-                f"cannot register frontend for {language!r}: registry is frozen"
-            )
         if language in self._frontends:
             raise ConfigurationError(f"frontend for {language!r} already registered")
         self._frontends[language] = frontend
-
-    def freeze(self) -> None:
-        self._frozen = True
-
-    @property
-    def frozen(self) -> bool:
-        return self._frozen
 
     def languages(self) -> list[str]:
         return sorted(self._frontends)
 
     def frontend_for(self, language: str) -> Frontend:
         return self._frontends.get(language, self._fallback)
-
-    def has_structural(self, language: str) -> bool:
-        return language in self._frontends
 
 
 def _make_default_registry() -> FrontendRegistry:

@@ -107,7 +107,6 @@ class InferenceConfig:
     top_p: float = 1.0
     max_response_tokens: int = 512
     completions: int = 1
-    parallelism: int = 1
 
     def __post_init__(self):
         if self.completions != 1:
@@ -118,8 +117,6 @@ class InferenceConfig:
             raise ConfigurationError("top_p must be in (0, 1]")
         if self.max_response_tokens <= 0:
             raise ConfigurationError("max_response_tokens must be positive")
-        if self.parallelism < 1:
-            raise ConfigurationError("parallelism must be >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -706,13 +703,13 @@ class _PromptedMethod:
         self.reasoner = reasoner
         self.strict = strict
 
-    def _predict(self, snippet: str) -> ModelPrediction:
+    def _predict(self, snippet: str, language: str) -> ModelPrediction:
         raise NotImplementedError
 
     def predict_labels(
         self, snippet: str, language: str = "java", path: str = ""
     ) -> tuple[LabelSet, RankedPrediction]:
-        prediction = self._predict(snippet)
+        prediction = self._predict(snippet, language)
         return prediction.labels, prediction.ranking
 
     def predict_file(
@@ -724,13 +721,13 @@ class _PromptedMethod:
         line_spans: Sequence[tuple[int, int]] | None = None,
         path: str = "",
     ) -> GranularRankings:
-        file_ranking = self._predict(source).ranking
+        file_ranking = self._predict(source, language).ranking
         modules = {
-            name: self._predict(source_slice(source, start, end)).ranking
+            name: self._predict(source_slice(source, start, end), language).ranking
             for name, (start, end) in (module_map or {}).items()
         }
         lines = {
-            (start, end): self._predict(source_slice(source, start, end)).ranking
+            (start, end): self._predict(source_slice(source, start, end), language).ranking
             for start, end in (line_spans or ())
         }
         return GranularRankings(file=file_ranking, modules=modules, lines=lines)
@@ -749,7 +746,7 @@ class ZeroShotMethod(_PromptedMethod):
         super().__init__(reasoner, strict=strict)
         self.catalog = catalog
 
-    def _predict(self, snippet: str) -> ModelPrediction:
+    def _predict(self, snippet: str, language: str) -> ModelPrediction:
         return zero_shot_predict(
             snippet, self.reasoner, catalog=self.catalog, strict=self.strict
         )
@@ -772,7 +769,7 @@ class RagMethod(_PromptedMethod):
         self.top_n = top_n
         self.catalog = catalog
 
-    def _predict(self, snippet: str) -> ModelPrediction:
+    def _predict(self, snippet: str, language: str) -> ModelPrediction:
         return rag_predict(
             snippet,
             self.reasoner,
@@ -793,19 +790,17 @@ class ReactMethod(_PromptedMethod):
         catalog: Mapping[int, ArticleInfo] | None = None,
         rules: RuleCatalog | None = None,
         max_iterations: int = 5,
-        language: str = "java",
     ):
         super().__init__(reasoner, strict=False)
         self.catalog = catalog
         self.rules = rules
         self.max_iterations = max_iterations
-        self.language = language
 
-    def _predict(self, snippet: str) -> ModelPrediction:
+    def _predict(self, snippet: str, language: str) -> ModelPrediction:
         outcome = react_run(
             snippet,
             self.reasoner,
-            language=self.language,
+            language=language,
             catalog=self.catalog,
             rules=self.rules,
             max_iterations=self.max_iterations,

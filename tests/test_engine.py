@@ -23,7 +23,7 @@ from gdprkit.engine import (
     rank_articles,
 )
 from gdprkit.errors import InputError, RuleLoadError
-from gdprkit.facts import extract_facts
+from gdprkit.facts import DataCategory, Fact, FactKind, extract_facts
 
 CAMERA_SOURCE = (
     "public class CameraGrabber {\n"
@@ -147,6 +147,29 @@ class TestPredicates:
         state = populate_predicates([])
         assert set(state) == set(atom_inventory())
         assert not any(p.holds for p in state.values())
+
+    @pytest.mark.parametrize("crypto", [False, True])
+    def test_inventory_complete_when_every_predicate_can_hold(self, crypto):
+        def fact(kind, category=None, detail="x"):
+            return Fact(kind, "s", detail, SpanRef("", 1, 1), "java", category)
+
+        facts = [fact(FactKind.API_CALL, c) for c in DataCategory]
+        facts += [
+            fact(FactKind.CONSENT_GUARD),
+            fact(FactKind.PERMISSION_DECL),
+            fact(FactKind.URL_LITERAL, detail="http://example.com"),
+            fact(FactKind.NETWORK_SEND),
+            fact(FactKind.STORAGE_WRITE),
+            fact(FactKind.STRING_LITERAL, DataCategory.CREDENTIALS, "see the privacy policy"),
+            fact(FactKind.LOG_WRITE),
+        ]
+        if crypto:
+            facts.append(fact(FactKind.CRYPTO_USE))
+        state = populate_predicates(facts)
+        assert set(state) == set(atom_inventory())
+        # encryption anywhere clears plaintext credentials, so exactly one stays false
+        unheld = "StoresPlaintextCredentials" if crypto else "UsesEncryption"
+        assert [name for name, p in state.items() if not p.holds] == [unheld]
 
     def test_guard_plus_camera(self):
         source = "ContextCompat.checkSelfPermission(ctx, p);\nmanager.openCamera(a, b, c);\n"

@@ -1,11 +1,13 @@
 """Fact extraction: pattern table, lexical fallback, structural frontend."""
 
 import dataclasses
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gdprkit import facts as facts_module
 from gdprkit.corpus import SpanRef
 from gdprkit.errors import ConfigurationError
 from gdprkit.facts import (
@@ -15,6 +17,7 @@ from gdprkit.facts import (
     FrontendRegistry,
     default_pattern_table,
     extract_facts,
+    lexical_fallback,
     structural_frontend,
 )
 
@@ -160,12 +163,6 @@ class TestRegistry:
         with pytest.raises(ConfigurationError):
             registry.register("java", structural_frontend)
 
-    def test_frozen_registry_rejects_registration(self):
-        registry = FrontendRegistry()
-        registry.freeze()
-        with pytest.raises(ConfigurationError):
-            registry.register("java", structural_frontend)
-
     def test_custom_frontend_dispatch(self):
         marker = Fact(
             kind=FactKind.CLASS_DECL,
@@ -232,6 +229,38 @@ class TestProperties:
         )
         strip = lambda fs: [dataclasses.replace(f, contextual=False) for f in fs]
         assert strip(plain) == strip(focused)
+
+
+_WORD_PATTERNS = sorted(e.pattern for e in default_pattern_table().entries if e.match == "word")
+# pieces that match a word entry only with help (spaced dots), or must not
+# match at all (longer identifiers, other case, non-ASCII word characters)
+_NEAR_MISSES = [
+    "widgetDeviceIdx", "getDeviceIdé", "ügetDeviceId", "Log . d", "Log\n.\nd", "Log.\td",
+    "log.d", "LOG.D", "console .log", "Camera\t. open", "uses-permission", "uses_permission",
+    "requestPermissions", "requestPermission", "requestPermissionz", "consentGivenX",
+    "Лог.d", "ｇetDeviceId", "日本getImei",
+]
+_SYNTAX = [" ", "\n", "\t", ".", "(", ")", ";", "=", "//", "/*", "*/", '"', "'", "#", "x", "é"]
+_word_text = st.lists(
+    st.sampled_from(_WORD_PATTERNS)
+    | st.sampled_from(sorted({part for pat in _WORD_PATTERNS for part in pat.split(".")}))
+    | st.sampled_from(_NEAR_MISSES)
+    | st.sampled_from(_SYNTAX),
+    max_size=40,
+).map("".join)
+
+
+class TestWordPrefilter:
+    """Skipping word entries whose literal parts are absent loses no match."""
+
+    @given(source=_word_text, language=st.sampled_from(["java", "kt", "js", "py", "php", "xml"]))
+    @settings(max_examples=300, deadline=None)
+    def test_frontends_equal_unfiltered_scan(self, source, language):
+        fast = [lexical_fallback(source, language), structural_frontend(source, language)]
+        brute_force = lambda entry, text: entry.compiled.finditer(text)  # noqa: E731
+        with mock.patch.object(facts_module, "_word_matches", brute_force):
+            slow = [lexical_fallback(source, language), structural_frontend(source, language)]
+        assert fast == slow
 
 
 class TestPatternTable:

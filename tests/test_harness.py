@@ -1,5 +1,6 @@
 """Run orchestration: instance catalogs, prediction, evaluation, artifacts."""
 
+import hashlib
 import importlib.util
 import json
 
@@ -31,7 +32,7 @@ from gdprkit.harness import (
 )
 from gdprkit.methods import ResponseCache, render_zero_shot_prompt
 from gdprkit.taskgen import build_task1, build_task2, dump_entries, load_task1, load_task2
-from tests.conftest import DATA_DIR
+from tests.conftest import DATA_DIR, GOLDEN_DIR
 
 
 @pytest.fixture(scope="module")
@@ -122,6 +123,24 @@ class TestFormalRuns:
         out = result.output_dir
         for name in ("predictions.json", "manifest.json", "report.json", "report.md"):
             assert (out / name).exists()
+
+    def test_fixture_predictions_match_golden_hashes(self, workspace):
+        """Formal predictions of both fixture tasks keep their recorded bytes."""
+        got = {}
+        for task in (1, 2):
+            out = workspace["root"] / f"golden-formal-t{task}"
+            run(
+                RunConfig(
+                    task=task,
+                    method="formal",
+                    dataset_path=workspace[f"task{task}"],
+                    corpus_path=workspace["corpus_path"],
+                    output_dir=str(out),
+                )
+            )
+            got[f"task{task}"] = hashlib.sha256((out / "predictions.json").read_bytes()).hexdigest()
+        golden = json.loads((GOLDEN_DIR / "formal_fixture.json").read_text(encoding="utf-8"))
+        assert got == golden
 
     def test_task1_formal_end_to_end(self, workspace):
         config = RunConfig(

@@ -148,7 +148,6 @@ class TestInferenceConfig:
             {"top_p": 0.0},
             {"completions": 2},
             {"max_response_tokens": 0},
-            {"parallelism": 0},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
@@ -443,6 +442,20 @@ class TestReactLoop:
         labels, ranking = method.predict_labels(CAMERA_SNIPPET)
         assert labels == LabelSet({6, 32})
         assert ranking.articles == (6, 32)
+
+    def test_react_method_rule_check_uses_instance_language(self):
+        # `#` starts no comment for the Java scanner: the apostrophes below
+        # would open a char literal that hides the getDeviceId call
+        snippet = "# the user's handset id\nimei = tm.getDeviceId()\n# don't send it\n"
+        reasoner = ScriptedReasoner(
+            ["Check rules.\nAction: rule_check\nAction Input: ", "Action: finish\nAction Input: 6"]
+            * 2
+        )
+        method = ReactMethod(reasoner)
+        method.predict_labels(snippet, "py")
+        method.predict_file(snippet, "py")
+        observations = [reasoner.calls[i].rsplit("Observation: ", 1)[1] for i in (1, 3)]
+        assert all("(A6-DEVICE-ID," in o for o in observations), observations
 
 
 class TestFormalMethodAdapter:
