@@ -1,8 +1,13 @@
-"""Violation corpus: record schema, loading, span parsing, summary statistics.
+"""Violation corpus: record schema, loading, span parsing, grouping, statistics.
 
 The corpus file is a UTF-8 JSON array of seven-field record objects. Both
 ``commit_id`` and ``Commit_ID`` key spellings occur in published data; the
 loader accepts either and normalizes to ``commit_id``.
+
+Splitting a snippet path into file and span (``split_snippet_path``) and
+grouping records per file (``group_by_file``) or per snippet location
+(``group_by_snippet``) live here, once, for the task builders, the
+knowledge base and the harness.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ import re
 import statistics
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable
 
 from .errors import CorpusSchemaError, SpanParseError
 
@@ -220,12 +226,31 @@ def detect_language(file_path: str) -> str:
     return LANGUAGE_BY_EXTENSION.get(suffix, "unknown")
 
 
-def _safe_parse(code_snippet_path: str) -> tuple[str, SpanRef | None]:
-    """parse_span that degrades to (whole path, no span) on a malformed spec."""
+def split_snippet_path(code_snippet_path: str) -> tuple[str, SpanRef | None]:
+    """parse_span that degrades to (whole stripped path, no span) on a malformed spec."""
     try:
         return parse_span(code_snippet_path)
     except SpanParseError:
         return code_snippet_path.strip(), None
+
+
+def group_by_file(
+    corpus: Iterable[ViolationRecord],
+) -> dict[tuple[str, str, str], list[ViolationRecord]]:
+    """Records per (repo_url, app_name, file_path), in corpus order."""
+    groups: dict[tuple[str, str, str], list[ViolationRecord]] = {}
+    for record in corpus:
+        file_path, _ = split_snippet_path(record.code_snippet_path)
+        groups.setdefault((record.repo_url, record.app_name, file_path), []).append(record)
+    return groups
+
+
+def group_by_snippet(corpus: Iterable[ViolationRecord]) -> dict[str, list[ViolationRecord]]:
+    """Records per exact code_snippet_path, keys in first-appearance order."""
+    groups: dict[str, list[ViolationRecord]] = {}
+    for record in corpus:
+        groups.setdefault(record.code_snippet_path, []).append(record)
+    return groups
 
 
 def _length_stats(lengths: list[int]) -> LengthStats:
@@ -240,30 +265,20 @@ def _length_stats(lengths: list[int]) -> LengthStats:
     )
 
 
-def compute_stats(
-    corpus: list[ViolationRecord],
-    *,
-    absent_span_is_multi_line: bool = True,
-) -> CorpusStats:
+def compute_stats(corpus: list[ViolationRecord]) -> CorpusStats:
     """Summarize a corpus.
 
-    Granularity comes from parse_span: start == end counts single-line,
+    Granularity comes from split_snippet_path: start == end counts single-line,
     start < end multi-line. Records with no parseable span count multi-line
-    by default (an unspecified span denotes a region, not a statement);
-    flip ``absent_span_is_multi_line`` to count them single-line instead.
+    (an unspecified span denotes a region, not a statement).
     """
     single = 0
     multi = 0
     per_article: dict[int, int] = {}
     per_extension: dict[str, int] = {}
     for record in corpus:
-        file_path, span = _safe_parse(record.code_snippet_path)
-        if span is None:
-            if absent_span_is_multi_line:
-                multi += 1
-            else:
-                single += 1
-        elif span.start_line == span.end_line:
+        file_path, span = split_snippet_path(record.code_snippet_path)
+        if span is not None and span.start_line == span.end_line:
             single += 1
         else:
             multi += 1

@@ -225,12 +225,6 @@ class Rule:
     weight: float
     message: str
 
-    @property
-    def positive_only(self) -> bool:
-        atoms: list[tuple[str, bool]] = []
-        self.condition.walk(True, atoms)
-        return all(positive for _, positive in atoms)
-
 
 class RuleCatalog:
     def __init__(self, rules: Sequence[Rule], version: int = 1):
@@ -246,10 +240,6 @@ class RuleCatalog:
 
     def articles(self) -> tuple[int, ...]:
         return tuple(sorted({r.article for r in self.rules}))
-
-    def rescaled(self, factor: float) -> "RuleCatalog":
-        """Copy with every weight multiplied by ``factor`` (for invariance checks)."""
-        return RuleCatalog([replace(r, weight=r.weight * factor) for r in self.rules], self.version)
 
 
 def load_rules(path: str | Path | None = None) -> RuleCatalog:
@@ -431,7 +421,7 @@ def analyze_source(
 
 
 def _refocus(facts: Sequence[Fact], start: int, end: int) -> list[Fact]:
-    # same fact set, with out-of-span facts demoted to contextual
+    """The same fact set scoped to lines start-end: facts outside are contextual."""
     return [
         fact
         if start <= fact.span.start_line and fact.span.end_line <= end

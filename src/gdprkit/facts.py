@@ -12,7 +12,7 @@ from __future__ import annotations
 import bisect
 import json
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
@@ -66,9 +66,10 @@ SENSITIVE_CATEGORIES: frozenset[DataCategory] = frozenset(
 class Fact:
     """One observation about a piece of source code.
 
-    ``contextual`` marks facts that fall outside the requested focus span.
-    They still participate in evaluation of file-wide guard conditions but
-    are not themselves evidence local to the focus.
+    ``contextual`` marks facts that fall outside the analysed scope (set by
+    ``engine._refocus``).  They still participate in evaluation of
+    file-wide guard conditions but are not themselves evidence local to the
+    scope.
     """
 
     kind: FactKind
@@ -537,9 +538,6 @@ class FrontendRegistry:
             raise ConfigurationError(f"frontend for {language!r} already registered")
         self._frontends[language] = frontend
 
-    def languages(self) -> list[str]:
-        return sorted(self._frontends)
-
     def frontend_for(self, language: str) -> Frontend:
         return self._frontends.get(language, self._fallback)
 
@@ -558,41 +556,24 @@ def default_registry() -> FrontendRegistry:
     return _DEFAULT_REGISTRY
 
 
-def register_frontend(
-    language: str, frontend: Frontend, *, registry: FrontendRegistry | None = None
-) -> None:
-    (registry or _DEFAULT_REGISTRY).register(language, frontend)
-
-
 def extract_facts(
     source: str,
     language: str,
     *,
     path: str = "",
-    focus: SpanRef | None = None,
     registry: FrontendRegistry | None = None,
     table: PatternTable | None = None,
 ) -> list[Fact]:
     """Extract facts from one source text.
 
-    The whole text is always scanned; ``focus`` only tags facts outside the
-    focus span as contextual, so narrowing focus never invents new local
-    facts.  A structural frontend that raises degrades to the lexical
-    fallback instead of failing the caller.
+    A structural frontend that raises degrades to the lexical fallback
+    instead of failing the caller.
     """
     registry = registry or _DEFAULT_REGISTRY
     frontend = registry.frontend_for(language)
     try:
-        facts = frontend(source, language, path=path, table=table)
+        return frontend(source, language, path=path, table=table)
     except Exception:
         if frontend is lexical_fallback:
             raise
-        facts = lexical_fallback(source, language, path=path, table=table)
-    if focus is not None:
-        facts = [
-            replace(fact, contextual=True)
-            if not (focus.start_line <= fact.span.start_line and fact.span.end_line <= focus.end_line)
-            else fact
-            for fact in facts
-        ]
-    return facts
+        return lexical_fallback(source, language, path=path, table=table)

@@ -2,22 +2,30 @@
 
 A run loads a task dataset, applies one prediction method to every
 instance, and writes predictions, a manifest, and evaluation reports into
-an output directory.  Per-instance failures degrade to empty predictions
-and are recorded; only configuration problems and cache-replay misses
-abort a run.  Everything written is byte-stable except the manifest's
-"timings" section, which determinism comparisons must drop.
+an output directory.  Per-instance failures, whatever their exception,
+degrade to empty predictions and are recorded; only configuration problems
+and cache-replay misses abort a run.  Everything written is byte-stable
+except the manifest's "timings" section, which determinism comparisons must
+drop.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
 
-from .corpus import detect_language, load_corpus, parse_span, ViolationRecord
+from .corpus import (
+    ViolationRecord,
+    detect_language,
+    group_by_file,
+    load_corpus,
+    split_snippet_path,
+)
 from .engine import RankedPrediction, RuleCatalog, load_rules
 from .errors import (
     ConfigurationError,
@@ -46,11 +54,11 @@ from .methods import (
     ResponseCache,
     ScriptedReasoner,
     ZeroShotMethod,
-    render_rag_prompt,
-    render_zero_shot_prompt,
     source_slice,
 )
 from .taskgen import Task1Entry, Task2Entry, load_task1, load_task2
+
+log = logging.getLogger(__name__)
 
 METHOD_NAMES = ("formal", "zero_shot", "rag", "react")
 REASONER_BINDINGS = ("live", "cache_replay", "stub")
@@ -99,13 +107,17 @@ class RunConfig:
     def from_file(cls, path: str | Path) -> "RunConfig":
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
         inference = raw.pop("inference", None)
-        known = {f.name for f in cls.__dataclass_fields__.values()}  # type: ignore[attr-defined]
-        unknown = set(raw) - known
-        if unknown:
-            raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
+        _reject_unknown_keys(raw, cls, "config")
         if inference is not None:
+            _reject_unknown_keys(inference, InferenceConfig, "inference")
             raw["inference"] = InferenceConfig(**inference)
         return cls(**raw)
+
+
+def _reject_unknown_keys(raw: dict, cls, what: str) -> None:
+    unknown = set(raw) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ConfigurationError(f"unknown {what} keys: {sorted(unknown)}")
 
 
 # ---------------------------------------------------------------------------
@@ -122,10 +134,7 @@ def reconstruct_source(records: Sequence[ViolationRecord]) -> tuple[str, int]:
     placed: dict[int, str] = {}
     tail: list[str] = []
     for record in records:
-        try:
-            _, span = parse_span(record.code_snippet_path)
-        except GdprKitError:
-            span = None
+        _, span = split_snippet_path(record.code_snippet_path)
         lines = record.code_snippet.splitlines() or [""]
         if span is None:
             tail.extend(lines)
@@ -139,19 +148,6 @@ def reconstruct_source(records: Sequence[ViolationRecord]) -> tuple[str, int]:
     if not buffer:
         buffer = [""]
     return "\n".join(buffer), len(buffer)
-
-
-def group_corpus_by_file(
-    corpus: Sequence[ViolationRecord],
-) -> dict[tuple[str, str, str], list[ViolationRecord]]:
-    groups: dict[tuple[str, str, str], list[ViolationRecord]] = {}
-    for record in corpus:
-        try:
-            file_path, _ = parse_span(record.code_snippet_path)
-        except GdprKitError:
-            file_path = record.code_snippet_path.strip()
-        groups.setdefault((record.repo_url, record.app_name, file_path), []).append(record)
-    return groups
 
 
 # ---------------------------------------------------------------------------
@@ -286,16 +282,23 @@ def _replay_preflight(
     reasoner_id = config.replay_reasoner_id or f"http:{config.model}"
     missing = []
     for text in texts:
-        if config.method == "zero_shot":
-            prompt = render_zero_shot_prompt(text, getattr(method, "catalog", None))
-        else:
-            prompt = render_rag_prompt(
-                text, method.kb, top_n=method.top_n, catalog=method.catalog
-            )
+        prompt = method.prompt(text)
         if not cache.contains(reasoner_id, prompt):
             missing.append(cache.cache_key(reasoner_id, prompt))
     if missing:
         raise ReplayMissError(missing)
+
+
+def _error_text(exc: Exception) -> str:
+    """Reason recorded for an errored instance.
+
+    An exception from outside gdprkit is a fault, not a method failure: its
+    traceback is logged and the reason leads with its type.
+    """
+    if isinstance(exc, GdprKitError):
+        return str(exc)
+    log.warning("prediction failed with %s", type(exc).__name__, exc_info=exc)
+    return f"{type(exc).__name__}: {exc}"
 
 
 def _empty_records(instances: Sequence[Instance], error: str) -> list[PredictionRecord]:
@@ -310,7 +313,7 @@ def predict_task1(
     corpus: Sequence[ViolationRecord],
     method,
 ) -> list[PredictionRecord]:
-    groups = group_corpus_by_file(corpus)
+    groups = group_by_file(corpus)
     records: list[PredictionRecord] = []
     all_instances = task1_instances(entries)
     by_entry: dict[int, list[Instance]] = {}
@@ -356,8 +359,8 @@ def predict_task1(
             )
         except ReplayMissError:
             raise
-        except GdprKitError as exc:
-            records.extend(_empty_records(usable, str(exc)))
+        except Exception as exc:
+            records.extend(_empty_records(usable, _error_text(exc)))
             continue
         for inst in usable:
             if inst.granularity == "file":
@@ -393,10 +396,7 @@ def predict_task2(
     _replay_preflight(config, method, [e.code_snippet for e in entries])
     records = []
     for inst, entry in zip(task2_instances(entries), entries):
-        try:
-            file_path, _ = parse_span(entry.code_snippet_path)
-        except GdprKitError:
-            file_path = entry.code_snippet_path
+        file_path, _ = split_snippet_path(entry.code_snippet_path)
         language = detect_language(file_path)
         try:
             labels, ranking = method.predict_labels(
@@ -404,8 +404,8 @@ def predict_task2(
             )
         except ReplayMissError:
             raise
-        except GdprKitError as exc:
-            records.append(PredictionRecord(inst.instance_id, "errored", error=str(exc)))
+        except Exception as exc:
+            records.append(PredictionRecord(inst.instance_id, "errored", error=_error_text(exc)))
             continue
         records.append(
             PredictionRecord(

@@ -2,12 +2,14 @@
 
 The catalog maps article numbers to titles and one-line summaries; prompt
 construction and the agent's lookup tool both read from it.  The knowledge
-base holds article texts plus labeled violation examples and answers
-nearest-neighbour queries with a plain token-frequency cosine, which keeps
-retrieval deterministic and dependency-free.  Construction tokenizes every
-document once into an inverted index, so a query only tokenizes itself and
-scores the documents it shares a token with; every score equals
-``similarity(query, doc.body)`` exactly.
+base holds article texts plus labeled violation examples, one per snippet
+location as grouped by ``corpus.group_by_snippet`` (the grouping of the
+task 2 dataset), and answers nearest-neighbour queries with a plain
+token-frequency cosine, which keeps retrieval deterministic and
+dependency-free.  Construction tokenizes every document once into an
+inverted index, so a query only tokenizes itself and scores the documents
+it shares a token with; every score equals ``similarity(query, doc.body)``
+exactly.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .corpus import ViolationRecord
+from .corpus import ViolationRecord, group_by_snippet
 from .errors import ConfigurationError, UnknownArticleError
 
 _DATA_DIR = Path(__file__).parent / "data"
@@ -96,20 +98,11 @@ class KbDoc:
     body: str
     labels: frozenset[int]
 
-    def to_dict(self) -> dict:
-        return {
-            "doc_id": self.doc_id,
-            "kind": self.kind,
-            "body": self.body,
-            "labels": sorted(self.labels),
-        }
-
 
 class KnowledgeBase:
     def __init__(self, docs: Sequence[KbDoc]):
         self.docs = tuple(docs)
-        self._by_id = {d.doc_id: d for d in self.docs}
-        if len(self._by_id) != len(self.docs):
+        if len({d.doc_id for d in self.docs}) != len(self.docs):
             raise ConfigurationError("knowledge base doc ids must be unique")
         # Per document: squared norm of its token counts.  Per token: flat
         # (doc index, count) pairs, as arrays to keep the index small.
@@ -128,9 +121,6 @@ class KnowledgeBase:
 
     def __len__(self) -> int:
         return len(self.docs)
-
-    def get(self, doc_id: str) -> KbDoc | None:
-        return self._by_id.get(doc_id)
 
     def retrieve(self, query: str, top_n: int = 3) -> list[tuple[KbDoc, float]]:
         """Best-scoring docs first; ties broken by doc id for determinism.
@@ -161,77 +151,42 @@ class KnowledgeBase:
                 hits.append((self.docs[i], 0.0))
         return hits
 
-    def to_json(self) -> str:
-        payload = {"version": 1, "docs": [d.to_dict() for d in self.docs]}
-        return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "KnowledgeBase":
-        raw = json.loads(text)
-        docs = []
-        for obj in raw["docs"]:
-            kind = obj["kind"]
-            if kind not in (ARTICLE_TEXT, VIOLATION_EXAMPLE):
-                raise ConfigurationError(f"unknown knowledge doc kind {kind!r}")
-            docs.append(
-                KbDoc(
-                    doc_id=obj["doc_id"],
-                    kind=kind,
-                    body=obj["body"],
-                    labels=frozenset(obj["labels"]),
-                )
-            )
-        return cls(docs)
-
 
 def build_kb(
     records: Iterable[ViolationRecord],
     *,
     catalog: dict[int, ArticleInfo] | None = None,
-    include_articles: bool = True,
 ) -> KnowledgeBase:
     """Article texts plus one labeled example per distinct snippet location.
 
-    Example grouping follows the snippet-classification dataset: records
-    sharing a code_snippet_path merge into one document labeled with the
-    union of their articles.
+    Examples follow the snippet-classification dataset: the records of one
+    ``corpus.group_by_snippet`` group merge into one document labeled with
+    the union of their articles.
     """
     catalog = catalog or article_catalog()
-    docs: list[KbDoc] = []
-    if include_articles:
-        for number, info in catalog.items():
-            docs.append(
-                KbDoc(
-                    doc_id=f"article-{number:03d}",
-                    kind=ARTICLE_TEXT,
-                    body=f"Article {number}: {info.title}. {info.summary}",
-                    labels=frozenset({number}),
-                )
-            )
-
-    grouped: dict[str, dict] = {}
-    order: list[str] = []
-    for record in records:
-        slot = grouped.get(record.code_snippet_path)
-        if slot is None:
-            slot = {"snippet": record.code_snippet, "articles": set(), "notes": []}
-            grouped[record.code_snippet_path] = slot
-            order.append(record.code_snippet_path)
-        slot["articles"].add(record.violated_article)
-        if record.annotation_note and record.annotation_note not in slot["notes"]:
-            slot["notes"].append(record.annotation_note)
-
-    for i, key in enumerate(order, start=1):
-        slot = grouped[key]
-        body = slot["snippet"]
-        if slot["notes"]:
-            body = body.rstrip("\n") + "\n" + "\n".join(slot["notes"])
+    docs = [
+        KbDoc(
+            doc_id=f"article-{number:03d}",
+            kind=ARTICLE_TEXT,
+            body=f"Article {number}: {info.title}. {info.summary}",
+            labels=frozenset({number}),
+        )
+        for number, info in catalog.items()
+    ]
+    for i, group in enumerate(group_by_snippet(records).values(), start=1):
+        notes: list[str] = []
+        for record in group:
+            if record.annotation_note and record.annotation_note not in notes:
+                notes.append(record.annotation_note)
+        body = group[0].code_snippet
+        if notes:
+            body = body.rstrip("\n") + "\n" + "\n".join(notes)
         docs.append(
             KbDoc(
                 doc_id=f"example-{i:04d}",
                 kind=VIOLATION_EXAMPLE,
                 body=body,
-                labels=frozenset(slot["articles"]),
+                labels=frozenset(r.violated_article for r in group),
             )
         )
     return KnowledgeBase(docs)

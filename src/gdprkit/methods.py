@@ -326,16 +326,22 @@ def _meanings_block(catalog: Mapping[int, ArticleInfo]) -> str:
     return "\n".join(f"- Article {n}: {info.title}" for n, info in sorted(catalog.items()))
 
 
+def _assemble_prompt(
+    snippet: str, catalog: Mapping[int, ArticleInfo] | None, context: str
+) -> str:
+    """The prompt sections in order; an empty context leaves its section out."""
+    sections = [PROMPT_HEADER, f"{MEANINGS_HEADING}\n{_meanings_block(catalog or article_catalog())}"]
+    if context:
+        sections.append(f"{CONTEXT_HEADING}\n{context}")
+    sections.append(f"{INSTRUCTIONS_HEADING}\n" + "\n".join(INSTRUCTION_LINES))
+    sections.append(f"{CODE_HEADING}\n{snippet}")
+    return "\n\n".join(sections)
+
+
 def render_zero_shot_prompt(
     snippet: str, catalog: Mapping[int, ArticleInfo] | None = None
 ) -> str:
-    catalog = catalog or article_catalog()
-    return (
-        f"{PROMPT_HEADER}\n\n"
-        f"{MEANINGS_HEADING}\n{_meanings_block(catalog)}\n\n"
-        f"{INSTRUCTIONS_HEADING}\n" + "\n".join(INSTRUCTION_LINES) + "\n\n"
-        f"{CODE_HEADING}\n{snippet}"
-    )
+    return _assemble_prompt(snippet, catalog, "")
 
 
 def _context_block(retrieved: Sequence[tuple]) -> str:
@@ -361,66 +367,8 @@ def render_rag_prompt(
     With nothing retrieved (empty knowledge base or top_n of 0) the output
     is byte-identical to the plain zero-shot prompt.
     """
-    catalog = catalog or article_catalog()
     retrieved = kb.retrieve(snippet, top_n) if len(kb) else []
-    if not retrieved:
-        return render_zero_shot_prompt(snippet, catalog)
-    return (
-        f"{PROMPT_HEADER}\n\n"
-        f"{MEANINGS_HEADING}\n{_meanings_block(catalog)}\n\n"
-        f"{CONTEXT_HEADING}\n{_context_block(retrieved)}\n\n"
-        f"{INSTRUCTIONS_HEADING}\n" + "\n".join(INSTRUCTION_LINES) + "\n\n"
-        f"{CODE_HEADING}\n{snippet}"
-    )
-
-
-# ---------------------------------------------------------------------------
-# One-shot predictions
-
-
-@dataclass(frozen=True)
-class ModelPrediction:
-    labels: LabelSet
-    ranking: RankedPrediction
-    prompt: str
-    response: str
-
-
-def _predict_from_prompt(prompt: str, reasoner: Reasoner, *, strict: bool) -> ModelPrediction:
-    response = reasoner.complete(prompt)
-    ordered = parse_model_output(response, strict=strict)
-    return ModelPrediction(
-        labels=LabelSet(ordered),
-        ranking=RankedPrediction(ordered),
-        prompt=prompt,
-        response=response,
-    )
-
-
-def zero_shot_predict(
-    snippet: str,
-    reasoner: Reasoner,
-    *,
-    catalog: Mapping[int, ArticleInfo] | None = None,
-    strict: bool = True,
-) -> ModelPrediction:
-    return _predict_from_prompt(
-        render_zero_shot_prompt(snippet, catalog), reasoner, strict=strict
-    )
-
-
-def rag_predict(
-    snippet: str,
-    reasoner: Reasoner,
-    kb: KnowledgeBase,
-    *,
-    top_n: int = 3,
-    catalog: Mapping[int, ArticleInfo] | None = None,
-    strict: bool = True,
-) -> ModelPrediction:
-    return _predict_from_prompt(
-        render_rag_prompt(snippet, kb, top_n=top_n, catalog=catalog), reasoner, strict=strict
-    )
+    return _assemble_prompt(snippet, catalog, _context_block(retrieved))
 
 
 # ---------------------------------------------------------------------------
@@ -695,7 +643,12 @@ class FormalMethod:
 
 
 class _PromptedMethod:
-    """Shared scope-slicing logic for the model-backed methods."""
+    """Shared scope-slicing logic for the model-backed methods.
+
+    Zero-shot and retrieval methods turn a text into one prompt (``prompt``)
+    and read the reasoner's answer; the harness checks the same prompts
+    against a replay cache before a run.
+    """
 
     name = "prompted"
 
@@ -703,14 +656,18 @@ class _PromptedMethod:
         self.reasoner = reasoner
         self.strict = strict
 
-    def _predict(self, snippet: str, language: str) -> ModelPrediction:
+    def prompt(self, text: str) -> str:
         raise NotImplementedError
+
+    def _predict(self, text: str, language: str) -> tuple[int, ...]:
+        """Distinct articles, most suspect first."""
+        return parse_model_output(self.reasoner.complete(self.prompt(text)), strict=self.strict)
 
     def predict_labels(
         self, snippet: str, language: str = "java", path: str = ""
     ) -> tuple[LabelSet, RankedPrediction]:
-        prediction = self._predict(snippet, language)
-        return prediction.labels, prediction.ranking
+        ordered = self._predict(snippet, language)
+        return LabelSet(ordered), RankedPrediction(ordered)
 
     def predict_file(
         self,
@@ -721,15 +678,12 @@ class _PromptedMethod:
         line_spans: Sequence[tuple[int, int]] | None = None,
         path: str = "",
     ) -> GranularRankings:
-        file_ranking = self._predict(source, language).ranking
-        modules = {
-            name: self._predict(source_slice(source, start, end), language).ranking
-            for name, (start, end) in (module_map or {}).items()
-        }
-        lines = {
-            (start, end): self._predict(source_slice(source, start, end), language).ranking
-            for start, end in (line_spans or ())
-        }
+        def rank(start: int, end: int) -> RankedPrediction:
+            return RankedPrediction(self._predict(source_slice(source, start, end), language))
+
+        file_ranking = RankedPrediction(self._predict(source, language))
+        modules = {name: rank(start, end) for name, (start, end) in (module_map or {}).items()}
+        lines = {(start, end): rank(start, end) for start, end in (line_spans or ())}
         return GranularRankings(file=file_ranking, modules=modules, lines=lines)
 
 
@@ -746,10 +700,8 @@ class ZeroShotMethod(_PromptedMethod):
         super().__init__(reasoner, strict=strict)
         self.catalog = catalog
 
-    def _predict(self, snippet: str, language: str) -> ModelPrediction:
-        return zero_shot_predict(
-            snippet, self.reasoner, catalog=self.catalog, strict=self.strict
-        )
+    def prompt(self, text: str) -> str:
+        return render_zero_shot_prompt(text, self.catalog)
 
 
 class RagMethod(_PromptedMethod):
@@ -769,15 +721,8 @@ class RagMethod(_PromptedMethod):
         self.top_n = top_n
         self.catalog = catalog
 
-    def _predict(self, snippet: str, language: str) -> ModelPrediction:
-        return rag_predict(
-            snippet,
-            self.reasoner,
-            self.kb,
-            top_n=self.top_n,
-            catalog=self.catalog,
-            strict=self.strict,
-        )
+    def prompt(self, text: str) -> str:
+        return render_rag_prompt(text, self.kb, top_n=self.top_n, catalog=self.catalog)
 
 
 class ReactMethod(_PromptedMethod):
@@ -796,18 +741,14 @@ class ReactMethod(_PromptedMethod):
         self.rules = rules
         self.max_iterations = max_iterations
 
-    def _predict(self, snippet: str, language: str) -> ModelPrediction:
+    def _predict(self, text: str, language: str) -> tuple[int, ...]:
+        # the transcript grows with each response, so there is no one prompt
         outcome = react_run(
-            snippet,
+            text,
             self.reasoner,
             language=language,
             catalog=self.catalog,
             rules=self.rules,
             max_iterations=self.max_iterations,
         )
-        return ModelPrediction(
-            labels=outcome.labels,
-            ranking=outcome.ranking,
-            prompt=outcome.transcript,
-            response="",
-        )
+        return outcome.ranking.articles

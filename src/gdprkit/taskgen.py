@@ -4,7 +4,9 @@ Task 1 entries are file-centric multi-granularity profiles (one entry per
 distinct (repo_url, app_name, file_path) tuple); Task 2 entries are
 snippet-centric multi-label records (one entry per distinct
 code_snippet_path). Both builders are deterministic: given the same corpus
-they emit byte-identical JSON.
+they emit byte-identical JSON. The grouping itself and the lenient split of
+a snippet path into file and span come from ``corpus`` (``group_by_file``,
+``group_by_snippet``, ``split_snippet_path``).
 """
 
 from __future__ import annotations
@@ -15,8 +17,13 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import SpanRef, ViolationRecord, parse_span
-from .errors import SpanParseError
+from .corpus import (
+    SpanRef,
+    ViolationRecord,
+    group_by_file,
+    group_by_snippet,
+    split_snippet_path,
+)
 
 log = logging.getLogger(__name__)
 
@@ -80,22 +87,6 @@ class Task2Entry:
         }
 
 
-def _file_path_of(record: ViolationRecord) -> str:
-    try:
-        file_path, _ = parse_span(record.code_snippet_path)
-    except SpanParseError:
-        file_path = record.code_snippet_path.strip()
-    return file_path
-
-
-def _span_of(record: ViolationRecord) -> SpanRef | None:
-    try:
-        _, span = parse_span(record.code_snippet_path)
-    except SpanParseError:
-        span = None
-    return span
-
-
 def infer_module(file_path: str, records: list[ViolationRecord]) -> str:
     """Infer the module (class) name that encloses a file's violations.
 
@@ -120,11 +111,7 @@ def build_task1(corpus: list[ViolationRecord]) -> list[Task1Entry]:
     records sorted by (start_line, end_line). Records without a parseable
     span contribute to file and module level only.
     """
-    groups: dict[tuple[str, str, str], list[ViolationRecord]] = {}
-    for record in corpus:
-        key = (record.repo_url, record.app_name, _file_path_of(record))
-        groups.setdefault(key, []).append(record)
-
+    groups = group_by_file(corpus)
     entries = []
     for (repo_url, app_name, file_path) in sorted(groups):
         records = groups[(repo_url, app_name, file_path)]
@@ -132,7 +119,7 @@ def build_task1(corpus: list[ViolationRecord]) -> list[Task1Entry]:
 
         by_span: dict[tuple[int, int], tuple[set[int], list[str]]] = {}
         for record in records:
-            span = _span_of(record)
+            _, span = split_snippet_path(record.code_snippet_path)
             if span is None:
                 continue
             articles, notes = by_span.setdefault((span.start_line, span.end_line), (set(), []))
@@ -172,18 +159,8 @@ def build_task2(corpus: list[ViolationRecord]) -> list[Task2Entry]:
     keep first-appearance order. A group whose records disagree on snippet
     text logs a warning and keeps the first occurrence.
     """
-    order: list[str] = []
-    groups: dict[str, list[ViolationRecord]] = {}
-    for record in corpus:
-        key = record.code_snippet_path
-        if key not in groups:
-            order.append(key)
-            groups[key] = []
-        groups[key].append(record)
-
     entries = []
-    for key in order:
-        records = groups[key]
+    for key, records in group_by_snippet(corpus).items():
         first = records[0]
         for other in records[1:]:
             if other.code_snippet != first.code_snippet:
@@ -206,9 +183,7 @@ def build_task2(corpus: list[ViolationRecord]) -> list[Task2Entry]:
 
 def dump_entries(entries: list[Task1Entry] | list[Task2Entry], path: str | Path) -> None:
     """Write entries as a JSON array with stable formatting."""
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump([e.to_dict() for e in entries], f, indent=2, ensure_ascii=False)
-        f.write("\n")
+    Path(path).write_text(entries_json(entries), encoding="utf-8")
 
 
 def entries_json(entries: list[Task1Entry] | list[Task2Entry]) -> str:

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from gdprkit.corpus import ViolationRecord, load_corpus
+from gdprkit.knowledge import VIOLATION_EXAMPLE, KnowledgeBase, build_kb
 
 DATA_DIR = Path(__file__).parent / "data"
 GOLDEN_DIR = DATA_DIR / "golden"
@@ -35,3 +36,8 @@ def camera_record_pair(fixture_corpus) -> list[ViolationRecord]:
     pair = [r for r in fixture_corpus if r.code_snippet_path == CAMERA_PATH]
     assert len(pair) == 2
     return pair
+
+
+def examples_only_kb(records) -> KnowledgeBase:
+    """The knowledge base of ``records`` without its article texts."""
+    return KnowledgeBase([d for d in build_kb(records).docs if d.kind == VIOLATION_EXAMPLE])

@@ -1,5 +1,6 @@
 """Corpus schema, span parsing, language detection, and descriptive stats."""
 
+import dataclasses
 import json
 import statistics
 
@@ -199,10 +200,11 @@ class TestComputeStats:
             assert got.stddev == pytest.approx(statistics.pstdev(lengths), abs=1e-12)
 
     def test_absent_span_counts_as_multi_line_by_default(self, fixture_corpus):
-        default = compute_stats(fixture_corpus)
-        flipped = compute_stats(fixture_corpus, absent_span_is_multi_line=False)
-        assert flipped.single_line_count == default.single_line_count + 1
-        assert flipped.multi_line_count == default.multi_line_count - 1
+        unspanned = [r for r in fixture_corpus if r.code_snippet_path == "web/src/analytics.js"]
+        malformed = dataclasses.replace(unspanned[0], code_snippet_path="web/src/a.js: line 0")
+        stats = compute_stats(unspanned + [malformed])
+        assert (stats.single_line_count, stats.multi_line_count) == (0, 2)
+        assert stats.per_extension_counts == {".js": 1, ".js: line 0": 1}
 
 
 def load_corpus_from_objects(objs: list[dict]):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from gdprkit import facts as facts_module
 from gdprkit.corpus import SpanRef
+from gdprkit.engine import _refocus
 from gdprkit.errors import ConfigurationError
 from gdprkit.facts import (
     DataCategory,
@@ -144,14 +145,14 @@ class TestFocus:
     )
 
     def test_focus_marks_out_of_span_facts_contextual(self):
-        focused = extract_facts(self.SOURCE, "java", focus=SpanRef("", 2, 2))
+        focused = _refocus(extract_facts(self.SOURCE, "java"), 2, 2)
         by_symbol = {f.symbol: f for f in focused}
         assert by_symbol["openCamera"].contextual is False
         assert by_symbol["checkSelfPermission"].contextual is True
 
     def test_focus_never_changes_fact_content(self):
         plain = extract_facts(self.SOURCE, "java")
-        focused = extract_facts(self.SOURCE, "java", focus=SpanRef("", 2, 2))
+        focused = _refocus(plain, 2, 2)
         strip = lambda fs: [dataclasses.replace(f, contextual=False) for f in fs]
         assert strip(plain) == strip(focused)
 
@@ -224,9 +225,7 @@ class TestProperties:
     @settings(max_examples=100, deadline=None)
     def test_focus_only_toggles_contextual_flag(self, source, start, extent):
         plain = extract_facts(source, "java")
-        focused = extract_facts(
-            source, "java", focus=SpanRef("", start, start + extent)
-        )
+        focused = _refocus(plain, start, start + extent)
         strip = lambda fs: [dataclasses.replace(f, contextual=False) for f in fs]
         assert strip(plain) == strip(focused)
 

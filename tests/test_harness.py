@@ -295,11 +295,14 @@ class TestCachingAndReplay:
 
 
 class FailingMethod:
+    def __init__(self, error=None):
+        self.error = error or MethodError("model exploded")
+
     def predict_labels(self, snippet, language="java", path=""):
-        raise MethodError("model exploded")
+        raise self.error
 
     def predict_file(self, source, language, *, module_map=None, line_spans=None, path=""):
-        raise MethodError("model exploded")
+        raise self.error
 
 
 class TestErrorAndSkipPaths:
@@ -328,6 +331,31 @@ class TestErrorAndSkipPaths:
         assert all(r.status == "errored" for r in records)
         ranking = evaluate_task1(entries, records)
         assert ranking["file"].accuracy_at[5] == 0.0
+
+    def test_foreign_exceptions_become_errored_records_named_by_type(self, workspace, caplog):
+        method = FailingMethod(TypeError("unsupported operand"))
+        entries2 = load_task2(workspace["task2"])
+        config2 = RunConfig(task=2, method="formal", dataset_path=workspace["task2"])
+        entries1 = load_task1(workspace["task1"])
+        corpus = load_corpus(workspace["corpus_path"])
+        config1 = RunConfig(
+            task=1,
+            method="formal",
+            dataset_path=workspace["task1"],
+            corpus_path=workspace["corpus_path"],
+        )
+        records = predict_task2(config2, entries2, method)
+        records += predict_task1(config1, entries1, corpus, method)
+        assert len(records) == 10 + 23
+        assert {r.status for r in records} == {"errored"}
+        assert {r.error for r in records} == {"TypeError: unsupported operand"}
+        assert "Traceback" in caplog.text
+
+    def test_replay_miss_still_aborts_prediction(self, workspace):
+        entries = load_task2(workspace["task2"])
+        config = RunConfig(task=2, method="formal", dataset_path=workspace["task2"])
+        with pytest.raises(ReplayMissError):
+            predict_task2(config, entries, FailingMethod(ReplayMissError(["k"])))
 
     def test_out_of_range_span_is_skipped_not_scored(self, tmp_path, fixture_corpus):
         doctored = [r for r in fixture_corpus if r.app_name == "TrackNote"]
@@ -406,6 +434,26 @@ class TestRunConfig:
         )
         with pytest.raises(ConfigurationError):
             RunConfig.from_file(path)
+
+    @pytest.mark.parametrize(
+        "inference", [{"max_tokens": 256, "timeout": 30.0}, {"parallelism": 2}]
+    )
+    def test_from_file_rejects_unknown_inference_keys(self, tmp_path, workspace, inference):
+        path = tmp_path / "config.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "task": 2,
+                    "method": "formal",
+                    "dataset_path": workspace["task2"],
+                    "inference": {"temperature": 0.0, **inference},
+                }
+            ),
+            encoding="utf-8",
+        )
+        with pytest.raises(ConfigurationError) as err:
+            RunConfig.from_file(path)
+        assert str(sorted(inference)) in str(err.value)
 
     def test_from_file_round_trip(self, tmp_path, workspace):
         path = tmp_path / "config.json"

@@ -18,6 +18,7 @@ from gdprkit.knowledge import (
     similarity,
     tokenize,
 )
+from tests.conftest import examples_only_kb
 
 
 class TestArticleCatalog:
@@ -85,7 +86,7 @@ class TestBuildKb:
         assert all(d.kind == ARTICLE_TEXT for d in kb.docs)
 
     def test_shared_path_merges_into_one_example(self, camera_record_pair):
-        kb = build_kb(camera_record_pair, include_articles=False)
+        kb = examples_only_kb(camera_record_pair)
         assert len(kb) == 1
         doc = kb.docs[0]
         assert doc.kind == VIOLATION_EXAMPLE
@@ -93,7 +94,7 @@ class TestBuildKb:
         assert "openCamera" in doc.body
 
     def test_example_body_carries_both_notes(self, camera_record_pair):
-        kb = build_kb(camera_record_pair, include_articles=False)
+        kb = examples_only_kb(camera_record_pair)
         body = kb.docs[0].body
         for record in camera_record_pair:
             assert record.annotation_note in body
@@ -167,13 +168,6 @@ class TestRetrieve:
 
 
 class TestPersistence:
-    def test_save_load_round_trip(self, fixture_corpus):
-        kb = build_kb(fixture_corpus)
-        loaded = KnowledgeBase.from_json(kb.to_json())
-        assert loaded.docs == kb.docs
-        for query in ("openCamera", "location consent", ""):
-            assert loaded.retrieve(query, top_n=len(kb)) == kb.retrieve(query, top_n=len(kb))
-
     def test_duplicate_doc_ids_rejected(self):
         doc = KbDoc(doc_id="d1", kind=ARTICLE_TEXT, body="x", labels=frozenset())
         with pytest.raises(ConfigurationError):

@@ -7,14 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gdprkit.corpus import group_by_file
 from gdprkit.errors import (
     ConfigurationError,
     MethodError,
     ModelOutputError,
     ReplayMissError,
 )
-from gdprkit.harness import _task1_prompt_texts, group_corpus_by_file, reconstruct_source
-from gdprkit.knowledge import ArticleInfo, build_kb
+from gdprkit.harness import _task1_prompt_texts, reconstruct_source
+from gdprkit.knowledge import ArticleInfo, KnowledgeBase, build_kb
 from gdprkit.methods import (
     CacheReplayReasoner,
     CachingReasoner,
@@ -29,14 +30,12 @@ from gdprkit.methods import (
     ZeroShotMethod,
     format_labels,
     parse_model_output,
-    rag_predict,
     react_run,
     render_rag_prompt,
     render_zero_shot_prompt,
-    zero_shot_predict,
 )
 from gdprkit.taskgen import build_task1, build_task2
-from tests.conftest import GOLDEN_DIR
+from tests.conftest import GOLDEN_DIR, examples_only_kb
 
 CAMERA_SNIPPET = "            manager.openCamera(camerId, stateCallback, null);\n"
 
@@ -253,19 +252,21 @@ class TestReasoners:
 
 class TestZeroShotMethodPath:
     def test_stub_round_trip(self):
-        prediction = zero_shot_predict(CAMERA_SNIPPET, ScriptedReasoner(lambda p: "6,32"))
-        assert prediction.labels == LabelSet({6, 32})
-        assert prediction.ranking.articles == (6, 32)
+        reasoner = ScriptedReasoner(lambda p: "6,32")
+        labels, ranking = ZeroShotMethod(reasoner).predict_labels(CAMERA_SNIPPET)
+        assert labels == LabelSet({6, 32})
+        assert ranking.articles == (6, 32)
+        assert reasoner.calls == [render_zero_shot_prompt(CAMERA_SNIPPET)]
 
     def test_unparseable_strict_output_raises_with_raw_text(self):
         with pytest.raises(ModelOutputError) as err:
-            zero_shot_predict("x", ScriptedReasoner(lambda p: "banana"))
+            ZeroShotMethod(ScriptedReasoner(lambda p: "banana")).predict_labels("x")
         assert err.value.raw_text == "banana"
 
     def test_zero_answer_is_empty_label_set(self):
-        prediction = zero_shot_predict("x", ScriptedReasoner(lambda p: "0"))
-        assert prediction.labels == LabelSet()
-        assert prediction.ranking.articles == ()
+        labels, ranking = ZeroShotMethod(ScriptedReasoner(lambda p: "0")).predict_labels("x")
+        assert labels == LabelSet()
+        assert ranking.articles == ()
 
     def test_method_adapter_returns_labels_and_ranking(self):
         method = ZeroShotMethod(ScriptedReasoner(lambda p: "5,6"))
@@ -276,8 +277,7 @@ class TestZeroShotMethodPath:
 
 class TestRagMethodPath:
     def test_empty_kb_prompt_degrades_to_zero_shot(self):
-        kb = build_kb([], include_articles=False)
-        assert render_rag_prompt("snip", kb) == render_zero_shot_prompt("snip")
+        assert render_rag_prompt("snip", KnowledgeBase([])) == render_zero_shot_prompt("snip")
 
     def test_context_entry_count_matches_top_n(self, fixture_corpus):
         kb = build_kb(fixture_corpus)
@@ -287,7 +287,7 @@ class TestRagMethodPath:
         assert len(entries) == 3
 
     def test_echo_stub_reads_labels_from_first_example(self, camera_record_pair):
-        kb = build_kb(camera_record_pair, include_articles=False)
+        kb = examples_only_kb(camera_record_pair)
 
         def echo(prompt: str) -> str:
             for line in prompt.splitlines():
@@ -295,9 +295,10 @@ class TestRagMethodPath:
                     return line.removeprefix("1. Example (articles ").rstrip("):")
             return "0"
 
-        prediction = rag_predict(CAMERA_SNIPPET, ScriptedReasoner(echo), kb)
-        assert prediction.labels == LabelSet({6, 32})
-        assert "Example (articles 6,32)" in prediction.prompt
+        reasoner = ScriptedReasoner(echo)
+        labels, _ = RagMethod(reasoner, kb).predict_labels(CAMERA_SNIPPET)
+        assert labels == LabelSet({6, 32})
+        assert "Example (articles 6,32)" in reasoner.calls[0]
 
     def test_rag_method_adapter(self, fixture_corpus):
         kb = build_kb(fixture_corpus)
@@ -313,7 +314,7 @@ class TestRagMethodPath:
         alters any prompt invalidates existing recordings.
         """
         kb = build_kb(fixture_corpus)
-        groups = group_corpus_by_file(fixture_corpus)
+        groups = group_by_file(fixture_corpus)
         entries1 = build_task1(fixture_corpus)
         sources = [
             reconstruct_source(groups.get((e.repo_url, e.app_name, e.file_path), []))[0]

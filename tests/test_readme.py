@@ -1,0 +1,37 @@
+"""The JSON examples in README.md load as shown."""
+
+import json
+import re
+from pathlib import Path
+
+from gdprkit.corpus import load_corpus
+from gdprkit.engine import load_rules
+from gdprkit.harness import RunConfig
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def json_block(heading: str) -> str:
+    """The first fenced JSON block under a second-level README heading."""
+    section = README.read_text(encoding="utf-8").split(f"\n## {heading}\n", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    return re.search(r"```json\n(.*?)```", section, re.DOTALL).group(1)
+
+
+def test_readme_json_examples_load(tmp_path):
+    corpus_path = tmp_path / "corpus.json"
+    corpus_path.write_text(json_block("Corpus format"), encoding="utf-8")
+    [record] = load_corpus(corpus_path)
+    assert record.violated_article == 6
+
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json_block("Run configuration"), encoding="utf-8")
+    # the block lists every field at its default
+    assert RunConfig.from_file(config_path) == RunConfig(
+        task=2, method="zero_shot", dataset_path="runs/task2.json", corpus_path="corpus.json"
+    )
+
+    rules_path = tmp_path / "rules.json"
+    rule = json.loads(json_block("Library layout"))
+    rules_path.write_text(json.dumps({"rules": [rule]}), encoding="utf-8")
+    assert [r.id for r in load_rules(rules_path)] == [rule["id"]]
