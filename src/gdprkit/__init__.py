@@ -1,198 +1,10 @@
-"""Source-level GDPR violation analysis and benchmark tooling."""
+"""Source-level GDPR violation analysis and benchmark tooling.
 
-from .corpus import (
-    CorpusStats,
-    LengthStats,
-    SpanRef,
-    ViolationRecord,
-    compute_stats,
-    detect_language,
-    dump_corpus,
-    load_corpus,
-    parse_span,
-)
-from .engine import (
-    AnalysisResult,
-    Finding,
-    MultiGranularityResult,
-    RankedPrediction,
-    Rule,
-    RuleCatalog,
-    analyze_multigranularity,
-    analyze_source,
-    atom_inventory,
-    default_catalog,
-    evaluate_rules,
-    load_rules,
-    populate_predicates,
-    rank_articles,
-)
-from .errors import (
-    ConfigurationError,
-    CorpusSchemaError,
-    GdprKitError,
-    InputError,
-    MethodError,
-    ModelOutputError,
-    ReconciliationError,
-    ReplayMissError,
-    RuleLoadError,
-    SpanParseError,
-    UndefinedMetricError,
-    UnknownArticleError,
-)
-from .facts import (
-    DataCategory,
-    Fact,
-    FactKind,
-    FrontendRegistry,
-    PatternTable,
-    default_registry,
-    extract_facts,
-    lexical_fallback,
-    load_pattern_table,
-    structural_frontend,
-)
-from .harness import RunConfig, RunReport, emit_report, run
-from .knowledge import (
-    ArticleInfo,
-    KbDoc,
-    KnowledgeBase,
-    article_catalog,
-    article_lookup,
-    build_kb,
-    similarity,
-)
-from .methods import (
-    AgentTrace,
-    CacheReplayReasoner,
-    CachingReasoner,
-    FormalMethod,
-    InferenceConfig,
-    LabelSet,
-    LiveHttpReasoner,
-    RagMethod,
-    ReactMethod,
-    ResponseCache,
-    ScriptedReasoner,
-    ZeroShotMethod,
-    format_labels,
-    parse_model_output,
-    react_run,
-    render_rag_prompt,
-    render_zero_shot_prompt,
-)
-from .metrics import (
-    LabelMetrics,
-    LabeledInstance,
-    RankedInstance,
-    RankingMetrics,
-    accuracy_at_k,
-    evaluate_labels,
-    evaluate_rankings,
-    first_correct_rank,
-    multilabel_accuracy,
-)
-from .taskgen import (
-    LineViolation,
-    Task1Entry,
-    Task2Entry,
-    build_task1,
-    build_task2,
-    load_task1,
-    load_task2,
-)
+The package is used through its modules (``gdprkit.corpus``,
+``gdprkit.harness``, ...).  Importing the package imports the library
+modules, so after ``import gdprkit`` each is reachable as an attribute.
+"""
+
+from . import corpus, engine, facts, harness, knowledge, methods, metrics, taskgen
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AgentTrace",
-    "AnalysisResult",
-    "ArticleInfo",
-    "CacheReplayReasoner",
-    "CachingReasoner",
-    "ConfigurationError",
-    "CorpusSchemaError",
-    "CorpusStats",
-    "DataCategory",
-    "Fact",
-    "FactKind",
-    "Finding",
-    "FormalMethod",
-    "FrontendRegistry",
-    "GdprKitError",
-    "InferenceConfig",
-    "InputError",
-    "KbDoc",
-    "KnowledgeBase",
-    "LabelMetrics",
-    "LabelSet",
-    "LabeledInstance",
-    "LengthStats",
-    "LineViolation",
-    "LiveHttpReasoner",
-    "MethodError",
-    "ModelOutputError",
-    "MultiGranularityResult",
-    "PatternTable",
-    "RagMethod",
-    "RankedInstance",
-    "RankedPrediction",
-    "RankingMetrics",
-    "ReactMethod",
-    "ReconciliationError",
-    "ReplayMissError",
-    "ResponseCache",
-    "Rule",
-    "RuleCatalog",
-    "RuleLoadError",
-    "RunConfig",
-    "RunReport",
-    "ScriptedReasoner",
-    "SpanParseError",
-    "SpanRef",
-    "Task1Entry",
-    "Task2Entry",
-    "UndefinedMetricError",
-    "UnknownArticleError",
-    "ViolationRecord",
-    "ZeroShotMethod",
-    "accuracy_at_k",
-    "analyze_multigranularity",
-    "analyze_source",
-    "article_catalog",
-    "article_lookup",
-    "atom_inventory",
-    "build_kb",
-    "build_task1",
-    "build_task2",
-    "compute_stats",
-    "default_catalog",
-    "default_registry",
-    "detect_language",
-    "dump_corpus",
-    "emit_report",
-    "evaluate_labels",
-    "evaluate_rankings",
-    "evaluate_rules",
-    "extract_facts",
-    "first_correct_rank",
-    "format_labels",
-    "lexical_fallback",
-    "load_corpus",
-    "load_pattern_table",
-    "load_rules",
-    "load_task1",
-    "load_task2",
-    "multilabel_accuracy",
-    "parse_model_output",
-    "parse_span",
-    "populate_predicates",
-    "rank_articles",
-    "react_run",
-    "render_rag_prompt",
-    "render_zero_shot_prompt",
-    "run",
-    "similarity",
-    "structural_frontend",
-]

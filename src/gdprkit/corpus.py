@@ -57,9 +57,6 @@ class SpanRef:
                 f"invalid span ({self.start_line}, {self.end_line}) for {self.file_path!r}"
             )
 
-    def contains(self, other: "SpanRef") -> bool:
-        return self.start_line <= other.start_line and other.end_line <= self.end_line
-
     def to_dict(self) -> dict:
         return {
             "file_path": self.file_path,

@@ -50,9 +50,6 @@ class AtomExpr:
     def walk(self, positive: bool, out: list[tuple[str, bool]]) -> None:
         out.append((self.name, positive))
 
-    def to_obj(self):
-        return self.name
-
 
 @dataclass(frozen=True)
 class NotExpr:
@@ -63,9 +60,6 @@ class NotExpr:
 
     def walk(self, positive, out) -> None:
         self.child.walk(not positive, out)
-
-    def to_obj(self):
-        return ["not", self.child.to_obj()]
 
 
 @dataclass(frozen=True)
@@ -79,9 +73,6 @@ class AndExpr:
         for c in self.children:
             c.walk(positive, out)
 
-    def to_obj(self):
-        return ["and"] + [c.to_obj() for c in self.children]
-
 
 @dataclass(frozen=True)
 class OrExpr:
@@ -93,9 +84,6 @@ class OrExpr:
     def walk(self, positive, out) -> None:
         for c in self.children:
             c.walk(positive, out)
-
-    def to_obj(self):
-        return ["or"] + [c.to_obj() for c in self.children]
 
 
 Expr = AtomExpr | NotExpr | AndExpr | OrExpr
@@ -227,19 +215,14 @@ class Rule:
 
 
 class RuleCatalog:
-    def __init__(self, rules: Sequence[Rule], version: int = 1):
-        self.version = version
+    def __init__(self, rules: Sequence[Rule]):
         self.rules = tuple(rules)
-        self.by_id = {r.id: r for r in self.rules}
 
     def __len__(self) -> int:
         return len(self.rules)
 
     def __iter__(self):
         return iter(self.rules)
-
-    def articles(self) -> tuple[int, ...]:
-        return tuple(sorted({r.article for r in self.rules}))
 
 
 def load_rules(path: str | Path | None = None) -> RuleCatalog:
@@ -265,7 +248,7 @@ def load_rules(path: str | Path | None = None) -> RuleCatalog:
         if not (isinstance(article, int) and article > 0):
             raise RuleLoadError(f"rule {rule_id!r} article must be a positive integer")
         rules.append(Rule(rule_id, article, condition, float(weight), obj["message"]))
-    return RuleCatalog(rules, version=raw.get("version", 1))
+    return RuleCatalog(rules)
 
 
 _default_catalog: RuleCatalog | None = None
@@ -390,15 +373,7 @@ class AnalysisResult:
 @dataclass(frozen=True)
 class MultiGranularityResult:
     file: AnalysisResult
-    modules: dict[str, AnalysisResult]
     lines: dict[tuple[int, int], AnalysisResult]
-
-    def to_dict(self) -> dict:
-        return {
-            "file": self.file.to_dict(),
-            "modules": {name: r.to_dict() for name, r in self.modules.items()},
-            "lines": {f"{s}-{e}": r.to_dict() for (s, e), r in self.lines.items()},
-        }
 
 
 def _analyze_facts(facts: Sequence[Fact], catalog: RuleCatalog) -> AnalysisResult:
@@ -435,38 +410,28 @@ def analyze_multigranularity(
     language: str,
     *,
     path: str = "",
-    module_map: Mapping[str, tuple[int, int]] | None = None,
     line_spans: Sequence[tuple[int, int]] | None = None,
     registry: FrontendRegistry | None = None,
     table: PatternTable | None = None,
     catalog: RuleCatalog | None = None,
 ) -> MultiGranularityResult:
-    """Analyze one file at file, module, and line granularity.
+    """Analyze one file as a whole and over each of its line spans.
 
-    Module and line scopes see only facts inside their span as evidence,
-    but file-wide guards (consent checks, crypto, notice text) still apply
-    to them.  Requested spans must fall inside the file.
+    A line scope sees only facts inside its span as evidence, but file-wide
+    guards (consent checks, crypto, notice text) still apply to it.
+    Requested spans must fall inside the file.  There is no module scope:
+    task-1 module instances are scored with the file result.
     """
     catalog = catalog or default_catalog()
     line_count = source.count("\n") + 1
-
-    def check(start: int, end: int, what: str) -> None:
-        if not (1 <= start <= end):
-            raise InputError(f"{what} span {start}-{end} is not a valid line range")
-        if end > line_count:
-            raise InputError(
-                f"{what} span {start}-{end} exceeds file length ({line_count} lines)"
-            )
-
     facts = extract_facts(source, language, path=path, registry=registry, table=table)
-    modules: dict[str, AnalysisResult] = {}
-    for name, (start, end) in (module_map or {}).items():
-        check(start, end, f"module {name!r}")
-        modules[name] = _analyze_facts(_refocus(facts, start, end), catalog)
     lines: dict[tuple[int, int], AnalysisResult] = {}
     for start, end in line_spans or ():
-        check(start, end, "line")
+        if not (1 <= start <= end):
+            raise InputError(f"line span {start}-{end} is not a valid line range")
+        if end > line_count:
+            raise InputError(
+                f"line span {start}-{end} exceeds file length ({line_count} lines)"
+            )
         lines[(start, end)] = _analyze_facts(_refocus(facts, start, end), catalog)
-    return MultiGranularityResult(
-        file=_analyze_facts(facts, catalog), modules=modules, lines=lines
-    )
+    return MultiGranularityResult(file=_analyze_facts(facts, catalog), lines=lines)

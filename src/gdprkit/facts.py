@@ -132,8 +132,7 @@ def _word_matches(entry: PatternEntry, text: str) -> Iterator[re.Match]:
 class PatternTable:
     """Indexed view over the sensitive-API pattern list."""
 
-    def __init__(self, entries: Sequence[PatternEntry], version: int = 1):
-        self.version = version
+    def __init__(self, entries: Sequence[PatternEntry]):
         self.entries = tuple(entries)
         self._by_name: dict[str, PatternEntry] = {}
         for entry in self.entries:
@@ -182,7 +181,7 @@ def load_pattern_table(path: str | Path | None = None) -> PatternTable:
                 compiled=compiled,
             )
         )
-    return PatternTable(entries, version=raw.get("version", 1))
+    return PatternTable(entries)
 
 
 _default_table: PatternTable | None = None

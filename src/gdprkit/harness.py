@@ -17,7 +17,7 @@ import logging
 import time
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .corpus import (
     ViolationRecord,
@@ -26,7 +26,7 @@ from .corpus import (
     load_corpus,
     split_snippet_path,
 )
-from .engine import RankedPrediction, RuleCatalog, load_rules
+from .engine import RuleCatalog, load_rules
 from .errors import (
     ConfigurationError,
     GdprKitError,
@@ -106,15 +106,18 @@ class RunConfig:
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        _check_keys(raw, cls, "config")
         inference = raw.pop("inference", None)
-        _reject_unknown_keys(raw, cls, "config")
         if inference is not None:
-            _reject_unknown_keys(inference, InferenceConfig, "inference")
+            _check_keys(inference, InferenceConfig, "inference")
             raw["inference"] = InferenceConfig(**inference)
         return cls(**raw)
 
 
-def _reject_unknown_keys(raw: dict, cls, what: str) -> None:
+def _check_keys(raw, cls, what: str) -> None:
+    """Reject a run-config block that is not a JSON object or has unknown keys."""
+    if not isinstance(raw, dict):
+        raise ConfigurationError(f"{what} must be a JSON object, got {type(raw).__name__}")
     unknown = set(raw) - {f.name for f in fields(cls)}
     if unknown:
         raise ConfigurationError(f"unknown {what} keys: {sorted(unknown)}")
@@ -160,7 +163,6 @@ class Instance:
     granularity: str  # file | module | line for task 1; snippet for task 2
     entry_index: int
     ground_truth: frozenset[int]
-    module: str | None = None
     span: tuple[int, int] | None = None
 
 
@@ -178,7 +180,6 @@ def task1_instances(entries: Sequence[Task1Entry]) -> list[Instance]:
                     "module",
                     i - 1,
                     frozenset(entry.module_level[name]),
-                    module=name,
                 )
             )
         for lv in entry.line_level:
@@ -265,26 +266,24 @@ def _build_method(config: RunConfig, corpus: Sequence[ViolationRecord] | None):
     )
 
 
-def _replay_preflight(
-    config: RunConfig,
-    method,
-    texts: Sequence[str],
-) -> None:
+def _replay_preflight(config: RunConfig, method, texts: Iterable[str]) -> None:
     """Fail fast when cache replay would miss, listing every absent key.
 
     Zero-shot and retrieval prompts are deterministic, so the full prompt
-    set can be checked up front.  Agent transcripts depend on responses and
-    can only fail at the first missing step during the run itself.
+    set can be checked up front against the method's replay cache.  Agent
+    transcripts depend on responses and can only fail at the first missing
+    step during the run itself.
     """
-    if config.reasoner != "cache_replay" or config.method not in ("zero_shot", "rag"):
+    if config.method not in ("zero_shot", "rag"):
         return
-    cache = ResponseCache(config.cache_dir)
-    reasoner_id = config.replay_reasoner_id or f"http:{config.model}"
+    reasoner = method.reasoner
+    if not isinstance(reasoner, CacheReplayReasoner):
+        return
     missing = []
     for text in texts:
         prompt = method.prompt(text)
-        if not cache.contains(reasoner_id, prompt):
-            missing.append(cache.cache_key(reasoner_id, prompt))
+        if not reasoner.cache.contains(reasoner.reasoner_id, prompt):
+            missing.append(reasoner.cache.cache_key(reasoner.reasoner_id, prompt))
     if missing:
         raise ReplayMissError(missing)
 
@@ -307,87 +306,87 @@ def _empty_records(instances: Sequence[Instance], error: str) -> list[Prediction
     ]
 
 
+@dataclass(frozen=True)
+class Task1Plan:
+    """What gets predicted for one task-1 entry.
+
+    ``spans`` are the line spans of ``instances`` inside the reconstructed
+    source; ``skipped`` are the line instances whose span runs past its end.
+    """
+
+    path: str
+    source: str
+    language: str
+    spans: tuple[tuple[int, int], ...]
+    instances: tuple[Instance, ...]
+    skipped: tuple[Instance, ...]
+
+
+def task1_plans(
+    entries: Sequence[Task1Entry], corpus: Sequence[ViolationRecord]
+) -> list[Task1Plan]:
+    groups = group_by_file(corpus)
+    by_entry: dict[int, list[Instance]] = {}
+    for inst in task1_instances(entries):
+        by_entry.setdefault(inst.entry_index, []).append(inst)
+    plans = []
+    for i, entry in enumerate(entries):
+        group = groups.get((entry.repo_url, entry.app_name, entry.file_path), [])
+        source, line_count = reconstruct_source(group)
+        instances: list[Instance] = []
+        skipped: list[Instance] = []
+        for inst in by_entry.get(i, []):
+            past_end = inst.span is not None and inst.span[1] > line_count
+            (skipped if past_end else instances).append(inst)
+        plans.append(
+            Task1Plan(
+                path=entry.file_path,
+                source=source,
+                language=detect_language(entry.file_path),
+                spans=tuple(inst.span for inst in instances if inst.span is not None),
+                instances=tuple(instances),
+                skipped=tuple(skipped),
+            )
+        )
+    return plans
+
+
 def predict_task1(
     config: RunConfig,
     entries: Sequence[Task1Entry],
     corpus: Sequence[ViolationRecord],
     method,
 ) -> list[PredictionRecord]:
-    groups = group_by_file(corpus)
+    plans = task1_plans(entries, corpus)
+    texts = (
+        text
+        for plan in plans
+        for text in [plan.source] + [source_slice(plan.source, *span) for span in plan.spans]
+    )
+    _replay_preflight(config, method, texts)
     records: list[PredictionRecord] = []
-    all_instances = task1_instances(entries)
-    by_entry: dict[int, list[Instance]] = {}
-    for inst in all_instances:
-        by_entry.setdefault(inst.entry_index, []).append(inst)
-
-    sources: list[str] = []
-    for i, entry in enumerate(entries):
-        group = groups.get((entry.repo_url, entry.app_name, entry.file_path), [])
-        source, _ = reconstruct_source(group)
-        sources.append(source)
-
-    _replay_preflight(config, method, _task1_prompt_texts(entries, sources))
-
-    for i, entry in enumerate(entries):
-        instances = by_entry.get(i, [])
-        source = sources[i]
-        line_count = source.count("\n") + 1
-        language = detect_language(entry.file_path)
-        module_map = {name: (1, line_count) for name in sorted(entry.module_level)}
-        usable: list[Instance] = []
-        spans: list[tuple[int, int]] = []
-        for inst in instances:
-            if inst.granularity == "line":
-                if inst.span[1] > line_count:
-                    records.append(
-                        PredictionRecord(
-                            inst.instance_id,
-                            "skipped",
-                            error="span outside reconstructed source",
-                        )
-                    )
-                    continue
-                spans.append(inst.span)
-            usable.append(inst)
+    for plan in plans:
+        records.extend(
+            PredictionRecord(inst.instance_id, "skipped", error="span outside reconstructed source")
+            for inst in plan.skipped
+        )
         try:
             rankings = method.predict_file(
-                source,
-                language,
-                module_map=module_map,
-                line_spans=spans,
-                path=entry.file_path,
+                plan.source, plan.language, line_spans=plan.spans, path=plan.path
             )
         except ReplayMissError:
             raise
         except Exception as exc:
-            records.extend(_empty_records(usable, _error_text(exc)))
+            records.extend(_empty_records(plan.instances, _error_text(exc)))
             continue
-        for inst in usable:
-            if inst.granularity == "file":
-                ranking = rankings.file
-            elif inst.granularity == "module":
-                ranking = rankings.modules.get(inst.module, RankedPrediction(()))
-            else:
-                ranking = rankings.lines.get(inst.span, RankedPrediction(()))
+        for inst in plan.instances:
+            # A module's scope is the whole reconstructed file until module
+            # spans are derived, so it takes the file prediction.
+            ranking = rankings.file if inst.span is None else rankings.lines[inst.span]
             records.append(
                 PredictionRecord(inst.instance_id, "scored", ranking=ranking.articles)
             )
     return records
-
-
-def _task1_prompt_texts(
-    entries: Sequence[Task1Entry], sources: Sequence[str]
-) -> list[str]:
-    texts = []
-    for entry, source in zip(entries, sources):
-        texts.append(source)
-        line_count = source.count("\n") + 1
-        for _ in sorted(entry.module_level):
-            texts.append(source_slice(source, 1, line_count))
-        for lv in entry.line_level:
-            if lv.span.end_line <= line_count:
-                texts.append(source_slice(source, lv.span.start_line, lv.span.end_line))
-    return texts
 
 
 def predict_task2(

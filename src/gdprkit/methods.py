@@ -56,9 +56,6 @@ class LabelSet(frozenset):
             items.append(a)
         return super().__new__(cls, items)
 
-    def as_sorted(self) -> tuple[int, ...]:
-        return tuple(sorted(self))
-
 
 def format_labels(labels: LabelSet) -> str:
     """Inverse of strict parsing: '0' for none, else ascending comma list."""
@@ -109,6 +106,16 @@ class InferenceConfig:
     completions: int = 1
 
     def __post_init__(self):
+        for name, kinds in (
+            ("temperature", (int, float)),
+            ("top_p", (int, float)),
+            ("max_response_tokens", int),
+            ("completions", int),
+        ):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                what = "an integer" if kinds is int else "a number"
+                raise ConfigurationError(f"{name} must be {what}, got {value!r}")
         if self.completions != 1:
             raise ConfigurationError("reproducible runs require exactly one completion")
         if self.temperature < 0:
@@ -566,10 +573,9 @@ def react_run(
 
 @dataclass(frozen=True)
 class GranularRankings:
-    """Per-granularity article rankings for one file."""
+    """Article rankings for one file: the whole file and each requested line span."""
 
     file: RankedPrediction
-    modules: dict[str, RankedPrediction]
     lines: dict[tuple[int, int], RankedPrediction]
 
 
@@ -621,15 +627,14 @@ class FormalMethod:
         source: str,
         language: str,
         *,
-        module_map: Mapping[str, tuple[int, int]] | None = None,
         line_spans: Sequence[tuple[int, int]] | None = None,
         path: str = "",
     ) -> GranularRankings:
+        """Rank the whole file and each line span; module instances take the file ranking."""
         result = analyze_multigranularity(
             source,
             language,
             path=path,
-            module_map=module_map,
             line_spans=line_spans,
             registry=self.registry,
             table=self.table,
@@ -637,7 +642,6 @@ class FormalMethod:
         )
         return GranularRankings(
             file=result.file.ranking,
-            modules={name: r.ranking for name, r in result.modules.items()},
             lines={span: r.ranking for span, r in result.lines.items()},
         )
 
@@ -674,17 +678,20 @@ class _PromptedMethod:
         source: str,
         language: str,
         *,
-        module_map: Mapping[str, tuple[int, int]] | None = None,
         line_spans: Sequence[tuple[int, int]] | None = None,
         path: str = "",
     ) -> GranularRankings:
+        """One prediction for the whole file, then one per line span.
+
+        Module instances take the file ranking.
+        """
+
         def rank(start: int, end: int) -> RankedPrediction:
             return RankedPrediction(self._predict(source_slice(source, start, end), language))
 
         file_ranking = RankedPrediction(self._predict(source, language))
-        modules = {name: rank(start, end) for name, (start, end) in (module_map or {}).items()}
         lines = {(start, end): rank(start, end) for start, end in (line_spans or ())}
-        return GranularRankings(file=file_ranking, modules=modules, lines=lines)
+        return GranularRankings(file=file_ranking, lines=lines)
 
 
 class ZeroShotMethod(_PromptedMethod):

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from gdprkit import methods
+from gdprkit import harness, methods
 from gdprkit.corpus import load_corpus
 from gdprkit.errors import (
     ConfigurationError,
@@ -198,6 +198,46 @@ class TestFormalRuns:
         assert ma == mb
 
 
+class TestModuleInstances:
+    @pytest.mark.parametrize("method", ["formal", "zero_shot"])
+    def test_module_records_equal_their_file_record(self, workspace, monkeypatch, method):
+        reasoners = []
+
+        def prompt_dependent_stub(script, reasoner_id):
+            # answers differ between prompts, so equal records mean equal predictions
+            reasoner = methods.ScriptedReasoner(
+                lambda prompt: ("5", "6", "25", "32")[
+                    hashlib.sha256(prompt.encode("utf-8")).digest()[0] % 4
+                ],
+                reasoner_id=reasoner_id,
+            )
+            reasoners.append(reasoner)
+            return reasoner
+
+        monkeypatch.setattr(harness, "ScriptedReasoner", prompt_dependent_stub)
+        out = workspace["root"] / f"t1-modules-{method}"
+        run(
+            RunConfig(
+                task=1,
+                method=method,
+                dataset_path=workspace["task1"],
+                corpus_path=workspace["corpus_path"],
+                output_dir=str(out),
+            )
+        )
+        records = json.loads((out / "predictions.json").read_text(encoding="utf-8"))["predictions"]
+        by_id = {r["instance_id"]: r for r in records}
+        modules = [r for r in records if "::module::" in r["instance_id"]]
+        assert len(modules) == 7
+        for record in modules:
+            file_id = record["instance_id"].split("::module::")[0] + "::file"
+            assert {**record, "instance_id": file_id} == by_id[file_id]
+        assert len({tuple(r["ranking"]) for r in records}) > 1
+        # a prompted method sends each distinct text once: 7 files and 9 line spans
+        calls = [prompt for reasoner in reasoners for prompt in reasoner.calls]
+        assert len(calls) == len(set(calls)) == {"formal": 0, "zero_shot": 16}[method]
+
+
 class TestStubZeroShot:
     def test_stub_answers_empty_for_every_snippet(self, workspace):
         config = RunConfig(
@@ -301,7 +341,7 @@ class FailingMethod:
     def predict_labels(self, snippet, language="java", path=""):
         raise self.error
 
-    def predict_file(self, source, language, *, module_map=None, line_spans=None, path=""):
+    def predict_file(self, source, language, *, line_spans=None, path=""):
         raise self.error
 
 
@@ -454,6 +494,23 @@ class TestRunConfig:
         with pytest.raises(ConfigurationError) as err:
             RunConfig.from_file(path)
         assert str(sorted(inference)) in str(err.value)
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            [{"task": 2, "method": "formal"}],
+            {"inference": 5},
+            {"inference": {"temperature": "hot"}},
+            {"inference": {"max_response_tokens": True}},
+        ],
+    )
+    def test_from_file_rejects_wrong_types(self, tmp_path, workspace, raw):
+        if isinstance(raw, dict):
+            raw = {"task": 2, "method": "formal", "dataset_path": workspace["task2"], **raw}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        with pytest.raises(ConfigurationError):
+            RunConfig.from_file(path)
 
     def test_from_file_round_trip(self, tmp_path, workspace):
         path = tmp_path / "config.json"

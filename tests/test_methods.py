@@ -7,14 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gdprkit.corpus import group_by_file
 from gdprkit.errors import (
     ConfigurationError,
     MethodError,
     ModelOutputError,
     ReplayMissError,
 )
-from gdprkit.harness import _task1_prompt_texts, reconstruct_source
+from gdprkit.harness import task1_plans
 from gdprkit.knowledge import ArticleInfo, KnowledgeBase, build_kb
 from gdprkit.methods import (
     CacheReplayReasoner,
@@ -33,6 +32,7 @@ from gdprkit.methods import (
     react_run,
     render_rag_prompt,
     render_zero_shot_prompt,
+    source_slice,
 )
 from gdprkit.taskgen import build_task1, build_task2
 from tests.conftest import GOLDEN_DIR, examples_only_kb
@@ -311,18 +311,20 @@ class TestRagMethodPath:
         """Every rag prompt of both fixture tasks keeps its recorded bytes.
 
         Cached responses are keyed by prompt bytes, so a retrieval change that
-        alters any prompt invalidates existing recordings.
+        alters any prompt invalidates existing recordings.  The golden file
+        lists a task-1 file's prompt once more for each of its modules; module
+        instances now reuse the file prediction, so prompts are compared in
+        order of first appearance.
         """
         kb = build_kb(fixture_corpus)
-        groups = group_by_file(fixture_corpus)
-        entries1 = build_task1(fixture_corpus)
-        sources = [
-            reconstruct_source(groups.get((e.repo_url, e.app_name, e.file_path), []))[0]
-            for e in entries1
-        ]
         texts = {
             "task2": [e.code_snippet for e in build_task2(fixture_corpus)],
-            "task1": _task1_prompt_texts(entries1, sources),
+            "task1": [
+                text
+                for plan in task1_plans(build_task1(fixture_corpus), fixture_corpus)
+                for text in [plan.source]
+                + [source_slice(plan.source, *span) for span in plan.spans]
+            ],
         }
         got = {
             task: [
@@ -332,7 +334,8 @@ class TestRagMethodPath:
             for task, task_texts in texts.items()
         }
         golden = json.loads((GOLDEN_DIR / "rag_prompts_fixture.json").read_text(encoding="utf-8"))
-        assert got == golden
+        assert got["task2"] == golden["task2"]
+        assert list(dict.fromkeys(got["task1"])) == list(dict.fromkeys(golden["task1"]))
 
 
 class TestReactLoop:
@@ -473,9 +476,7 @@ class TestFormalMethodAdapter:
 
     def test_predict_file_produces_all_granularities(self):
         source = "class A {\n    manager.openCamera(a, b, c);\n}\n"
-        rankings = FormalMethod().predict_file(
-            source, "java", module_map={"A": (1, 3)}, line_spans=[(2, 2)]
-        )
+        rankings = FormalMethod().predict_file(source, "java", line_spans=[(2, 2)])
         assert rankings.file.articles[0] == 6
-        assert rankings.modules["A"].articles[0] == 6
+        assert set(rankings.lines) == {(2, 2)}
         assert rankings.lines[(2, 2)].articles[0] == 6
