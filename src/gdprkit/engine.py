@@ -26,8 +26,6 @@ from .facts import (
     DataCategory,
     Fact,
     FactKind,
-    FrontendRegistry,
-    PatternTable,
     extract_facts,
 )
 
@@ -386,12 +384,10 @@ def analyze_source(
     language: str,
     *,
     path: str = "",
-    registry: FrontendRegistry | None = None,
-    table: PatternTable | None = None,
     catalog: RuleCatalog | None = None,
 ) -> AnalysisResult:
     catalog = catalog or default_catalog()
-    facts = extract_facts(source, language, path=path, registry=registry, table=table)
+    facts = extract_facts(source, language, path=path)
     return _analyze_facts(facts, catalog)
 
 
@@ -411,8 +407,6 @@ def analyze_multigranularity(
     *,
     path: str = "",
     line_spans: Sequence[tuple[int, int]] | None = None,
-    registry: FrontendRegistry | None = None,
-    table: PatternTable | None = None,
     catalog: RuleCatalog | None = None,
 ) -> MultiGranularityResult:
     """Analyze one file as a whole and over each of its line spans.
@@ -424,7 +418,7 @@ def analyze_multigranularity(
     """
     catalog = catalog or default_catalog()
     line_count = source.count("\n") + 1
-    facts = extract_facts(source, language, path=path, registry=registry, table=table)
+    facts = extract_facts(source, language, path=path)
     lines: dict[tuple[int, int], AnalysisResult] = {}
     for start, end in line_spans or ():
         if not (1 <= start <= end):

@@ -138,12 +138,22 @@ class PatternTable:
         for entry in self.entries:
             if entry.match == "word":
                 self._by_name[entry.pattern] = entry
+        self._selected: dict[tuple[str, str], tuple[PatternEntry, ...]] = {}
 
-    def word_entries(self, language: str) -> list[PatternEntry]:
-        return [e for e in self.entries if e.match == "word" and e.applies_to(language)]
+    def _select(self, match: str, language: str) -> tuple[PatternEntry, ...]:
+        """Entries of one match mode that apply to ``language``, built on first use."""
+        key = (match, language)
+        if key not in self._selected:
+            self._selected[key] = tuple(
+                e for e in self.entries if e.match == match and e.applies_to(language)
+            )
+        return self._selected[key]
 
-    def regex_entries(self, language: str) -> list[PatternEntry]:
-        return [e for e in self.entries if e.match == "regex" and e.applies_to(language)]
+    def word_entries(self, language: str) -> tuple[PatternEntry, ...]:
+        return self._select("word", language)
+
+    def regex_entries(self, language: str) -> tuple[PatternEntry, ...]:
+        return self._select("regex", language)
 
     def lookup_call(self, receiver: str | None, name: str, language: str) -> PatternEntry | None:
         """Match a call expression against the table, most-qualified first."""

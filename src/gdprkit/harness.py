@@ -4,7 +4,9 @@ A run loads a task dataset, applies one prediction method to every
 instance, and writes predictions, a manifest, and evaluation reports into
 an output directory.  Per-instance failures, whatever their exception,
 degrade to empty predictions and are recorded; only configuration problems
-and cache-replay misses abort a run.  Everything written is byte-stable
+and cache-replay misses abort a run.  Prediction goes on past a replay miss,
+so the one ``ReplayMissError`` raised at its end, before any artifact is
+written, lists every key the cache lacks.  Everything written is byte-stable
 except the manifest's "timings" section, which determinism comparisons must
 drop.
 """
@@ -17,7 +19,7 @@ import logging
 import time
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .corpus import (
     ViolationRecord,
@@ -54,7 +56,7 @@ from .methods import (
     ResponseCache,
     ScriptedReasoner,
     ZeroShotMethod,
-    source_slice,
+    check_field_types,
 )
 from .taskgen import Task1Entry, Task2Entry, load_task1, load_task2
 
@@ -86,6 +88,14 @@ class RunConfig:
     inference: InferenceConfig = field(default_factory=InferenceConfig)
 
     def __post_init__(self):
+        check_field_types(
+            self, task=int, kb_top_n=int, max_labels=int, max_iterations=int,
+            label_threshold=float, strict_parsing=bool,
+        )
+        if self.kb_top_n < 0 or self.max_labels < 0:
+            raise ConfigurationError("kb_top_n and max_labels must be >= 0")
+        if self.max_iterations < 1:
+            raise ConfigurationError("max_iterations must be >= 1")
         if self.task not in (1, 2):
             raise ConfigurationError(f"task must be 1 or 2, got {self.task!r}")
         if self.method not in METHOD_NAMES:
@@ -266,28 +276,6 @@ def _build_method(config: RunConfig, corpus: Sequence[ViolationRecord] | None):
     )
 
 
-def _replay_preflight(config: RunConfig, method, texts: Iterable[str]) -> None:
-    """Fail fast when cache replay would miss, listing every absent key.
-
-    Zero-shot and retrieval prompts are deterministic, so the full prompt
-    set can be checked up front against the method's replay cache.  Agent
-    transcripts depend on responses and can only fail at the first missing
-    step during the run itself.
-    """
-    if config.method not in ("zero_shot", "rag"):
-        return
-    reasoner = method.reasoner
-    if not isinstance(reasoner, CacheReplayReasoner):
-        return
-    missing = []
-    for text in texts:
-        prompt = method.prompt(text)
-        if not reasoner.cache.contains(reasoner.reasoner_id, prompt):
-            missing.append(reasoner.cache.cache_key(reasoner.reasoner_id, prompt))
-    if missing:
-        raise ReplayMissError(missing)
-
-
 def _error_text(exc: Exception) -> str:
     """Reason recorded for an errored instance.
 
@@ -300,109 +288,70 @@ def _error_text(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _empty_records(instances: Sequence[Instance], error: str) -> list[PredictionRecord]:
-    return [
-        PredictionRecord(inst.instance_id, "errored", error=error) for inst in instances
-    ]
+def _raise_replay_misses(missing: Sequence[str]) -> None:
+    """Abort with every distinct key the replay cache lacked, in order of first miss."""
+    if missing:
+        raise ReplayMissError(list(dict.fromkeys(missing)))
 
 
-@dataclass(frozen=True)
-class Task1Plan:
-    """What gets predicted for one task-1 entry.
-
-    ``spans`` are the line spans of ``instances`` inside the reconstructed
-    source; ``skipped`` are the line instances whose span runs past its end.
-    """
-
-    path: str
-    source: str
-    language: str
-    spans: tuple[tuple[int, int], ...]
-    instances: tuple[Instance, ...]
-    skipped: tuple[Instance, ...]
-
-
-def task1_plans(
-    entries: Sequence[Task1Entry], corpus: Sequence[ViolationRecord]
-) -> list[Task1Plan]:
-    groups = group_by_file(corpus)
-    by_entry: dict[int, list[Instance]] = {}
-    for inst in task1_instances(entries):
-        by_entry.setdefault(inst.entry_index, []).append(inst)
-    plans = []
-    for i, entry in enumerate(entries):
-        group = groups.get((entry.repo_url, entry.app_name, entry.file_path), [])
-        source, line_count = reconstruct_source(group)
-        instances: list[Instance] = []
-        skipped: list[Instance] = []
-        for inst in by_entry.get(i, []):
-            past_end = inst.span is not None and inst.span[1] > line_count
-            (skipped if past_end else instances).append(inst)
-        plans.append(
-            Task1Plan(
-                path=entry.file_path,
-                source=source,
-                language=detect_language(entry.file_path),
-                spans=tuple(inst.span for inst in instances if inst.span is not None),
-                instances=tuple(instances),
-                skipped=tuple(skipped),
-            )
-        )
-    return plans
+_PAST_END = "span outside reconstructed source"
 
 
 def predict_task1(
-    config: RunConfig,
     entries: Sequence[Task1Entry],
     corpus: Sequence[ViolationRecord],
     method,
 ) -> list[PredictionRecord]:
-    plans = task1_plans(entries, corpus)
-    texts = (
-        text
-        for plan in plans
-        for text in [plan.source] + [source_slice(plan.source, *span) for span in plan.spans]
-    )
-    _replay_preflight(config, method, texts)
+    groups = group_by_file(corpus)
+    by_entry: dict[int, list[Instance]] = {}
+    for inst in task1_instances(entries):
+        by_entry.setdefault(inst.entry_index, []).append(inst)
     records: list[PredictionRecord] = []
-    for plan in plans:
-        records.extend(
-            PredictionRecord(inst.instance_id, "skipped", error="span outside reconstructed source")
-            for inst in plan.skipped
-        )
+    missing: list[str] = []
+    for i, entry in enumerate(entries):
+        group = groups.get((entry.repo_url, entry.app_name, entry.file_path), [])
+        source, line_count = reconstruct_source(group)
+        instances: list[Instance] = []
+        for inst in by_entry.get(i, []):
+            if inst.span is None or inst.span[1] <= line_count:
+                instances.append(inst)
+            else:
+                records.append(PredictionRecord(inst.instance_id, "skipped", error=_PAST_END))
+        spans = tuple(inst.span for inst in instances if inst.span is not None)
         try:
             rankings = method.predict_file(
-                plan.source, plan.language, line_spans=plan.spans, path=plan.path
+                source, detect_language(entry.file_path), line_spans=spans, path=entry.file_path
             )
-        except ReplayMissError:
-            raise
-        except Exception as exc:
-            records.extend(_empty_records(plan.instances, _error_text(exc)))
+        except ReplayMissError as exc:
+            missing.extend(exc.missing_keys)
             continue
-        for inst in plan.instances:
+        except Exception as exc:
+            error = _error_text(exc)
+            records.extend(
+                PredictionRecord(inst.instance_id, "errored", error=error) for inst in instances
+            )
+            continue
+        for inst in instances:
             # A module's scope is the whole reconstructed file until module
             # spans are derived, so it takes the file prediction.
             ranking = rankings.file if inst.span is None else rankings.lines[inst.span]
-            records.append(
-                PredictionRecord(inst.instance_id, "scored", ranking=ranking.articles)
-            )
+            records.append(PredictionRecord(inst.instance_id, "scored", ranking=ranking.articles))
+    _raise_replay_misses(missing)
     return records
 
 
-def predict_task2(
-    config: RunConfig, entries: Sequence[Task2Entry], method
-) -> list[PredictionRecord]:
-    _replay_preflight(config, method, [e.code_snippet for e in entries])
+def predict_task2(entries: Sequence[Task2Entry], method) -> list[PredictionRecord]:
     records = []
+    missing: list[str] = []
     for inst, entry in zip(task2_instances(entries), entries):
         file_path, _ = split_snippet_path(entry.code_snippet_path)
-        language = detect_language(file_path)
         try:
             labels, ranking = method.predict_labels(
-                entry.code_snippet, language, path=file_path
+                entry.code_snippet, detect_language(file_path), path=file_path
             )
-        except ReplayMissError:
-            raise
+        except ReplayMissError as exc:
+            missing.extend(exc.missing_keys)
+            continue
         except Exception as exc:
             records.append(PredictionRecord(inst.instance_id, "errored", error=_error_text(exc)))
             continue
@@ -414,6 +363,7 @@ def predict_task2(
                 labels=tuple(sorted(labels)),
             )
         )
+    _raise_replay_misses(missing)
     return records
 
 
@@ -620,13 +570,13 @@ def run(config: RunConfig) -> RunResult:
 
     if config.task == 1:
         entries1 = load_task1(config.dataset_path)
-        records = predict_task1(config, entries1, corpus or [], method)
+        records = predict_task1(entries1, corpus or [], method)
         instances: list[Instance] = task1_instances(entries1)
         ranking = evaluate_task1(entries1, records)
         labels_metrics = None
     else:
         entries2 = load_task2(config.dataset_path)
-        records = predict_task2(config, entries2, method)
+        records = predict_task2(entries2, method)
         instances = task2_instances(entries2)
         universe = None
         if config.article_universe == "catalog":

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import re
 import time
@@ -30,7 +31,6 @@ from .engine import (
     analyze_source,
 )
 from .errors import ConfigurationError, InputError, MethodError, ModelOutputError, ReplayMissError
-from .facts import FrontendRegistry, PatternTable
 from .knowledge import (
     ArticleInfo,
     KnowledgeBase,
@@ -98,6 +98,30 @@ def parse_model_output(text: str, *, strict: bool = True) -> tuple[int, ...]:
 # Inference configuration
 
 
+_FIELD_KINDS = {
+    bool: ((bool,), "a boolean"),
+    int: ((int,), "an integer"),
+    float: ((int, float), "a finite number"),
+}
+
+
+def check_field_types(config, **kinds: type) -> None:
+    """Raise ConfigurationError unless each named field holds a value of its kind.
+
+    ``kinds`` maps a field name to ``bool``, ``int`` or ``float``.  A bool
+    is never a number, and a ``float`` field takes any finite int or float.
+    """
+    for name, kind in kinds.items():
+        value = getattr(config, name)
+        types, what = _FIELD_KINDS[kind]
+        if (
+            isinstance(value, bool) != (kind is bool)
+            or not isinstance(value, types)
+            or (kind is float and not math.isfinite(value))
+        ):
+            raise ConfigurationError(f"{name} must be {what}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class InferenceConfig:
     temperature: float = 0.0
@@ -106,16 +130,9 @@ class InferenceConfig:
     completions: int = 1
 
     def __post_init__(self):
-        for name, kinds in (
-            ("temperature", (int, float)),
-            ("top_p", (int, float)),
-            ("max_response_tokens", int),
-            ("completions", int),
-        ):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, kinds):
-                what = "an integer" if kinds is int else "a number"
-                raise ConfigurationError(f"{name} must be {what}, got {value!r}")
+        check_field_types(
+            self, temperature=float, top_p=float, max_response_tokens=int, completions=int
+        )
         if self.completions != 1:
             raise ConfigurationError("reproducible runs require exactly one completion")
         if self.temperature < 0:
@@ -271,9 +288,6 @@ class ResponseCache:
             "created_at": datetime.now(timezone.utc).isoformat(),
         }
         path.write_text(json.dumps(payload, indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
-
-    def contains(self, reasoner_id: str, prompt: str) -> bool:
-        return self._path(self.cache_key(reasoner_id, prompt)).exists()
 
 
 class CachingReasoner:
@@ -472,13 +486,7 @@ def _tool_code_search(arg: str, context: "ReactContext") -> str:
 
 
 def _tool_rule_check(arg: str, context: "ReactContext") -> str:
-    result = analyze_source(
-        context.snippet,
-        context.language,
-        registry=context.registry,
-        table=context.table,
-        catalog=context.rules,
-    )
+    result = analyze_source(context.snippet, context.language, catalog=context.rules)
     if not result.findings:
         return "no rule findings"
     lines = [
@@ -501,8 +509,6 @@ class ReactContext:
     language: str = "java"
     catalog: Mapping[int, ArticleInfo] | None = None
     rules: RuleCatalog | None = None
-    registry: FrontendRegistry | None = None
-    table: PatternTable | None = None
 
 
 def react_run(
@@ -594,14 +600,10 @@ class FormalMethod:
     def __init__(
         self,
         rules: RuleCatalog | None = None,
-        registry: FrontendRegistry | None = None,
-        table: PatternTable | None = None,
         label_threshold: float = 1.0,
         max_labels: int = 3,
     ):
         self.rules = rules
-        self.registry = registry
-        self.table = table
         self.label_threshold = label_threshold
         self.max_labels = max_labels
 
@@ -616,10 +618,7 @@ class FormalMethod:
     def predict_labels(
         self, snippet: str, language: str = "java", path: str = ""
     ) -> tuple[LabelSet, RankedPrediction]:
-        result = analyze_source(
-            snippet, language, path=path, registry=self.registry, table=self.table,
-            catalog=self.rules,
-        )
+        result = analyze_source(snippet, language, path=path, catalog=self.rules)
         return self._labels_from(result), result.ranking
 
     def predict_file(
@@ -632,13 +631,7 @@ class FormalMethod:
     ) -> GranularRankings:
         """Rank the whole file and each line span; module instances take the file ranking."""
         result = analyze_multigranularity(
-            source,
-            language,
-            path=path,
-            line_spans=line_spans,
-            registry=self.registry,
-            table=self.table,
-            catalog=self.rules,
+            source, language, path=path, line_spans=line_spans, catalog=self.rules
         )
         return GranularRankings(
             file=result.file.ranking,
@@ -650,8 +643,10 @@ class _PromptedMethod:
     """Shared scope-slicing logic for the model-backed methods.
 
     Zero-shot and retrieval methods turn a text into one prompt (``prompt``)
-    and read the reasoner's answer; the harness checks the same prompts
-    against a replay cache before a run.
+    and read the reasoner's answer; ReAct runs its agent loop instead.  Under
+    cache replay each text is sent once, during prediction: a prompt the cache
+    lacks raises ``ReplayMissError``, and ``predict_file`` tries every scope
+    before it raises one error with all their missing keys.
     """
 
     name = "prompted"
@@ -683,14 +678,25 @@ class _PromptedMethod:
     ) -> GranularRankings:
         """One prediction for the whole file, then one per line span.
 
-        Module instances take the file ranking.
+        Module instances take the file ranking.  A replay miss in one scope
+        does not stop the others, so the raised error lists every scope's key.
         """
+        missing: list[str] = []
 
-        def rank(start: int, end: int) -> RankedPrediction:
-            return RankedPrediction(self._predict(source_slice(source, start, end), language))
+        def rank(text: str) -> RankedPrediction | None:
+            try:
+                return RankedPrediction(self._predict(text, language))
+            except ReplayMissError as exc:
+                missing.extend(exc.missing_keys)
+                return None
 
-        file_ranking = RankedPrediction(self._predict(source, language))
-        lines = {(start, end): rank(start, end) for start, end in (line_spans or ())}
+        try:
+            file_ranking = rank(source)
+            lines = {span: rank(source_slice(source, *span)) for span in line_spans or ()}
+        finally:
+            # a miss outranks a later failure of another kind: replay must abort on it
+            if missing:
+                raise ReplayMissError(missing)
         return GranularRankings(file=file_ranking, lines=lines)
 
 

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from gdprkit import harness, methods
+from gdprkit import harness, knowledge, methods
 from gdprkit.corpus import load_corpus
 from gdprkit.errors import (
     ConfigurationError,
@@ -30,7 +30,6 @@ from gdprkit.harness import (
     task1_instances,
     task2_instances,
 )
-from gdprkit.methods import ResponseCache, render_zero_shot_prompt
 from gdprkit.taskgen import build_task1, build_task2, dump_entries, load_task1, load_task2
 from tests.conftest import DATA_DIR, GOLDEN_DIR
 
@@ -293,24 +292,47 @@ class TestCachingAndReplay:
         result = run(replay)
         assert result.manifest["counts"] == {"scored": 10, "errored": 0, "skipped": 0}
 
-    def test_replay_preflight_lists_every_missing_prompt(self, workspace):
-        cache_dir = workspace["root"] / "partial-cache"
-        cache = ResponseCache(cache_dir)
-        entries = load_task2(workspace["task2"])
-        # Seed only the first snippet's prompt, leaving nine absent.
-        cache.put("stub:default", render_zero_shot_prompt(entries[0].code_snippet), "0")
-        config = RunConfig(
-            task=2,
-            method="zero_shot",
-            dataset_path=workspace["task2"],
-            reasoner="cache_replay",
-            cache_dir=str(cache_dir),
-            replay_reasoner_id="stub:default",
-            output_dir=str(workspace["root"] / "t2-replay-miss"),
+    @staticmethod
+    def _record(workspace, root, task, method):
+        """Record a stub run into ``root / "cache"``; return the fields a replay shares."""
+        common = dict(
+            task=task,
+            method=method,
+            dataset_path=workspace[f"task{task}"],
+            corpus_path=workspace["corpus_path"],
+            cache_dir=str(root / "cache"),
         )
+        run(RunConfig(reasoner="stub", output_dir=str(root / "record"), **common))
+        return dict(common, reasoner="cache_replay", replay_reasoner_id="stub:default")
+
+    @pytest.mark.parametrize("task", [1, 2])
+    @pytest.mark.parametrize("method", ["zero_shot", "rag", "react"])
+    def test_replay_lists_every_missing_key(self, workspace, method, task):
+        root = workspace["root"] / f"partial-{method}-{task}"
+        replay = self._record(workspace, root, task, method)
+        deleted = sorted((root / "cache").glob("*.json"))[::2]
+        for path in deleted:
+            path.unlink()
+        out = root / "replay"
         with pytest.raises(ReplayMissError) as err:
-            run(config)
-        assert len(err.value.missing_keys) == 9
+            run(RunConfig(output_dir=str(out), **replay))
+        # the stub answers "0", so each ReAct transcript is its first prompt
+        assert sorted(err.value.missing_keys) == sorted(path.stem for path in deleted)
+        assert not (out / "predictions.json").exists()
+
+    def test_rag_replay_retrieves_once_per_instance(self, workspace, monkeypatch):
+        root = workspace["root"] / "rag-retrievals"
+        replay = self._record(workspace, root, 2, "rag")
+        queries = []
+        retrieve = knowledge.KnowledgeBase.retrieve
+
+        def counted(self, query, top_n):
+            queries.append(query)
+            return retrieve(self, query, top_n)
+
+        monkeypatch.setattr(knowledge.KnowledgeBase, "retrieve", counted)
+        result = run(RunConfig(output_dir=str(root / "replay"), **replay))
+        assert result.manifest["counts"]["scored"] == len(queries) == 10
 
     def test_record_then_replay_script_replays_live_recordings(self, tmp_path, monkeypatch):
         class Response:
@@ -348,10 +370,7 @@ class FailingMethod:
 class TestErrorAndSkipPaths:
     def test_method_errors_score_as_empty_predictions(self, workspace):
         entries = load_task2(workspace["task2"])
-        config = RunConfig(
-            task=2, method="formal", dataset_path=workspace["task2"]
-        )
-        records = predict_task2(config, entries, FailingMethod())
+        records = predict_task2(entries, FailingMethod())
         assert all(r.status == "errored" for r in records)
         metrics = evaluate_task2(entries, records, None)
         assert metrics.macro_recall == 0.0
@@ -360,13 +379,7 @@ class TestErrorAndSkipPaths:
     def test_task1_method_error_marks_entry_instances(self, workspace):
         entries = load_task1(workspace["task1"])
         corpus = load_corpus(workspace["corpus_path"])
-        config = RunConfig(
-            task=1,
-            method="formal",
-            dataset_path=workspace["task1"],
-            corpus_path=workspace["corpus_path"],
-        )
-        records = predict_task1(config, entries, corpus, FailingMethod())
+        records = predict_task1(entries, corpus, FailingMethod())
         assert len(records) == 23
         assert all(r.status == "errored" for r in records)
         ranking = evaluate_task1(entries, records)
@@ -375,17 +388,10 @@ class TestErrorAndSkipPaths:
     def test_foreign_exceptions_become_errored_records_named_by_type(self, workspace, caplog):
         method = FailingMethod(TypeError("unsupported operand"))
         entries2 = load_task2(workspace["task2"])
-        config2 = RunConfig(task=2, method="formal", dataset_path=workspace["task2"])
         entries1 = load_task1(workspace["task1"])
         corpus = load_corpus(workspace["corpus_path"])
-        config1 = RunConfig(
-            task=1,
-            method="formal",
-            dataset_path=workspace["task1"],
-            corpus_path=workspace["corpus_path"],
-        )
-        records = predict_task2(config2, entries2, method)
-        records += predict_task1(config1, entries1, corpus, method)
+        records = predict_task2(entries2, method)
+        records += predict_task1(entries1, corpus, method)
         assert len(records) == 10 + 23
         assert {r.status for r in records} == {"errored"}
         assert {r.error for r in records} == {"TypeError: unsupported operand"}
@@ -393,9 +399,9 @@ class TestErrorAndSkipPaths:
 
     def test_replay_miss_still_aborts_prediction(self, workspace):
         entries = load_task2(workspace["task2"])
-        config = RunConfig(task=2, method="formal", dataset_path=workspace["task2"])
-        with pytest.raises(ReplayMissError):
-            predict_task2(config, entries, FailingMethod(ReplayMissError(["k"])))
+        with pytest.raises(ReplayMissError) as err:
+            predict_task2(entries, FailingMethod(ReplayMissError(["k"])))
+        assert err.value.missing_keys == ["k"]
 
     def test_out_of_range_span_is_skipped_not_scored(self, tmp_path, fixture_corpus):
         doctored = [r for r in fixture_corpus if r.app_name == "TrackNote"]
@@ -508,6 +514,37 @@ class TestRunConfig:
         if isinstance(raw, dict):
             raw = {"task": 2, "method": "formal", "dataset_path": workspace["task2"], **raw}
         path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        with pytest.raises(ConfigurationError):
+            RunConfig.from_file(path)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"method": "rag", "kb_top_n": "3"},
+            {"kb_top_n": True},
+            {"kb_top_n": -1},
+            {"max_labels": "2"},
+            {"method": "react", "max_iterations": "5"},
+            {"max_iterations": 0},
+            {"label_threshold": "x"},
+            {"label_threshold": float("inf")},
+            {"strict_parsing": "no"},
+            {"task": True},
+            {"inference": {"temperature": float("nan")}},
+            {"inference": {"temperature": float("inf")}},
+        ],
+    )
+    def test_from_file_rejects_mistyped_fields(self, tmp_path, workspace, fields):
+        raw = {
+            "task": 2,
+            "method": "formal",
+            "dataset_path": workspace["task2"],
+            "corpus_path": workspace["corpus_path"],
+            **fields,
+        }
+        path = tmp_path / "config.json"
+        # json.dumps writes NaN and Infinity, which json.loads reads back
         path.write_text(json.dumps(raw), encoding="utf-8")
         with pytest.raises(ConfigurationError):
             RunConfig.from_file(path)

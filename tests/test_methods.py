@@ -13,7 +13,7 @@ from gdprkit.errors import (
     ModelOutputError,
     ReplayMissError,
 )
-from gdprkit.harness import task1_plans
+from gdprkit.harness import predict_task1, predict_task2
 from gdprkit.knowledge import ArticleInfo, KnowledgeBase, build_kb
 from gdprkit.methods import (
     CacheReplayReasoner,
@@ -32,7 +32,6 @@ from gdprkit.methods import (
     react_run,
     render_rag_prompt,
     render_zero_shot_prompt,
-    source_slice,
 )
 from gdprkit.taskgen import build_task1, build_task2
 from tests.conftest import GOLDEN_DIR, examples_only_kb
@@ -172,7 +171,6 @@ class TestReasoners:
         assert cache.get("r1", "prompt") is None
         cache.put("r1", "prompt", "6,32")
         assert cache.get("r1", "prompt") == "6,32"
-        assert cache.contains("r1", "prompt")
         key = ResponseCache.cache_key("r1", "prompt")
         assert len(key) == 64 and all(c in "0123456789abcdef" for c in key)
 
@@ -274,6 +272,22 @@ class TestZeroShotMethodPath:
         assert labels == LabelSet({5, 6})
         assert ranking.articles == (5, 6)
 
+    @pytest.mark.parametrize("span_answer", [None, "banana"])
+    def test_predict_file_replay_miss_lists_every_scope(self, tmp_path, span_answer):
+        """Each scope the cache lacks is listed; a later failure of another kind cannot hide them."""
+        cache = ResponseCache(tmp_path)
+        method = ZeroShotMethod(CacheReplayReasoner(cache, "run1"))
+        source = "int a;\nint b;\nint c;"
+        spans = [(1, 1), (2, 3)]
+        texts = [source, "int a;", "int b;\nint c;"]
+        keys = [ResponseCache.cache_key("run1", method.prompt(t)) for t in texts]
+        if span_answer is not None:
+            cache.put("run1", method.prompt(texts[1]), span_answer)
+        with pytest.raises(ReplayMissError) as err:
+            method.predict_file(source, "java", line_spans=spans)
+        # an unparseable cached answer stops the file at its span, so later keys go unlisted
+        assert err.value.missing_keys == (keys if span_answer is None else keys[:1])
+
 
 class TestRagMethodPath:
     def test_empty_kb_prompt_degrades_to_zero_shot(self):
@@ -308,34 +322,26 @@ class TestRagMethodPath:
         assert ranking.articles == (5,)
 
     def test_fixture_prompts_match_golden_hashes(self, fixture_corpus):
-        """Every rag prompt of both fixture tasks keeps its recorded bytes.
+        """Every rag prompt the harness sends on both fixture tasks keeps its recorded bytes.
 
         Cached responses are keyed by prompt bytes, so a retrieval change that
         alters any prompt invalidates existing recordings.  The golden file
         lists a task-1 file's prompt once more for each of its modules; module
-        instances now reuse the file prediction, so prompts are compared in
-        order of first appearance.
+        instances reuse the file prediction, so each distinct task-1 prompt
+        must be sent exactly once, in order of first appearance.
         """
         kb = build_kb(fixture_corpus)
-        texts = {
-            "task2": [e.code_snippet for e in build_task2(fixture_corpus)],
-            "task1": [
-                text
-                for plan in task1_plans(build_task1(fixture_corpus), fixture_corpus)
-                for text in [plan.source]
-                + [source_slice(plan.source, *span) for span in plan.spans]
-            ],
-        }
-        got = {
-            task: [
-                hashlib.sha256(render_rag_prompt(t, kb, top_n=3).encode("utf-8")).hexdigest()
-                for t in task_texts
-            ]
-            for task, task_texts in texts.items()
-        }
+        sent = {}
+        for task, predict in (
+            ("task1", lambda m: predict_task1(build_task1(fixture_corpus), fixture_corpus, m)),
+            ("task2", lambda m: predict_task2(build_task2(fixture_corpus), m)),
+        ):
+            reasoner = ScriptedReasoner(lambda prompt: "0")
+            predict(RagMethod(reasoner, kb, top_n=3))
+            sent[task] = [hashlib.sha256(p.encode("utf-8")).hexdigest() for p in reasoner.calls]
         golden = json.loads((GOLDEN_DIR / "rag_prompts_fixture.json").read_text(encoding="utf-8"))
-        assert got["task2"] == golden["task2"]
-        assert list(dict.fromkeys(got["task1"])) == list(dict.fromkeys(golden["task1"]))
+        assert sent["task2"] == golden["task2"]
+        assert sent["task1"] == list(dict.fromkeys(golden["task1"]))
 
 
 class TestReactLoop:
