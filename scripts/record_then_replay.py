@@ -1,9 +1,13 @@
 """Record prompted-method responses to a cache, then re-run offline from it.
 
 Demonstrates the reproducibility workflow for the prompted baselines: the
-first pass answers every prompt through a reasoner and writes each response
-to the cache directory, the second pass replays the run with the network
-binding swapped out entirely.  Both passes must produce identical reports.
+first pass answers every prompt through a reasoner and records each response
+in the one-file cache ``<out>/cache/responses.sqlite3``, the second pass
+replays the run with the network binding swapped out entirely.  Both passes
+must produce identical reports.  Each response is committed as it is
+recorded, so a recording cut short by a crash keeps what it was paid for.
+An ``<out>/cache`` holding per-file ``*.json`` entries of the old cache
+format is refused with a ConfigurationError; record into a fresh ``--out``.
 
 Uses the built-in stub reasoner by default so the demo runs offline; point
 GDPRKIT_ENDPOINT at a completion API and pass --reasoner live to record

@@ -13,6 +13,7 @@ knowledge base and the harness.
 from __future__ import annotations
 
 import json
+import os
 import re
 import statistics
 from dataclasses import dataclass
@@ -188,9 +189,18 @@ def load_corpus(path: str | Path) -> list[ViolationRecord]:
 
 def dump_corpus(records: list[ViolationRecord], path: str | Path) -> None:
     """Serialize records with canonical field names; load_corpus round-trips."""
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump([r.to_dict() for r in records], f, indent=2, ensure_ascii=False)
-        f.write("\n")
+    write_atomic(path, json.dumps([r.to_dict() for r in records], indent=2, ensure_ascii=False) + "\n")
+
+
+def write_atomic(path: str | Path, text: str) -> None:
+    """Write ``text`` beside ``path``, then rename it over ``path``: never a torn file."""
+    tmp = Path(f"{path}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def parse_span(code_snippet_path: str) -> tuple[str, SpanRef | None]:

@@ -27,6 +27,7 @@ from .corpus import (
     group_by_file,
     load_corpus,
     split_snippet_path,
+    write_atomic,
 )
 from .engine import RuleCatalog, load_rules
 from .errors import (
@@ -239,22 +240,21 @@ def _sha256_file(path: str | Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _build_reasoner(config: RunConfig) -> Reasoner:
+def _build_reasoner(config: RunConfig, cache: ResponseCache | None) -> Reasoner:
     if config.reasoner == "live":
         base: Reasoner = LiveHttpReasoner(model=config.model, config=config.inference)
     elif config.reasoner == "stub":
         base = ScriptedReasoner(lambda prompt: "0", reasoner_id=f"stub:{config.model}")
     else:
-        cache = ResponseCache(config.cache_dir)
-        return CacheReplayReasoner(
-            cache, config.replay_reasoner_id or f"http:{config.model}"
-        )
-    if config.cache_dir:
-        return CachingReasoner(base, ResponseCache(config.cache_dir))
+        return CacheReplayReasoner(cache, config.replay_reasoner_id or f"http:{config.model}")
+    if cache is not None:
+        return CachingReasoner(base, cache)
     return base
 
 
-def _build_method(config: RunConfig, corpus: Sequence[ViolationRecord] | None):
+def _build_method(
+    config: RunConfig, corpus: Sequence[ViolationRecord] | None, cache: ResponseCache | None
+):
     rules: RuleCatalog | None = load_rules(config.rules_path) if config.rules_path else None
     catalog = load_articles(config.articles_path) if config.articles_path else None
     if config.method == "formal":
@@ -263,7 +263,7 @@ def _build_method(config: RunConfig, corpus: Sequence[ViolationRecord] | None):
             label_threshold=config.label_threshold,
             max_labels=config.max_labels,
         )
-    reasoner = _build_reasoner(config)
+    reasoner = _build_reasoner(config, cache)
     if config.method == "zero_shot":
         return ZeroShotMethod(reasoner, catalog=catalog, strict=config.strict_parsing)
     if config.method == "rag":
@@ -566,23 +566,29 @@ def run(config: RunConfig) -> RunResult:
     """Predict, evaluate, and write all artifacts for one configured run."""
     started = time.monotonic()
     corpus = load_corpus(config.corpus_path) if config.corpus_path else None
-    method = _build_method(config, corpus)
+    entries = (load_task1 if config.task == 1 else load_task2)(config.dataset_path)
+    cache = ResponseCache(config.cache_dir) if config.cache_dir and config.method != "formal" else None
+    try:
+        method = _build_method(config, corpus, cache)
+        if config.task == 1:
+            records = predict_task1(entries, corpus or [], method)
+        else:
+            records = predict_task2(entries, method)
+    finally:
+        if cache is not None:
+            cache.close()
 
     if config.task == 1:
-        entries1 = load_task1(config.dataset_path)
-        records = predict_task1(entries1, corpus or [], method)
-        instances: list[Instance] = task1_instances(entries1)
-        ranking = evaluate_task1(entries1, records)
+        instances: list[Instance] = task1_instances(entries)
+        ranking = evaluate_task1(entries, records)
         labels_metrics = None
     else:
-        entries2 = load_task2(config.dataset_path)
-        records = predict_task2(entries2, method)
-        instances = task2_instances(entries2)
+        instances = task2_instances(entries)
         universe = None
         if config.article_universe == "catalog":
             universe = sorted(load_articles(config.articles_path)) if config.articles_path else sorted(article_catalog())
         ranking = None
-        labels_metrics = evaluate_task2(entries2, records, universe)
+        labels_metrics = evaluate_task2(entries, records, universe)
 
     report = RunReport(
         task=config.task,
@@ -617,14 +623,10 @@ def run(config: RunConfig) -> RunResult:
         "method": config.method,
         "predictions": [r.to_dict() for r in sorted(records, key=lambda r: r.instance_id)],
     }
-    (out / "predictions.json").write_text(
-        json.dumps(predictions_payload, indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
-    )
-    (out / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
-    )
-    (out / "report.json").write_text(emit_report(report, "json"), encoding="utf-8")
-    (out / "report.md").write_text(emit_report(report, "markdown"), encoding="utf-8")
+    write_atomic(out / "predictions.json", json.dumps(predictions_payload, indent=2, ensure_ascii=False) + "\n")
+    write_atomic(out / "manifest.json", json.dumps(manifest, indent=2, ensure_ascii=False) + "\n")
+    write_atomic(out / "report.json", emit_report(report, "json"))
+    write_atomic(out / "report.md", emit_report(report, "markdown"))
     return RunResult(config, records, report, manifest, out)
 
 

@@ -11,10 +11,10 @@ are byte-stable so cached runs reproduce exactly.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import os
 import re
+import sqlite3
 import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -253,10 +253,22 @@ class LiveHttpReasoner:
 
 
 class ResponseCache:
-    """One JSON file per (reasoner, prompt) pair, keyed by content hash."""
+    """Responses keyed by ``cache_key`` in one SQLite file, ``<root>/responses.sqlite3``.
+
+    Each ``put`` commits on its own, so a response survives a process crash
+    once ``put`` returns.  An equal re-record leaves its row untouched; a
+    different one replaces it.  Nothing is created before the first ``put``.
+    A directory of old-format ``*.json`` entries raises ConfigurationError.
+    """
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
+        self.path = self.root / "responses.sqlite3"
+        if self.root.is_dir() and any(self.root.glob("*.json")):
+            raise ConfigurationError(
+                f"{self.root} holds old-format *.json cache entries; record into a new cache_dir"
+            )
+        self._db: sqlite3.Connection | None = None
 
     @staticmethod
     def cache_key(reasoner_id: str, prompt: str) -> str:
@@ -266,28 +278,36 @@ class ResponseCache:
         digest.update(prompt.encode("utf-8"))
         return digest.hexdigest()
 
-    def _path(self, key: str) -> Path:
-        return self.root / f"{key}.json"
+    def _connect(self, create: bool) -> sqlite3.Connection | None:
+        if self._db is None and (create or self.path.exists()):
+            self.root.mkdir(parents=True, exist_ok=True)
+            self._db = sqlite3.connect(self.path, isolation_level=None)  # autocommit
+            self._db.executescript(
+                "PRAGMA journal_mode=WAL; PRAGMA synchronous=NORMAL; PRAGMA cache_size=-64;"
+                "CREATE TABLE IF NOT EXISTS responses (key TEXT PRIMARY KEY,"
+                " reasoner_id TEXT, prompt TEXT, response TEXT, created_at TEXT);"
+            )
+        return self._db
 
     def get(self, reasoner_id: str, prompt: str) -> str | None:
-        path = self._path(self.cache_key(reasoner_id, prompt))
-        if not path.exists():
-            return None
-        return json.loads(path.read_text(encoding="utf-8"))["response"]
+        db = self._connect(create=False)
+        key = self.cache_key(reasoner_id, prompt)
+        row = db and db.execute("SELECT response FROM responses WHERE key = ?", (key,)).fetchone()
+        return row[0] if row else None
 
     def put(self, reasoner_id: str, prompt: str, response: str) -> None:
-        key = self.cache_key(reasoner_id, prompt)
-        path = self._path(key)
-        if path.exists() and json.loads(path.read_text(encoding="utf-8"))["response"] == response:
-            return  # idempotent re-record
-        self.root.mkdir(parents=True, exist_ok=True)
-        payload = {
-            "reasoner_id": reasoner_id,
-            "prompt": prompt,
-            "response": response,
-            "created_at": datetime.now(timezone.utc).isoformat(),
-        }
-        path.write_text(json.dumps(payload, indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
+        self._connect(create=True).execute(
+            "INSERT INTO responses VALUES (?, ?, ?, ?, ?) ON CONFLICT (key) DO UPDATE SET"
+            " response = excluded.response, created_at = excluded.created_at"
+            " WHERE response != excluded.response",
+            (self.cache_key(reasoner_id, prompt), reasoner_id, prompt, response,
+             datetime.now(timezone.utc).isoformat()),
+        )
+
+    def close(self) -> None:
+        if self._db is not None:
+            self._db.close()
+            self._db = None
 
 
 class CachingReasoner:

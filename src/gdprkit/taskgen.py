@@ -23,6 +23,7 @@ from .corpus import (
     group_by_file,
     group_by_snippet,
     split_snippet_path,
+    write_atomic,
 )
 
 log = logging.getLogger(__name__)
@@ -183,7 +184,7 @@ def build_task2(corpus: list[ViolationRecord]) -> list[Task2Entry]:
 
 def dump_entries(entries: list[Task1Entry] | list[Task2Entry], path: str | Path) -> None:
     """Write entries as a JSON array with stable formatting."""
-    Path(path).write_text(entries_json(entries), encoding="utf-8")
+    write_atomic(path, entries_json(entries))
 
 
 def entries_json(entries: list[Task1Entry] | list[Task2Entry]) -> str:

@@ -3,11 +3,13 @@
 import hashlib
 import importlib.util
 import json
+import os
+import sqlite3
 
 import pytest
 
 from gdprkit import harness, knowledge, methods
-from gdprkit.corpus import load_corpus
+from gdprkit.corpus import dump_corpus, load_corpus
 from gdprkit.errors import (
     ConfigurationError,
     MethodError,
@@ -310,15 +312,50 @@ class TestCachingAndReplay:
     def test_replay_lists_every_missing_key(self, workspace, method, task):
         root = workspace["root"] / f"partial-{method}-{task}"
         replay = self._record(workspace, root, task, method)
-        deleted = sorted((root / "cache").glob("*.json"))[::2]
-        for path in deleted:
-            path.unlink()
+        db = sqlite3.connect(root / "cache" / "responses.sqlite3")
+        with db:
+            deleted = [key for (key,) in db.execute("SELECT key FROM responses ORDER BY key")][::2]
+            db.executemany("DELETE FROM responses WHERE key = ?", [(key,) for key in deleted])
+        db.close()
         out = root / "replay"
         with pytest.raises(ReplayMissError) as err:
             run(RunConfig(output_dir=str(out), **replay))
         # the stub answers "0", so each ReAct transcript is its first prompt
-        assert sorted(err.value.missing_keys) == sorted(path.stem for path in deleted)
+        assert sorted(err.value.missing_keys) == sorted(deleted)
         assert not (out / "predictions.json").exists()
+
+    @pytest.mark.parametrize("task", [1, 2])
+    def test_replay_from_missing_cache_dir_lists_every_key_and_creates_nothing(self, workspace, task):
+        root = workspace["root"] / f"absent-{task}"
+        replay = self._record(workspace, root, task, "zero_shot")
+        # the recording run closed its connection, which folds the WAL back into the file
+        assert os.listdir(root / "cache") == ["responses.sqlite3"]
+        db = sqlite3.connect(root / "cache" / "responses.sqlite3")
+        recorded = [key for (key,) in db.execute("SELECT key FROM responses")]
+        db.close()
+        absent = root / "absent" / "cache"
+        with pytest.raises(ReplayMissError) as err:
+            run(RunConfig(output_dir=str(root / "replay"), **dict(replay, cache_dir=str(absent))))
+        assert sorted(err.value.missing_keys) == sorted(recorded)
+        assert not absent.parent.exists()
+
+    @pytest.mark.parametrize("reasoner", ["stub", "cache_replay"])
+    def test_old_format_cache_dir_is_refused(self, workspace, reasoner):
+        cache_dir = workspace["root"] / f"old-format-{reasoner}"
+        cache_dir.mkdir()
+        old_entry = cache_dir / f"{'0' * 64}.json"
+        old_entry.write_text('{"response": "6"}\n', encoding="utf-8")
+        config = RunConfig(
+            task=2,
+            method="zero_shot",
+            dataset_path=workspace["task2"],
+            reasoner=reasoner,
+            cache_dir=str(cache_dir),
+            output_dir=str(cache_dir / "out"),
+        )
+        with pytest.raises(ConfigurationError, match="old-format"):
+            run(config)
+        assert sorted(cache_dir.iterdir()) == [old_entry]
 
     def test_rag_replay_retrieves_once_per_instance(self, workspace, monkeypatch):
         root = workspace["root"] / "rag-retrievals"
@@ -365,6 +402,38 @@ class FailingMethod:
 
     def predict_file(self, source, language, *, line_spans=None, path=""):
         raise self.error
+
+
+class TestAtomicArtifacts:
+    """A write that fails before its rename leaves the old file whole and no temporary file."""
+
+    ARTIFACTS = ("predictions.json", "manifest.json", "report.json", "report.md")
+
+    def _write(self, writer, workspace, out):
+        """Call ``writer`` on ``out`` and return the files it writes."""
+        corpus = load_corpus(workspace["corpus_path"])
+        if writer == "run":
+            run(RunConfig(task=2, method="formal", dataset_path=workspace["task2"], output_dir=str(out)))
+            return [out / name for name in self.ARTIFACTS]
+        if writer == "dump_entries":
+            dump_entries(build_task2(corpus), out / "task2.json")
+            return [out / "task2.json"]
+        dump_corpus(corpus, out / "corpus.json")
+        return [out / "corpus.json"]
+
+    @pytest.mark.parametrize("writer", ["run", "dump_entries", "dump_corpus"])
+    def test_failed_rename_keeps_old_file(self, workspace, tmp_path, monkeypatch, writer):
+        targets = self._write(writer, workspace, tmp_path)
+        old = {path: path.read_bytes() for path in targets}
+
+        def fail(src, dst):
+            raise OSError("rename failed")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="rename failed"):
+            self._write(writer, workspace, tmp_path)
+        assert {path: path.read_bytes() for path in targets} == old
+        assert sorted(tmp_path.iterdir()) == sorted(targets)
 
 
 class TestErrorAndSkipPaths:

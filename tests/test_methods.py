@@ -1,12 +1,19 @@
 """Prompt protocol, output parsing, reasoner bindings, and method adapters."""
 
+import contextlib
 import hashlib
 import json
+import os
+import sqlite3
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gdprkit
 from gdprkit.errors import (
     ConfigurationError,
     MethodError,
@@ -173,6 +180,43 @@ class TestReasoners:
         assert cache.get("r1", "prompt") == "6,32"
         key = ResponseCache.cache_key("r1", "prompt")
         assert len(key) == 64 and all(c in "0123456789abcdef" for c in key)
+
+    def test_cache_rerecord_keeps_equal_rows_and_replaces_changed_ones(self, tmp_path):
+        cache = ResponseCache(tmp_path)
+
+        def rows():
+            with contextlib.closing(sqlite3.connect(cache.path)) as db:
+                return db.execute("SELECT response, created_at FROM responses").fetchall()
+
+        cache.put("r1", "prompt", "6")
+        first = rows()
+        cache.put("r1", "prompt", "6")
+        assert rows() == first
+        cache.put("r1", "prompt", "32")
+        assert [response for response, _ in rows()] == ["32"]
+        cache.close()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["responses.sqlite3"]
+
+    def test_cache_keeps_every_put_when_the_writer_dies_unclosed(self, tmp_path):
+        """Each put commits on its own, so a process that exits without closing loses none."""
+        n = 50
+        script = (
+            "import os, sys\n"
+            "from gdprkit.methods import ResponseCache\n"
+            "cache = ResponseCache(sys.argv[1])\n"
+            f"for i in range({n}):\n"
+            "    cache.put('r1', f'prompt {i}', f'{i}')\n"
+            "os._exit(1)\n"
+        )
+        src = str(Path(gdprkit.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path)], env=dict(os.environ, PYTHONPATH=src), timeout=60
+        )
+        assert proc.returncode == 1
+        assert (tmp_path / "responses.sqlite3-wal").stat().st_size > 0
+        cache = ResponseCache(tmp_path)
+        assert [cache.get("r1", f"prompt {i}") for i in range(n)] == [f"{i}" for i in range(n)]
+        cache.close()
 
     def test_cache_key_separates_reasoners(self):
         assert ResponseCache.cache_key("a", "p") != ResponseCache.cache_key("b", "p")
