@@ -2,8 +2,8 @@
 
 Facts populate a fixed inventory of boolean predicates; a catalog of
 article-tagged rules (boolean expressions over those predicates) is then
-evaluated to produce findings.  A finding's confidence grows with the
-amount of supporting evidence:
+evaluated, once per distinct set of held predicates, to produce findings.
+A finding's confidence grows with the amount of supporting evidence:
 
     confidence = weight * (1 + ln(1 + n_supporting_facts))
 
@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from collections import defaultdict
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -117,7 +118,8 @@ class Predicate:
     support: tuple[Fact, ...] = ()
 
 
-_EVIDENCE_ATOMS = [f"CollectsData({c.value})" for c in sorted(SENSITIVE_CATEGORIES, key=lambda c: c.value)]
+_SENSITIVE_ORDER = sorted(SENSITIVE_CATEGORIES, key=lambda c: c.value)
+_EVIDENCE_ATOMS = [f"CollectsData({c.value})" for c in _SENSITIVE_ORDER]
 _OTHER_ATOMS = [
     "CollectsAnyPersonalData",
     "HasConsentCheck",
@@ -133,6 +135,7 @@ _OTHER_ATOMS = [
     "HasPrivacyNoticeText",
     "AccessesSpecialCategoryData",
 ]
+_NOT_HELD = {name: Predicate(name, False) for name in _EVIDENCE_ATOMS + _OTHER_ATOMS}
 
 
 def atom_inventory() -> tuple[str, ...]:
@@ -148,52 +151,59 @@ def populate_predicates(facts: Sequence[Fact]) -> dict[str, Predicate]:
     (consent, encryption, privacy notice) look at everything, so a guard
     anywhere in the file still covers a narrow focus span.
     """
-    local = [f for f in facts if not f.contextual]
-    state: dict[str, Predicate] = {}
+    local, anywhere = defaultdict(list), defaultdict(list)
+    credentials: list[Fact] = []
+    for f in facts:
+        anywhere[f.kind].append(f)
+        if not f.contextual:
+            local[f.kind].append(f)
+            if f.data_category is DataCategory.CREDENTIALS:
+                credentials.append(f)
+    state = dict(_NOT_HELD)
 
     def put(name: str, support: Sequence[Fact]) -> None:
-        state[name] = Predicate(name, bool(support), tuple(support))
+        if support:
+            state[name] = Predicate(name, True, tuple(support))
 
+    calls = local[FactKind.API_CALL]
     collect_all: list[Fact] = []
-    for category in sorted(SENSITIVE_CATEGORIES, key=lambda c: c.value):
-        matches = [f for f in local if f.kind is FactKind.API_CALL and f.data_category is category]
+    for category in _SENSITIVE_ORDER:
+        matches = [f for f in calls if f.data_category is category]
         put(f"CollectsData({category.value})", matches)
         collect_all.extend(matches)
     put("CollectsAnyPersonalData", collect_all)
 
-    put("HasConsentCheck", [f for f in facts if f.kind is FactKind.CONSENT_GUARD])
-    put("DeclaresPermission", [f for f in local if f.kind is FactKind.PERMISSION_DECL])
+    put("HasConsentCheck", anywhere[FactKind.CONSENT_GUARD])
+    put("DeclaresPermission", local[FactKind.PERMISSION_DECL])
     put(
         "UsesInsecureTransport",
-        [f for f in local if f.kind is FactKind.URL_LITERAL and f.detail.startswith("http://")],
+        [f for f in local[FactKind.URL_LITERAL] if f.detail.startswith("http://")],
     )
-    put("SendsDataOffDevice", [f for f in local if f.kind is FactKind.NETWORK_SEND])
-    put("StoresDataLocally", [f for f in local if f.kind is FactKind.STORAGE_WRITE])
+    put("SendsDataOffDevice", local[FactKind.NETWORK_SEND])
+    put("StoresDataLocally", local[FactKind.STORAGE_WRITE])
 
-    credentials = [f for f in local if f.data_category is DataCategory.CREDENTIALS]
     put("HandlesCredentials", credentials)
-    crypto_anywhere = [f for f in facts if f.kind is FactKind.CRYPTO_USE]
+    crypto_anywhere = anywhere[FactKind.CRYPTO_USE]
     plaintext = [
         f for f in credentials if f.kind in (FactKind.STRING_LITERAL, FactKind.STORAGE_WRITE)
     ]
     put("StoresPlaintextCredentials", plaintext if not crypto_anywhere else [])
     put("UsesEncryption", crypto_anywhere)
 
-    logs = [f for f in local if f.kind is FactKind.LOG_WRITE]
+    logs = local[FactKind.LOG_WRITE]
     put("WritesLogs", logs)
     sensitive = collect_all + credentials
     put("LogsSensitiveAccess", logs + sensitive if logs and sensitive else [])
 
     notices = [
         f
-        for f in facts
-        if f.kind is FactKind.STRING_LITERAL
-        and any(phrase in f.detail.lower() for phrase in _PRIVACY_PHRASES)
+        for f in anywhere[FactKind.STRING_LITERAL]
+        if any(phrase in f.detail.lower() for phrase in _PRIVACY_PHRASES)
     ]
     put("HasPrivacyNoticeText", notices)
     put(
         "AccessesSpecialCategoryData",
-        [f for f in local if f.kind is FactKind.API_CALL and f.data_category is DataCategory.GENERIC],
+        [f for f in calls if f.data_category is DataCategory.GENERIC],
     )
 
     return state
@@ -213,8 +223,23 @@ class Rule:
 
 
 class RuleCatalog:
+    """Rules with their un-negated predicates; fired rules are kept per set of held predicates."""
+
     def __init__(self, rules: Sequence[Rule]):
         self.rules = tuple(rules)
+        self._compiled: list[tuple[Rule, tuple[str, ...]]] = []
+        for rule in self.rules:
+            atoms: list[tuple[str, bool]] = []
+            rule.condition.walk(True, atoms)
+            self._compiled.append((rule, tuple(dict.fromkeys(n for n, positive in atoms if positive))))
+        self._fired: dict[frozenset[str], tuple[tuple[Rule, tuple[str, ...]], ...]] = {}
+
+    def fired(self, state: Mapping[str, Predicate]) -> tuple[tuple[Rule, tuple[str, ...]], ...]:
+        """The rules whose condition holds in ``state``, each with its un-negated predicates."""
+        held = frozenset(name for name, p in state.items() if p.holds)
+        if held not in self._fired:
+            self._fired[held] = tuple(c for c in self._compiled if c[0].condition.evaluate(state))
+        return self._fired[held]
 
     def __len__(self) -> int:
         return len(self.rules)
@@ -302,24 +327,12 @@ def evaluate_rules(
     facts: Sequence[Fact], catalog: RuleCatalog | None = None
 ) -> list[Finding]:
     """Fire every satisfied rule, one finding per rule."""
-    catalog = catalog or default_catalog()
+    catalog = default_catalog() if catalog is None else catalog
     state = populate_predicates(facts)
     findings: list[Finding] = []
-    for rule in catalog:
-        if not rule.condition.evaluate(state):
-            continue
-        atoms: list[tuple[str, bool]] = []
-        rule.condition.walk(True, atoms)
-        support: list[Fact] = []
-        seen = set()
-        for name, positive in atoms:
-            if not positive or not state[name].holds:
-                continue
-            for fact in state[name].support:
-                key = id(fact)
-                if key not in seen:
-                    seen.add(key)
-                    support.append(fact)
+    for rule, atoms in catalog.fired(state):
+        # each supporting fact once, in order of first appearance
+        support = list({id(f): f for name in atoms for f in state[name].support}.values())
         spans = tuple(sorted({f.span for f in support}, key=lambda s: (s.start_line, s.end_line, s.file_path)))
         symbols = sorted({f.symbol for f in support})[:5]
         explanation = rule.message
@@ -386,7 +399,7 @@ def analyze_source(
     path: str = "",
     catalog: RuleCatalog | None = None,
 ) -> AnalysisResult:
-    catalog = catalog or default_catalog()
+    catalog = default_catalog() if catalog is None else catalog
     facts = extract_facts(source, language, path=path)
     return _analyze_facts(facts, catalog)
 
@@ -396,7 +409,7 @@ def _refocus(facts: Sequence[Fact], start: int, end: int) -> list[Fact]:
     return [
         fact
         if start <= fact.span.start_line and fact.span.end_line <= end
-        else replace(fact, contextual=True)
+        else Fact(fact.kind, fact.symbol, fact.detail, fact.span, fact.language, fact.data_category, True)
         for fact in facts
     ]
 
@@ -416,7 +429,7 @@ def analyze_multigranularity(
     Requested spans must fall inside the file.  There is no module scope:
     task-1 module instances are scored with the file result.
     """
-    catalog = catalog or default_catalog()
+    catalog = default_catalog() if catalog is None else catalog
     line_count = source.count("\n") + 1
     facts = extract_facts(source, language, path=path)
     lines: dict[tuple[int, int], AnalysisResult] = {}

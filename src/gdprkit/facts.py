@@ -104,6 +104,7 @@ class PatternEntry:
     languages: frozenset[str] | None  # None means any language
     match: str  # "word" or "regex"
     compiled: re.Pattern = field(compare=False)
+    parts: tuple[str, ...] = field(compare=False)  # literal dot-separated parts of the pattern
 
     def applies_to(self, language: str) -> bool:
         return self.languages is None or language in self.languages
@@ -123,7 +124,7 @@ def _word_matches(entry: PatternEntry, text: str) -> Iterator[re.Match]:
     each part verbatim.  A text that lacks one of the parts has no match,
     and the regex is not run over it.
     """
-    for part in entry.pattern.split("."):
+    for part in entry.parts:
         if part not in text:
             return iter(())
     return entry.compiled.finditer(text)
@@ -189,6 +190,7 @@ def load_pattern_table(path: str | Path | None = None) -> PatternTable:
                 languages=frozenset(languages) if languages else None,
                 match=match,
                 compiled=compiled,
+                parts=tuple(pattern.split(".")),
             )
         )
     return PatternTable(entries)

@@ -267,7 +267,7 @@ def _build_method(
     if config.method == "zero_shot":
         return ZeroShotMethod(reasoner, catalog=catalog, strict=config.strict_parsing)
     if config.method == "rag":
-        kb = build_kb(corpus or [], catalog=catalog or article_catalog())
+        kb = build_kb(corpus or [], catalog=catalog)
         return RagMethod(
             reasoner, kb, top_n=config.kb_top_n, catalog=catalog, strict=config.strict_parsing
         )

@@ -60,7 +60,7 @@ def article_catalog() -> dict[int, ArticleInfo]:
 
 
 def article_lookup(number: int, catalog: dict[int, ArticleInfo] | None = None) -> ArticleInfo:
-    catalog = catalog or article_catalog()
+    catalog = article_catalog() if catalog is None else catalog
     try:
         return catalog[number]
     except KeyError:
@@ -163,7 +163,7 @@ def build_kb(
     ``corpus.group_by_snippet`` group merge into one document labeled with
     the union of their articles.
     """
-    catalog = catalog or article_catalog()
+    catalog = article_catalog() if catalog is None else catalog
     docs = [
         KbDoc(
             doc_id=f"article-{number:03d}",

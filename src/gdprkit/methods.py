@@ -21,8 +21,6 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Mapping, Protocol, Sequence
 
-import requests
-
 from .engine import (
     AnalysisResult,
     RankedPrediction,
@@ -205,7 +203,10 @@ class LiveHttpReasoner:
         self.api_key = api_key or os.environ.get("GDPRKIT_API_KEY")
         self.model = model or os.environ.get("GDPRKIT_MODEL", "default")
         self.config = config or InferenceConfig()
-        self.session = session or requests.Session()
+        if session is None:
+            import requests
+            session = requests.Session()
+        self.session = session
         self.sleep = sleep
         self.reasoner_id = f"http:{self.model}"
 
@@ -221,6 +222,7 @@ class LiveHttpReasoner:
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
+        import requests
         last_error: Exception | None = None
         for attempt in range(self.MAX_ATTEMPTS):
             try:
@@ -371,7 +373,8 @@ def _assemble_prompt(
     snippet: str, catalog: Mapping[int, ArticleInfo] | None, context: str
 ) -> str:
     """The prompt sections in order; an empty context leaves its section out."""
-    sections = [PROMPT_HEADER, f"{MEANINGS_HEADING}\n{_meanings_block(catalog or article_catalog())}"]
+    meanings = _meanings_block(article_catalog() if catalog is None else catalog)
+    sections = [PROMPT_HEADER, f"{MEANINGS_HEADING}\n{meanings}"]
     if context:
         sections.append(f"{CONTEXT_HEADING}\n{context}")
     sections.append(f"{INSTRUCTIONS_HEADING}\n" + "\n".join(INSTRUCTION_LINES))

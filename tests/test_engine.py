@@ -14,6 +14,8 @@ from gdprkit.engine import (
     AtomExpr,
     Finding,
     NotExpr,
+    OrExpr,
+    Predicate,
     Rule,
     RuleCatalog,
     analyze_multigranularity,
@@ -29,7 +31,7 @@ from gdprkit.engine import (
     _refocus,
 )
 from gdprkit.errors import InputError, RuleLoadError
-from gdprkit.facts import DataCategory, Fact, FactKind, extract_facts
+from gdprkit.facts import SENSITIVE_CATEGORIES, DataCategory, Fact, FactKind, extract_facts
 
 CAMERA_SOURCE = (
     "public class CameraGrabber {\n"
@@ -116,6 +118,13 @@ class TestCatalog:
         catalog = load_rules(path)
         assert len(catalog) == 0
         assert evaluate_rules([], catalog) == []
+
+
+    def test_explicit_empty_catalog_is_not_replaced_by_the_default(self):
+        empty = RuleCatalog([])
+        assert analyze_source(HTTP_SOURCE, "java", catalog=empty).findings == ()
+        result = analyze_multigranularity(HTTP_SOURCE, "java", line_spans=[(3, 6)], catalog=empty)
+        assert result.file.findings == result.lines[(3, 6)].findings == ()
 
 
 class TestConditionParsing:
@@ -351,3 +360,137 @@ class TestInvariants:
         first = json.dumps(analyze_source(HTTP_SOURCE, "java").to_dict(), sort_keys=True)
         second = json.dumps(analyze_source(HTTP_SOURCE, "java").to_dict(), sort_keys=True)
         assert first == second
+
+
+# ---------------------------------------------------------------------------
+# The catalog's fired-rule memo against the plain tree evaluator
+
+_REFERENCE_PHRASES = ("privacy policy", "privacy notice", "privacy statement", "data protection")
+
+
+def reference_predicates(facts) -> dict[str, Predicate]:
+    """``populate_predicates`` as one list comprehension per predicate."""
+    local = [f for f in facts if not f.contextual]
+    state = {}
+
+    def put(name, support):
+        state[name] = Predicate(name, bool(support), tuple(support))
+
+    collect_all = []
+    for category in sorted(SENSITIVE_CATEGORIES, key=lambda c: c.value):
+        matches = [f for f in local if f.kind is FactKind.API_CALL and f.data_category is category]
+        put(f"CollectsData({category.value})", matches)
+        collect_all.extend(matches)
+    put("CollectsAnyPersonalData", collect_all)
+    put("HasConsentCheck", [f for f in facts if f.kind is FactKind.CONSENT_GUARD])
+    put("DeclaresPermission", [f for f in local if f.kind is FactKind.PERMISSION_DECL])
+    put(
+        "UsesInsecureTransport",
+        [f for f in local if f.kind is FactKind.URL_LITERAL and f.detail.startswith("http://")],
+    )
+    put("SendsDataOffDevice", [f for f in local if f.kind is FactKind.NETWORK_SEND])
+    put("StoresDataLocally", [f for f in local if f.kind is FactKind.STORAGE_WRITE])
+    credentials = [f for f in local if f.data_category is DataCategory.CREDENTIALS]
+    put("HandlesCredentials", credentials)
+    crypto_anywhere = [f for f in facts if f.kind is FactKind.CRYPTO_USE]
+    plaintext = [f for f in credentials if f.kind in (FactKind.STRING_LITERAL, FactKind.STORAGE_WRITE)]
+    put("StoresPlaintextCredentials", plaintext if not crypto_anywhere else [])
+    put("UsesEncryption", crypto_anywhere)
+    logs = [f for f in local if f.kind is FactKind.LOG_WRITE]
+    put("WritesLogs", logs)
+    sensitive = collect_all + credentials
+    put("LogsSensitiveAccess", logs + sensitive if logs and sensitive else [])
+    put(
+        "HasPrivacyNoticeText",
+        [
+            f
+            for f in facts
+            if f.kind is FactKind.STRING_LITERAL
+            and any(phrase in f.detail.lower() for phrase in _REFERENCE_PHRASES)
+        ],
+    )
+    put(
+        "AccessesSpecialCategoryData",
+        [f for f in local if f.kind is FactKind.API_CALL and f.data_category is DataCategory.GENERIC],
+    )
+    return state
+
+
+def reference_findings(facts, rules) -> list[Finding]:
+    """Tree ``evaluate`` per rule, ``walk`` for its positive atoms, support deduplicated by id."""
+    state = reference_predicates(facts)
+    findings = []
+    for rule in rules:
+        if not rule.condition.evaluate(state):
+            continue
+        atoms: list[tuple[str, bool]] = []
+        rule.condition.walk(True, atoms)
+        support, seen = [], set()
+        for name, positive in atoms:
+            if positive and state[name].holds:
+                for fact in state[name].support:
+                    if id(fact) not in seen:
+                        seen.add(id(fact))
+                        support.append(fact)
+        spans = tuple(sorted({f.span for f in support}, key=lambda s: (s.start_line, s.end_line, s.file_path)))
+        symbols = sorted({f.symbol for f in support})[:5]
+        explanation = f"{rule.message} (evidence: {', '.join(symbols)})" if symbols else rule.message
+        findings.append(
+            Finding(rule.article, rule.id, confidence_for(rule.weight, len(support)), spans, explanation)
+        )
+    return findings
+
+
+def _pool_fact(kind, category=None, detail="x", line=1):
+    return Fact(kind, f"{kind.value}-{line}", detail, SpanRef("A.java", line, line), "java", category)
+
+
+_LOCAL_POOL = extract_facts(HTTP_SOURCE + CONSENT_SOURCE, "java") + [
+    _pool_fact(FactKind.API_CALL, DataCategory.CAMERA, line=20),
+    _pool_fact(FactKind.API_CALL, DataCategory.GENERIC, line=21),
+    _pool_fact(FactKind.URL_LITERAL, detail="https://safe.example.com", line=22),
+    _pool_fact(FactKind.URL_LITERAL, detail="http://plain.example.com", line=22),
+    _pool_fact(FactKind.STRING_LITERAL, DataCategory.CREDENTIALS, "hunter2", line=23),
+    _pool_fact(FactKind.STORAGE_WRITE, DataCategory.CREDENTIALS, line=24),
+    _pool_fact(FactKind.STRING_LITERAL, detail="Read our Privacy Policy", line=25),
+    _pool_fact(FactKind.PERMISSION_DECL, line=26),
+    _pool_fact(FactKind.NETWORK_SEND, line=27),
+    _pool_fact(FactKind.LOG_WRITE, line=28),
+    _pool_fact(FactKind.CRYPTO_USE, line=29),
+    _pool_fact(FactKind.CONSENT_GUARD, line=30),
+]
+FACT_POOL = _LOCAL_POOL + [dataclasses.replace(f, contextual=True) for f in _LOCAL_POOL]
+
+_conditions = st.recursive(
+    st.sampled_from(atom_inventory()).map(AtomExpr),
+    lambda children: st.one_of(
+        children.map(NotExpr),
+        st.lists(children, min_size=1, max_size=3).map(lambda cs: AndExpr(tuple(cs))),
+        st.lists(children, min_size=1, max_size=3).map(lambda cs: OrExpr(tuple(cs))),
+    ),
+    max_leaves=8,
+)
+_rules = st.lists(
+    st.tuples(_conditions, st.sampled_from([5, 6, 25, 32]), st.floats(0.05, 1.0)),
+    min_size=1,
+    max_size=8,
+).map(lambda drawn: [Rule(f"R{i}", a, c, w, f"rule {i}") for i, (c, a, w) in enumerate(drawn)])
+_fact_sets = st.lists(st.sampled_from(range(len(FACT_POOL))), unique=True).map(
+    lambda picked: [FACT_POOL[i] for i in picked]
+)
+
+
+class TestFiredRuleMemo:
+    @given(facts=_fact_sets)
+    @settings(max_examples=200, deadline=None)
+    def test_predicate_support_matches_reference(self, facts):
+        assert populate_predicates(facts) == reference_predicates(facts)
+
+    @given(rules=_rules, fact_sets=st.lists(_fact_sets, min_size=1, max_size=4))
+    @settings(max_examples=200, deadline=None)
+    def test_evaluate_rules_matches_tree_evaluation(self, rules, fact_sets):
+        catalog = RuleCatalog(rules)
+        first = [evaluate_rules(facts, catalog) for facts in fact_sets]
+        assert first == [reference_findings(facts, rules) for facts in fact_sets]
+        # the second pass takes every fired-rule tuple from the memo
+        assert [evaluate_rules(facts, catalog) for facts in fact_sets] == first

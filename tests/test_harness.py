@@ -5,8 +5,12 @@ import importlib.util
 import json
 import os
 import sqlite3
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+import requests
 
 from gdprkit import harness, knowledge, methods
 from gdprkit.corpus import dump_corpus, load_corpus
@@ -160,6 +164,25 @@ class TestFormalRuns:
         assert ranking["line"].n_instances == 9
         assert ranking["line"].accuracy_at[1] == pytest.approx(4 / 9, abs=1e-9)
         assert ranking["line"].accuracy_at[5] == pytest.approx(7 / 9, abs=1e-9)
+
+    @pytest.mark.parametrize("task, scored", [(1, 23), (2, 10)])
+    def test_empty_rule_file_gives_empty_rankings(self, workspace, tmp_path, task, scored):
+        """An explicitly empty rule catalog is used as given, not replaced by the default one."""
+        rules = tmp_path / "rules.json"
+        rules.write_text(json.dumps({"rules": []}), encoding="utf-8")
+        result = run(
+            RunConfig(
+                task=task,
+                method="formal",
+                dataset_path=workspace[f"task{task}"],
+                corpus_path=workspace["corpus_path"],
+                rules_path=str(rules),
+                output_dir=str(tmp_path / "out"),
+            )
+        )
+        assert result.manifest["counts"] == {"scored": scored, "errored": 0, "skipped": 0}
+        predictions = json.loads((result.output_dir / "predictions.json").read_text(encoding="utf-8"))
+        assert [p["ranking"] for p in predictions["predictions"]] == [[]] * scored
 
     def test_accuracy_never_decreases_with_k(self, workspace):
         config = RunConfig(
@@ -383,7 +406,7 @@ class TestCachingAndReplay:
             def post(self, *args, **kwargs):
                 return Response()
 
-        monkeypatch.setattr(methods.requests, "Session", Session)
+        monkeypatch.setattr(requests, "Session", Session)
         monkeypatch.setenv("GDPRKIT_ENDPOINT", "http://localhost:1/v1")
         path = DATA_DIR.parent.parent / "scripts" / "record_then_replay.py"
         spec = importlib.util.spec_from_file_location("record_then_replay", path)
@@ -391,6 +414,39 @@ class TestCachingAndReplay:
         spec.loader.exec_module(script)
         argv = ["--reasoner", "live", "--model", "gpt-4o", "--out", str(tmp_path)]
         assert script.main(argv) == 0
+
+
+def test_offline_runs_never_import_requests(workspace, tmp_path):
+    """Formal, stub and replay runs load no HTTP stack: only the live reasoner imports it."""
+    common = {"dataset_path": workspace["task2"], "corpus_path": workspace["corpus_path"], "task": 2}
+    cache = {"method": "zero_shot", "cache_dir": str(tmp_path / "cache")}
+    configs = [
+        dict(common, method="formal", task=1, dataset_path=workspace["task1"]),
+        dict(common, method="formal"),
+        dict(common, reasoner="stub", **cache),
+        dict(common, reasoner="cache_replay", replay_reasoner_id="stub:default", **cache),
+    ]
+    for i, config in enumerate(configs):
+        config["output_dir"] = str(tmp_path / f"run{i}")
+    script = (
+        "import json, sys\n"
+        "import gdprkit\n"
+        "from gdprkit.harness import RunConfig, run\n"
+        "for config in json.loads(sys.argv[1]):\n"
+        "    counts = run(RunConfig(**config)).manifest['counts']\n"
+        "    assert counts['scored'] > 0 and counts['errored'] == 0, counts\n"
+        "print('requests' in sys.modules)\n"
+    )
+    src = str(Path(harness.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(configs)],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 class FailingMethod:
