@@ -143,35 +143,33 @@ _REQUIRED_FIELDS = (
 )
 
 
-def _record_from_obj(obj: dict, index: int) -> ViolationRecord:
-    data = dict(obj)
-    if "commit_id" not in data and "Commit_ID" in data:
-        data["commit_id"] = data.pop("Commit_ID")
-    for name in _REQUIRED_FIELDS:
-        if name not in data:
-            raise CorpusSchemaError(index, name, "missing")
+# The same fields as keyed in a record that spells the commit key "Commit_ID".
+_COMMIT_ID_KEYS = _REQUIRED_FIELDS[:2] + ("Commit_ID",) + _REQUIRED_FIELDS[3:]
+_TEXT_FIELDS = ("app_name", "repo_url", "code_snippet_path", "code_snippet")
 
-    article = data["violated_article"]
+
+def _record_from_obj(obj: object, index: int) -> ViolationRecord:
+    if not isinstance(obj, dict):
+        raise CorpusSchemaError(index, "<record>", "must be an object")
+    keys = _COMMIT_ID_KEYS if "commit_id" not in obj and "Commit_ID" in obj else _REQUIRED_FIELDS
+    try:
+        app_name, repo_url, commit, article, snippet_path, snippet, note = map(obj.__getitem__, keys)
+    except KeyError:
+        name = next(name for name, key in zip(_REQUIRED_FIELDS, keys) if key not in obj)
+        raise CorpusSchemaError(index, name, "missing") from None
+
     if not isinstance(article, int) or isinstance(article, bool) or article < 1:
         raise CorpusSchemaError(index, "violated_article", f"must be a positive integer, got {article!r}")
-    commit = data["commit_id"]
     if not isinstance(commit, str) or not _COMMIT_RE.match(commit):
         raise CorpusSchemaError(index, "commit_id", "must be a 40-char hex Git SHA")
-    if not data["code_snippet"]:
+    if not snippet:
         raise CorpusSchemaError(index, "code_snippet", "must be non-empty")
-    note = data["annotation_note"]
     if not isinstance(note, str) or not note.strip():
         raise CorpusSchemaError(index, "annotation_note", "must contain text")
-
-    return ViolationRecord(
-        app_name=str(data["app_name"]),
-        repo_url=str(data["repo_url"]),
-        commit_id=commit,
-        violated_article=article,
-        code_snippet_path=str(data["code_snippet_path"]),
-        code_snippet=str(data["code_snippet"]),
-        annotation_note=str(data["annotation_note"]),
-    )
+    for name, value in zip(_TEXT_FIELDS, (app_name, repo_url, snippet_path, snippet)):
+        if not isinstance(value, str):
+            raise CorpusSchemaError(index, name, "must be a string")
+    return ViolationRecord(app_name, repo_url, commit, article, snippet_path, snippet, note)
 
 
 def load_corpus(path: str | Path) -> list[ViolationRecord]:

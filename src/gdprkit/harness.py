@@ -36,7 +36,7 @@ from .errors import (
     ReconciliationError,
     ReplayMissError,
 )
-from .knowledge import article_catalog, build_kb, load_articles
+from .knowledge import ArticleInfo, article_catalog, build_kb, load_articles
 from .metrics import (
     LabelMetrics,
     LabeledInstance,
@@ -253,10 +253,12 @@ def _build_reasoner(config: RunConfig, cache: ResponseCache | None) -> Reasoner:
 
 
 def _build_method(
-    config: RunConfig, corpus: Sequence[ViolationRecord] | None, cache: ResponseCache | None
+    config: RunConfig,
+    corpus: Sequence[ViolationRecord] | None,
+    cache: ResponseCache | None,
+    catalog: dict[int, ArticleInfo] | None,
 ):
     rules: RuleCatalog | None = load_rules(config.rules_path) if config.rules_path else None
-    catalog = load_articles(config.articles_path) if config.articles_path else None
     if config.method == "formal":
         return FormalMethod(
             rules=rules,
@@ -567,9 +569,10 @@ def run(config: RunConfig) -> RunResult:
     started = time.monotonic()
     corpus = load_corpus(config.corpus_path) if config.corpus_path else None
     entries = (load_task1 if config.task == 1 else load_task2)(config.dataset_path)
+    catalog = load_articles(config.articles_path) if config.articles_path else None
     cache = ResponseCache(config.cache_dir) if config.cache_dir and config.method != "formal" else None
     try:
-        method = _build_method(config, corpus, cache)
+        method = _build_method(config, corpus, cache, catalog)
         if config.task == 1:
             records = predict_task1(entries, corpus or [], method)
         else:
@@ -586,7 +589,7 @@ def run(config: RunConfig) -> RunResult:
         instances = task2_instances(entries)
         universe = None
         if config.article_universe == "catalog":
-            universe = sorted(load_articles(config.articles_path)) if config.articles_path else sorted(article_catalog())
+            universe = sorted(article_catalog() if catalog is None else catalog)
         ranking = None
         labels_metrics = evaluate_task2(entries, records, universe)
 

@@ -76,13 +76,32 @@ class TestLoadCorpus:
             ("code_snippet", ""),
             ("annotation_note", "   "),
             ("violated_article", -3),
+            ("app_name", None),
+            ("repo_url", False),
+            ("code_snippet_path", None),
+            ("code_snippet", 7),
         ],
     )
     def test_invalid_field_values_rejected(self, tmp_path, field, value):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps([make_obj(**{field: value})]), encoding="utf-8")
-        with pytest.raises(CorpusSchemaError):
+        with pytest.raises(CorpusSchemaError) as err:
             load_corpus(path)
+        # the error names the canonical field, so Commit_ID reads commit_id
+        assert err.value.field == field.lower()
+
+    @pytest.mark.parametrize(
+        "record",
+        ["x", None, 5, [["app_name", "Demo"]], list(make_obj().items())],
+        ids=["string", "null", "number", "one-pair-list", "pairs-list"],
+    )
+    def test_non_object_record_rejected(self, tmp_path, record):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps([make_obj(), record]), encoding="utf-8")
+        with pytest.raises(CorpusSchemaError) as err:
+            load_corpus(path)
+        assert (err.value.index, err.value.field) == (1, "<record>")
+        assert "must be an object" in str(err.value)
 
     def test_lowercase_commit_key_accepted(self, tmp_path):
         obj = make_obj()

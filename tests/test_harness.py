@@ -292,6 +292,30 @@ class TestStubZeroShot:
             paths.append(out / "predictions.json")
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
+    def test_articles_file_is_read_once(self, workspace, monkeypatch):
+        articles = str(knowledge._DATA_DIR / "articles.json")
+        paths = []
+        load_articles = harness.load_articles
+
+        def counted(path):
+            paths.append(path)
+            return load_articles(path)
+
+        monkeypatch.setattr(harness, "load_articles", counted)
+        result = run(
+            RunConfig(
+                task=2,
+                method="zero_shot",
+                dataset_path=workspace["task2"],
+                reasoner="stub",
+                articles_path=articles,
+                article_universe="catalog",
+                output_dir=str(workspace["root"] / "t2-stub-catalog"),
+            )
+        )
+        assert paths == [articles]
+        assert result.manifest["counts"]["scored"] == 10
+
 
 class TestCachingAndReplay:
     def test_cached_run_then_replay(self, workspace):

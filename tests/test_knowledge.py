@@ -1,6 +1,7 @@
 """Article catalog, token-cosine similarity, and the retrieval store."""
 
 import math
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -56,6 +57,17 @@ class TestSimilarity:
 
     def test_tokenize_lowercases_alphanumerics(self):
         assert tokenize("OpenCamera(x); HTTP_2") == ["opencamera", "x", "http", "2"]
+
+    @given(text=st.text())
+    @example("\u0130stanbul")  # İ lower-cases to i plus a combining dot
+    @example("\u212aelvin")  # the Kelvin sign lower-cases to ASCII k
+    @example("Stra\u00dfe")  # ß stays one non-ASCII letter
+    @example("\uff21\uff42\uff43\uff11 abc1")  # fullwidth letters and digit
+    @example("x\u0661\u06622y")  # Arabic-Indic digits
+    @example("ab\ud800cd")  # a lone surrogate
+    @settings(max_examples=300, deadline=None)
+    def test_tokenize_matches_regex_reference(self, text):
+        assert tokenize(text) == re.findall(r"[a-z0-9]+", text.lower())
 
     @given(a=st.text(max_size=60), b=st.text(max_size=60))
     @settings(max_examples=150, deadline=None)
