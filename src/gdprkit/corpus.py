@@ -22,7 +22,7 @@ from typing import Iterable
 
 from .errors import CorpusSchemaError, SpanParseError
 
-_COMMIT_RE = re.compile(r"^[0-9a-fA-F]{40}$")
+_COMMIT_RE = re.compile(r"[0-9a-fA-F]{40}")
 
 # "line N" or "lines A-B" (hyphen or en-dash), case-insensitive.
 _LINE_SPEC_RE = re.compile(
@@ -160,7 +160,7 @@ def _record_from_obj(obj: object, index: int) -> ViolationRecord:
 
     if not isinstance(article, int) or isinstance(article, bool) or article < 1:
         raise CorpusSchemaError(index, "violated_article", f"must be a positive integer, got {article!r}")
-    if not isinstance(commit, str) or not _COMMIT_RE.match(commit):
+    if not isinstance(commit, str) or not _COMMIT_RE.fullmatch(commit):
         raise CorpusSchemaError(index, "commit_id", "must be a 40-char hex Git SHA")
     if not snippet:
         raise CorpusSchemaError(index, "code_snippet", "must be non-empty")

@@ -350,86 +350,49 @@ _CALL_PRECEDING_WORDS = frozenset(
 )
 
 
-def _scan_java_like(source: str) -> tuple[str, list[tuple[int, int, str]]]:
-    """Blank out comments and string contents, preserving offsets.
+# comments, text blocks, strings, character literals, tried in that order; the
+# body of each quoted form is its only named group, so a match without one is
+# a comment
+_JAVA_LIKE_RE = re.compile(
+    r"//[^\n]*|/\*.*?(?:\*/|\Z)"
+    r'|"""(?P<text>.*?)(?:"""|\Z)'
+    r'|"(?P<string>(?:\\.?|[^"\\])*)"?'
+    r"|'(?P<char>(?:\\.?|[^'\\])*)'?",
+    re.DOTALL,
+)
 
-    Returns the blanked text plus extracted literals as
-    ``(start_line, end_line, content)``.
+
+def _blank(text: str) -> str:
+    return "\n".join(" " * len(part) for part in text.split("\n"))
+
+
+def _scan_java_like(source: str, index: _LineIndex) -> tuple[str, list[tuple[int, int, str]]]:
+    """Blank out comments and quoted text, preserving offsets and newlines.
+
+    Comments (``//`` to the end of the line, ``/* ... */``) are blanked
+    whole; text blocks (triple-quoted), strings and character literals keep
+    their quotes and have their body blanked.  Every character but a
+    newline becomes a space.  Strings and text blocks may span lines; in a
+    string or character literal a backslash escapes the next character,
+    newline included.  Text that is not terminated runs to the end of the
+    source.
+
+    Returns the blanked text plus the body of each string and text block as
+    ``(start_line, end_line, content)``; character literals are blanked but
+    not returned.
     """
-    out = list(source)
     literals = []
-    line = 1
-    i = 0
-    n = len(source)
 
-    def blank(j: int) -> None:
-        if out[j] != "\n":
-            out[j] = " "
+    def blank(m: re.Match) -> str:
+        name = m.lastgroup
+        if name is None:
+            return _blank(m.group())
+        start, end = m.span(name)
+        if name != "char":
+            literals.append((index.line_of(m.start()), index.line_of(end), source[start:end]))
+        return source[m.start():start] + _blank(source[start:end]) + source[end:m.end()]
 
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            line += 1
-            i += 1
-            continue
-        if ch == "/" and i + 1 < n and source[i + 1] == "/":
-            while i < n and source[i] != "\n":
-                blank(i)
-                i += 1
-            continue
-        if ch == "/" and i + 1 < n and source[i + 1] == "*":
-            blank(i)
-            blank(i + 1)
-            i += 2
-            while i < n and not (source[i] == "*" and i + 1 < n and source[i + 1] == "/"):
-                if source[i] == "\n":
-                    line += 1
-                blank(i)
-                i += 1
-            if i < n:
-                blank(i)
-                blank(i + 1)
-                i += 2
-            continue
-        if ch == '"':
-            if source.startswith('"""', i):
-                start_line, start = line, i + 3
-                i += 3
-                while i < n and not source.startswith('"""', i):
-                    if source[i] == "\n":
-                        line += 1
-                    blank(i)
-                    i += 1
-                literals.append((start_line, line, source[start:i]))
-                i = min(i + 3, n)
-                continue
-            start_line, start = line, i + 1
-            i += 1
-            while i < n and source[i] != '"':
-                if source[i] == "\\" and i + 1 < n:
-                    blank(i)
-                    i += 1
-                if source[i] == "\n":
-                    line += 1
-                blank(i)
-                i += 1
-            literals.append((start_line, line, source[start:i]))
-            i += 1
-            continue
-        if ch == "'":
-            i += 1
-            while i < n and source[i] != "'":
-                if source[i] == "\\" and i + 1 < n:
-                    blank(i)
-                    i += 1
-                if source[i] == "\n":
-                    line += 1
-                blank(i)
-                i += 1
-            i += 1
-            continue
-        i += 1
-    return "".join(out), literals
+    return _JAVA_LIKE_RE.sub(blank, source), literals
 
 
 def _preceding_word(text: str, pos: int) -> str | None:
@@ -457,7 +420,7 @@ def structural_frontend(
     """
     table = table or default_pattern_table()
     index = _LineIndex(source)
-    blanked, literals = _scan_java_like(source)
+    blanked, literals = _scan_java_like(source, index)
     facts = []
 
     for m in _CLASS_DECL_RE.finditer(blanked):

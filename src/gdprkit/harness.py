@@ -611,10 +611,6 @@ def run(config: RunConfig) -> RunResult:
         "config": asdict(config),
         "datasets": datasets,
         "counts": counts,
-        "instances": [
-            {"instance_id": r.instance_id, "status": r.status, "reason": r.error}
-            for r in records
-        ],
         "timings": {"total_seconds": round(time.monotonic() - started, 3)},
     }
 

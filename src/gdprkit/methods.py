@@ -125,14 +125,9 @@ class InferenceConfig:
     temperature: float = 0.0
     top_p: float = 1.0
     max_response_tokens: int = 512
-    completions: int = 1
 
     def __post_init__(self):
-        check_field_types(
-            self, temperature=float, top_p=float, max_response_tokens=int, completions=int
-        )
-        if self.completions != 1:
-            raise ConfigurationError("reproducible runs require exactly one completion")
+        check_field_types(self, temperature=float, top_p=float, max_response_tokens=int)
         if self.temperature < 0:
             raise ConfigurationError("temperature must be >= 0")
         if not (0 < self.top_p <= 1):
@@ -217,7 +212,7 @@ class LiveHttpReasoner:
             "temperature": self.config.temperature,
             "top_p": self.config.top_p,
             "max_tokens": self.config.max_response_tokens,
-            "n": self.config.completions,
+            "n": 1,
         }
         headers = {"Content-Type": "application/json"}
         if self.api_key:

@@ -73,6 +73,7 @@ class TestLoadCorpus:
         "field,value",
         [
             ("Commit_ID", "not-a-sha"),
+            ("Commit_ID", VALID_COMMIT + "\n"),
             ("code_snippet", ""),
             ("annotation_note", "   "),
             ("violated_article", -3),

@@ -4,7 +4,7 @@ import dataclasses
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gdprkit import facts as facts_module
@@ -260,6 +260,114 @@ class TestWordPrefilter:
         with mock.patch.object(facts_module, "_word_matches", brute_force):
             slow = [lexical_fallback(source, language), structural_frontend(source, language)]
         assert fast == slow
+
+
+# Reference for TestJavaLikeScan: a character-by-character scan that the one
+# regex of _scan_java_like must agree with.
+def _reference_scan(source: str) -> tuple[str, list[tuple[int, int, str]]]:
+    """Blank out comments and string contents, preserving offsets.
+
+    Returns the blanked text plus extracted literals as
+    ``(start_line, end_line, content)``.
+    """
+    out = list(source)
+    literals = []
+    line = 1
+    i = 0
+    n = len(source)
+
+    def blank(j: int) -> None:
+        if out[j] != "\n":
+            out[j] = " "
+
+    while i < n:
+        ch = source[i]
+        if ch == "\n":
+            line += 1
+            i += 1
+            continue
+        if ch == "/" and i + 1 < n and source[i + 1] == "/":
+            while i < n and source[i] != "\n":
+                blank(i)
+                i += 1
+            continue
+        if ch == "/" and i + 1 < n and source[i + 1] == "*":
+            blank(i)
+            blank(i + 1)
+            i += 2
+            while i < n and not (source[i] == "*" and i + 1 < n and source[i + 1] == "/"):
+                if source[i] == "\n":
+                    line += 1
+                blank(i)
+                i += 1
+            if i < n:
+                blank(i)
+                blank(i + 1)
+                i += 2
+            continue
+        if ch == '"':
+            if source.startswith('"""', i):
+                start_line, start = line, i + 3
+                i += 3
+                while i < n and not source.startswith('"""', i):
+                    if source[i] == "\n":
+                        line += 1
+                    blank(i)
+                    i += 1
+                literals.append((start_line, line, source[start:i]))
+                i = min(i + 3, n)
+                continue
+            start_line, start = line, i + 1
+            i += 1
+            while i < n and source[i] != '"':
+                if source[i] == "\\" and i + 1 < n:
+                    blank(i)
+                    i += 1
+                if source[i] == "\n":
+                    line += 1
+                blank(i)
+                i += 1
+            literals.append((start_line, line, source[start:i]))
+            i += 1
+            continue
+        if ch == "'":
+            i += 1
+            while i < n and source[i] != "'":
+                if source[i] == "\\" and i + 1 < n:
+                    blank(i)
+                    i += 1
+                if source[i] == "\n":
+                    line += 1
+                blank(i)
+                i += 1
+            i += 1
+            continue
+        i += 1
+    return "".join(out), literals
+
+
+_SCAN_TOKENS = ['"', "'", "\\", "/*", "*/", "//", '"""', "/", "*", "\n", "\t", " ", "x", "é", "日"]
+
+
+class TestJavaLikeScan:
+    """The one-regex scan blanks and returns exactly what the loop did."""
+
+    @given(source=st.lists(st.sampled_from(_SCAN_TOKENS), max_size=40).map("".join))
+    @example('"abc')  # unterminated string
+    @example("a /* never closed\n x")  # unterminated block comment
+    @example('"""text\nblock')  # unterminated text block
+    @example('s = "say \\"hi\\"";')  # escaped quote inside a string
+    @example('"ends with \\')  # backslash as the last character
+    @example("c = '\\")  # ... and in a character literal
+    @example('"a\\\nb" + c')  # backslash before a newline inside a string
+    @example("c = '\"'; d = \"x\";")
+    @example('u = "//"; call();')
+    @example('/* "x" */ y = "z";')
+    @example('""""x"""')
+    @settings(max_examples=500, deadline=None)
+    def test_matches_character_loop(self, source):
+        index = facts_module._LineIndex(source)
+        assert facts_module._scan_java_like(source, index) == _reference_scan(source)
 
 
 class TestPatternTable:

@@ -128,6 +128,9 @@ class TestFormalRuns:
         out = result.output_dir
         for name in ("predictions.json", "manifest.json", "report.json", "report.md"):
             assert (out / name).exists()
+        # per-instance status and reasons live in predictions.json alone
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        assert list(manifest) == ["version", "config", "datasets", "counts", "timings"]
 
     def test_fixture_predictions_match_golden_hashes(self, workspace):
         """Formal predictions of both fixture tasks keep their recorded bytes."""
@@ -631,7 +634,8 @@ class TestRunConfig:
             RunConfig.from_file(path)
 
     @pytest.mark.parametrize(
-        "inference", [{"max_tokens": 256, "timeout": 30.0}, {"parallelism": 2}]
+        "inference",
+        [{"max_tokens": 256, "timeout": 30.0}, {"parallelism": 2}, {"completions": 1}],
     )
     def test_from_file_rejects_unknown_inference_keys(self, tmp_path, workspace, inference):
         path = tmp_path / "config.json"

@@ -8,6 +8,7 @@ import sqlite3
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -144,14 +145,12 @@ class TestInferenceConfig:
         config = InferenceConfig()
         assert config.temperature == 0.0
         assert config.top_p == 1.0
-        assert config.completions == 1
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"temperature": -0.1},
             {"top_p": 0.0},
-            {"completions": 2},
             {"max_response_tokens": 0},
         ],
     )
@@ -264,6 +263,25 @@ class TestReasoners:
             reasoner.complete("p")
         assert session.posts == LiveHttpReasoner.MAX_ATTEMPTS
         assert sleeps == [1.0, 2.0]
+
+    def test_live_reasoner_posts_sampling_settings(self):
+        class RecordingSession:
+            def __init__(self):
+                self.payloads = []
+
+            def post(self, url, json, **kwargs):
+                self.payloads.append(json)
+                return mock.Mock(json=lambda: {"text": "6"})
+
+        session = RecordingSession()
+        config = InferenceConfig(temperature=0.5, top_p=0.9, max_response_tokens=64)
+        reasoner = LiveHttpReasoner(
+            endpoint="http://x/v1", model="m", config=config, session=session
+        )
+        assert reasoner.complete("p") == "6"
+        assert session.payloads == [
+            {"model": "m", "prompt": "p", "temperature": 0.5, "top_p": 0.9, "max_tokens": 64, "n": 1}
+        ]
 
     def test_live_reasoner_reads_completion_shapes(self):
         class OkResponse:
