@@ -151,6 +151,7 @@ class TestInferenceConfig:
         [
             {"temperature": -0.1},
             {"top_p": 0.0},
+            {"top_p": 1.5},
             {"max_response_tokens": 0},
         ],
     )
