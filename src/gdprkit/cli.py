@@ -2,7 +2,7 @@
 
 Subcommands cover the whole workflow: corpus statistics, dataset
 generation, one-off analysis of a file or snippet, configured benchmark
-runs, standalone evaluation of stored predictions, and report formatting.
+runs, and re-scoring of a stored run into any report format.
 """
 
 from __future__ import annotations
@@ -15,17 +15,8 @@ from pathlib import Path
 from .corpus import compute_stats, detect_language, load_corpus
 from .engine import analyze_source, load_rules
 from .errors import GdprKitError
-from .harness import (
-    RunConfig,
-    emit_report,
-    evaluate_task1,
-    evaluate_task2,
-    load_predictions,
-    report_from_dict,
-    run,
-    RunReport,
-)
-from .taskgen import build_task1, build_task2, dump_entries, load_task1, load_task2
+from .harness import METHOD_NAMES, RunConfig, emit_report, evaluate_run, run
+from .taskgen import build_task1, build_task2, dump_entries
 
 
 def _cmd_stats(args) -> int:
@@ -120,28 +111,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    records = load_predictions(args.predictions)
-    if args.task == 1:
-        entries = load_task1(args.dataset)
-        ranking = evaluate_task1(entries, records)
-        report = RunReport(
-            task=1, method=args.method, universe_source="ground_truth",
-            ranking=ranking, labels=None,
-        )
-    else:
-        entries2 = load_task2(args.dataset)
-        labels = evaluate_task2(entries2, records)
-        report = RunReport(
-            task=2, method=args.method, universe_source="ground_truth",
-            ranking=None, labels=labels,
-        )
-    print(emit_report(report, args.format))
-    return 0
-
-
-def _cmd_report(args) -> int:
-    report = report_from_dict(json.loads(Path(args.input).read_text(encoding="utf-8")))
-    print(emit_report(report, args.format))
+    sys.stdout.write(emit_report(evaluate_run(args.run_dir), args.format))
     return 0
 
 
@@ -175,25 +145,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="run one method over one task dataset")
     p.add_argument("--task", type=int, choices=(1, 2))
-    p.add_argument("--method", choices=("formal", "zero_shot", "rag", "react"))
+    p.add_argument("--method", choices=METHOD_NAMES)
     p.add_argument("--config", help="run configuration JSON file")
     p.add_argument("--dataset", help="dataset path (overrides config)")
     p.add_argument("--corpus", help="corpus path (overrides config)")
     p.add_argument("--output-dir", help="output directory (overrides config)")
     p.set_defaults(func=_cmd_run)
 
-    p = sub.add_parser("evaluate", help="evaluate stored predictions against a dataset")
-    p.add_argument("--task", type=int, choices=(1, 2), required=True)
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--predictions", required=True)
-    p.add_argument("--method", default="unknown", help="method name for the report")
+    p = sub.add_parser("evaluate", help="re-score a run directory with the run's own config")
+    p.add_argument("run_dir", help="output directory of an earlier run")
     p.add_argument("--format", choices=("json", "markdown", "csv"), default="json")
     p.set_defaults(func=_cmd_evaluate)
-
-    p = sub.add_parser("report", help="reformat a stored report.json")
-    p.add_argument("--input", required=True)
-    p.add_argument("--format", choices=("json", "markdown", "csv"), default="markdown")
-    p.set_defaults(func=_cmd_report)
 
     return parser
 
@@ -203,10 +165,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except GdprKitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (GdprKitError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

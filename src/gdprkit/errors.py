@@ -25,7 +25,7 @@ class SpanParseError(GdprKitError):
 
 
 class InputError(GdprKitError):
-    """An analysis input is out of bounds for the given source."""
+    """An analysis input is out of bounds, or a stored dataset or prediction file is malformed."""
 
 
 class ConfigurationError(GdprKitError):

@@ -8,7 +8,8 @@ and cache-replay misses abort a run.  Prediction goes on past a replay miss,
 so the one ``ReplayMissError`` raised at its end, before any artifact is
 written, lists every key the cache lacks.  Everything written is byte-stable
 except the manifest's "timings" section, which determinism comparisons must
-drop.
+drop.  ``score`` is the only scoring path: ``run`` and ``evaluate_run`` both
+call it, so a run directory re-scores to its own report.json.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .engine import RuleCatalog, load_rules
 from .errors import (
     ConfigurationError,
     GdprKitError,
+    InputError,
     ReconciliationError,
     ReplayMissError,
 )
@@ -59,7 +61,7 @@ from .methods import (
     ZeroShotMethod,
     check_field_types,
 )
-from .taskgen import Task1Entry, Task2Entry, load_task1, load_task2
+from .taskgen import Task1Entry, Task2Entry, load_task1, load_task2, parse_entries
 
 log = logging.getLogger(__name__)
 
@@ -116,8 +118,13 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+
+    @classmethod
+    def from_dict(cls, raw) -> "RunConfig":
+        """Build and validate a config from its JSON form (a config file, or a manifest's "config")."""
         _check_keys(raw, cls, "config")
+        raw = dict(raw)
         inference = raw.pop("inference", None)
         if inference is not None:
             _check_keys(inference, InferenceConfig, "inference")
@@ -218,10 +225,13 @@ def task2_instances(entries: Sequence[Task2Entry]) -> list[Instance]:
 # Predictions
 
 
+STATUSES = ("scored", "errored", "skipped")
+
+
 @dataclass(frozen=True)
 class PredictionRecord:
     instance_id: str
-    status: str  # scored | errored | skipped
+    status: str  # one of STATUSES
     ranking: tuple[int, ...] = ()
     labels: tuple[int, ...] = ()
     error: str | None = None
@@ -389,35 +399,41 @@ def _join(
     return [(inst, by_id[inst.instance_id]) for inst in instances]
 
 
-def evaluate_task1(
-    entries: Sequence[Task1Entry], records: Sequence[PredictionRecord]
-) -> dict[str, RankingMetrics]:
-    """Join predictions to instances and compute accuracy@k per granularity.
-
-    Errored instances score with their (empty) recorded ranking; skipped
-    instances are excluded from the population.
-    """
-    pairs = _join(task1_instances(entries), records)
-    ranked = [
-        RankedInstance(inst.granularity, tuple(rec.ranking), inst.ground_truth)
-        for inst, rec in pairs
-        if rec.status != "skipped"
-    ]
-    return evaluate_rankings(ranked)
-
-
-def evaluate_task2(
-    entries: Sequence[Task2Entry],
+def score(
+    config: RunConfig,
+    entries: Sequence[Task1Entry] | Sequence[Task2Entry],
     records: Sequence[PredictionRecord],
-    universe: Sequence[int] | None = None,
-) -> LabelMetrics:
-    pairs = _join(task2_instances(entries), records)
-    labeled = [
-        LabeledInstance(frozenset(rec.labels), inst.ground_truth)
-        for inst, rec in pairs
-        if rec.status != "skipped"
-    ]
-    return evaluate_labels(labeled, universe)
+    catalog: dict[int, ArticleInfo] | None = None,
+) -> tuple[RunReport, dict[str, int]]:
+    """Score a run's records against its dataset: the report and the records per status.
+
+    Every record must join one instance and every instance one record, or
+    ReconciliationError is raised.  Task 1 gets accuracy@k per granularity;
+    task 2 gets label metrics over the ``article_universe`` of ``config``,
+    with ``catalog`` (the built-in one when None) as the catalog universe.
+    Errored instances score with their (empty) recorded prediction; skipped
+    instances are left out of the population.
+    """
+    instances = (task1_instances if config.task == 1 else task2_instances)(entries)
+    counts = dict.fromkeys(STATUSES, 0)
+    kept = []
+    for inst, rec in _join(instances, records):
+        counts[rec.status] += 1
+        if rec.status != "skipped":
+            kept.append((inst, rec))
+    ranking = labels = None
+    if config.task == 1:
+        ranking = evaluate_rankings(
+            [RankedInstance(inst.granularity, rec.ranking, inst.ground_truth) for inst, rec in kept]
+        )
+    else:
+        universe = None
+        if config.article_universe == "catalog":
+            universe = sorted(article_catalog() if catalog is None else catalog)
+        labels = evaluate_labels(
+            [LabeledInstance(frozenset(rec.labels), inst.ground_truth) for inst, rec in kept], universe
+        )
+    return RunReport(config.task, config.method, config.article_universe, ranking, labels), counts
 
 
 # ---------------------------------------------------------------------------
@@ -442,41 +458,6 @@ class RunReport:
             else None,
             "labels": self.labels.to_dict() if self.labels is not None else None,
         }
-
-
-def report_from_dict(obj: dict) -> RunReport:
-    ranking = None
-    if obj.get("ranking") is not None:
-        ranking = {
-            g: RankingMetrics(
-                granularity=m["granularity"],
-                n_instances=m["n_instances"],
-                accuracy_at={int(k): v for k, v in m["accuracy_at"].items()},
-            )
-            for g, m in obj["ranking"].items()
-        }
-    labels = None
-    if obj.get("labels") is not None:
-        m = obj["labels"]
-        labels = LabelMetrics(
-            n_instances=m["n_instances"],
-            universe=tuple(m["universe"]),
-            accuracy=m["accuracy"],
-            macro_precision=m["macro_precision"],
-            macro_recall=m["macro_recall"],
-            macro_f1=m["macro_f1"],
-            per_article={
-                int(a): (v["precision"], v["recall"], v["f1"])
-                for a, v in m["per_article"].items()
-            },
-        )
-    return RunReport(
-        task=obj["task"],
-        method=obj["method"],
-        universe_source=obj.get("universe_source", "ground_truth"),
-        ranking=ranking,
-        labels=labels,
-    )
 
 
 def emit_report(report: RunReport, fmt: str = "json") -> str:
@@ -512,6 +493,10 @@ def _markdown_report(report: RunReport) -> str:
         lines.append(
             f"| {report.method} | {m.accuracy:.3f} | {m.macro_precision:.3f} "
             f"| {m.macro_recall:.3f} | {m.macro_f1:.3f} |"
+        )
+        lines.append("")
+        lines.append(
+            f"Macro metrics over {len(m.universe)} articles (universe: {report.universe_source})"
         )
         lines.append("")
     return "\n".join(lines)
@@ -550,20 +535,6 @@ class RunResult:
     output_dir: Path
 
 
-def _status_counts(
-    instances: Sequence[Instance], records: Sequence[PredictionRecord]
-) -> dict[str, int]:
-    """Records per status, which must account for every instance exactly once.
-
-    Raises ReconciliationError when records and instances do not join
-    one-to-one.
-    """
-    counts = {"scored": 0, "errored": 0, "skipped": 0}
-    for _, record in _join(instances, records):
-        counts[record.status] += 1
-    return counts
-
-
 def run(config: RunConfig) -> RunResult:
     """Predict, evaluate, and write all artifacts for one configured run."""
     started = time.monotonic()
@@ -581,27 +552,7 @@ def run(config: RunConfig) -> RunResult:
         if cache is not None:
             cache.close()
 
-    if config.task == 1:
-        instances: list[Instance] = task1_instances(entries)
-        ranking = evaluate_task1(entries, records)
-        labels_metrics = None
-    else:
-        instances = task2_instances(entries)
-        universe = None
-        if config.article_universe == "catalog":
-            universe = sorted(article_catalog() if catalog is None else catalog)
-        ranking = None
-        labels_metrics = evaluate_task2(entries, records, universe)
-
-    report = RunReport(
-        task=config.task,
-        method=config.method,
-        universe_source=config.article_universe,
-        ranking=ranking,
-        labels=labels_metrics,
-    )
-
-    counts = _status_counts(instances, records)
+    report, counts = score(config, entries, records, catalog)
 
     datasets = {"dataset": {"path": config.dataset_path, "sha256": _sha256_file(config.dataset_path)}}
     if config.corpus_path:
@@ -629,15 +580,42 @@ def run(config: RunConfig) -> RunResult:
     return RunResult(config, records, report, manifest, out)
 
 
+def evaluate_run(run_dir: str | Path) -> RunReport:
+    """Re-score a run directory's predictions.json into the report the run wrote.
+
+    The config is the one in the run's manifest.json, so its paths resolve
+    as they did for the run.  A dataset whose sha256 differs from the one
+    the manifest recorded is refused with ConfigurationError.
+    """
+    run_dir = Path(run_dir)
+    manifest = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))
+    try:
+        raw_config, recorded = manifest["config"], manifest["datasets"]["dataset"]["sha256"]
+    except (KeyError, TypeError):
+        raise ConfigurationError(f"{run_dir / 'manifest.json'} is not a run manifest") from None
+    config = RunConfig.from_dict(raw_config)
+    if _sha256_file(config.dataset_path) != recorded:
+        raise ConfigurationError(
+            f"dataset {config.dataset_path} has changed since the run: "
+            f"its sha256 is not the one recorded in {run_dir / 'manifest.json'}"
+        )
+    entries = (load_task1 if config.task == 1 else load_task2)(config.dataset_path)
+    catalog = load_articles(config.articles_path) if config.articles_path else None
+    return score(config, entries, load_predictions(run_dir / "predictions.json"), catalog)[0]
+
+
 def load_predictions(path: str | Path) -> list[PredictionRecord]:
     raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    return [
-        PredictionRecord(
-            instance_id=obj["instance_id"],
-            status=obj["status"],
-            ranking=tuple(obj.get("ranking", ())),
-            labels=tuple(obj.get("labels", ())),
-            error=obj.get("error"),
-        )
-        for obj in raw["predictions"]
-    ]
+    return parse_entries(raw.get("predictions") if isinstance(raw, dict) else None, path, _prediction)
+
+
+def _prediction(obj: dict) -> PredictionRecord:
+    if obj["status"] not in STATUSES:
+        raise InputError(f"status must be one of {STATUSES}, got {obj['status']!r}")
+    return PredictionRecord(
+        instance_id=obj["instance_id"],
+        status=obj["status"],
+        ranking=tuple(obj.get("ranking", ())),
+        labels=tuple(obj.get("labels", ())),
+        error=obj.get("error"),
+    )

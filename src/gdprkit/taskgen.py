@@ -16,6 +16,7 @@ import logging
 import re
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, TypeVar
 
 from .corpus import (
     SpanRef,
@@ -25,8 +26,11 @@ from .corpus import (
     split_snippet_path,
     write_atomic,
 )
+from .errors import InputError
 
 log = logging.getLogger(__name__)
+
+T = TypeVar("T")
 
 # Declaration syntax shared by Java/Kotlin/C#/PHP/Python/JS.
 _CLASS_DECL_RE = re.compile(r"\bclass\s+([A-Za-z_][A-Za-z0-9_]*)")
@@ -192,47 +196,66 @@ def entries_json(entries: list[Task1Entry] | list[Task2Entry]) -> str:
     return json.dumps([e.to_dict() for e in entries], indent=2, ensure_ascii=False) + "\n"
 
 
-def load_task1(path: str | Path) -> list[Task1Entry]:
-    with open(path, encoding="utf-8") as f:
-        raw = json.load(f)
-    entries = []
-    for obj in raw:
-        entries.append(
-            Task1Entry(
-                repo_url=obj["repo_url"],
-                app_name=obj["app_name"],
-                commit_id=obj["commit_id"],
-                file_path=obj["file_path"],
-                file_level=frozenset(obj["file_level"]),
-                module_level={k: frozenset(v) for k, v in obj["module_level"].items()},
-                line_level=tuple(
-                    LineViolation(
-                        span=SpanRef(
-                            item["span"]["file_path"],
-                            item["span"]["start_line"],
-                            item["span"]["end_line"],
-                        ),
-                        articles=frozenset(item["articles"]),
-                        description=item["description"],
-                    )
-                    for item in obj["line_level"]
+def parse_entries(raw, where: str | Path, build: Callable[[dict], T]) -> list[T]:
+    """``build`` applied to each object of ``raw``, a JSON array read from ``where``.
+
+    A document that is not an array raises InputError; so does an entry that
+    is not an object, lacks a key ``build`` reads, holds a value of the wrong
+    type, or makes ``build`` raise InputError, and then the message names the
+    entry's index.
+    """
+    if not isinstance(raw, list):
+        raise InputError(f"{where}: expected a JSON array of entries, got {type(raw).__name__}")
+    out = []
+    for i, obj in enumerate(raw):
+        try:
+            if not isinstance(obj, dict):
+                raise InputError(f"expected a JSON object, got {type(obj).__name__}")
+            out.append(build(obj))
+        except KeyError as exc:
+            raise InputError(f"{where}: entry {i}: missing key {exc.args[0]!r}") from None
+        except (InputError, TypeError, AttributeError) as exc:
+            raise InputError(f"{where}: entry {i}: {exc}") from None
+    return out
+
+
+def _task1_entry(obj: dict) -> Task1Entry:
+    return Task1Entry(
+        repo_url=obj["repo_url"],
+        app_name=obj["app_name"],
+        commit_id=obj["commit_id"],
+        file_path=obj["file_path"],
+        file_level=frozenset(obj["file_level"]),
+        module_level={k: frozenset(v) for k, v in obj["module_level"].items()},
+        line_level=tuple(
+            LineViolation(
+                span=SpanRef(
+                    item["span"]["file_path"],
+                    item["span"]["start_line"],
+                    item["span"]["end_line"],
                 ),
+                articles=frozenset(item["articles"]),
+                description=item["description"],
             )
-        )
-    return entries
+            for item in obj["line_level"]
+        ),
+    )
+
+
+def _task2_entry(obj: dict) -> Task2Entry:
+    return Task2Entry(
+        repo_url=obj["repo_url"],
+        app_name=obj["app_name"],
+        commit_id=obj["commit_id"],
+        code_snippet_path=obj["code_snippet_path"],
+        code_snippet=obj["code_snippet"],
+        violated_articles=tuple(obj["violated_articles"]),
+    )
+
+
+def load_task1(path: str | Path) -> list[Task1Entry]:
+    return parse_entries(json.loads(Path(path).read_text(encoding="utf-8")), path, _task1_entry)
 
 
 def load_task2(path: str | Path) -> list[Task2Entry]:
-    with open(path, encoding="utf-8") as f:
-        raw = json.load(f)
-    return [
-        Task2Entry(
-            repo_url=obj["repo_url"],
-            app_name=obj["app_name"],
-            commit_id=obj["commit_id"],
-            code_snippet_path=obj["code_snippet_path"],
-            code_snippet=obj["code_snippet"],
-            violated_articles=tuple(obj["violated_articles"]),
-        )
-        for obj in raw
-    ]
+    return parse_entries(json.loads(Path(path).read_text(encoding="utf-8")), path, _task2_entry)

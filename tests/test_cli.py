@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -111,63 +112,84 @@ class TestRun:
         assert (tmp_path / "cfg-out" / "predictions.json").exists()
 
 
+def run_formal(tmp_path, task: int, dataset, **fields) -> Path:
+    """Run the formal method through ``run --config`` and return the output directory."""
+    out_dir = tmp_path / f"task{task}-formal"
+    config = {"task": task, "method": "formal", "dataset_path": str(dataset), "output_dir": str(out_dir)}
+    if task == 1:
+        config["corpus_path"] = CORPUS
+    config.update(fields)
+    config_path = tmp_path / f"task{task}-config.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    assert main(["run", "--config", str(config_path)]) == 0
+    return out_dir
+
+
 class TestEvaluateAndReport:
     def test_evaluate_stored_predictions(self, task2_path, tmp_path, capsys):
-        out_dir = tmp_path / "out"
-        main(
-            [
-                "run",
-                "--task",
-                "2",
-                "--method",
-                "formal",
-                "--dataset",
-                str(task2_path),
-                "--output-dir",
-                str(out_dir),
-            ]
-        )
+        out_dir = run_formal(tmp_path, 2, task2_path)
         capsys.readouterr()
-        code = main(
-            [
-                "evaluate",
-                "--task",
-                "2",
-                "--dataset",
-                str(task2_path),
-                "--predictions",
-                str(out_dir / "predictions.json"),
-                "--method",
-                "formal",
-                "--format",
-                "json",
-            ]
-        )
-        assert code == 0
+        assert main(["evaluate", str(out_dir), "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["labels"]["accuracy"] == pytest.approx(0.75)
 
     def test_report_reformats_to_markdown(self, task2_path, tmp_path, capsys):
-        out_dir = tmp_path / "out"
-        main(
-            [
-                "run",
-                "--task",
-                "2",
-                "--method",
-                "formal",
-                "--dataset",
-                str(task2_path),
-                "--output-dir",
-                str(out_dir),
-            ]
-        )
+        out_dir = run_formal(tmp_path, 2, task2_path)
         capsys.readouterr()
-        code = main(
-            ["report", "--input", str(out_dir / "report.json"), "--format", "markdown"]
-        )
-        assert code == 0
-        assert "# Task 2 results" in capsys.readouterr().out
+        assert main(["evaluate", str(out_dir), "--format", "markdown"]) == 0
+        out = capsys.readouterr().out
+        assert "# Task 2 results" in out
+        assert out == (out_dir / "report.md").read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("task", [1, 2])
+    def test_evaluate_reproduces_the_runs_own_report(self, task, tmp_path, capsys):
+        dataset = tmp_path / f"task{task}.json"
+        assert main([f"gen-task{task}", CORPUS, "-o", str(dataset)]) == 0
+        out_dir = run_formal(tmp_path, task, dataset, article_universe="catalog")
+        capsys.readouterr()
+        assert main(["evaluate", str(out_dir)]) == 0
+        assert capsys.readouterr().out.encode("utf-8") == (out_dir / "report.json").read_bytes()
+        assert main(["evaluate", str(out_dir), "--format", "markdown"]) == 0
+        assert capsys.readouterr().out.encode("utf-8") == (out_dir / "report.md").read_bytes()
+        if task == 2:
+            assert json.loads((out_dir / "report.json").read_text())["universe_source"] == "catalog"
+
+    def test_evaluate_refuses_a_dataset_edited_after_the_run(self, task2_path, tmp_path, capsys):
+        out_dir = run_formal(tmp_path, 2, task2_path)
+        capsys.readouterr()
+        task2_path.write_text(task2_path.read_text() + "\n")
+        assert main(["evaluate", str(out_dir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "sha256" in captured.err
+
+    def test_evaluate_refuses_a_directory_without_a_run_manifest(self, tmp_path, capsys):
+        (tmp_path / "manifest.json").write_text("[]")
+        assert main(["evaluate", str(tmp_path)]) == 2
+        assert "not a run manifest" in capsys.readouterr().err
+
+
+class TestMalformedJson:
+    @pytest.mark.parametrize("command", ["run-config", "run-dataset", "stats", "evaluate"])
+    def test_malformed_json_file_is_an_error_line(self, command, task2_path, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"task": 2,')
+        if command == "run-config":
+            argv = ["run", "--config", str(bad)]
+        elif command == "run-dataset":
+            argv = ["run", "--task", "2", "--method", "formal", "--dataset", str(bad),
+                    "--output-dir", str(tmp_path / "out")]
+        elif command == "stats":
+            argv = ["stats", str(bad)]
+        else:
+            out_dir = run_formal(tmp_path, 2, task2_path)
+            (out_dir / "manifest.json").write_text('{"config": ')
+            argv = ["evaluate", str(out_dir)]
+        capsys.readouterr()
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "Traceback" not in captured.err
 
 
 class TestEntryPoint:

@@ -16,23 +16,22 @@ from gdprkit import harness, knowledge, methods
 from gdprkit.corpus import dump_corpus, load_corpus
 from gdprkit.errors import (
     ConfigurationError,
+    InputError,
     MethodError,
     ReconciliationError,
     ReplayMissError,
 )
 from gdprkit.harness import (
     PredictionRecord,
-    _status_counts,
     RunConfig,
     emit_report,
-    evaluate_task1,
-    evaluate_task2,
+    evaluate_run,
     load_predictions,
     predict_task1,
     predict_task2,
     reconstruct_source,
-    report_from_dict,
     run,
+    score,
     task1_instances,
     task2_instances,
 )
@@ -55,6 +54,12 @@ def workspace(tmp_path_factory):
         "task1": str(task1_path),
         "task2": str(task2_path),
     }
+
+
+def formal_config(workspace, task: int, **fields) -> RunConfig:
+    """A formal run over the fixture dataset of ``task``."""
+    corpus = {"corpus_path": workspace["corpus_path"]} if task == 1 else {}
+    return RunConfig(task=task, method="formal", dataset_path=workspace[f"task{task}"], **corpus, **fields)
 
 
 class TestReconstructSource:
@@ -524,7 +529,7 @@ class TestErrorAndSkipPaths:
         entries = load_task2(workspace["task2"])
         records = predict_task2(entries, FailingMethod())
         assert all(r.status == "errored" for r in records)
-        metrics = evaluate_task2(entries, records, None)
+        metrics = score(formal_config(workspace, 2), entries, records)[0].labels
         assert metrics.macro_recall == 0.0
         assert metrics.n_instances == 10
 
@@ -534,8 +539,9 @@ class TestErrorAndSkipPaths:
         records = predict_task1(entries, corpus, FailingMethod())
         assert len(records) == 23
         assert all(r.status == "errored" for r in records)
-        ranking = evaluate_task1(entries, records)
-        assert ranking["file"].accuracy_at[5] == 0.0
+        report, counts = score(formal_config(workspace, 1), entries, records)
+        assert report.ranking["file"].accuracy_at[5] == 0.0
+        assert counts == {"scored": 0, "errored": 23, "skipped": 0}
 
     def test_foreign_exceptions_become_errored_records_named_by_type(self, workspace, caplog):
         method = FailingMethod(TypeError("unsupported operand"))
@@ -766,11 +772,38 @@ class TestReports:
         with pytest.raises(ConfigurationError):
             emit_report(task2_report, "yaml")
 
-    def test_report_json_round_trips(self, task2_report, task1_report):
-        for report in (task2_report, task1_report):
-            text = emit_report(report, "json")
-            again = report_from_dict(json.loads(text))
-            assert emit_report(again, "json") == text
+    def test_report_json_round_trips(self, workspace, task2_report, task1_report):
+        for name, report in (("t2-report", task2_report), ("t1-report", task1_report)):
+            text = (workspace["root"] / name / "report.json").read_text(encoding="utf-8")
+            assert emit_report(report, "json") == text
+            assert emit_report(evaluate_run(workspace["root"] / name), "json") == text
+
+    @pytest.mark.parametrize("universe, size", [("catalog", 23), ("ground_truth", 6)])
+    def test_markdown_states_the_label_universe(self, workspace, universe, size):
+        report = run(
+            formal_config(
+                workspace, 2, article_universe=universe, output_dir=str(workspace["root"] / f"t2-{universe}")
+            )
+        ).report
+        text = emit_report(report, "markdown")
+        assert "\n| formal |" in text
+        assert text.endswith(f" |\n\nMacro metrics over {size} articles (universe: {universe})\n")
+
+    @pytest.mark.parametrize(
+        "predictions, message",
+        [
+            ([{"instance_id": "t2-0001", "status": "done"}], "entry 0: status must be one of"),
+            ([{"status": "scored"}], "entry 0: missing key 'instance_id'"),
+            (["t2-0001"], "entry 0: expected a JSON object"),
+            ([{"instance_id": "t2-0001", "status": "scored", "ranking": 5}], "entry 0: 'int' object"),
+        ],
+        ids=["unknown-status", "missing-key", "entry-not-an-object", "wrong-type"],
+    )
+    def test_malformed_predictions_rejected(self, tmp_path, predictions, message):
+        path = tmp_path / "predictions.json"
+        path.write_text(json.dumps({"version": 1, "predictions": predictions}), encoding="utf-8")
+        with pytest.raises(InputError, match=message):
+            load_predictions(path)
 
     def test_predictions_file_round_trips(self, workspace):
         result = run(
@@ -797,20 +830,23 @@ class TestReconciliation:
         ]
         records.append(PredictionRecord("t2-9999", "scored", ranking=()))
         with pytest.raises(ReconciliationError) as err:
-            evaluate_task2(entries, records, None)
+            score(formal_config(workspace, 2), entries, records)
         assert "t2-9999" in err.value.orphan_ids
         assert instances[-1].instance_id in err.value.missing_ids
 
     def test_status_counts_require_one_record_per_instance(self, workspace):
-        instances = task2_instances(load_task2(workspace["task2"]))
+        entries = load_task2(workspace["task2"])
+        instances = task2_instances(entries)
         records = [
             PredictionRecord(inst.instance_id, status)
             for inst, status in zip(instances, ("scored", "errored", "skipped"))
         ]
         with pytest.raises(ReconciliationError) as err:
-            _status_counts(instances, records)
+            score(formal_config(workspace, 2), entries, records)
         assert err.value.missing_ids == [inst.instance_id for inst in instances[3:]]
-        assert _status_counts(instances[:3], records) == {"scored": 1, "errored": 1, "skipped": 1}
+        report, counts = score(formal_config(workspace, 2), entries[:3], records)
+        assert counts == {"scored": 1, "errored": 1, "skipped": 1}
+        assert report.labels.n_instances == 2
 
     def test_duplicate_prediction_ids_detected(self, workspace):
         entries = load_task2(workspace["task2"])
@@ -820,4 +856,4 @@ class TestReconciliation:
         ]
         records.append(records[0])
         with pytest.raises(ReconciliationError):
-            evaluate_task2(entries, records, None)
+            score(formal_config(workspace, 2), entries, records)

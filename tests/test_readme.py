@@ -1,9 +1,11 @@
 """The JSON examples in README.md load as shown."""
 
+import argparse
 import json
 import re
 from pathlib import Path
 
+from gdprkit.cli import build_parser
 from gdprkit.corpus import load_corpus
 from gdprkit.engine import load_rules
 from gdprkit.harness import RunConfig
@@ -11,11 +13,15 @@ from gdprkit.harness import RunConfig
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
+def readme_section(heading: str) -> str:
+    """The text under a second-level README heading."""
+    section = README.read_text(encoding="utf-8").split(f"\n## {heading}\n", 1)[1]
+    return section.split("\n## ", 1)[0]
+
+
 def json_block(heading: str) -> str:
     """The first fenced JSON block under a second-level README heading."""
-    section = README.read_text(encoding="utf-8").split(f"\n## {heading}\n", 1)[1]
-    section = section.split("\n## ", 1)[0]
-    return re.search(r"```json\n(.*?)```", section, re.DOTALL).group(1)
+    return re.search(r"```json\n(.*?)```", readme_section(heading), re.DOTALL).group(1)
 
 
 def test_readme_json_examples_load(tmp_path):
@@ -35,3 +41,9 @@ def test_readme_json_examples_load(tmp_path):
     rule = json.loads(json_block("Library layout"))
     rules_path.write_text(json.dumps({"rules": [rule]}), encoding="utf-8")
     assert [r.id for r in load_rules(rules_path)] == [rule["id"]]
+
+
+def test_readme_cli_table_lists_every_subcommand():
+    documented = re.findall(r"^\| `([a-z0-9-]+)[ `]", readme_section("CLI"), re.MULTILINE)
+    [subparsers] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert documented == list(subparsers.choices)

@@ -1,9 +1,12 @@
 """Task dataset builders: grouping, module inference, serialization."""
 
+import json
 import logging
 
+import pytest
 
 from gdprkit.corpus import ViolationRecord
+from gdprkit.errors import InputError
 from gdprkit.taskgen import (
     Task1Entry,
     Task2Entry,
@@ -178,3 +181,27 @@ class TestSerialization:
         assert entries_json(build_task2(fixture_corpus)) == entries_json(
             build_task2(fixture_corpus)
         )
+
+
+class TestLoadValidation:
+    """A stored dataset of the wrong shape is an InputError naming the entry and key."""
+
+    @pytest.mark.parametrize("task", [1, 2])
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (lambda entries: {"entries": entries}, "expected a JSON array of entries, got dict"),
+            (lambda entries: [entries[0], "t2-0002"], "entry 1: expected a JSON object, got str"),
+            (lambda entries: [entries[0], {k: v for k, v in entries[1].items() if k != "app_name"}],
+             "entry 1: missing key 'app_name'"),
+            (lambda entries: [entries[0], {**entries[1], "file_level": 5, "violated_articles": 5}],
+             "entry 1: 'int' object is not iterable"),
+        ],
+        ids=["not-an-array", "entry-not-an-object", "missing-key", "wrong-type"],
+    )
+    def test_malformed_dataset_rejected(self, tmp_path, task, damage, message):
+        entries = json.loads((GOLDEN_DIR / f"task{task}_fixture.json").read_text(encoding="utf-8"))
+        path = tmp_path / "dataset.json"
+        path.write_text(json.dumps(damage(entries)), encoding="utf-8")
+        with pytest.raises(InputError, match=message):
+            (load_task1 if task == 1 else load_task2)(path)
