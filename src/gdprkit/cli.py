@@ -12,7 +12,7 @@ import json
 import sys
 from pathlib import Path
 
-from .corpus import compute_stats, detect_language, load_corpus
+from .corpus import compute_stats, detect_language, load_corpus, read_json
 from .engine import analyze_source, load_rules
 from .errors import GdprKitError
 from .harness import METHOD_NAMES, RunConfig, emit_report, evaluate_run, run
@@ -76,29 +76,17 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    if args.config:
-        config = RunConfig.from_file(args.config)
-        if args.task is not None:
-            config.task = args.task
-        if args.method:
-            config.method = args.method
-        if args.dataset:
-            config.dataset_path = args.dataset
-        if args.corpus:
-            config.corpus_path = args.corpus
-        if args.output_dir:
-            config.output_dir = args.output_dir
-        config.__post_init__()
-    else:
-        if args.task is None or not args.method or not args.dataset:
-            raise GdprKitError("run needs --config or all of --task, --method, --dataset")
-        config = RunConfig(
-            task=args.task,
-            method=args.method,
-            dataset_path=args.dataset,
-            corpus_path=args.corpus,
-            output_dir=args.output_dir or "runs/latest",
-        )
+    flags = {
+        "task": args.task,
+        "method": args.method,
+        "dataset_path": args.dataset,
+        "corpus_path": args.corpus,
+        "output_dir": args.output_dir,
+    }
+    config = RunConfig.from_dict(
+        read_json(args.config) if args.config else {},
+        **{key: value for key, value in flags.items() if value is not None},
+    )
     result = run(config)
     counts = result.manifest["counts"]
     print(
@@ -165,7 +153,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (GdprKitError, OSError, json.JSONDecodeError) as exc:
+    except (GdprKitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
-from .errors import CorpusSchemaError, SpanParseError
+from .errors import CorpusSchemaError, InputError, SpanParseError
 
 _COMMIT_RE = re.compile(r"[0-9a-fA-F]{40}")
 
@@ -176,13 +176,21 @@ def load_corpus(path: str | Path) -> list[ViolationRecord]:
     """Load a JSON corpus file, preserving input order.
 
     Raises CorpusSchemaError naming the record index and field on a schema
-    violation, OSError if the file cannot be read.
+    violation, InputError if the file is not JSON, OSError if it cannot be
+    read.
     """
-    with open(path, encoding="utf-8") as f:
-        raw = json.load(f)
+    raw = read_json(path)
     if not isinstance(raw, list):
         raise CorpusSchemaError(0, "<document>", "top-level value must be an array")
     return [_record_from_obj(obj, i) for i, obj in enumerate(raw)]
+
+
+def read_json(path: str | Path):
+    """The JSON document in ``path``; one that does not decode raises InputError naming the file."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+        raise InputError(f"{path}: {exc}") from None
 
 
 def dump_corpus(records: list[ViolationRecord], path: str | Path) -> None:

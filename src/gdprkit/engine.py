@@ -13,14 +13,13 @@ ascending article number so output is fully deterministic.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .corpus import SpanRef
+from .corpus import SpanRef, read_json
 from .errors import InputError, RuleLoadError
 from .facts import (
     SENSITIVE_CATEGORIES,
@@ -249,7 +248,7 @@ class RuleCatalog:
 
 
 def load_rules(path: str | Path | None = None) -> RuleCatalog:
-    raw = json.loads(Path(path or _DATA_DIR / "rules.json").read_text(encoding="utf-8"))
+    raw = read_json(path or _DATA_DIR / "rules.json")
     known = set(atom_inventory())
     rules: list[Rule] = []
     seen: set[str] = set()

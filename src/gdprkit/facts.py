@@ -10,14 +10,13 @@ scan driven by the same pattern table, so every input yields *some* facts.
 from __future__ import annotations
 
 import bisect
-import json
 import re
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .corpus import SpanRef
+from .corpus import SpanRef, read_json
 from .errors import ConfigurationError
 
 _DATA_DIR = Path(__file__).parent / "data"
@@ -169,7 +168,7 @@ class PatternTable:
 
 
 def load_pattern_table(path: str | Path | None = None) -> PatternTable:
-    raw = json.loads(Path(path or _DATA_DIR / "patterns.json").read_text(encoding="utf-8"))
+    raw = read_json(path or _DATA_DIR / "patterns.json")
     entries = []
     for obj in raw["patterns"]:
         match = obj.get("match", "word")

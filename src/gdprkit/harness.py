@@ -18,7 +18,7 @@ import hashlib
 import json
 import logging
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -27,6 +27,7 @@ from .corpus import (
     detect_language,
     group_by_file,
     load_corpus,
+    read_json,
     split_snippet_path,
     write_atomic,
 )
@@ -51,7 +52,6 @@ from .methods import (
     CacheReplayReasoner,
     CachingReasoner,
     FormalMethod,
-    InferenceConfig,
     LiveHttpReasoner,
     RagMethod,
     ReactMethod,
@@ -59,7 +59,6 @@ from .methods import (
     ResponseCache,
     ScriptedReasoner,
     ZeroShotMethod,
-    check_field_types,
 )
 from .taskgen import Task1Entry, Task2Entry, load_task1, load_task2, parse_entries
 
@@ -71,6 +70,9 @@ REASONER_BINDINGS = ("live", "cache_replay", "stub")
 
 @dataclass
 class RunConfig:
+    """One run's settings.  ``task`` is the int 1 or 2; every other field is a
+    string, or None where its default is None."""
+
     task: int
     method: str
     dataset_path: str
@@ -82,25 +84,16 @@ class RunConfig:
     replay_reasoner_id: str | None = None
     rules_path: str | None = None
     articles_path: str | None = None
-    kb_top_n: int = 3
-    label_threshold: float = 1.0
-    max_labels: int = 3
-    max_iterations: int = 5
-    strict_parsing: bool = True
     article_universe: str = "ground_truth"  # or "catalog"
-    inference: InferenceConfig = field(default_factory=InferenceConfig)
 
     def __post_init__(self):
-        check_field_types(
-            self, task=int, kb_top_n=int, max_labels=int, max_iterations=int,
-            label_threshold=float, strict_parsing=bool,
-        )
-        if self.kb_top_n < 0 or self.max_labels < 0:
-            raise ConfigurationError("kb_top_n and max_labels must be >= 0")
-        if self.max_iterations < 1:
-            raise ConfigurationError("max_iterations must be >= 1")
-        if self.task not in (1, 2):
+        if type(self.task) is not int or self.task not in (1, 2):
             raise ConfigurationError(f"task must be 1 or 2, got {self.task!r}")
+        for f in fields(self)[1:]:  # every field after task
+            value = getattr(self, f.name)
+            if not isinstance(value, str) and not (value is None and f.default is None):
+                kind = "a string or null" if f.default is None else "a string"
+                raise ConfigurationError(f"{f.name} must be {kind}, got {value!r}")
         if self.method not in METHOD_NAMES:
             raise ConfigurationError(f"method must be one of {METHOD_NAMES}, got {self.method!r}")
         if self.reasoner not in REASONER_BINDINGS:
@@ -118,27 +111,23 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        return cls.from_dict(read_json(path))
 
     @classmethod
-    def from_dict(cls, raw) -> "RunConfig":
-        """Build and validate a config from its JSON form (a config file, or a manifest's "config")."""
-        _check_keys(raw, cls, "config")
-        raw = dict(raw)
-        inference = raw.pop("inference", None)
-        if inference is not None:
-            _check_keys(inference, InferenceConfig, "inference")
-            raw["inference"] = InferenceConfig(**inference)
+    def from_dict(cls, raw, **overrides) -> "RunConfig":
+        """Build and validate a config from its JSON form (a config file, or a
+        manifest's "config"), with ``overrides`` replacing or adding keys."""
+        if not isinstance(raw, dict):
+            raise ConfigurationError(f"config must be a JSON object, got {type(raw).__name__}")
+        raw = {**raw, **overrides}
+        names = {f.name: f.default is MISSING for f in fields(cls)}
+        unknown = sorted(set(raw) - set(names))
+        if unknown:
+            raise ConfigurationError(f"unknown config keys: {unknown}")
+        missing = [name for name, required in names.items() if required and name not in raw]
+        if missing:
+            raise ConfigurationError(f"config lacks required keys: {missing}")
         return cls(**raw)
-
-
-def _check_keys(raw, cls, what: str) -> None:
-    """Reject a run-config block that is not a JSON object or has unknown keys."""
-    if not isinstance(raw, dict):
-        raise ConfigurationError(f"{what} must be a JSON object, got {type(raw).__name__}")
-    unknown = set(raw) - {f.name for f in fields(cls)}
-    if unknown:
-        raise ConfigurationError(f"unknown {what} keys: {sorted(unknown)}")
 
 
 # ---------------------------------------------------------------------------
@@ -246,13 +235,22 @@ class PredictionRecord:
         }
 
 
+# The input files a run's manifest records in its "datasets" block, by config field.
+_INPUT_FIELDS = {
+    "dataset": "dataset_path",
+    "corpus": "corpus_path",
+    "rules": "rules_path",
+    "articles": "articles_path",
+}
+
+
 def _sha256_file(path: str | Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def _build_reasoner(config: RunConfig, cache: ResponseCache | None) -> Reasoner:
     if config.reasoner == "live":
-        base: Reasoner = LiveHttpReasoner(model=config.model, config=config.inference)
+        base: Reasoner = LiveHttpReasoner(model=config.model)
     elif config.reasoner == "stub":
         base = ScriptedReasoner(lambda prompt: "0", reasoner_id=f"stub:{config.model}")
     else:
@@ -270,22 +268,13 @@ def _build_method(
 ):
     rules: RuleCatalog | None = load_rules(config.rules_path) if config.rules_path else None
     if config.method == "formal":
-        return FormalMethod(
-            rules=rules,
-            label_threshold=config.label_threshold,
-            max_labels=config.max_labels,
-        )
+        return FormalMethod(rules)
     reasoner = _build_reasoner(config, cache)
     if config.method == "zero_shot":
-        return ZeroShotMethod(reasoner, catalog=catalog, strict=config.strict_parsing)
+        return ZeroShotMethod(reasoner, catalog=catalog)
     if config.method == "rag":
-        kb = build_kb(corpus or [], catalog=catalog)
-        return RagMethod(
-            reasoner, kb, top_n=config.kb_top_n, catalog=catalog, strict=config.strict_parsing
-        )
-    return ReactMethod(
-        reasoner, catalog=catalog, rules=rules, max_iterations=config.max_iterations
-    )
+        return RagMethod(reasoner, build_kb(corpus or [], catalog=catalog), catalog=catalog)
+    return ReactMethod(reasoner, catalog=catalog, rules=rules)
 
 
 def _error_text(exc: Exception) -> str:
@@ -554,9 +543,11 @@ def run(config: RunConfig) -> RunResult:
 
     report, counts = score(config, entries, records, catalog)
 
-    datasets = {"dataset": {"path": config.dataset_path, "sha256": _sha256_file(config.dataset_path)}}
-    if config.corpus_path:
-        datasets["corpus"] = {"path": config.corpus_path, "sha256": _sha256_file(config.corpus_path)}
+    datasets = {}
+    for name, attr in _INPUT_FIELDS.items():
+        path = getattr(config, attr)
+        if path:
+            datasets[name] = {"path": path, "sha256": _sha256_file(path)}
     manifest = {
         "version": 1,
         "config": asdict(config),
@@ -584,28 +575,33 @@ def evaluate_run(run_dir: str | Path) -> RunReport:
     """Re-score a run directory's predictions.json into the report the run wrote.
 
     The config is the one in the run's manifest.json, so its paths resolve
-    as they did for the run.  A dataset whose sha256 differs from the one
-    the manifest recorded is refused with ConfigurationError.
+    as they did for the run.  A dataset or articles file whose sha256
+    differs from the one the manifest recorded is refused with
+    ConfigurationError.
     """
     run_dir = Path(run_dir)
-    manifest = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))
+    manifest_path = run_dir / "manifest.json"
+    manifest = read_json(manifest_path)
     try:
-        raw_config, recorded = manifest["config"], manifest["datasets"]["dataset"]["sha256"]
-    except (KeyError, TypeError):
-        raise ConfigurationError(f"{run_dir / 'manifest.json'} is not a run manifest") from None
+        raw_config = manifest["config"]
+        recorded = {name: entry["sha256"] for name, entry in manifest["datasets"].items()}
+    except (KeyError, TypeError, AttributeError):
+        raise ConfigurationError(f"{manifest_path} is not a run manifest") from None
     config = RunConfig.from_dict(raw_config)
-    if _sha256_file(config.dataset_path) != recorded:
-        raise ConfigurationError(
-            f"dataset {config.dataset_path} has changed since the run: "
-            f"its sha256 is not the one recorded in {run_dir / 'manifest.json'}"
-        )
+    for name in ("dataset", "articles"):  # the inputs that scoring reads
+        path = getattr(config, _INPUT_FIELDS[name])
+        if path and _sha256_file(path) != recorded.get(name):
+            raise ConfigurationError(
+                f"{name} {path} has changed since the run: "
+                f"its sha256 is not the one recorded in {manifest_path}"
+            )
     entries = (load_task1 if config.task == 1 else load_task2)(config.dataset_path)
     catalog = load_articles(config.articles_path) if config.articles_path else None
     return score(config, entries, load_predictions(run_dir / "predictions.json"), catalog)[0]
 
 
 def load_predictions(path: str | Path) -> list[PredictionRecord]:
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    raw = read_json(path)
     return parse_entries(raw.get("predictions") if isinstance(raw, dict) else None, path, _prediction)
 
 

@@ -16,7 +16,6 @@ score equals ``similarity(query, doc.body)`` exactly.
 from __future__ import annotations
 
 import heapq
-import json
 import math
 from array import array
 from collections import Counter
@@ -25,7 +24,7 @@ from operator import mul
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .corpus import ViolationRecord, group_by_snippet
+from .corpus import ViolationRecord, group_by_snippet, read_json
 from .errors import ConfigurationError, UnknownArticleError
 
 _DATA_DIR = Path(__file__).parent / "data"
@@ -42,7 +41,7 @@ class ArticleInfo:
 
 
 def load_articles(path: str | Path | None = None) -> dict[int, ArticleInfo]:
-    raw = json.loads(Path(path or _DATA_DIR / "articles.json").read_text(encoding="utf-8"))
+    raw = read_json(path or _DATA_DIR / "articles.json")
     catalog = {}
     for obj in raw["articles"]:
         info = ArticleInfo(number=obj["number"], title=obj["title"], summary=obj["summary"])

@@ -11,7 +11,6 @@ are byte-stable so cached runs reproduce exactly.
 from __future__ import annotations
 
 import hashlib
-import math
 import os
 import re
 import sqlite3
@@ -93,50 +92,6 @@ def parse_model_output(text: str, *, strict: bool = True) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Inference configuration
-
-
-_FIELD_KINDS = {
-    bool: ((bool,), "a boolean"),
-    int: ((int,), "an integer"),
-    float: ((int, float), "a finite number"),
-}
-
-
-def check_field_types(config, **kinds: type) -> None:
-    """Raise ConfigurationError unless each named field holds a value of its kind.
-
-    ``kinds`` maps a field name to ``bool``, ``int`` or ``float``.  A bool
-    is never a number, and a ``float`` field takes any finite int or float.
-    """
-    for name, kind in kinds.items():
-        value = getattr(config, name)
-        types, what = _FIELD_KINDS[kind]
-        if (
-            isinstance(value, bool) != (kind is bool)
-            or not isinstance(value, types)
-            or (kind is float and not math.isfinite(value))
-        ):
-            raise ConfigurationError(f"{name} must be {what}, got {value!r}")
-
-
-@dataclass(frozen=True)
-class InferenceConfig:
-    temperature: float = 0.0
-    top_p: float = 1.0
-    max_response_tokens: int = 512
-
-    def __post_init__(self):
-        check_field_types(self, temperature=float, top_p=float, max_response_tokens=int)
-        if self.temperature < 0:
-            raise ConfigurationError("temperature must be >= 0")
-        if not (0 < self.top_p <= 1):
-            raise ConfigurationError("top_p must be in (0, 1]")
-        if self.max_response_tokens <= 0:
-            raise ConfigurationError("max_response_tokens must be positive")
-
-
-# ---------------------------------------------------------------------------
 # Reasoner bindings
 
 
@@ -170,13 +125,17 @@ class ScriptedReasoner:
         return str(self._script)
 
 
+# Every live request asks for one greedy completion, so that a recorded run can be replayed.
+SAMPLING = {"temperature": 0.0, "top_p": 1.0, "max_tokens": 512, "n": 1}
+
+
 class LiveHttpReasoner:
     """Completion-over-HTTP binding.
 
     Endpoint, credential, and model name come from arguments or the
     GDPRKIT_ENDPOINT / GDPRKIT_API_KEY / GDPRKIT_MODEL environment
     variables.  Transient transport failures retry with exponential backoff
-    before surfacing as a MethodError.
+    before surfacing as a MethodError.  Requests carry the ``SAMPLING`` settings.
     """
 
     MAX_ATTEMPTS = 3
@@ -186,7 +145,6 @@ class LiveHttpReasoner:
         endpoint: str | None = None,
         api_key: str | None = None,
         model: str | None = None,
-        config: InferenceConfig | None = None,
         session=None,
         sleep: Callable[[float], None] = time.sleep,
     ):
@@ -197,7 +155,6 @@ class LiveHttpReasoner:
             )
         self.api_key = api_key or os.environ.get("GDPRKIT_API_KEY")
         self.model = model or os.environ.get("GDPRKIT_MODEL", "default")
-        self.config = config or InferenceConfig()
         if session is None:
             import requests
             session = requests.Session()
@@ -206,14 +163,7 @@ class LiveHttpReasoner:
         self.reasoner_id = f"http:{self.model}"
 
     def complete(self, prompt: str) -> str:
-        payload = {
-            "model": self.model,
-            "prompt": prompt,
-            "temperature": self.config.temperature,
-            "top_p": self.config.top_p,
-            "max_tokens": self.config.max_response_tokens,
-            "n": 1,
-        }
+        payload = {"model": self.model, "prompt": prompt, **SAMPLING}
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
@@ -394,19 +344,18 @@ def _context_block(retrieved: Sequence[tuple]) -> str:
     return "\n".join(parts)
 
 
-def render_rag_prompt(
-    snippet: str,
-    kb: KnowledgeBase,
-    *,
-    top_n: int = 3,
-    catalog: Mapping[int, ArticleInfo] | None = None,
-) -> str:
-    """Zero-shot prompt plus a retrieved-context section.
+KB_TOP_N = 3  # retrieved documents in a rag prompt's context
 
-    With nothing retrieved (empty knowledge base or top_n of 0) the output
-    is byte-identical to the plain zero-shot prompt.
+
+def render_rag_prompt(
+    snippet: str, kb: KnowledgeBase, *, catalog: Mapping[int, ArticleInfo] | None = None
+) -> str:
+    """Zero-shot prompt plus the ``KB_TOP_N`` best documents as context.
+
+    With an empty knowledge base the output is byte-identical to the plain
+    zero-shot prompt.
     """
-    retrieved = kb.retrieve(snippet, top_n) if len(kb) else []
+    retrieved = kb.retrieve(snippet, KB_TOP_N) if len(kb) else []
     return _assemble_prompt(snippet, catalog, _context_block(retrieved))
 
 
@@ -610,28 +559,26 @@ def source_slice(source: str, start: int, end: int) -> str:
     return "\n".join(lines[start - 1 : end])
 
 
+# A formal snippet label is one of the best MAX_LABELS articles with confidence >= LABEL_THRESHOLD.
+LABEL_THRESHOLD = 1.0
+MAX_LABELS = 3
+
+
 class FormalMethod:
     """Rule-engine predictions; no model involved."""
 
     name = "formal"
 
-    def __init__(
-        self,
-        rules: RuleCatalog | None = None,
-        label_threshold: float = 1.0,
-        max_labels: int = 3,
-    ):
+    def __init__(self, rules: RuleCatalog | None = None):
         self.rules = rules
-        self.label_threshold = label_threshold
-        self.max_labels = max_labels
 
     def _labels_from(self, result: AnalysisResult) -> LabelSet:
         picked = [
             article
             for article, score in zip(result.ranking.articles, result.ranking.scores)
-            if score >= self.label_threshold
+            if score >= LABEL_THRESHOLD
         ]
-        return LabelSet(picked[: self.max_labels])
+        return LabelSet(picked[:MAX_LABELS])
 
     def predict_labels(
         self, snippet: str, language: str = "java", path: str = ""
@@ -669,16 +616,16 @@ class _PromptedMethod:
 
     name = "prompted"
 
-    def __init__(self, reasoner: Reasoner, *, strict: bool = True):
+    def __init__(self, reasoner: Reasoner, *, catalog: Mapping[int, ArticleInfo] | None = None):
         self.reasoner = reasoner
-        self.strict = strict
+        self.catalog = catalog
 
     def prompt(self, text: str) -> str:
         raise NotImplementedError
 
     def _predict(self, text: str, language: str) -> tuple[int, ...]:
-        """Distinct articles, most suspect first."""
-        return parse_model_output(self.reasoner.complete(self.prompt(text)), strict=self.strict)
+        """Distinct articles, most suspect first; the answer is parsed strictly."""
+        return parse_model_output(self.reasoner.complete(self.prompt(text)))
 
     def predict_labels(
         self, snippet: str, language: str = "java", path: str = ""
@@ -721,16 +668,6 @@ class _PromptedMethod:
 class ZeroShotMethod(_PromptedMethod):
     name = "zero_shot"
 
-    def __init__(
-        self,
-        reasoner: Reasoner,
-        *,
-        catalog: Mapping[int, ArticleInfo] | None = None,
-        strict: bool = True,
-    ):
-        super().__init__(reasoner, strict=strict)
-        self.catalog = catalog
-
     def prompt(self, text: str) -> str:
         return render_zero_shot_prompt(text, self.catalog)
 
@@ -743,17 +680,13 @@ class RagMethod(_PromptedMethod):
         reasoner: Reasoner,
         kb: KnowledgeBase,
         *,
-        top_n: int = 3,
         catalog: Mapping[int, ArticleInfo] | None = None,
-        strict: bool = True,
     ):
-        super().__init__(reasoner, strict=strict)
+        super().__init__(reasoner, catalog=catalog)
         self.kb = kb
-        self.top_n = top_n
-        self.catalog = catalog
 
     def prompt(self, text: str) -> str:
-        return render_rag_prompt(text, self.kb, top_n=self.top_n, catalog=self.catalog)
+        return render_rag_prompt(text, self.kb, catalog=self.catalog)
 
 
 class ReactMethod(_PromptedMethod):
@@ -765,21 +698,13 @@ class ReactMethod(_PromptedMethod):
         *,
         catalog: Mapping[int, ArticleInfo] | None = None,
         rules: RuleCatalog | None = None,
-        max_iterations: int = 5,
     ):
-        super().__init__(reasoner, strict=False)
-        self.catalog = catalog
+        super().__init__(reasoner, catalog=catalog)
         self.rules = rules
-        self.max_iterations = max_iterations
 
     def _predict(self, text: str, language: str) -> tuple[int, ...]:
         # the transcript grows with each response, so there is no one prompt
         outcome = react_run(
-            text,
-            self.reasoner,
-            language=language,
-            catalog=self.catalog,
-            rules=self.rules,
-            max_iterations=self.max_iterations,
+            text, self.reasoner, language=language, catalog=self.catalog, rules=self.rules
         )
         return outcome.ranking.articles

@@ -23,6 +23,7 @@ from .corpus import (
     ViolationRecord,
     group_by_file,
     group_by_snippet,
+    read_json,
     split_snippet_path,
     write_atomic,
 )
@@ -254,8 +255,8 @@ def _task2_entry(obj: dict) -> Task2Entry:
 
 
 def load_task1(path: str | Path) -> list[Task1Entry]:
-    return parse_entries(json.loads(Path(path).read_text(encoding="utf-8")), path, _task1_entry)
+    return parse_entries(read_json(path), path, _task1_entry)
 
 
 def load_task2(path: str | Path) -> list[Task2Entry]:
-    return parse_entries(json.loads(Path(path).read_text(encoding="utf-8")), path, _task2_entry)
+    return parse_entries(read_json(path), path, _task2_entry)

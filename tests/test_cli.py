@@ -1,16 +1,19 @@
 """Command-line interface, exercised through main(argv)."""
 
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import gdprkit
 from gdprkit.cli import main
 from tests.conftest import DATA_DIR
 
 CORPUS = str(DATA_DIR / "fixture_corpus.json")
+ARTICLES = Path(gdprkit.__file__).parent / "data" / "articles.json"
 
 
 @pytest.fixture
@@ -111,6 +114,29 @@ class TestRun:
         assert main(["run", "--config", str(config_path)]) == 0
         assert (tmp_path / "cfg-out" / "predictions.json").exists()
 
+    def test_task_flag_fills_a_key_the_config_leaves_out(self, task2_path, tmp_path, capsys):
+        config_path = tmp_path / "partial.json"
+        config_path.write_text(json.dumps({"method": "formal", "dataset_path": str(task2_path)}))
+        out_dir = tmp_path / "out"
+        assert main(["run", "--config", str(config_path), "--task", "2", "--output-dir", str(out_dir)]) == 0
+        assert "10 scored" in capsys.readouterr().out
+        assert json.loads((out_dir / "manifest.json").read_text())["config"]["task"] == 2
+
+    @pytest.mark.parametrize(
+        "config, named",
+        [
+            ({"method": "formal", "dataset_path": "task2.json"}, "lacks required keys: ['task']"),
+            ({"task": 2, "method": "formal", "dataset_path": 5}, "dataset_path must be a string"),
+        ],
+        ids=["missing-task", "non-string-path"],
+    )
+    def test_bad_config_is_an_error_line(self, config, named, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        assert main(["run", "--config", str(config_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and named in captured.err
+
 
 def run_formal(tmp_path, task: int, dataset, **fields) -> Path:
     """Run the formal method through ``run --config`` and return the output directory."""
@@ -163,6 +189,21 @@ class TestEvaluateAndReport:
         assert captured.out == ""
         assert captured.err.startswith("error:") and "sha256" in captured.err
 
+    def test_evaluate_refuses_an_articles_file_edited_after_the_run(self, task2_path, tmp_path, capsys):
+        articles = tmp_path / "articles.json"
+        shutil.copy(ARTICLES, articles)
+        out_dir = run_formal(tmp_path, 2, task2_path, article_universe="catalog", articles_path=str(articles))
+        recorded = json.loads((out_dir / "manifest.json").read_text())["datasets"]
+        assert recorded["articles"]["path"] == str(articles)
+        catalog = json.loads(articles.read_text())
+        catalog["articles"] = catalog["articles"][:-5]
+        articles.write_text(json.dumps(catalog))
+        capsys.readouterr()
+        assert main(["evaluate", str(out_dir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and str(articles) in captured.err
+
     def test_evaluate_refuses_a_directory_without_a_run_manifest(self, tmp_path, capsys):
         (tmp_path / "manifest.json").write_text("[]")
         assert main(["evaluate", str(tmp_path)]) == 2
@@ -170,7 +211,7 @@ class TestEvaluateAndReport:
 
 
 class TestMalformedJson:
-    @pytest.mark.parametrize("command", ["run-config", "run-dataset", "stats", "evaluate"])
+    @pytest.mark.parametrize("command", ["run-config", "run-dataset", "stats", "evaluate", "predictions"])
     def test_malformed_json_file_is_an_error_line(self, command, task2_path, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"task": 2,')
@@ -183,13 +224,14 @@ class TestMalformedJson:
             argv = ["stats", str(bad)]
         else:
             out_dir = run_formal(tmp_path, 2, task2_path)
-            (out_dir / "manifest.json").write_text('{"config": ')
+            bad = out_dir / ("manifest.json" if command == "evaluate" else "predictions.json")
+            bad.write_text('{"config": ')
             argv = ["evaluate", str(out_dir)]
         capsys.readouterr()
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error:") and "Traceback" not in captured.err
+        assert captured.err.startswith(f"error: {bad}: ") and "Traceback" not in captured.err
 
 
 class TestEntryPoint:

@@ -1,6 +1,7 @@
 """Prompt protocol, output parsing, reasoner bindings, and method adapters."""
 
 import contextlib
+import dataclasses
 import hashlib
 import json
 import os
@@ -21,13 +22,13 @@ from gdprkit.errors import (
     ModelOutputError,
     ReplayMissError,
 )
-from gdprkit.harness import predict_task1, predict_task2
+from gdprkit.engine import RuleCatalog, default_catalog
+from gdprkit.harness import RunConfig, predict_task1, predict_task2
 from gdprkit.knowledge import ArticleInfo, KnowledgeBase, build_kb
 from gdprkit.methods import (
     CacheReplayReasoner,
     CachingReasoner,
     FormalMethod,
-    InferenceConfig,
     LabelSet,
     LiveHttpReasoner,
     RagMethod,
@@ -141,10 +142,11 @@ class TestParseModelOutput:
 
 
 class TestInferenceConfig:
+    """The live reasoner's sampling settings are constants; no run config sets them."""
+
     def test_deterministic_defaults(self):
-        config = InferenceConfig()
-        assert config.temperature == 0.0
-        assert config.top_p == 1.0
+        assert gdprkit.methods.SAMPLING["temperature"] == 0.0
+        assert gdprkit.methods.SAMPLING["top_p"] == 1.0
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -156,8 +158,10 @@ class TestInferenceConfig:
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
-        with pytest.raises(ConfigurationError):
-            InferenceConfig(**kwargs)
+        raw = {"task": 2, "method": "zero_shot", "dataset_path": "task2.json", "inference": kwargs}
+        with pytest.raises(ConfigurationError) as err:
+            RunConfig.from_dict(raw)
+        assert "unknown config keys: ['inference']" in str(err.value)
 
 
 class TestReasoners:
@@ -275,13 +279,10 @@ class TestReasoners:
                 return mock.Mock(json=lambda: {"text": "6"})
 
         session = RecordingSession()
-        config = InferenceConfig(temperature=0.5, top_p=0.9, max_response_tokens=64)
-        reasoner = LiveHttpReasoner(
-            endpoint="http://x/v1", model="m", config=config, session=session
-        )
+        reasoner = LiveHttpReasoner(endpoint="http://x/v1", model="m", session=session)
         assert reasoner.complete("p") == "6"
         assert session.payloads == [
-            {"model": "m", "prompt": "p", "temperature": 0.5, "top_p": 0.9, "max_tokens": 64, "n": 1}
+            {"model": "m", "prompt": "p", "temperature": 0.0, "top_p": 1.0, "max_tokens": 512, "n": 1}
         ]
 
     def test_live_reasoner_reads_completion_shapes(self):
@@ -358,7 +359,7 @@ class TestRagMethodPath:
 
     def test_context_entry_count_matches_top_n(self, fixture_corpus):
         kb = build_kb(fixture_corpus)
-        prompt = render_rag_prompt("location tracking", kb, top_n=3)
+        prompt = render_rag_prompt("location tracking", kb)
         assert "Context:" in prompt
         entries = [l for l in prompt.splitlines() if l[:3] in ("1. ", "2. ", "3. ", "4. ")]
         assert len(entries) == 3
@@ -400,7 +401,7 @@ class TestRagMethodPath:
             ("task2", lambda m: predict_task2(build_task2(fixture_corpus), m)),
         ):
             reasoner = ScriptedReasoner(lambda prompt: "0")
-            predict(RagMethod(reasoner, kb, top_n=3))
+            predict(RagMethod(reasoner, kb))
             sent[task] = [hashlib.sha256(p.encode("utf-8")).hexdigest() for p in reasoner.calls]
         golden = json.loads((GOLDEN_DIR / "rag_prompts_fixture.json").read_text(encoding="utf-8"))
         assert sent["task2"] == golden["task2"]
@@ -538,10 +539,15 @@ class TestFormalMethodAdapter:
         assert ranking.articles[0] == 6
 
     def test_label_threshold_filters_weak_articles(self):
-        strict = FormalMethod(label_threshold=10.0)
-        labels, ranking = strict.predict_labels(CAMERA_SNIPPET)
+        # weight 0.5 keeps one camera fact below confidence 1.0: 0.5 * (1 + ln 2) = 0.85
+        weak = RuleCatalog([dataclasses.replace(rule, weight=0.5) for rule in default_catalog()])
+        labels, ranking = FormalMethod(weak).predict_labels(CAMERA_SNIPPET)
         assert labels == LabelSet()
         assert ranking.articles != ()
+        assert max(ranking.scores) < gdprkit.methods.LABEL_THRESHOLD == 1.0
+        # at full weight the same findings reach the threshold
+        strong = RuleCatalog([dataclasses.replace(rule, weight=1.0) for rule in default_catalog()])
+        assert 6 in FormalMethod(strong).predict_labels(CAMERA_SNIPPET)[0]
 
     def test_predict_file_produces_all_granularities(self):
         source = "class A {\n    manager.openCamera(a, b, c);\n}\n"
