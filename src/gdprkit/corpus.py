@@ -7,7 +7,9 @@ loader accepts either and normalizes to ``commit_id``.
 Splitting a snippet path into file and span (``split_snippet_path``) and
 grouping records per file (``group_by_file``) or per snippet location
 (``group_by_snippet``) live here, once, for the task builders, the
-knowledge base and the harness.
+knowledge base and the harness; so does ``read_entries``, the one reader
+of a JSON array of entries (datasets, predictions, rules, articles,
+patterns).
 """
 
 from __future__ import annotations
@@ -18,9 +20,11 @@ import re
 import statistics
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable, TypeVar
 
 from .errors import CorpusSchemaError, InputError, SpanParseError
+
+T = TypeVar("T")
 
 _COMMIT_RE = re.compile(r"[0-9a-fA-F]{40}")
 
@@ -191,6 +195,35 @@ def read_json(path: str | Path):
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
         raise InputError(f"{path}: {exc}") from None
+
+
+def read_entries(path: str | Path, build: Callable[[dict], T], key: str | None = None) -> list[T]:
+    """``build`` applied to each object of the JSON array in ``path``, or of
+    the array stored under ``key`` of the JSON object there.
+
+    A document of another shape raises InputError naming the file; so does
+    an entry that is not an object, lacks a key ``build`` reads, holds a
+    value of the wrong type, or makes ``build`` raise InputError, and then
+    the message also names the entry's index.
+    """
+    raw = read_json(path)
+    if key is not None:
+        if not isinstance(raw, dict) or key not in raw:
+            raise InputError(f"{path}: expected a JSON object with key {key!r}")
+        raw = raw[key]
+    if not isinstance(raw, list):
+        raise InputError(f"{path}: expected a JSON array of entries, got {type(raw).__name__}")
+    out = []
+    for i, obj in enumerate(raw):
+        try:
+            if not isinstance(obj, dict):
+                raise InputError(f"expected a JSON object, got {type(obj).__name__}")
+            out.append(build(obj))
+        except KeyError as exc:
+            raise InputError(f"{path}: entry {i}: missing key {exc.args[0]!r}") from None
+        except (InputError, TypeError, AttributeError) as exc:
+            raise InputError(f"{path}: entry {i}: {exc}") from None
+    return out
 
 
 def dump_corpus(records: list[ViolationRecord], path: str | Path) -> None:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .corpus import SpanRef, read_json
+from .corpus import SpanRef, read_entries
 from .errors import InputError, RuleLoadError
 from .facts import (
     SENSITIVE_CATEGORIES,
@@ -248,11 +248,10 @@ class RuleCatalog:
 
 
 def load_rules(path: str | Path | None = None) -> RuleCatalog:
-    raw = read_json(path or _DATA_DIR / "rules.json")
     known = set(atom_inventory())
-    rules: list[Rule] = []
     seen: set[str] = set()
-    for obj in raw["rules"]:
+
+    def rule(obj: dict) -> Rule:
         rule_id = obj["id"]
         if rule_id in seen:
             raise RuleLoadError(f"duplicate rule id {rule_id!r}")
@@ -269,8 +268,9 @@ def load_rules(path: str | Path | None = None) -> RuleCatalog:
         article = obj["article"]
         if not (isinstance(article, int) and article > 0):
             raise RuleLoadError(f"rule {rule_id!r} article must be a positive integer")
-        rules.append(Rule(rule_id, article, condition, float(weight), obj["message"]))
-    return RuleCatalog(rules)
+        return Rule(rule_id, article, condition, float(weight), obj["message"])
+
+    return RuleCatalog(read_entries(path or _DATA_DIR / "rules.json", rule, "rules"))
 
 
 _default_catalog: RuleCatalog | None = None

@@ -16,7 +16,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .corpus import SpanRef, read_json
+from .corpus import SpanRef, read_entries
 from .errors import ConfigurationError
 
 _DATA_DIR = Path(__file__).parent / "data"
@@ -32,7 +32,6 @@ class FactKind(str, Enum):
     STORAGE_WRITE = "StorageWrite"
     NETWORK_SEND = "NetworkSend"
     LOG_WRITE = "LogWrite"
-    CLASS_DECL = "ClassDecl"
 
 
 class DataCategory(str, Enum):
@@ -167,41 +166,37 @@ class PatternTable:
         return None
 
 
-def load_pattern_table(path: str | Path | None = None) -> PatternTable:
-    raw = read_json(path or _DATA_DIR / "patterns.json")
-    entries = []
-    for obj in raw["patterns"]:
-        match = obj.get("match", "word")
-        pattern = obj["pattern"]
-        if match == "word":
-            compiled = _compile_word(pattern)
-        elif match == "regex":
-            compiled = re.compile(pattern, re.IGNORECASE if obj.get("ignore_case") else 0)
-        else:
-            raise ConfigurationError(f"unknown match mode {match!r} for pattern {pattern!r}")
-        category = obj.get("data_category")
-        languages = obj.get("languages")
-        entries.append(
-            PatternEntry(
-                pattern=pattern,
-                kind=FactKind(obj["kind"]),
-                data_category=DataCategory(category) if category else None,
-                languages=frozenset(languages) if languages else None,
-                match=match,
-                compiled=compiled,
-                parts=tuple(pattern.split(".")),
-            )
-        )
-    return PatternTable(entries)
+def _pattern_entry(obj: dict) -> PatternEntry:
+    match = obj.get("match", "word")
+    pattern = obj["pattern"]
+    if match == "word":
+        compiled = _compile_word(pattern)
+    elif match == "regex":
+        compiled = re.compile(pattern, re.IGNORECASE if obj.get("ignore_case") else 0)
+    else:
+        raise ConfigurationError(f"unknown match mode {match!r} for pattern {pattern!r}")
+    category = obj.get("data_category")
+    languages = obj.get("languages")
+    return PatternEntry(
+        pattern=pattern,
+        kind=FactKind(obj["kind"]),
+        data_category=DataCategory(category) if category else None,
+        languages=frozenset(languages) if languages else None,
+        match=match,
+        compiled=compiled,
+        parts=tuple(pattern.split(".")),
+    )
 
 
 _default_table: PatternTable | None = None
 
 
 def default_pattern_table() -> PatternTable:
+    """The pattern table of ``data/patterns.json``, loaded on first use."""
     global _default_table
     if _default_table is None:
-        _default_table = load_pattern_table()
+        entries = read_entries(_DATA_DIR / "patterns.json", _pattern_entry, "patterns")
+        _default_table = PatternTable(entries)
     return _default_table
 
 
@@ -295,12 +290,7 @@ def _finalize(facts: Iterable[Fact]) -> list[Fact]:
 # Lexical fallback frontend
 
 
-def lexical_fallback(
-    source: str,
-    language: str,
-    path: str = "",
-    table: PatternTable | None = None,
-) -> list[Fact]:
+def lexical_fallback(source: str, language: str, path: str = "") -> list[Fact]:
     """Pattern-table scan with no parsing at all.
 
     Word entries match on identifier boundaries, so ``getDeviceId`` does not
@@ -311,7 +301,7 @@ def lexical_fallback(
     frontend registered, and as the safety net when a structural frontend
     raises.
     """
-    table = table or default_pattern_table()
+    table = default_pattern_table()
     index = _LineIndex(source)
     facts = []
     for entry in table.word_entries(language):
@@ -334,7 +324,6 @@ def lexical_fallback(
 # ---------------------------------------------------------------------------
 # Structural frontend (java / kt)
 
-_CLASS_DECL_RE = re.compile(r"\b(?:class|interface|object|enum)\s+([A-Za-z_$][\w$]*)")
 _CALL_RE = re.compile(r"(?:(?P<recv>[A-Za-z_$][\w$]*)\s*\.\s*)?(?P<name>[A-Za-z_$][\w$]*)\s*\(")
 
 # keywords that look like calls when followed by '('
@@ -406,33 +395,17 @@ def _preceding_word(text: str, pos: int) -> str | None:
     return text[j:end]
 
 
-def structural_frontend(
-    source: str,
-    language: str,
-    path: str = "",
-    table: PatternTable | None = None,
-) -> list[Fact]:
+def structural_frontend(source: str, language: str, path: str = "") -> list[Fact]:
     """Comment/string-aware scan for curly-brace languages.
 
-    Emits class declarations, table-matched call expressions, guard
-    identifiers, string/URL literals, and the shared regex-entry facts.
+    Emits table-matched call expressions, guard identifiers, string/URL
+    literals, and the shared regex-entry facts.  Declarations (classes,
+    methods) yield no fact of their own.
     """
-    table = table or default_pattern_table()
+    table = default_pattern_table()
     index = _LineIndex(source)
     blanked, literals = _scan_java_like(source, index)
     facts = []
-
-    for m in _CLASS_DECL_RE.finditer(blanked):
-        line = index.line_of(m.start(1))
-        facts.append(
-            Fact(
-                kind=FactKind.CLASS_DECL,
-                symbol=m.group(1),
-                detail=m.group(0),
-                span=SpanRef(path, line, line),
-                language=language,
-            )
-        )
 
     for m in _CALL_RE.finditer(blanked):
         name = m.group("name")
@@ -535,7 +508,6 @@ def extract_facts(
     *,
     path: str = "",
     registry: FrontendRegistry | None = None,
-    table: PatternTable | None = None,
 ) -> list[Fact]:
     """Extract facts from one source text.
 
@@ -545,8 +517,8 @@ def extract_facts(
     registry = registry or _DEFAULT_REGISTRY
     frontend = registry.frontend_for(language)
     try:
-        return frontend(source, language, path=path, table=table)
+        return frontend(source, language, path=path)
     except Exception:
         if frontend is lexical_fallback:
             raise
-        return lexical_fallback(source, language, path=path, table=table)
+        return lexical_fallback(source, language, path=path)

@@ -27,6 +27,7 @@ from .corpus import (
     detect_language,
     group_by_file,
     load_corpus,
+    read_entries,
     read_json,
     split_snippet_path,
     write_atomic,
@@ -60,7 +61,7 @@ from .methods import (
     ScriptedReasoner,
     ZeroShotMethod,
 )
-from .taskgen import Task1Entry, Task2Entry, load_task1, load_task2, parse_entries
+from .taskgen import Task1Entry, Task2Entry, load_task1, load_task2
 
 log = logging.getLogger(__name__)
 
@@ -108,10 +109,6 @@ class RunConfig:
             raise ConfigurationError("task 1 runs need corpus_path for source reconstruction")
         if self.method == "rag" and not self.corpus_path:
             raise ConfigurationError("rag needs corpus_path to build its knowledge base")
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "RunConfig":
-        return cls.from_dict(read_json(path))
 
     @classmethod
     def from_dict(cls, raw, **overrides) -> "RunConfig":
@@ -601,8 +598,7 @@ def evaluate_run(run_dir: str | Path) -> RunReport:
 
 
 def load_predictions(path: str | Path) -> list[PredictionRecord]:
-    raw = read_json(path)
-    return parse_entries(raw.get("predictions") if isinstance(raw, dict) else None, path, _prediction)
+    return read_entries(path, _prediction, "predictions")
 
 
 def _prediction(obj: dict) -> PredictionRecord:

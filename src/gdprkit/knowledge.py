@@ -24,7 +24,7 @@ from operator import mul
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .corpus import ViolationRecord, group_by_snippet, read_json
+from .corpus import ViolationRecord, group_by_snippet, read_entries
 from .errors import ConfigurationError, UnknownArticleError
 
 _DATA_DIR = Path(__file__).parent / "data"
@@ -40,13 +40,13 @@ class ArticleInfo:
     summary: str
 
 
+def _article(obj: dict) -> ArticleInfo:
+    return ArticleInfo(number=obj["number"], title=obj["title"], summary=obj["summary"])
+
+
 def load_articles(path: str | Path | None = None) -> dict[int, ArticleInfo]:
-    raw = read_json(path or _DATA_DIR / "articles.json")
-    catalog = {}
-    for obj in raw["articles"]:
-        info = ArticleInfo(number=obj["number"], title=obj["title"], summary=obj["summary"])
-        catalog[info.number] = info
-    return dict(sorted(catalog.items()))
+    infos = read_entries(path or _DATA_DIR / "articles.json", _article, "articles")
+    return dict(sorted({info.number: info for info in infos}.items()))
 
 
 _catalog: dict[int, ArticleInfo] | None = None

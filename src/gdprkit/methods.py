@@ -509,11 +509,7 @@ def react_run(
         )
 
     for _ in range(max_iterations):
-        try:
-            last_response = reasoner.complete(transcript)
-        except MethodError as exc:
-            exc.trace = AgentTrace(tuple(steps), True)
-            raise
+        last_response = reasoner.complete(transcript)
         transcript += " " + last_response.strip() + "\n"
         parsed = _parse_react_step(last_response)
         if parsed is None:
@@ -567,8 +563,6 @@ MAX_LABELS = 3
 class FormalMethod:
     """Rule-engine predictions; no model involved."""
 
-    name = "formal"
-
     def __init__(self, rules: RuleCatalog | None = None):
         self.rules = rules
 
@@ -613,8 +607,6 @@ class _PromptedMethod:
     lacks raises ``ReplayMissError``, and ``predict_file`` tries every scope
     before it raises one error with all their missing keys.
     """
-
-    name = "prompted"
 
     def __init__(self, reasoner: Reasoner, *, catalog: Mapping[int, ArticleInfo] | None = None):
         self.reasoner = reasoner
@@ -666,15 +658,11 @@ class _PromptedMethod:
 
 
 class ZeroShotMethod(_PromptedMethod):
-    name = "zero_shot"
-
     def prompt(self, text: str) -> str:
         return render_zero_shot_prompt(text, self.catalog)
 
 
 class RagMethod(_PromptedMethod):
-    name = "rag"
-
     def __init__(
         self,
         reasoner: Reasoner,
@@ -690,8 +678,6 @@ class RagMethod(_PromptedMethod):
 
 
 class ReactMethod(_PromptedMethod):
-    name = "react"
-
     def __init__(
         self,
         reasoner: Reasoner,

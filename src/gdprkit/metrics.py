@@ -84,9 +84,7 @@ class RankingMetrics:
         }
 
 
-def evaluate_rankings(
-    instances: Sequence[RankedInstance], ks: Iterable[int] = DEFAULT_KS
-) -> dict[str, RankingMetrics]:
+def evaluate_rankings(instances: Sequence[RankedInstance]) -> dict[str, RankingMetrics]:
     """Accuracy@k per granularity, only for granularities that appear."""
     out: dict[str, RankingMetrics] = {}
     for granularity in GRANULARITIES:
@@ -96,7 +94,7 @@ def evaluate_rankings(
         out[granularity] = RankingMetrics(
             granularity=granularity,
             n_instances=len(subset),
-            accuracy_at={k: accuracy_at_k(subset, k, granularity) for k in ks},
+            accuracy_at={k: accuracy_at_k(subset, k, granularity) for k in DEFAULT_KS},
         )
     return out
 

@@ -13,28 +13,20 @@ from __future__ import annotations
 
 import json
 import logging
-import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, TypeVar
 
 from .corpus import (
     SpanRef,
     ViolationRecord,
     group_by_file,
     group_by_snippet,
-    read_json,
+    read_entries,
     split_snippet_path,
     write_atomic,
 )
-from .errors import InputError
 
 log = logging.getLogger(__name__)
-
-T = TypeVar("T")
-
-# Declaration syntax shared by Java/Kotlin/C#/PHP/Python/JS.
-_CLASS_DECL_RE = re.compile(r"\bclass\s+([A-Za-z_][A-Za-z0-9_]*)")
 
 
 @dataclass(frozen=True)
@@ -93,29 +85,14 @@ class Task2Entry:
         }
 
 
-def infer_module(file_path: str, records: list[ViolationRecord]) -> str:
-    """Infer the module (class) name that encloses a file's violations.
-
-    Scans the file's snippets for class declarations and picks the most
-    frequent name, breaking ties lexicographically. Falls back to the file
-    stem when no declaration is recoverable.
-    """
-    counts: dict[str, int] = {}
-    for record in records:
-        for name in _CLASS_DECL_RE.findall(record.code_snippet):
-            counts[name] = counts.get(name, 0) + 1
-    if counts:
-        return min(counts, key=lambda name: (-counts[name], name))
-    return Path(file_path).stem
-
-
 def build_task1(corpus: list[ViolationRecord]) -> list[Task1Entry]:
     """Group a corpus into file-centric multi-granularity entries.
 
     file_level is the union of all articles for the file; module_level maps
-    the inferred module name to that same union; line_level lists spanned
-    records sorted by (start_line, end_line). Records without a parseable
-    span contribute to file and module level only.
+    the file's one module, named after the file stem, to that same union;
+    line_level lists spanned records sorted by (start_line, end_line).
+    Records without a parseable span contribute to file and module level
+    only.
     """
     groups = group_by_file(corpus)
     entries = []
@@ -142,7 +119,6 @@ def build_task1(corpus: list[ViolationRecord]) -> list[Task1Entry]:
             for (start, end), (articles, notes) in sorted(by_span.items())
         )
 
-        module = infer_module(file_path, records)
         entries.append(
             Task1Entry(
                 repo_url=repo_url,
@@ -150,7 +126,7 @@ def build_task1(corpus: list[ViolationRecord]) -> list[Task1Entry]:
                 commit_id=records[0].commit_id,
                 file_path=file_path,
                 file_level=file_articles,
-                module_level={module: file_articles},
+                module_level={Path(file_path).stem: file_articles},
                 line_level=line_level,
             )
         )
@@ -197,29 +173,6 @@ def entries_json(entries: list[Task1Entry] | list[Task2Entry]) -> str:
     return json.dumps([e.to_dict() for e in entries], indent=2, ensure_ascii=False) + "\n"
 
 
-def parse_entries(raw, where: str | Path, build: Callable[[dict], T]) -> list[T]:
-    """``build`` applied to each object of ``raw``, a JSON array read from ``where``.
-
-    A document that is not an array raises InputError; so does an entry that
-    is not an object, lacks a key ``build`` reads, holds a value of the wrong
-    type, or makes ``build`` raise InputError, and then the message names the
-    entry's index.
-    """
-    if not isinstance(raw, list):
-        raise InputError(f"{where}: expected a JSON array of entries, got {type(raw).__name__}")
-    out = []
-    for i, obj in enumerate(raw):
-        try:
-            if not isinstance(obj, dict):
-                raise InputError(f"expected a JSON object, got {type(obj).__name__}")
-            out.append(build(obj))
-        except KeyError as exc:
-            raise InputError(f"{where}: entry {i}: missing key {exc.args[0]!r}") from None
-        except (InputError, TypeError, AttributeError) as exc:
-            raise InputError(f"{where}: entry {i}: {exc}") from None
-    return out
-
-
 def _task1_entry(obj: dict) -> Task1Entry:
     return Task1Entry(
         repo_url=obj["repo_url"],
@@ -255,8 +208,8 @@ def _task2_entry(obj: dict) -> Task2Entry:
 
 
 def load_task1(path: str | Path) -> list[Task1Entry]:
-    return parse_entries(read_json(path), path, _task1_entry)
+    return read_entries(path, _task1_entry)
 
 
 def load_task2(path: str | Path) -> list[Task2Entry]:
-    return parse_entries(read_json(path), path, _task2_entry)
+    return read_entries(path, _task2_entry)

@@ -234,6 +234,47 @@ class TestMalformedJson:
         assert captured.err.startswith(f"error: {bad}: ") and "Traceback" not in captured.err
 
 
+class TestMisshapenCatalogs:
+    """A rules or articles file that is JSON of another shape is one error line naming it."""
+
+    @pytest.mark.parametrize(
+        "document, named",
+        [
+            ({}, "expected a JSON object with key 'rules'"),
+            ({"rules": [{"id": "R1", "article": 6, "weight": 0.5, "message": "m"}]},
+             "entry 0: missing key 'when'"),
+        ],
+        ids=["empty-object", "rule-without-when"],
+    )
+    def test_analyze_rules(self, document, named, tmp_path, capsys):
+        rules = tmp_path / "rules.json"
+        rules.write_text(json.dumps(document))
+        assert main(["analyze", "x();", "--rules", str(rules)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {rules}: {named}\n"
+
+    @pytest.mark.parametrize(
+        "document, named",
+        [
+            ({}, "expected a JSON object with key 'articles'"),
+            ({"articles": [5]}, "entry 0: expected a JSON object, got int"),
+        ],
+        ids=["empty-object", "entry-not-an-object"],
+    )
+    def test_run_articles(self, document, named, task2_path, tmp_path, capsys):
+        articles = tmp_path / "articles.json"
+        articles.write_text(json.dumps(document))
+        config = {"task": 2, "method": "formal", "dataset_path": str(task2_path),
+                  "output_dir": str(tmp_path / "out"), "articles_path": str(articles)}
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        assert main(["run", "--config", str(config_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {articles}: {named}\n"
+
+
 class TestEntryPoint:
     def test_installed_console_script(self):
         proc = subprocess.run(

@@ -109,19 +109,16 @@ class TestGuardAndStructure:
         facts = extract_facts(source, "java")
         assert any(f.kind is FactKind.CONSENT_GUARD for f in facts)
 
-    def test_class_declaration_fact(self):
-        facts = extract_facts("public class CameraGrabber {\n}\n", "java")
-        assert [(f.kind, f.symbol) for f in facts] == [
-            (FactKind.CLASS_DECL, "CameraGrabber")
-        ]
+    @pytest.mark.parametrize("language", ["java", "kt"])
+    @pytest.mark.parametrize("keyword", ["class", "interface", "enum", "object"])
+    def test_declarations_yield_no_facts(self, keyword, language):
+        assert extract_facts(f"public {keyword} CameraGrabber {{\n}}\n", language) == []
 
     def test_kotlin_uses_structural_frontend(self):
-        facts = extract_facts("class Tracker {\n}\n", "kt")
-        assert [(f.kind, f.symbol) for f in facts] == [(FactKind.CLASS_DECL, "Tracker")]
-
-    def test_unregistered_language_has_no_class_facts(self):
-        facts = extract_facts("class Tracker {\n}\n", "rb")
-        assert all(f.kind is not FactKind.CLASS_DECL for f in facts)
+        # the structural frontend skips comments; the lexical fallback does not
+        source = "// getDeviceId();\n"
+        assert extract_facts(source, "kt") == []
+        assert [f.symbol for f in extract_facts(source, "rb")] == ["getDeviceId"]
 
     def test_network_and_storage_kinds(self):
         source = (
@@ -166,14 +163,14 @@ class TestRegistry:
 
     def test_custom_frontend_dispatch(self):
         marker = Fact(
-            kind=FactKind.CLASS_DECL,
+            kind=FactKind.API_CALL,
             symbol="FromCustom",
             detail="",
             span=SpanRef("", 1, 1),
             language="zz",
         )
 
-        def custom(source, language, path="", table=None):
+        def custom(source, language, path=""):
             return [marker]
 
         registry = FrontendRegistry()
@@ -181,7 +178,7 @@ class TestRegistry:
         assert extract_facts("anything", "zz", registry=registry) == [marker]
 
     def test_raising_frontend_degrades_to_lexical_fallback(self):
-        def broken(source, language, path="", table=None):
+        def broken(source, language, path=""):
             raise ValueError("parser exploded")
 
         registry = FrontendRegistry()

@@ -13,7 +13,7 @@ import pytest
 import requests
 
 from gdprkit import harness, knowledge, methods
-from gdprkit.corpus import dump_corpus, load_corpus
+from gdprkit.corpus import dump_corpus, load_corpus, read_json
 from gdprkit.errors import (
     ConfigurationError,
     InputError,
@@ -637,7 +637,7 @@ class TestRunConfig:
             encoding="utf-8",
         )
         with pytest.raises(ConfigurationError):
-            RunConfig.from_file(path)
+            RunConfig.from_dict(read_json(path))
 
     @pytest.mark.parametrize(
         "inference",
@@ -707,7 +707,7 @@ class TestRunConfig:
         }
         path = tmp_path / "config.json"
         path.write_text(json.dumps(raw), encoding="utf-8")
-        assert RunConfig.from_file(path) == RunConfig(**raw)
+        assert RunConfig.from_dict(read_json(path)) == RunConfig(**raw)
 
 
 def config_refusal(tmp_path, workspace, fields) -> str:
@@ -722,7 +722,7 @@ def config_refusal(tmp_path, workspace, fields) -> str:
     # json.dumps writes NaN and Infinity, which json.loads reads back
     path.write_text(json.dumps(raw), encoding="utf-8")
     with pytest.raises(ConfigurationError) as err:
-        RunConfig.from_file(path)
+        RunConfig.from_dict(read_json(path))
     return str(err.value)
 
 

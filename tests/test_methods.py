@@ -476,7 +476,7 @@ class TestReactLoop:
         assert result.labels == LabelSet({6, 32})
         assert result.trace.truncated is False
 
-    def test_reasoner_failure_carries_partial_trace(self):
+    def test_reasoner_failure_propagates(self):
         calls = {"n": 0}
 
         def flaky(prompt: str) -> str:
@@ -485,10 +485,9 @@ class TestReactLoop:
                 return "First step.\nAction: gdpr_lookup\nAction Input: 5"
             raise MethodError("endpoint down")
 
-        with pytest.raises(MethodError) as err:
+        with pytest.raises(MethodError, match="endpoint down"):
             react_run("x", ScriptedReasoner(flaky))
-        assert len(err.value.trace.steps) == 1
-        assert err.value.trace.truncated is True
+        assert calls["n"] == 2
 
     def test_invalid_cap_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -6,7 +6,7 @@ import re
 from pathlib import Path
 
 from gdprkit.cli import build_parser
-from gdprkit.corpus import load_corpus
+from gdprkit.corpus import load_corpus, read_json
 from gdprkit.engine import load_rules
 from gdprkit.harness import RunConfig
 
@@ -33,7 +33,7 @@ def test_readme_json_examples_load(tmp_path):
     config_path = tmp_path / "config.json"
     config_path.write_text(json_block("Run configuration"), encoding="utf-8")
     # the block lists every field at its default
-    assert RunConfig.from_file(config_path) == RunConfig(
+    assert RunConfig.from_dict(read_json(config_path)) == RunConfig(
         task=2, method="zero_shot", dataset_path="runs/task2.json", corpus_path="corpus.json"
     )
 

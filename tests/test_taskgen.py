@@ -1,4 +1,4 @@
-"""Task dataset builders: grouping, module inference, serialization."""
+"""Task dataset builders: grouping, module naming, serialization."""
 
 import json
 import logging
@@ -14,7 +14,6 @@ from gdprkit.taskgen import (
     build_task2,
     dump_entries,
     entries_json,
-    infer_module,
     load_task1,
     load_task2,
 )
@@ -65,6 +64,16 @@ class TestBuildTask1:
         keys = [(e.repo_url, e.app_name, e.file_path) for e in entries]
         assert keys == sorted(keys)
 
+    def test_module_is_named_after_the_file_stem(self):
+        recs = [
+            record("a/b/Other.java: line 3", 6, snippet="public class CameraService {\n"),
+            record("config/settings.json", 32, snippet='{"k": 1}\n'),
+        ]
+        assert [e.module_level for e in build_task1(recs)] == [
+            {"Other": frozenset({6})},
+            {"settings": frozenset({32})},
+        ]
+
     def test_unspanned_record_contributes_file_level_only(self):
         entries = build_task1([record("src/a.js", 5)])
         assert entries[0].file_level == frozenset({5})
@@ -86,29 +95,6 @@ class TestBuildTask1:
             ]
 
         assert shape(forward) == shape(backward)
-
-
-class TestInferModule:
-    def test_stem_fallback_without_class_decl(self):
-        recs = [record("a/b/MainActivity2.java", 6, snippet="x.call();\n")]
-        assert infer_module("a/b/MainActivity2.java", recs) == "MainActivity2"
-
-    def test_class_declaration_wins_over_stem(self):
-        recs = [record("a/b/Other.java", 6, snippet="public class CameraService {\n")]
-        assert infer_module("a/b/Other.java", recs) == "CameraService"
-
-    def test_json_path_falls_back_to_stem(self):
-        recs = [record("config/settings.json", 32, snippet='{"k": 1}\n')]
-        assert infer_module("config/settings.json", recs) == "settings"
-
-    def test_most_frequent_name_then_lexicographic(self):
-        recs = [
-            record("a/F.kt", 6, snippet="class Zeta {}\nclass Alpha {}\n"),
-            record("a/F.kt", 5, snippet="class Alpha {}\n"),
-        ]
-        assert infer_module("a/F.kt", recs) == "Alpha"
-        tied = [record("a/F.kt", 6, snippet="class Zeta {}\nclass Alpha {}\n")]
-        assert infer_module("a/F.kt", tied) == "Alpha"
 
 
 class TestBuildTask2:
