@@ -204,7 +204,8 @@ def read_entries(path: str | Path, build: Callable[[dict], T], key: str | None =
     A document of another shape raises InputError naming the file; so does
     an entry that is not an object, lacks a key ``build`` reads, holds a
     value of the wrong type, or makes ``build`` raise InputError, and then
-    the message also names the entry's index.
+    the message also names the entry's index.  An InputError of ``build``
+    keeps its type (a rules file raises RuleLoadError).
     """
     raw = read_json(path)
     if key is not None:
@@ -221,14 +222,11 @@ def read_entries(path: str | Path, build: Callable[[dict], T], key: str | None =
             out.append(build(obj))
         except KeyError as exc:
             raise InputError(f"{path}: entry {i}: missing key {exc.args[0]!r}") from None
-        except (InputError, TypeError, AttributeError) as exc:
+        except InputError as exc:
+            raise type(exc)(f"{path}: entry {i}: {exc}") from None
+        except (TypeError, AttributeError) as exc:
             raise InputError(f"{path}: entry {i}: {exc}") from None
     return out
-
-
-def dump_corpus(records: list[ViolationRecord], path: str | Path) -> None:
-    """Serialize records with canonical field names; load_corpus round-trips."""
-    write_atomic(path, json.dumps([r.to_dict() for r in records], indent=2, ensure_ascii=False) + "\n")
 
 
 def write_atomic(path: str | Path, text: str) -> None:

@@ -263,10 +263,10 @@ def load_rules(path: str | Path | None = None) -> RuleCatalog:
             if name not in known:
                 raise RuleLoadError(f"rule {rule_id!r} references unknown predicate {name!r}")
         weight = obj["weight"]
-        if not (isinstance(weight, (int, float)) and 0 < weight <= 1):
+        if isinstance(weight, bool) or not (isinstance(weight, (int, float)) and 0 < weight <= 1):
             raise RuleLoadError(f"rule {rule_id!r} weight must be in (0, 1], got {weight!r}")
         article = obj["article"]
-        if not (isinstance(article, int) and article > 0):
+        if isinstance(article, bool) or not (isinstance(article, int) and article > 0):
             raise RuleLoadError(f"rule {rule_id!r} article must be a positive integer")
         return Rule(rule_id, article, condition, float(weight), obj["message"])
 

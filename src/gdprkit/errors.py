@@ -32,7 +32,7 @@ class ConfigurationError(GdprKitError):
     """Invalid registry or run configuration."""
 
 
-class RuleLoadError(GdprKitError):
+class RuleLoadError(InputError):
     """Rule catalog failed validation at load time."""
 
 

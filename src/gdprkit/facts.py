@@ -5,6 +5,11 @@ Facts are small, language-independent observations ("this file calls
 engine later combines into findings.  Extraction runs through per-language
 frontends; languages without a structural frontend fall back to a lexical
 scan driven by the same pattern table, so every input yields *some* facts.
+
+Both frontends find word-entry matches the same way: the pattern table
+keys each language's word entries by token when it is built, and one
+``\\w+`` pass over a text looks every token up in that index, instead of
+testing every entry against the text (see ``_WordIndex``).
 """
 
 from __future__ import annotations
@@ -114,22 +119,76 @@ def _compile_word(pattern: str) -> re.Pattern:
     return re.compile(r"\b" + r"\s*\.\s*".join(parts) + r"\b")
 
 
-def _word_matches(entry: PatternEntry, text: str) -> Iterator[re.Match]:
-    """Matches of a word entry in ``text``; the regex runs only where one is possible.
+_TOKEN_RE = re.compile(r"\w+")
 
-    ``_compile_word`` joins the escaped dot-separated parts of the pattern
-    only with ``\\s*\\.\\s*`` and never ignores case, so every match holds
-    each part verbatim.  A text that lacks one of the parts has no match,
-    and the regex is not run over it.
+
+class _WordIndex:
+    """Word entries keyed by token, so one ``\\w+`` pass finds their matches.
+
+    A single-part entry (its pattern is one ``\\w+`` word, e.g.
+    ``getDeviceId``) matches exactly where a whole token equals the word:
+    ``\\bP\\b`` needs a non-word character or an end of text on both sides
+    of P, and ``\\b`` and ``\\w`` share one (Unicode) definition of a word
+    character.  The token's own match is then the entry's match, and no
+    regex runs.  A dotted entry (``Log.d``) is keyed by its last part: each
+    part of a match is a whole token, so the entry's regex runs only over a
+    text in which that part occurs as a token.  Any other entry
+    (``uses-permission``) runs its regex only over a text that holds each of
+    its dot-separated parts.  All three checks are exact: ``_compile_word``
+    joins the escaped parts only with ``\\s*\\.\\s*`` and never ignores
+    case, so every match holds each part verbatim.
     """
-    for part in entry.parts:
-        if part not in text:
-            return iter(())
-    return entry.compiled.finditer(text)
+
+    def __init__(self, entries: Iterable[PatternEntry]):
+        self.by_token: dict[str, tuple[list[PatternEntry], list[PatternEntry]]] = {}
+        self.other: list[PatternEntry] = []
+        for entry in entries:
+            if not all(_TOKEN_RE.fullmatch(part) for part in entry.parts):
+                self.other.append(entry)
+                continue
+            single, dotted = self.by_token.setdefault(entry.parts[-1], ([], []))
+            (single if len(entry.parts) == 1 else dotted).append(entry)
+
+    def matches(self, text: str) -> Iterator[tuple[PatternEntry, re.Match]]:
+        """Every match of every indexed entry in ``text``, as ``(entry, match)``."""
+        dotted: dict[str, list[PatternEntry]] = {}  # last part -> its dotted entries
+        get = self.by_token.get
+        for m in _TOKEN_RE.finditer(text):
+            hit = get(m.group())
+            if hit is not None:
+                for entry in hit[0]:
+                    yield entry, m
+                if hit[1]:
+                    dotted[m.group()] = hit[1]
+        for entries in dotted.values():
+            for entry in entries:
+                for m in entry.compiled.finditer(text):
+                    yield entry, m
+        for entry in self.other:
+            if all(part in text for part in entry.parts):
+                for m in entry.compiled.finditer(text):
+                    yield entry, m
+
+
+class _LanguageView:
+    """The entries that apply to one language, with the token index of its word entries."""
+
+    def __init__(self, entries: Sequence[PatternEntry]):
+        self.words = tuple(e for e in entries if e.match == "word")
+        self.regexes = tuple(e for e in entries if e.match == "regex")
+        self.word_index = _WordIndex(self.words)
 
 
 class PatternTable:
-    """Indexed view over the sensitive-API pattern list."""
+    """Indexed view over the sensitive-API pattern list.
+
+    Everything is built here, once: the call lookup by name, and for each
+    language the word and regex entries that apply to it and the token
+    index of its word entries (see ``_WordIndex``).  Both frontends share
+    that index: the lexical fallback over the source, the bare-identifier
+    walk of the structural frontend over the blanked text.  A language that
+    no entry names sees the entries that name no language.
+    """
 
     def __init__(self, entries: Sequence[PatternEntry]):
         self.entries = tuple(entries)
@@ -137,22 +196,23 @@ class PatternTable:
         for entry in self.entries:
             if entry.match == "word":
                 self._by_name[entry.pattern] = entry
-        self._selected: dict[tuple[str, str], tuple[PatternEntry, ...]] = {}
+        named = sorted({lang for e in self.entries if e.languages for lang in e.languages})
+        self._views = {
+            lang: _LanguageView([e for e in self.entries if e.applies_to(lang)]) for lang in named
+        }
+        self._unnamed = _LanguageView([e for e in self.entries if e.languages is None])
 
-    def _select(self, match: str, language: str) -> tuple[PatternEntry, ...]:
-        """Entries of one match mode that apply to ``language``, built on first use."""
-        key = (match, language)
-        if key not in self._selected:
-            self._selected[key] = tuple(
-                e for e in self.entries if e.match == match and e.applies_to(language)
-            )
-        return self._selected[key]
+    def _view(self, language: str) -> _LanguageView:
+        return self._views.get(language, self._unnamed)
 
     def word_entries(self, language: str) -> tuple[PatternEntry, ...]:
-        return self._select("word", language)
+        return self._view(language).words
 
     def regex_entries(self, language: str) -> tuple[PatternEntry, ...]:
-        return self._select("regex", language)
+        return self._view(language).regexes
+
+    def word_index(self, language: str) -> _WordIndex:
+        return self._view(language).word_index
 
     def lookup_call(self, receiver: str | None, name: str, language: str) -> PatternEntry | None:
         """Match a call expression against the table, most-qualified first."""
@@ -294,29 +354,28 @@ def lexical_fallback(source: str, language: str, path: str = "") -> list[Fact]:
     """Pattern-table scan with no parsing at all.
 
     Word entries match on identifier boundaries, so ``getDeviceId`` does not
-    fire inside ``widgetDeviceIdx``.  A word entry's regex runs only when
-    every dot-separated part of its pattern occurs in ``source``; that check
-    is exact (see ``_word_matches``), so most entries cost one substring
-    test instead of a scan.  Used for every language that has no structural
-    frontend registered, and as the safety net when a structural frontend
-    raises.
+    fire inside ``widgetDeviceIdx``.  They are found in one ``\\w+`` token
+    pass through the language's ``PatternTable.word_index``: a one-word
+    entry matches where a token equals it, and a dotted entry's regex runs
+    only when its last part occurs as a token (see ``_WordIndex``).  Used
+    for every language that has no structural frontend registered, and as
+    the safety net when a structural frontend raises.
     """
     table = default_pattern_table()
     index = _LineIndex(source)
     facts = []
-    for entry in table.word_entries(language):
-        for m in _word_matches(entry, source):
-            line = index.line_of(m.start())
-            facts.append(
-                Fact(
-                    kind=entry.kind,
-                    symbol=entry.pattern,
-                    detail=m.group(0),
-                    span=SpanRef(path, line, line),
-                    language=language,
-                    data_category=entry.data_category,
-                )
+    for entry, m in table.word_index(language).matches(source):
+        line = index.line_of(m.start())
+        facts.append(
+            Fact(
+                kind=entry.kind,
+                symbol=entry.pattern,
+                detail=m.group(0),
+                span=SpanRef(path, line, line),
+                language=language,
+                data_category=entry.data_category,
             )
+        )
     facts.extend(_regex_pass(source, language, table, path, index))
     return _finalize(facts)
 
@@ -383,6 +442,12 @@ def _scan_java_like(source: str, index: _LineIndex) -> tuple[str, list[tuple[int
     return _JAVA_LIKE_RE.sub(blank, source), literals
 
 
+# kinds whose bare identifiers the structural frontend reports
+_GUARD_KINDS = (FactKind.CONSENT_GUARD, FactKind.PERMISSION_DECL)
+# a call's opening parenthesis after a name, across spaces and tabs only
+_OPEN_PAREN_RE = re.compile(r"[ \t]*\(")
+
+
 def _preceding_word(text: str, pos: int) -> str | None:
     j = pos
     while j > 0 and text[j - 1] in " \t":
@@ -400,7 +465,10 @@ def structural_frontend(source: str, language: str, path: str = "") -> list[Fact
 
     Emits table-matched call expressions, guard identifiers, string/URL
     literals, and the shared regex-entry facts.  Declarations (classes,
-    methods) yield no fact of their own.
+    methods) yield no fact of their own.  Guard identifiers (consent-guard
+    and permission entries not followed by ``(``) come from one token pass
+    over the blanked text through ``PatternTable.word_index``, the index the
+    lexical fallback uses.
     """
     table = default_pattern_table()
     index = _LineIndex(source)
@@ -436,24 +504,22 @@ def structural_frontend(source: str, language: str, path: str = "") -> list[Fact
 
     # bare identifiers still count for consent guards and permission strings:
     # `if (consentGiven)` has no call expression but is a guard all the same
-    for entry in table.word_entries(language):
-        if entry.kind not in (FactKind.CONSENT_GUARD, FactKind.PERMISSION_DECL):
+    for entry, m in table.word_index(language).matches(blanked):
+        if entry.kind not in _GUARD_KINDS:
             continue
-        for m in _word_matches(entry, blanked):
-            tail = blanked[m.end():].lstrip(" \t")
-            if tail.startswith("("):
-                continue  # call form is covered by the call pass above
-            line = index.line_of(m.start())
-            facts.append(
-                Fact(
-                    kind=entry.kind,
-                    symbol=entry.pattern,
-                    detail=m.group(0),
-                    span=SpanRef(path, line, line),
-                    language=language,
-                    data_category=entry.data_category,
-                )
+        if _OPEN_PAREN_RE.match(blanked, m.end()):
+            continue  # call form is covered by the call pass above
+        line = index.line_of(m.start())
+        facts.append(
+            Fact(
+                kind=entry.kind,
+                symbol=entry.pattern,
+                detail=m.group(0),
+                span=SpanRef(path, line, line),
+                language=language,
+                data_category=entry.data_category,
             )
+        )
 
     for start_line, end_line, content in literals:
         facts.extend(_literal_facts(content, start_line, end_line, language, path))

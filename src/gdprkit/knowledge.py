@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .corpus import ViolationRecord, group_by_snippet, read_entries
-from .errors import ConfigurationError, UnknownArticleError
+from .errors import ConfigurationError, InputError, UnknownArticleError
 
 _DATA_DIR = Path(__file__).parent / "data"
 
@@ -41,7 +41,10 @@ class ArticleInfo:
 
 
 def _article(obj: dict) -> ArticleInfo:
-    return ArticleInfo(number=obj["number"], title=obj["title"], summary=obj["summary"])
+    number = obj["number"]
+    if not isinstance(number, int) or isinstance(number, bool):
+        raise InputError(f"article number must be an integer, got {number!r}")
+    return ArticleInfo(number=number, title=obj["title"], summary=obj["summary"])
 
 
 def load_articles(path: str | Path | None = None) -> dict[int, ArticleInfo]:

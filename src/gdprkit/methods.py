@@ -54,13 +54,6 @@ class LabelSet(frozenset):
         return super().__new__(cls, items)
 
 
-def format_labels(labels: LabelSet) -> str:
-    """Inverse of strict parsing: '0' for none, else ascending comma list."""
-    if not labels:
-        return "0"
-    return ",".join(str(a) for a in sorted(labels))
-
-
 _STRICT_RE = re.compile(r"^\s*(\d+(?:\s*,\s*\d+)*)\s*$")
 _INT_RE = re.compile(r"\d+")
 

@@ -243,8 +243,11 @@ class TestMisshapenCatalogs:
             ({}, "expected a JSON object with key 'rules'"),
             ({"rules": [{"id": "R1", "article": 6, "weight": 0.5, "message": "m"}]},
              "entry 0: missing key 'when'"),
+            ({"rules": [{"id": "R1", "article": 6, "when": "HasConsentCheck", "weight": 5,
+                         "message": "m"}]},
+             "entry 0: rule 'R1' weight must be in (0, 1], got 5"),
         ],
-        ids=["empty-object", "rule-without-when"],
+        ids=["empty-object", "rule-without-when", "weight-out-of-range"],
     )
     def test_analyze_rules(self, document, named, tmp_path, capsys):
         rules = tmp_path / "rules.json"

@@ -11,9 +11,9 @@ from gdprkit.corpus import (
     ViolationRecord,
     compute_stats,
     detect_language,
-    dump_corpus,
     load_corpus,
     parse_span,
+    write_atomic,
 )
 from gdprkit.errors import CorpusSchemaError, SpanParseError
 
@@ -117,7 +117,7 @@ class TestLoadCorpus:
 
     def test_dump_then_load_round_trips(self, tmp_path, fixture_corpus):
         path = tmp_path / "copy.json"
-        dump_corpus(fixture_corpus, path)
+        write_atomic(path, json.dumps([r.to_dict() for r in fixture_corpus]))
         assert load_corpus(path) == fixture_corpus
 
 

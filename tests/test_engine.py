@@ -112,6 +112,29 @@ class TestCatalog:
         with pytest.raises(RuleLoadError, match="R-DUP"):
             load_rules(path)
 
+    @pytest.mark.parametrize(
+        "change, entry, message",
+        [
+            ({"id": "R0"}, 1, "duplicate rule id 'R0'"),
+            ({"when": "Bogus"}, 1, "rule 'R1' references unknown predicate 'Bogus'"),
+            ({"weight": 5}, 1, "rule 'R1' weight must be in (0, 1], got 5"),
+            ({"article": 0}, 1, "rule 'R1' article must be a positive integer"),
+            ({"article": True}, 1, "rule 'R1' article must be a positive integer"),
+            ({"weight": True}, 1, "rule 'R1' weight must be in (0, 1], got True"),
+            ({"when": ["not"]}, 1, "'not' takes exactly one operand"),
+        ],
+        ids=["duplicate-id", "unknown-predicate", "weight", "article", "article-bool", "weight-bool",
+             "malformed-when"],
+    )
+    def test_rule_errors_name_file_and_entry(self, change, entry, message, tmp_path):
+        rule = {"article": 6, "when": "HasConsentCheck", "weight": 0.5, "message": "m"}
+        rules = [{**rule, "id": "R0"}, {**rule, "id": "R1", **change}]
+        path = tmp_path / "rules.json"
+        path.write_text(json.dumps({"rules": rules}), encoding="utf-8")
+        with pytest.raises(RuleLoadError) as raised:
+            load_rules(path)
+        assert str(raised.value) == f"{path}: entry {entry}: {message}"
+
     def test_empty_rule_file_gives_empty_catalog(self, tmp_path):
         path = tmp_path / "rules.json"
         path.write_text(json.dumps({"version": 1, "rules": []}), encoding="utf-8")

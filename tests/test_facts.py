@@ -231,10 +231,11 @@ _WORD_PATTERNS = sorted(e.pattern for e in default_pattern_table().entries if e.
 # pieces that match a word entry only with help (spaced dots), or must not
 # match at all (longer identifiers, other case, non-ASCII word characters)
 _NEAR_MISSES = [
-    "widgetDeviceIdx", "getDeviceIdé", "ügetDeviceId", "Log . d", "Log\n.\nd", "Log.\td",
-    "log.d", "LOG.D", "console .log", "Camera\t. open", "uses-permission", "uses_permission",
-    "requestPermissions", "requestPermission", "requestPermissionz", "consentGivenX",
-    "Лог.d", "ｇetDeviceId", "日本getImei",
+    "widgetDeviceIdx", "getDeviceIdé", "ügetDeviceId", "$getDeviceId", "_getDeviceId",
+    "getDeviceId2", "getdeviceid", "GETDEVICEID", "FETCH", "Log . d", "Log\n.\nd", "Log .\n d",
+    "Log.\td", "log.d", "LOG.D", "console .log", "Camera\t. open", "uses-permission",
+    "uses_permission", "requestPermissions", "requestPermission", "requestPermissionz",
+    "consentGivenX", "Лог.d", "ｇetDeviceId", "日本getImei",
 ]
 _SYNTAX = [" ", "\n", "\t", ".", "(", ")", ";", "=", "//", "/*", "*/", '"', "'", "#", "x", "é"]
 _word_text = st.lists(
@@ -246,17 +247,79 @@ _word_text = st.lists(
 ).map("".join)
 
 
+def _word_fact(entry, m, index, language):
+    line = index.line_of(m.start())
+    return Fact(
+        kind=entry.kind,
+        symbol=entry.pattern,
+        detail=m.group(0),
+        span=SpanRef("", line, line),
+        language=language,
+        data_category=entry.data_category,
+    )
+
+
+# References for TestWordPrefilter: the word-entry loops the token index
+# replaced, which run every entry's regex over the whole text.
+def _reference_lexical(source: str, language: str) -> list[Fact]:
+    table = default_pattern_table()
+    index = facts_module._LineIndex(source)
+    facts = []
+    for entry in table.word_entries(language):
+        for m in entry.compiled.finditer(source):
+            facts.append(_word_fact(entry, m, index, language))
+    facts.extend(facts_module._regex_pass(source, language, table, "", index))
+    return facts_module._finalize(facts)
+
+
+def _reference_structural(source: str, language: str) -> list[Fact]:
+    # the frontend without its bare-identifier walk, plus that walk as a loop
+    with mock.patch.object(facts_module, "_GUARD_KINDS", ()):
+        facts = structural_frontend(source, language)
+    index = facts_module._LineIndex(source)
+    blanked, _ = facts_module._scan_java_like(source, index)
+    for entry in default_pattern_table().word_entries(language):
+        if entry.kind not in (FactKind.CONSENT_GUARD, FactKind.PERMISSION_DECL):
+            continue
+        for m in entry.compiled.finditer(blanked):
+            tail = blanked[m.end():].lstrip(" \t")
+            if tail.startswith("("):
+                continue
+            facts.append(_word_fact(entry, m, index, language))
+    return facts_module._finalize(facts)
+
+
 class TestWordPrefilter:
-    """Skipping word entries whose literal parts are absent loses no match."""
+    """The token index finds exactly the matches of every word entry's regex."""
 
     @given(source=_word_text, language=st.sampled_from(["java", "kt", "js", "py", "php", "xml"]))
     @settings(max_examples=300, deadline=None)
+    @example(source="$getDeviceId _getDeviceId getDeviceId2 getdeviceid", language="js")
+    @example(source="Log .\n d(x); uses_permission uses-permission", language="py")
+    @example(source="if (consentGiven) x = consentGivenX;\nhasConsent ()\nconsentGiven\n(x)",
+             language="java")
     def test_frontends_equal_unfiltered_scan(self, source, language):
         fast = [lexical_fallback(source, language), structural_frontend(source, language)]
-        brute_force = lambda entry, text: entry.compiled.finditer(text)  # noqa: E731
-        with mock.patch.object(facts_module, "_word_matches", brute_force):
-            slow = [lexical_fallback(source, language), structural_frontend(source, language)]
+        slow = [_reference_lexical(source, language), _reference_structural(source, language)]
         assert fast == slow
+
+    def test_index_covers_only_the_entries_of_its_language(self):
+        def entry(pattern, languages):
+            return facts_module._pattern_entry(
+                {"pattern": pattern, "kind": "ApiCall", "languages": languages}
+            )
+
+        table = facts_module.PatternTable(
+            [entry("getImei", None), entry("Log.d", ["kt"]), entry("uses-permission", ["kt"])]
+        )
+        text = "getImei(); Log\n.d(x); uses-permission"
+
+        def found(language):
+            return [(e.pattern, m.start()) for e, m in table.word_index(language).matches(text)]
+
+        assert found("kt") == [("getImei", 0), ("Log.d", 11), ("uses-permission", 22)]
+        assert found("js") == [("getImei", 0)]
+        assert table.word_entries("js") == table.word_entries("php")
 
 
 # Reference for TestJavaLikeScan: a character-by-character scan that the one

@@ -13,7 +13,7 @@ import pytest
 import requests
 
 from gdprkit import harness, knowledge, methods
-from gdprkit.corpus import dump_corpus, load_corpus, read_json
+from gdprkit.corpus import load_corpus, read_json, write_atomic
 from gdprkit.errors import (
     ConfigurationError,
     InputError,
@@ -503,13 +503,10 @@ class TestAtomicArtifacts:
         if writer == "run":
             run(RunConfig(task=2, method="formal", dataset_path=workspace["task2"], output_dir=str(out)))
             return [out / name for name in self.ARTIFACTS]
-        if writer == "dump_entries":
-            dump_entries(build_task2(corpus), out / "task2.json")
-            return [out / "task2.json"]
-        dump_corpus(corpus, out / "corpus.json")
-        return [out / "corpus.json"]
+        dump_entries(build_task2(corpus), out / "task2.json")
+        return [out / "task2.json"]
 
-    @pytest.mark.parametrize("writer", ["run", "dump_entries", "dump_corpus"])
+    @pytest.mark.parametrize("writer", ["run", "dump_entries"])
     def test_failed_rename_keeps_old_file(self, workspace, tmp_path, monkeypatch, writer):
         targets = self._write(writer, workspace, tmp_path)
         old = {path: path.read_bytes() for path in targets}
@@ -575,9 +572,7 @@ class TestErrorAndSkipPaths:
         )
         corpus = [doctored[0], broken]
         corpus_path = tmp_path / "corpus.json"
-        from gdprkit.corpus import dump_corpus
-
-        dump_corpus(corpus, corpus_path)
+        write_atomic(corpus_path, json.dumps([r.to_dict() for r in corpus]))
         dataset_path = tmp_path / "task1.json"
         dump_entries(build_task1(corpus), dataset_path)
         config = RunConfig(

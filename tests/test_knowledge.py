@@ -1,5 +1,6 @@
 """Article catalog, token-cosine similarity, and the retrieval store."""
 
+import json
 import math
 import re
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gdprkit.errors import ConfigurationError, UnknownArticleError
+from gdprkit.errors import ConfigurationError, InputError, UnknownArticleError
 from gdprkit.knowledge import (
     ARTICLE_TEXT,
     VIOLATION_EXAMPLE,
@@ -16,6 +17,7 @@ from gdprkit.knowledge import (
     article_catalog,
     article_lookup,
     build_kb,
+    load_articles,
     similarity,
     tokenize,
 )
@@ -37,6 +39,21 @@ class TestArticleCatalog:
         catalog = article_catalog()
         assert len(catalog) == 23
         assert all(info.summary for info in catalog.values())
+
+    @pytest.mark.parametrize(
+        "numbers, entry",
+        [([1, "a"], 1), (["7"], 0), ([True], 0), ([2, 6.0], 1)],
+        ids=["string-beside-int", "string-alone", "bool", "float"],
+    )
+    def test_non_integer_number_names_file_and_entry(self, numbers, entry, tmp_path):
+        path = tmp_path / "articles.json"
+        articles = [{"number": n, "title": "t", "summary": "s"} for n in numbers]
+        path.write_text(json.dumps({"articles": articles}))
+        with pytest.raises(InputError) as raised:
+            load_articles(path)
+        assert str(raised.value) == (
+            f"{path}: entry {entry}: article number must be an integer, got {numbers[entry]!r}"
+        )
 
 
 class TestSimilarity:

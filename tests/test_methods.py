@@ -36,7 +36,6 @@ from gdprkit.methods import (
     ResponseCache,
     ScriptedReasoner,
     ZeroShotMethod,
-    format_labels,
     parse_model_output,
     react_run,
     render_rag_prompt,
@@ -122,14 +121,10 @@ class TestParseModelOutput:
             parse_model_output("")
         assert parse_model_output("", strict=False) == ()
 
-    def test_format_labels(self):
-        assert format_labels(LabelSet({32, 6})) == "6,32"
-        assert format_labels(LabelSet()) == "0"
-
     @given(labels=st.frozensets(st.integers(1, 99), max_size=8))
     @settings(max_examples=200, deadline=None)
     def test_format_parse_round_trip(self, labels):
-        text = format_labels(LabelSet(labels))
+        text = ",".join(map(str, sorted(labels))) or "0"
         assert frozenset(parse_model_output(text)) == labels
 
     def test_label_set_rejects_non_positive(self):
