@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -43,8 +44,9 @@ def _cmd_gen_task2(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    target = Path(args.target)
-    if target.exists() and target.is_file():
+    # isfile, unlike Path.exists, is False for a snippet too long or odd to be a path
+    if os.path.isfile(args.target):
+        target = Path(args.target)
         source = target.read_text(encoding="utf-8")
         language = args.language or detect_language(str(target))
         path = str(target)

@@ -3,9 +3,13 @@
 Facts populate a fixed inventory of boolean predicates; a catalog of
 article-tagged rules (boolean expressions over those predicates) is then
 evaluated, once per distinct set of held predicates, to produce findings.
-A finding's confidence grows with the amount of supporting evidence:
+A finding carries the facts that support it, and its confidence grows with
+their number:
 
     confidence = weight * (1 + ln(1 + n_supporting_facts))
+
+Rankings read only each finding's article and confidence, so a finding's
+source spans and explanation are derived from its support when read.
 
 Article rankings order articles by their best finding, ties broken by
 ascending article number so output is fully deterministic.
@@ -119,6 +123,7 @@ class Predicate:
 
 _SENSITIVE_ORDER = sorted(SENSITIVE_CATEGORIES, key=lambda c: c.value)
 _EVIDENCE_ATOMS = [f"CollectsData({c.value})" for c in _SENSITIVE_ORDER]
+_EVIDENCE = tuple(zip(_SENSITIVE_ORDER, _EVIDENCE_ATOMS))
 _OTHER_ATOMS = [
     "CollectsAnyPersonalData",
     "HasConsentCheck",
@@ -151,11 +156,15 @@ def populate_predicates(facts: Sequence[Fact]) -> dict[str, Predicate]:
     anywhere in the file still covers a narrow focus span.
     """
     local, anywhere = defaultdict(list), defaultdict(list)
+    calls: dict[DataCategory | None, list[Fact]] = defaultdict(list)  # local API calls
     credentials: list[Fact] = []
     for f in facts:
         anywhere[f.kind].append(f)
         if not f.contextual:
-            local[f.kind].append(f)
+            if f.kind is FactKind.API_CALL:
+                calls[f.data_category].append(f)
+            else:
+                local[f.kind].append(f)
             if f.data_category is DataCategory.CREDENTIALS:
                 credentials.append(f)
     state = dict(_NOT_HELD)
@@ -164,11 +173,10 @@ def populate_predicates(facts: Sequence[Fact]) -> dict[str, Predicate]:
         if support:
             state[name] = Predicate(name, True, tuple(support))
 
-    calls = local[FactKind.API_CALL]
     collect_all: list[Fact] = []
-    for category in _SENSITIVE_ORDER:
-        matches = [f for f in calls if f.data_category is category]
-        put(f"CollectsData({category.value})", matches)
+    for category, name in _EVIDENCE:
+        matches = calls.get(category, ())
+        put(name, matches)
         collect_all.extend(matches)
     put("CollectsAnyPersonalData", collect_all)
 
@@ -200,10 +208,7 @@ def populate_predicates(facts: Sequence[Fact]) -> dict[str, Predicate]:
         if any(phrase in f.detail.lower() for phrase in _PRIVACY_PHRASES)
     ]
     put("HasPrivacyNoticeText", notices)
-    put(
-        "AccessesSpecialCategoryData",
-        [f for f in calls if f.data_category is DataCategory.GENERIC],
-    )
+    put("AccessesSpecialCategoryData", calls.get(DataCategory.GENERIC, ()))
 
     return state
 
@@ -285,11 +290,32 @@ def default_catalog() -> RuleCatalog:
 
 @dataclass(frozen=True)
 class Finding:
+    """A fired rule with its supporting facts, each once, in order of first appearance.
+
+    ``spans`` and ``explanation`` are derived from ``support`` and the
+    rule's ``message`` each time they are read.
+    """
+
     article: int
     rule_id: str
     confidence: float
-    spans: tuple[SpanRef, ...]
-    explanation: str
+    support: tuple[Fact, ...]
+    message: str
+
+    @property
+    def spans(self) -> tuple[SpanRef, ...]:
+        """The distinct source spans of the support, in line order."""
+        return tuple(
+            sorted({f.span for f in self.support}, key=lambda s: (s.start_line, s.end_line, s.file_path))
+        )
+
+    @property
+    def explanation(self) -> str:
+        """The rule's message, followed by up to five sorted evidence symbols."""
+        symbols = sorted({f.symbol for f in self.support})[:5]
+        if symbols:
+            return f"{self.message} (evidence: {', '.join(symbols)})"
+        return self.message
 
     def to_dict(self) -> dict:
         return {
@@ -331,20 +357,9 @@ def evaluate_rules(
     findings: list[Finding] = []
     for rule, atoms in catalog.fired(state):
         # each supporting fact once, in order of first appearance
-        support = list({id(f): f for name in atoms for f in state[name].support}.values())
-        spans = tuple(sorted({f.span for f in support}, key=lambda s: (s.start_line, s.end_line, s.file_path)))
-        symbols = sorted({f.symbol for f in support})[:5]
-        explanation = rule.message
-        if symbols:
-            explanation = f"{rule.message} (evidence: {', '.join(symbols)})"
+        support = tuple({id(f): f for name in atoms for f in state[name].support}.values())
         findings.append(
-            Finding(
-                article=rule.article,
-                rule_id=rule.id,
-                confidence=confidence_for(rule.weight, len(support)),
-                spans=spans,
-                explanation=explanation,
-            )
+            Finding(rule.article, rule.id, confidence_for(rule.weight, len(support)), support, rule.message)
         )
     return findings
 

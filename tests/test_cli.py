@@ -1,5 +1,7 @@
 """Command-line interface, exercised through main(argv)."""
 
+import contextlib
+import io
 import json
 import shutil
 import subprocess
@@ -10,7 +12,8 @@ import pytest
 
 import gdprkit
 from gdprkit.cli import main
-from tests.conftest import DATA_DIR
+from gdprkit.corpus import detect_language, split_snippet_path
+from tests.conftest import DATA_DIR, GOLDEN_DIR
 
 CORPUS = str(DATA_DIR / "fixture_corpus.json")
 ARTICLES = Path(gdprkit.__file__).parent / "data" / "articles.json"
@@ -71,6 +74,44 @@ class TestAnalyze:
         assert main(["analyze", "int x = 1;"]) == 0
         out = capsys.readouterr().out
         assert "no findings" in out.lower() or "[]" in out
+
+    def test_snippet_longer_than_a_file_name_is_analyzed(self, capsys):
+        # 300 characters: past the 255-byte file-name limit, so probing it as a path fails
+        snippet = "String id = tm.getDeviceId(); " * 10
+        assert len(snippet) == 300
+        assert main(["analyze", snippet, "--language", "java"]) == 0
+        assert capsys.readouterr().out.startswith("articles (most suspect first): 6")
+
+    def test_snippet_with_a_nul_character_is_analyzed(self, capsys):
+        assert main(["analyze", "String id = tm.getDeviceId();\0"]) == 0
+        assert capsys.readouterr().out.startswith("articles (most suspect first): 6")
+
+    def test_fixture_snippets_match_golden_output(self):
+        golden = json.loads((GOLDEN_DIR / "analyze_fixture.json").read_text(encoding="utf-8"))
+        assert analyze_outputs() == golden
+
+
+def analyze_outputs() -> list[dict]:
+    """Text and ``--json`` output of ``analyze`` for each distinct fixture snippet.
+
+    ``tests/data/golden/analyze_fixture.json`` holds this list, written with
+    ``json.dumps(analyze_outputs(), indent=2)``.
+    """
+    records = json.loads(Path(CORPUS).read_text(encoding="utf-8"))
+    languages = {}
+    for record in records:
+        file_path, _ = split_snippet_path(record["code_snippet_path"])
+        languages.setdefault(record["code_snippet"], detect_language(file_path))
+    outputs = []
+    for snippet, language in languages.items():
+        entry = {"snippet": snippet, "language": language}
+        for key, flags in (("text", []), ("json", ["--json"])):
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                assert main(["analyze", snippet, "--language", language, *flags]) == 0
+            entry[key] = stdout.getvalue()
+        outputs.append(entry)
+    return outputs
 
 
 class TestRun:

@@ -282,9 +282,9 @@ class TestEvaluation:
 class TestRanking:
     def test_max_confidence_per_article_then_sort(self):
         findings = [
-            Finding(article=6, rule_id="a", confidence=0.9, spans=(), explanation=""),
-            Finding(article=32, rule_id="b", confidence=0.6, spans=(), explanation=""),
-            Finding(article=6, rule_id="c", confidence=0.4, spans=(), explanation=""),
+            Finding(article=6, rule_id="a", confidence=0.9, support=(), message=""),
+            Finding(article=32, rule_id="b", confidence=0.6, support=(), message=""),
+            Finding(article=6, rule_id="c", confidence=0.4, support=(), message=""),
         ]
         ranked = rank_articles(findings)
         assert ranked.articles == (6, 32)
@@ -292,8 +292,8 @@ class TestRanking:
 
     def test_tie_breaks_by_ascending_article(self):
         findings = [
-            Finding(article=6, rule_id="a", confidence=0.5, spans=(), explanation=""),
-            Finding(article=5, rule_id="b", confidence=0.5, spans=(), explanation=""),
+            Finding(article=6, rule_id="a", confidence=0.5, support=(), message=""),
+            Finding(article=5, rule_id="b", confidence=0.5, support=(), message=""),
         ]
         assert rank_articles(findings).articles == (5, 6)
 
@@ -439,8 +439,12 @@ def reference_predicates(facts) -> dict[str, Predicate]:
     return state
 
 
-def reference_findings(facts, rules) -> list[Finding]:
-    """Tree ``evaluate`` per rule, ``walk`` for its positive atoms, support deduplicated by id."""
+def reference_findings(facts, rules) -> list[tuple]:
+    """Tree ``evaluate`` per rule, ``walk`` for its positive atoms, support deduplicated by id.
+
+    Each finding is ``(article, rule_id, confidence, support, spans, explanation)``,
+    with its spans and explanation built eagerly.
+    """
     state = reference_predicates(facts)
     findings = []
     for rule in rules:
@@ -459,9 +463,20 @@ def reference_findings(facts, rules) -> list[Finding]:
         symbols = sorted({f.symbol for f in support})[:5]
         explanation = f"{rule.message} (evidence: {', '.join(symbols)})" if symbols else rule.message
         findings.append(
-            Finding(rule.article, rule.id, confidence_for(rule.weight, len(support)), spans, explanation)
+            (rule.article, rule.id, confidence_for(rule.weight, len(support)), tuple(support), spans, explanation)
         )
     return findings
+
+
+def finding_fields(finding: Finding) -> tuple:
+    return (
+        finding.article,
+        finding.rule_id,
+        finding.confidence,
+        finding.support,
+        finding.spans,
+        finding.explanation,
+    )
 
 
 def _pool_fact(kind, category=None, detail="x", line=1):
@@ -481,6 +496,12 @@ _LOCAL_POOL = extract_facts(HTTP_SOURCE + CONSENT_SOURCE, "java") + [
     _pool_fact(FactKind.LOG_WRITE, line=28),
     _pool_fact(FactKind.CRYPTO_USE, line=29),
     _pool_fact(FactKind.CONSENT_GUARD, line=30),
+    _pool_fact(FactKind.API_CALL, line=31),
+    _pool_fact(FactKind.API_CALL, DataCategory.CREDENTIALS, line=32),
+    _pool_fact(FactKind.API_CALL, DataCategory.MICROPHONE, line=33),
+    _pool_fact(FactKind.API_CALL, DataCategory.CONTACTS, line=34),
+    _pool_fact(FactKind.API_CALL, DataCategory.SMS, line=35),
+    _pool_fact(FactKind.API_CALL, DataCategory.KEYSTROKES, line=36),
 ]
 FACT_POOL = _LOCAL_POOL + [dataclasses.replace(f, contextual=True) for f in _LOCAL_POOL]
 
@@ -514,6 +535,8 @@ class TestFiredRuleMemo:
     def test_evaluate_rules_matches_tree_evaluation(self, rules, fact_sets):
         catalog = RuleCatalog(rules)
         first = [evaluate_rules(facts, catalog) for facts in fact_sets]
-        assert first == [reference_findings(facts, rules) for facts in fact_sets]
+        assert [[finding_fields(f) for f in findings] for findings in first] == [
+            reference_findings(facts, rules) for facts in fact_sets
+        ]
         # the second pass takes every fired-rule tuple from the memo
         assert [evaluate_rules(facts, catalog) for facts in fact_sets] == first

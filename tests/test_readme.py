@@ -1,11 +1,12 @@
-"""The JSON examples in README.md load as shown."""
+"""The JSON examples and the quick-start output in README.md hold as shown."""
 
 import argparse
 import json
 import re
+import shlex
 from pathlib import Path
 
-from gdprkit.cli import build_parser
+from gdprkit.cli import build_parser, main
 from gdprkit.corpus import load_corpus, read_json
 from gdprkit.engine import load_rules
 from gdprkit.harness import RunConfig
@@ -47,3 +48,11 @@ def test_readme_cli_table_lists_every_subcommand():
     documented = re.findall(r"^\| `([a-z0-9-]+)[ `]", readme_section("CLI"), re.MULTILINE)
     [subparsers] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     assert documented == list(subparsers.choices)
+
+
+def test_readme_quick_start_prints_the_block_shown(capsys):
+    command, shown = re.search(
+        r"```sh\n(gdprkit analyze .*?)\n```\n\n```\n(.*?)```", readme_section("Quick start"), re.DOTALL
+    ).groups()
+    assert main(shlex.split(command)[1:]) == 0
+    assert capsys.readouterr().out == shown
