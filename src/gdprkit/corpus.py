@@ -264,10 +264,21 @@ def parse_span(code_snippet_path: str) -> tuple[str, SpanRef | None]:
     return code_snippet_path.strip(), None
 
 
+def path_suffix(file_path: str) -> str:
+    """``PurePosixPath(file_path).suffix``, without building a path object.
+
+    The name is the last ``/``-separated part that is neither empty nor
+    ``.``; its suffix starts at its last dot, unless that dot is the
+    name's first or last character.
+    """
+    name = next((part for part in reversed(file_path.split("/")) if part not in ("", ".")), "")
+    i = name.rfind(".")
+    return name[i:] if 0 < i < len(name) - 1 else ""
+
+
 def detect_language(file_path: str) -> str:
     """Map a file extension (case-insensitive) to a language tag, else 'unknown'."""
-    suffix = Path(file_path).suffix.lower()
-    return LANGUAGE_BY_EXTENSION.get(suffix, "unknown")
+    return LANGUAGE_BY_EXTENSION.get(path_suffix(file_path).lower(), "unknown")
 
 
 def split_snippet_path(code_snippet_path: str) -> tuple[str, SpanRef | None]:
@@ -280,12 +291,16 @@ def split_snippet_path(code_snippet_path: str) -> tuple[str, SpanRef | None]:
 
 def group_by_file(
     corpus: Iterable[ViolationRecord],
-) -> dict[tuple[str, str, str], list[ViolationRecord]]:
-    """Records per (repo_url, app_name, file_path), in corpus order."""
-    groups: dict[tuple[str, str, str], list[ViolationRecord]] = {}
+) -> dict[tuple[str, str, str], list[tuple[ViolationRecord, SpanRef | None]]]:
+    """(record, span) pairs per (repo_url, app_name, file_path), in corpus order.
+
+    Each snippet path is split once, here; the span is the one
+    ``split_snippet_path`` gives.
+    """
+    groups: dict[tuple[str, str, str], list[tuple[ViolationRecord, SpanRef | None]]] = {}
     for record in corpus:
-        file_path, _ = split_snippet_path(record.code_snippet_path)
-        groups.setdefault((record.repo_url, record.app_name, file_path), []).append(record)
+        file_path, span = split_snippet_path(record.code_snippet_path)
+        groups.setdefault((record.repo_url, record.app_name, file_path), []).append((record, span))
     return groups
 
 
@@ -327,7 +342,7 @@ def compute_stats(corpus: list[ViolationRecord]) -> CorpusStats:
         else:
             multi += 1
         per_article[record.violated_article] = per_article.get(record.violated_article, 0) + 1
-        ext = Path(file_path).suffix.lower()
+        ext = path_suffix(file_path).lower()
         per_extension[ext] = per_extension.get(ext, 0) + 1
 
     return CorpusStats(

@@ -108,6 +108,9 @@ class PatternEntry:
     match: str  # "word" or "regex"
     compiled: re.Pattern = field(compare=False)
     parts: tuple[str, ...] = field(compare=False)  # literal dot-separated parts of the pattern
+    # for an ignore_case regex entry: lower-case strings, one of which occurs
+    # in every match once the match is lower-cased (see ``_regex_pass``)
+    literals: tuple[str, ...] = ()
 
     def applies_to(self, language: str) -> bool:
         return self.languages is None or language in self.languages
@@ -188,6 +191,11 @@ class PatternTable:
     that index: the lexical fallback over the source, the bare-identifier
     walk of the structural frontend over the blanked text.  A language that
     no entry names sees the entries that name no language.
+
+    An ``ignore_case`` regex entry may list ``literals``: lower-case strings,
+    one of which occurs in every match of the entry once the match is
+    lower-cased.  ``_regex_pass`` skips the entry over an ASCII text whose
+    lower-cased form holds none of them.
     """
 
     def __init__(self, entries: Sequence[PatternEntry]):
@@ -229,12 +237,25 @@ class PatternTable:
 def _pattern_entry(obj: dict) -> PatternEntry:
     match = obj.get("match", "word")
     pattern = obj["pattern"]
+    ignore_case = match == "regex" and obj.get("ignore_case")
     if match == "word":
         compiled = _compile_word(pattern)
     elif match == "regex":
-        compiled = re.compile(pattern, re.IGNORECASE if obj.get("ignore_case") else 0)
+        compiled = re.compile(pattern, re.IGNORECASE if ignore_case else 0)
     else:
         raise ConfigurationError(f"unknown match mode {match!r} for pattern {pattern!r}")
+    literals = obj.get("literals")
+    if literals is not None:
+        if not ignore_case:
+            raise ConfigurationError(f"literals need an ignore_case regex entry: {pattern!r}")
+        if not (
+            isinstance(literals, list)
+            and literals
+            and all(isinstance(lit, str) and lit and lit == lit.lower() for lit in literals)
+        ):
+            raise ConfigurationError(
+                f"literals must be a non-empty list of non-empty lower-case strings: {pattern!r}"
+            )
     category = obj.get("data_category")
     languages = obj.get("languages")
     return PatternEntry(
@@ -245,6 +266,7 @@ def _pattern_entry(obj: dict) -> PatternEntry:
         match=match,
         compiled=compiled,
         parts=tuple(pattern.split(".")),
+        literals=tuple(literals or ()),
     )
 
 
@@ -308,10 +330,26 @@ def _literal_facts(
 def _regex_pass(
     source: str, language: str, table: PatternTable, path: str, index: _LineIndex
 ) -> list[Fact]:
-    """Run every regex-mode entry over the raw text."""
+    """Run every regex-mode entry over the raw text.
+
+    An entry with ``literals`` is skipped when the text is ASCII and its
+    lower-cased form holds none of them.  The skip is exact: over ASCII
+    text ``re.IGNORECASE`` folds only ASCII case, which ``str.lower``
+    folds the same way, so the lower-cased text holds each lower-cased
+    match.  A non-ASCII text runs every entry, because ``re.IGNORECASE``
+    also matches ``s`` to ``ſ`` and ``i`` to ``ı``, which ``str.lower``
+    leaves apart (``re.search("pass", "paſs", re.I)`` matches).
+    """
     facts = []
     defaults = {FactKind.URL_LITERAL: "url", FactKind.STRING_LITERAL: "literal"}
+    lowered = source.lower() if source.isascii() else None
     for entry in table.regex_entries(language):
+        if (
+            entry.literals
+            and lowered is not None
+            and not any(lit in lowered for lit in entry.literals)
+        ):
+            continue
         for m in entry.compiled.finditer(source):
             groups = m.groupdict()
             symbol = groups.get("symbol") or defaults.get(entry.kind, entry.kind.value.lower())

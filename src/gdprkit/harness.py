@@ -19,10 +19,12 @@ import json
 import logging
 import time
 from dataclasses import MISSING, asdict, dataclass, fields
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Sequence
 
 from .corpus import (
+    SpanRef,
     ViolationRecord,
     detect_language,
     group_by_file,
@@ -131,17 +133,19 @@ class RunConfig:
 # Task 1 source reconstruction
 
 
-def reconstruct_source(records: Sequence[ViolationRecord]) -> tuple[str, int]:
+def reconstruct_source(
+    group: Sequence[tuple[ViolationRecord, SpanRef | None]],
+) -> tuple[str, int]:
     """Rebuild an approximate file from its snippet records.
 
+    ``group`` holds (record, span) pairs as ``group_by_file`` gives them.
     Snippet lines land at their recorded line numbers in a blank buffer;
     the first record to claim a line wins.  Records without a span are
     appended after everything placed.  Returns (source, line_count).
     """
     placed: dict[int, str] = {}
     tail: list[str] = []
-    for record in records:
-        _, span = split_snippet_path(record.code_snippet_path)
+    for record, span in group:
         lines = record.code_snippet.splitlines() or [""]
         if span is None:
             tail.extend(lines)
@@ -222,14 +226,38 @@ class PredictionRecord:
     labels: tuple[int, ...] = ()
     error: str | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "instance_id": self.instance_id,
-            "status": self.status,
-            "ranking": list(self.ranking),
-            "labels": list(self.labels),
-            "error": self.error,
-        }
+
+def _int_list(values: Sequence[int]) -> str:
+    # a list nested at depth 3 of predictions.json, as indent=2 lays it out
+    if not values:
+        return "[]"
+    return "[\n        " + ",\n        ".join(map(str, values)) + "\n      ]"
+
+
+def predictions_json(task: int, method: str, records: Sequence[PredictionRecord]) -> str:
+    """The text of predictions.json, records sorted by instance id.
+
+    The payload is ``{"version": 1, "task", "method", "predictions"}``, each
+    prediction an object of the five ``PredictionRecord`` fields in field
+    order, tuples as arrays.  The text equals ``json.dumps(payload,
+    indent=2, ensure_ascii=False) + "\\n"`` byte for byte; ``indent`` makes
+    CPython encode with its pure-Python encoder, so this fixed layout is
+    written here, with strings encoded by the function ``json.dumps`` uses.
+    """
+    items = [
+        '    {\n      "instance_id": ' + encode_basestring(r.instance_id)
+        + ',\n      "status": ' + encode_basestring(r.status)
+        + ',\n      "ranking": ' + _int_list(r.ranking)
+        + ',\n      "labels": ' + _int_list(r.labels)
+        + ',\n      "error": ' + ("null" if r.error is None else encode_basestring(r.error))
+        + "\n    }"
+        for r in sorted(records, key=lambda r: r.instance_id)
+    ]
+    listed = "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+    return (
+        f'{{\n  "version": 1,\n  "task": {task},\n  "method": {encode_basestring(method)},'
+        f'\n  "predictions": {listed}\n}}\n'
+    )
 
 
 # The input files a run's manifest records in its "datasets" block, by config field.
@@ -555,13 +583,7 @@ def run(config: RunConfig) -> RunResult:
 
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    predictions_payload = {
-        "version": 1,
-        "task": config.task,
-        "method": config.method,
-        "predictions": [r.to_dict() for r in sorted(records, key=lambda r: r.instance_id)],
-    }
-    write_atomic(out / "predictions.json", json.dumps(predictions_payload, indent=2, ensure_ascii=False) + "\n")
+    write_atomic(out / "predictions.json", predictions_json(config.task, config.method, records))
     write_atomic(out / "manifest.json", json.dumps(manifest, indent=2, ensure_ascii=False) + "\n")
     write_atomic(out / "report.json", emit_report(report, "json"))
     write_atomic(out / "report.md", emit_report(report, "markdown"))

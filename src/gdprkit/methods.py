@@ -303,8 +303,23 @@ INSTRUCTION_LINES = (
 CODE_HEADING = "Code snippet:"
 
 
+# The meanings block last built, with a copy of the catalog it was built from.
+_last_meanings: tuple[dict[int, ArticleInfo], str] = ({}, "")
+
+
 def _meanings_block(catalog: Mapping[int, ArticleInfo]) -> str:
-    return "\n".join(f"- Article {n}: {info.title}" for n, info in sorted(catalog.items()))
+    """One line per article of ``catalog``, by number.
+
+    The block is built once per catalog: it is rebuilt only when
+    ``catalog`` differs from the copy kept of the catalog it was last built
+    from, so a catalog changed in place gets a new block.
+    """
+    global _last_meanings
+    last_catalog, block = _last_meanings
+    if catalog != last_catalog:
+        block = "\n".join(f"- Article {n}: {info.title}" for n, info in sorted(catalog.items()))
+        _last_meanings = (dict(catalog), block)
+    return block
 
 
 def _assemble_prompt(

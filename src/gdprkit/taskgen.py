@@ -4,9 +4,9 @@ Task 1 entries are file-centric multi-granularity profiles (one entry per
 distinct (repo_url, app_name, file_path) tuple); Task 2 entries are
 snippet-centric multi-label records (one entry per distinct
 code_snippet_path). Both builders are deterministic: given the same corpus
-they emit byte-identical JSON. The grouping itself and the lenient split of
-a snippet path into file and span come from ``corpus`` (``group_by_file``,
-``group_by_snippet``, ``split_snippet_path``).
+they emit byte-identical JSON. The grouping itself, with the lenient split
+of each snippet path into file and span, comes from ``corpus``
+(``group_by_file``, ``group_by_snippet``).
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .corpus import (
     group_by_file,
     group_by_snippet,
     read_entries,
-    split_snippet_path,
     write_atomic,
 )
 
@@ -97,12 +96,11 @@ def build_task1(corpus: list[ViolationRecord]) -> list[Task1Entry]:
     groups = group_by_file(corpus)
     entries = []
     for (repo_url, app_name, file_path) in sorted(groups):
-        records = groups[(repo_url, app_name, file_path)]
-        file_articles = frozenset(r.violated_article for r in records)
+        group = groups[(repo_url, app_name, file_path)]
+        file_articles = frozenset(record.violated_article for record, _ in group)
 
         by_span: dict[tuple[int, int], tuple[set[int], list[str]]] = {}
-        for record in records:
-            _, span = split_snippet_path(record.code_snippet_path)
+        for record, span in group:
             if span is None:
                 continue
             articles, notes = by_span.setdefault((span.start_line, span.end_line), (set(), []))
@@ -123,7 +121,7 @@ def build_task1(corpus: list[ViolationRecord]) -> list[Task1Entry]:
             Task1Entry(
                 repo_url=repo_url,
                 app_name=app_name,
-                commit_id=records[0].commit_id,
+                commit_id=group[0][0].commit_id,
                 file_path=file_path,
                 file_level=file_articles,
                 module_level={Path(file_path).stem: file_articles},

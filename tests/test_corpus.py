@@ -3,16 +3,21 @@
 import dataclasses
 import json
 import statistics
+from pathlib import PurePosixPath
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from gdprkit.corpus import (
+    LANGUAGE_BY_EXTENSION,
     SpanRef,
     ViolationRecord,
     compute_stats,
     detect_language,
     load_corpus,
     parse_span,
+    path_suffix,
     write_atomic,
 )
 from gdprkit.errors import CorpusSchemaError, SpanParseError
@@ -166,6 +171,24 @@ class TestDetectLanguage:
     )
     def test_extension_mapping(self, path, expected):
         assert detect_language(path) == expected
+
+    @given(
+        st.lists(st.sampled_from(["/", ".", "..", "a", "B", "js", "Java", "ſ", " "]), max_size=10)
+        .map("".join)
+    )
+    @example("")
+    @example(".bashrc")
+    @example("a.")
+    @example("a.b/.")
+    @example("a.b/./")
+    @example("dir/x.KT/")
+    @example("/")
+    @example("a/..")
+    def test_suffix_equals_pathlib(self, path):
+        assert path_suffix(path) == PurePosixPath(path).suffix
+        assert detect_language(path) == LANGUAGE_BY_EXTENSION.get(
+            PurePosixPath(path).suffix.lower(), "unknown"
+        )
 
 
 class TestComputeStats:

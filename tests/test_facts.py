@@ -1,6 +1,8 @@
 """Fact extraction: pattern table, lexical fallback, structural frontend."""
 
 import dataclasses
+import importlib.util
+import re
 from unittest import mock
 
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gdprkit import facts as facts_module
-from gdprkit.corpus import SpanRef
+from gdprkit.corpus import SpanRef, detect_language, group_by_file, load_corpus, split_snippet_path
 from gdprkit.engine import _refocus
 from gdprkit.errors import ConfigurationError
 from gdprkit.facts import (
@@ -21,6 +23,8 @@ from gdprkit.facts import (
     lexical_fallback,
     structural_frontend,
 )
+from gdprkit.harness import reconstruct_source
+from tests.conftest import DATA_DIR
 
 
 class TestApiCallExtraction:
@@ -320,6 +324,154 @@ class TestWordPrefilter:
         assert found("kt") == [("getImei", 0), ("Log.d", 11), ("uses-permission", 22)]
         assert found("js") == [("getImei", 0)]
         assert table.word_entries("js") == table.word_entries("php")
+
+# Reference for TestRegexPrefilter: the regex-entry loop before the literal
+# pre-check, which runs every entry over every text.
+def _reference_regex_pass(source: str, language: str) -> list[Fact]:
+    index = facts_module._LineIndex(source)
+    facts = []
+    defaults = {FactKind.URL_LITERAL: "url", FactKind.STRING_LITERAL: "literal"}
+    for entry in default_pattern_table().regex_entries(language):
+        for m in entry.compiled.finditer(source):
+            groups = m.groupdict()
+            symbol = groups.get("symbol") or defaults.get(entry.kind, entry.kind.value.lower())
+            detail = groups.get("detail")
+            if detail is None:
+                detail = m.group(0)
+            line = index.line_of(m.start())
+            end_line = index.line_of(max(m.start(), m.end() - 1))
+            facts.append(
+                Fact(
+                    kind=entry.kind,
+                    symbol=symbol,
+                    detail=detail,
+                    span=SpanRef("", line, end_line),
+                    language=language,
+                    data_category=entry.data_category,
+                )
+            )
+    return facts
+
+
+def _regex_pass(source: str, language: str) -> list[Fact]:
+    index = facts_module._LineIndex(source)
+    return facts_module._regex_pass(source, language, default_pattern_table(), "", index)
+
+
+@pytest.fixture(scope="module")
+def seed1_texts(tmp_path_factory) -> list[tuple[str, str]]:
+    """(text, language) of every snippet and reconstructed file of synthetic corpus seed 1."""
+    path = DATA_DIR.parent.parent / "perfbench" / "corpus_gen.py"
+    spec = importlib.util.spec_from_file_location("corpus_gen", path)
+    corpus_gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus_gen)
+    corpus_path = tmp_path_factory.mktemp("seed1") / "corpus.json"
+    corpus_gen.write_corpus(corpus_gen.generate(1), corpus_path)
+    records = load_corpus(corpus_path)
+    texts = {
+        (r.code_snippet, detect_language(split_snippet_path(r.code_snippet_path)[0]))
+        for r in records
+    }
+    for (_, _, file_path), group in group_by_file(records).items():
+        texts.add((reconstruct_source(group)[0], detect_language(file_path)))
+    return sorted(texts)
+
+
+# Texts for TestRegexPrefilter: credential assignments and notice phrases with
+# each letter in lower or upper case, or as the non-ASCII character that
+# re.IGNORECASE also folds onto it (and str.lower does not), among other pieces.
+_CREDENTIAL_KEYS = [
+    "password", "passwd", "pwd", "secret", "api_key", "api-key", "apikey", "auth_token",
+    "auth-token", "access_token", "access-token", "credential", "credentials", "private_key",
+    "private-key",
+]
+_NOTICES = ["privacy policy", "privacy  notice", "privacy\nstatement", "data protection notice"]
+_FOLDS = {"s": "ſ", "k": "\u212a", "i": "ı"}
+
+
+def _spelled(word_and_cases: tuple[str, list[int]]) -> str:
+    word, cases = word_and_cases
+    return "".join((c, c.upper(), _FOLDS.get(c, c))[k] for c, k in zip(word, cases))
+
+
+_spelling = st.tuples(
+    st.sampled_from(_CREDENTIAL_KEYS + _NOTICES),
+    st.lists(st.sampled_from([0, 0, 0, 1, 2]), min_size=25, max_size=25),
+).map(_spelled)
+_assignment = st.tuples(
+    st.sampled_from(['"', "", " "]),
+    _spelling,
+    st.sampled_from(['"', ""]),
+    st.sampled_from([" = ", ": ", "="]),
+    st.sampled_from(['"v"', "'v'", '""', "x"]),
+).map("".join)
+_REGEX_PIECES = [
+    "pass", "api", "auth", "access", "private", "data", "notice", "İ", "é", '"', "'", "=", ":",
+    " ", "\n", "x", "http://a.io", "android.permission.CAMERA",
+]
+_regex_text = st.lists(_assignment | st.sampled_from(_REGEX_PIECES), max_size=8).map("".join)
+
+
+class TestRegexPrefilter:
+    """The literal pre-check skips only entries that cannot match."""
+
+    def test_fixture_texts_equal_unfiltered_loop(self, fixture_corpus):
+        for record in fixture_corpus:
+            language = detect_language(split_snippet_path(record.code_snippet_path)[0])
+            text = record.code_snippet
+            assert _regex_pass(text, language) == _reference_regex_pass(text, language)
+
+    def test_seed1_texts_equal_unfiltered_loop(self, seed1_texts):
+        assert len(seed1_texts) > 1000
+        for text, language in seed1_texts:
+            assert _regex_pass(text, language) == _reference_regex_pass(text, language)
+
+    @pytest.mark.parametrize("key", _CREDENTIAL_KEYS + _NOTICES)
+    @pytest.mark.parametrize("case", [str.lower, str.upper, str.title])
+    def test_every_match_form_equals_unfiltered_loop(self, key, case):
+        for source in (f'"{key}": "v"', f"{key} = 'v'", key):
+            source = case(source)
+            assert _regex_pass(source, "js") == _reference_regex_pass(source, "js")
+        assert _regex_pass(case(f'"{key}": "v" {key} = "v"'), "js")
+
+    @given(source=_regex_text)
+    @example(source="paſsword = 'x'")
+    @example(source='"Access-Token": "t"')
+    @example(source='"private_\u212aey":"t" Data Protection Notice')
+    @settings(max_examples=500, deadline=None)
+    def test_random_texts_equal_unfiltered_loop(self, source):
+        assert _regex_pass(source, "java") == _reference_regex_pass(source, "java")
+
+    @pytest.mark.parametrize(
+        "source,symbol",
+        [("paſsword = 'x'", "paſsword"), ("prıvacy policy", "literal")],
+    )
+    def test_case_folds_outside_ascii_still_match(self, source, symbol):
+        # "paſsword".lower() holds no literal: only the isascii() gate keeps the entry
+        found = [(f.kind, f.symbol) for f in _regex_pass(source, "js")]
+        assert (FactKind.STRING_LITERAL, symbol) in found
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            {"match": "word", "literals": ["pass"]},
+            {"match": "regex", "literals": ["pass"]},
+            {"match": "regex", "ignore_case": True, "literals": []},
+            {"match": "regex", "ignore_case": True, "literals": [""]},
+            {"match": "regex", "ignore_case": True, "literals": ["Pass"]},
+            {"match": "regex", "ignore_case": True, "literals": "pass"},
+        ],
+        ids=["word", "case-sensitive", "empty-list", "empty-string", "upper-case", "not-a-list"],
+    )
+    def test_loader_rejects_bad_literals(self, extra):
+        with pytest.raises(ConfigurationError, match="literals"):
+            facts_module._pattern_entry({"pattern": "pass", "kind": "StringLiteral", **extra})
+
+    def test_default_table_gives_literals_to_every_case_insensitive_entry(self):
+        entries = default_pattern_table().regex_entries("java")
+        assert [bool(e.literals) for e in entries] == [
+            bool(e.compiled.flags & re.IGNORECASE) for e in entries
+        ]
 
 
 # Reference for TestJavaLikeScan: a character-by-character scan that the one

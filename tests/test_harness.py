@@ -11,9 +11,11 @@ from pathlib import Path
 
 import pytest
 import requests
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gdprkit import harness, knowledge, methods
-from gdprkit.corpus import load_corpus, read_json, write_atomic
+from gdprkit.corpus import group_by_file, load_corpus, read_json, write_atomic
 from gdprkit.errors import (
     ConfigurationError,
     InputError,
@@ -62,9 +64,15 @@ def formal_config(workspace, task: int, **fields) -> RunConfig:
     return RunConfig(task=task, method="formal", dataset_path=workspace[f"task{task}"], **corpus, **fields)
 
 
+def one_file(records):
+    """The (record, span) pairs of ``records``, which all lie in one file."""
+    (group,) = group_by_file(records).values()
+    return group
+
+
 class TestReconstructSource:
     def test_lines_land_at_recorded_positions(self, camera_record_pair):
-        source, line_count = reconstruct_source(camera_record_pair)
+        source, line_count = reconstruct_source(one_file(camera_record_pair))
         lines = source.split("\n")
         assert line_count == 202
         assert "openCamera" in lines[201]
@@ -74,7 +82,7 @@ class TestReconstructSource:
         shoppulse = [r for r in fixture_corpus if r.app_name == "ShopPulse"][:2]
         spanned, unspanned = shoppulse
         assert "line 12" in spanned.code_snippet_path
-        source, _ = reconstruct_source([spanned, unspanned])
+        source, _ = reconstruct_source(one_file([spanned, unspanned]))
         assert source.index(spanned.code_snippet.strip()) < source.index(
             unspanned.code_snippet.splitlines()[0]
         )
@@ -83,7 +91,7 @@ class TestReconstructSource:
         assert reconstruct_source([]) == ("", 1)
 
     def test_first_record_wins_shared_lines(self, camera_record_pair):
-        source, _ = reconstruct_source(camera_record_pair)
+        source, _ = reconstruct_source(one_file(camera_record_pair))
         assert source.count("openCamera") == 1
 
 
@@ -519,6 +527,55 @@ class TestAtomicArtifacts:
             self._write(writer, workspace, tmp_path)
         assert {path: path.read_bytes() for path in targets} == old
         assert sorted(tmp_path.iterdir()) == sorted(targets)
+
+
+def _reference_predictions_json(task, method, records):
+    """The predictions.json text as json.dumps lays it out."""
+    payload = {
+        "version": 1,
+        "task": task,
+        "method": method,
+        "predictions": [
+            {
+                "instance_id": r.instance_id,
+                "status": r.status,
+                "ranking": list(r.ranking),
+                "labels": list(r.labels),
+                "error": r.error,
+            }
+            for r in sorted(records, key=lambda r: r.instance_id)
+        ],
+    }
+    return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
+
+
+_ids = st.text(max_size=12) | st.sampled_from(["t1-0001::file", "t2-0001", "t1-ü::line::1-2"])
+_articles = st.lists(st.integers(min_value=1, max_value=10**6), max_size=40).map(tuple)
+_records = st.builds(
+    PredictionRecord,
+    instance_id=_ids,
+    status=st.sampled_from(harness.STATUSES),
+    ranking=_articles,
+    labels=_articles,
+    error=st.none() | st.text() | st.just('say "hi"\n\tüñ \\ \x00 \u2028'),
+)
+
+
+class TestPredictionsWriter:
+    """predictions.json is written without json.dumps, byte for byte as json.dumps wrote it."""
+
+    @given(
+        task=st.sampled_from([1, 2]),
+        method=st.sampled_from(harness.METHOD_NAMES) | st.text(max_size=5),
+        records=st.lists(_records, max_size=8),
+    )
+    @example(task=1, method="formal", records=[])
+    @example(task=2, method="rag", records=[PredictionRecord("t2-0001", "scored", tuple(range(1, 100)))])
+    @settings(max_examples=300, deadline=None)
+    def test_equals_json_dumps(self, task, method, records):
+        assert harness.predictions_json(task, method, records) == _reference_predictions_json(
+            task, method, records
+        )
 
 
 class TestErrorAndSkipPaths:

@@ -90,6 +90,26 @@ class TestZeroShotPrompt:
         ]
         assert numbers == sorted(numbers)
 
+    def test_meanings_block_is_built_once_per_catalog(self):
+        class CountingCatalog(dict):
+            builds = 0
+
+            def items(self):  # the block is built from the items
+                self.builds += 1
+                return super().items()
+
+        # a summary no other test uses, so no earlier prompt had this catalog
+        catalog = CountingCatalog({6: ArticleInfo(6, "Lawfulness of processing", "counted")})
+        prompts = [render_zero_shot_prompt(s, catalog) for s in ("x", "y")]
+        prompts.append(render_rag_prompt("z", KnowledgeBase([]), catalog=catalog))
+        assert catalog.builds == 1
+        assert all("\n- Article 6: Lawfulness of processing\n\n" in p for p in prompts)
+        # a catalog changed in place gets a new block
+        catalog[5] = ArticleInfo(5, "Principles of processing", "summary")
+        prompt = render_zero_shot_prompt("x", catalog)
+        assert catalog.builds == 2
+        assert "- Article 5: Principles of processing\n- Article 6: Lawfulness" in prompt
+
 
 class TestParseModelOutput:
     def test_comma_list(self):
