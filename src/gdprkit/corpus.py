@@ -294,12 +294,18 @@ def group_by_file(
 ) -> dict[tuple[str, str, str], list[tuple[ViolationRecord, SpanRef | None]]]:
     """(record, span) pairs per (repo_url, app_name, file_path), in corpus order.
 
-    Each snippet path is split once, here; the span is the one
-    ``split_snippet_path`` gives.
+    Each distinct snippet path is split once per call, here; the span is the
+    one ``split_snippet_path`` gives.  Records at one snippet location share
+    their path, so the splits are kept for the length of the call only.
     """
     groups: dict[tuple[str, str, str], list[tuple[ViolationRecord, SpanRef | None]]] = {}
+    splits: dict[str, tuple[str, SpanRef | None]] = {}
     for record in corpus:
-        file_path, span = split_snippet_path(record.code_snippet_path)
+        path = record.code_snippet_path
+        split = splits.get(path)
+        if split is None:
+            split = splits[path] = split_snippet_path(path)
+        file_path, span = split
         groups.setdefault((record.repo_url, record.app_name, file_path), []).append((record, span))
     return groups
 

@@ -8,16 +8,17 @@ task 2 dataset), and answers nearest-neighbour queries with a plain
 token-frequency cosine, which keeps retrieval deterministic and
 dependency-free.  A token is a maximal run of ASCII ``[a-z0-9]`` in the
 lower-cased text; every other character separates tokens.  Construction
-tokenizes every document once into an inverted index, so a query only
-tokenizes itself and scores the documents it shares a token with; every
-score equals ``similarity(query, doc.body)`` exactly.
+tokenizes every document once into an inverted index whose postings are
+plain lists of (doc index, count) pairs, so a query only tokenizes itself
+and scores the documents it shares a token with; every score equals
+``similarity(query, doc.body)`` exactly.  The top n are picked by a score
+floor, so only the documents at or above the n-th best score are sorted.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from array import array
 from collections import Counter
 from dataclasses import dataclass
 from operator import mul
@@ -110,10 +111,11 @@ class KnowledgeBase:
         self.docs = tuple(docs)
         if len({d.doc_id for d in self.docs}) != len(self.docs):
             raise ConfigurationError("knowledge base doc ids must be unique")
-        # Per document: squared norm of its token counts.  Per token: flat
-        # (doc index, count) pairs, as arrays to keep the index small.
+        # Per document: squared norm of its token counts.  Per token: one flat
+        # list [doc index, count, doc index, count, ...], grown a pair at a
+        # time; a list of small ints builds faster than an int array.
         norms: list[int] = []
-        index: dict[str, array] = {}
+        index: dict[str, list[int]] = {}
         get = index.get
         for i, doc in enumerate(self.docs):
             counts = Counter(tokenize(doc.body))
@@ -122,10 +124,9 @@ class KnowledgeBase:
             for token, count in counts.items():
                 postings = get(token)
                 if postings is None:
-                    index[token] = array("i", (i, count))
+                    index[token] = [i, count]
                 else:
-                    postings.append(i)
-                    postings.append(count)
+                    postings += (i, count)
         self._norms, self._postings = norms, index
         self._id_order = sorted(range(len(self.docs)), key=lambda i: self.docs[i].doc_id)
 
@@ -136,8 +137,14 @@ class KnowledgeBase:
         """Best-scoring docs first; ties broken by doc id for determinism.
 
         Each score is ``similarity(query, doc.body)``, computed with the same
-        integer dot product and norms.  Docs sharing no token with the query
-        score 0.0 and fill any remaining places in doc id order.
+        integer dot product and norms.  When more than ``top_n`` docs score,
+        the n-th best score is a floor: only the docs scoring at least the
+        floor, ties included, are sorted by ``(-score, doc_id)`` and cut to
+        ``top_n``.  That is the same list a sort of every scored doc gives,
+        since each doc of that list scores at least the floor and no score is
+        NaN (a scored doc shares a token with the query, so both norms are
+        non-zero).  Docs sharing no token with the query score 0.0 and fill
+        any remaining places in doc id order.
         """
         if top_n <= 0:
             return []
@@ -152,7 +159,11 @@ class KnowledgeBase:
             for i, count in zip(pairs, pairs):
                 dots[i] = dots.get(i, 0) + query_count * count
         scores = {i: dot / math.sqrt(query_norm * self._norms[i]) for i, dot in dots.items()}
-        best = heapq.nsmallest(top_n, scores, key=lambda i: (-scores[i], self.docs[i].doc_id))
+        candidates = scores
+        if len(scores) > top_n:
+            floor = heapq.nlargest(top_n, scores.values())[-1]
+            candidates = [i for i, score in scores.items() if score >= floor]
+        best = sorted(candidates, key=lambda i: (-scores[i], self.docs[i].doc_id))[:top_n]
         hits = [(self.docs[i], scores[i]) for i in best]
         for i in self._id_order:
             if len(hits) >= top_n:

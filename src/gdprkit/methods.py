@@ -199,6 +199,9 @@ class ResponseCache:
     once ``put`` returns.  An equal re-record leaves its row untouched; a
     different one replaces it.  Nothing is created before the first ``put``.
     A directory of old-format ``*.json`` entries raises ConfigurationError.
+    A ``put`` right after a ``get`` of the same reasoner id and the same
+    prompt object reuses the key ``get`` computed, so a miss hashes its
+    prompt once.
     """
 
     def __init__(self, root: str | Path):
@@ -209,6 +212,7 @@ class ResponseCache:
                 f"{self.root} holds old-format *.json cache entries; record into a new cache_dir"
             )
         self._db: sqlite3.Connection | None = None
+        self._last_key: tuple[str, str, str] | None = None  # (reasoner_id, prompt, key)
 
     @staticmethod
     def cache_key(reasoner_id: str, prompt: str) -> str:
@@ -232,16 +236,21 @@ class ResponseCache:
     def get(self, reasoner_id: str, prompt: str) -> str | None:
         db = self._connect(create=False)
         key = self.cache_key(reasoner_id, prompt)
+        self._last_key = (reasoner_id, prompt, key)
         row = db and db.execute("SELECT response FROM responses WHERE key = ?", (key,)).fetchone()
         return row[0] if row else None
 
     def put(self, reasoner_id: str, prompt: str, response: str) -> None:
+        last = self._last_key
+        if last is not None and last[1] is prompt and last[0] == reasoner_id:
+            key = last[2]
+        else:
+            key = self.cache_key(reasoner_id, prompt)
         self._connect(create=True).execute(
             "INSERT INTO responses VALUES (?, ?, ?, ?, ?) ON CONFLICT (key) DO UPDATE SET"
             " response = excluded.response, created_at = excluded.created_at"
             " WHERE response != excluded.response",
-            (self.cache_key(reasoner_id, prompt), reasoner_id, prompt, response,
-             datetime.now(timezone.utc).isoformat()),
+            (key, reasoner_id, prompt, response, datetime.now(timezone.utc).isoformat()),
         )
 
     def close(self) -> None:

@@ -1,5 +1,6 @@
-"""Shared fixtures: the hand-built corpus and a pair of camera records."""
+"""Shared fixtures: the hand-built corpus, a pair of camera records, and synthetic seed 1."""
 
+import importlib.util
 import json
 from pathlib import Path
 
@@ -28,6 +29,18 @@ def fixture_corpus(fixture_corpus_path) -> list[ViolationRecord]:
 @pytest.fixture(scope="session")
 def raw_fixture_objects(fixture_corpus_path) -> list[dict]:
     return json.loads(fixture_corpus_path.read_text(encoding="utf-8"))
+
+
+@pytest.fixture(scope="session")
+def seed1_corpus(tmp_path_factory) -> list[ViolationRecord]:
+    """Synthetic corpus seed 1 of ``perfbench/corpus_gen.py``, as ``load_corpus`` reads it."""
+    path = DATA_DIR.parent.parent / "perfbench" / "corpus_gen.py"
+    spec = importlib.util.spec_from_file_location("corpus_gen", path)
+    corpus_gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus_gen)
+    corpus_path = tmp_path_factory.mktemp("seed1") / "corpus.json"
+    corpus_gen.write_corpus(corpus_gen.generate(1), corpus_path)
+    return load_corpus(corpus_path)
 
 
 @pytest.fixture

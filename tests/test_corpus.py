@@ -6,7 +6,7 @@ import statistics
 from pathlib import PurePosixPath
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gdprkit.corpus import (
@@ -15,9 +15,11 @@ from gdprkit.corpus import (
     ViolationRecord,
     compute_stats,
     detect_language,
+    group_by_file,
     load_corpus,
     parse_span,
     path_suffix,
+    split_snippet_path,
     write_atomic,
 )
 from gdprkit.errors import CorpusSchemaError, SpanParseError
@@ -155,6 +157,46 @@ class TestParseSpan:
         file_path, span = parse_span("C:/work/Main.java")
         assert file_path == "C:/work/Main.java"
         assert span is None
+
+
+def _reference_group_by_file(records):
+    """Reference for TestGroupByFile: group_by_file splitting every record's path."""
+    groups = {}
+    for record in records:
+        file_path, span = split_snippet_path(record.code_snippet_path)
+        groups.setdefault((record.repo_url, record.app_name, file_path), []).append((record, span))
+    return groups
+
+
+# Snippet paths drawn from a small pool, so records repeat a path or share a
+# file under different specs; the specs include malformed, reversed and
+# en-dash ranges and surrounding whitespace.
+_SNIPPET_PATH = st.tuples(
+    st.sampled_from(["src/A.java", " src/A.java", "src/A.java ", "C:/w/B.kt", ""]),
+    st.sampled_from([
+        "", ": line 3", ":line 3 ", ": lines 2-5", ": lines 2\u20135", " : lines 2 \u2013 5 ",
+        ": lines 5-2", ": line 0", ": line x", ": LINES 4-4", ":",
+    ]),
+).map("".join)
+_RECORD = st.builds(
+    lambda repo, app, path: ViolationRecord(app, repo, VALID_COMMIT, 6, path, "x();\n", "note"),
+    st.sampled_from(["https://github.com/x/a", "https://github.com/x/b"]),
+    st.sampled_from(["A", "B"]),
+    _SNIPPET_PATH,
+)
+
+
+class TestGroupByFile:
+    @given(records=st.lists(_RECORD, max_size=12))
+    @example(records=[
+        ViolationRecord("A", "r", VALID_COMMIT, 6, "src/A.java: lines 5-2", "x();\n", "note"),
+        ViolationRecord("A", "r", VALID_COMMIT, 32, " src/A.java : line 3 ", "x();\n", "note"),
+        ViolationRecord("A", "r", VALID_COMMIT, 6, "src/A.java: lines 5-2", "x();\n", "note"),
+    ])
+    @settings(max_examples=200, deadline=None)
+    def test_equals_a_split_per_record(self, records):
+        got = group_by_file(records)
+        assert list(got.items()) == list(_reference_group_by_file(records).items())
 
 
 class TestDetectLanguage:

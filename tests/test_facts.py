@@ -1,7 +1,6 @@
 """Fact extraction: pattern table, lexical fallback, structural frontend."""
 
 import dataclasses
-import importlib.util
 import re
 from unittest import mock
 
@@ -10,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gdprkit import facts as facts_module
-from gdprkit.corpus import SpanRef, detect_language, group_by_file, load_corpus, split_snippet_path
+from gdprkit.corpus import SpanRef, detect_language, group_by_file, split_snippet_path
 from gdprkit.engine import _refocus
 from gdprkit.errors import ConfigurationError
 from gdprkit.facts import (
@@ -24,7 +23,6 @@ from gdprkit.facts import (
     structural_frontend,
 )
 from gdprkit.harness import reconstruct_source
-from tests.conftest import DATA_DIR
 
 
 class TestApiCallExtraction:
@@ -359,20 +357,13 @@ def _regex_pass(source: str, language: str) -> list[Fact]:
 
 
 @pytest.fixture(scope="module")
-def seed1_texts(tmp_path_factory) -> list[tuple[str, str]]:
+def seed1_texts(seed1_corpus) -> list[tuple[str, str]]:
     """(text, language) of every snippet and reconstructed file of synthetic corpus seed 1."""
-    path = DATA_DIR.parent.parent / "perfbench" / "corpus_gen.py"
-    spec = importlib.util.spec_from_file_location("corpus_gen", path)
-    corpus_gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(corpus_gen)
-    corpus_path = tmp_path_factory.mktemp("seed1") / "corpus.json"
-    corpus_gen.write_corpus(corpus_gen.generate(1), corpus_path)
-    records = load_corpus(corpus_path)
     texts = {
         (r.code_snippet, detect_language(split_snippet_path(r.code_snippet_path)[0]))
-        for r in records
+        for r in seed1_corpus
     }
-    for (_, _, file_path), group in group_by_file(records).items():
+    for (_, _, file_path), group in group_by_file(seed1_corpus).items():
         texts.add((reconstruct_source(group)[0], detect_language(file_path)))
     return sorted(texts)
 

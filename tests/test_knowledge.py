@@ -1,8 +1,11 @@
 """Article catalog, token-cosine similarity, and the retrieval store."""
 
+import heapq
 import json
 import math
 import re
+from array import array
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
@@ -21,6 +24,7 @@ from gdprkit.knowledge import (
     similarity,
     tokenize,
 )
+from gdprkit.taskgen import build_task2
 from tests.conftest import examples_only_kb
 
 
@@ -142,6 +146,46 @@ def _brute_force(kb, query):
     return sorted(scored, key=lambda pair: (-pair[1], pair[0]))
 
 
+class _ReferenceRetrieval:
+    """Reference for TestRetrieve: retrieval before list postings and the score
+    floor, with array("i") postings and heapq.nsmallest over every scored doc."""
+
+    def __init__(self, docs):
+        self.docs = tuple(docs)
+        self.norms = []
+        self.postings = {}
+        for i, doc in enumerate(self.docs):
+            counts = Counter(tokenize(doc.body))
+            self.norms.append(sum(c * c for c in counts.values()))
+            for token, count in counts.items():
+                self.postings.setdefault(token, array("i")).extend((i, count))
+        self.id_order = sorted(range(len(self.docs)), key=lambda i: self.docs[i].doc_id)
+
+    def retrieve(self, query, top_n):
+        if top_n <= 0:
+            return []
+        query_counts = Counter(tokenize(query))
+        query_norm = sum(c * c for c in query_counts.values())
+        dots = {}
+        for token, query_count in query_counts.items():
+            pairs = iter(self.postings.get(token, ()))
+            for i, count in zip(pairs, pairs):
+                dots[i] = dots.get(i, 0) + query_count * count
+        scores = {i: dot / math.sqrt(query_norm * self.norms[i]) for i, dot in dots.items()}
+        best = heapq.nsmallest(top_n, scores, key=lambda i: (-scores[i], self.docs[i].doc_id))
+        hits = [(self.docs[i], scores[i]) for i in best]
+        for i in self.id_order:
+            if len(hits) >= top_n:
+                break
+            if i not in scores:
+                hits.append((self.docs[i], 0.0))
+        return hits
+
+
+def _ids_and_scores(hits):
+    return [(doc.doc_id, score) for doc, score in hits]
+
+
 class TestRetrieve:
     def test_exact_snippet_query_ranks_its_doc_first(self, fixture_corpus):
         kb = build_kb(fixture_corpus)
@@ -165,6 +209,12 @@ class TestRetrieve:
     @example(bodies=["a b", "", "!?", "b a"], query="", pick=5, shift=1)
     @example(bodies=["a b", "", "!?", "b a"], query="... !?", pick=4, shift=2)
     @example(bodies=["a", "b a", "a", "a a"], query="a", pick=2, shift=3)
+    # Duplicate bodies tie at the n-th and (n+1)-th place, so doc id order
+    # decides which of them the cut keeps: all score 1.0 (top 1, top 3), or
+    # the tie sits below a higher score (top 3).
+    @example(bodies=["b", "a", "a", "a"], query="a", pick=2, shift=1)
+    @example(bodies=["a", "a", "b a", "a", "a"], query="a", pick=3, shift=2)
+    @example(bodies=["a b", "a", "a b", "a b x1", "a b"], query="a", pick=3, shift=4)
     @settings(max_examples=300, deadline=None)
     def test_indexed_scores_equal_similarity_exactly(self, bodies, query, pick, shift):
         # Doc ids are rotated so that id order differs from insertion order.
@@ -178,6 +228,16 @@ class TestRetrieve:
         top_n = (-1, 0, 1, 3, n, n + 5)[pick]
         got = [(doc.doc_id, score) for doc, score in kb.retrieve(query, top_n)]
         assert got == _brute_force(kb, query)[: max(top_n, 0)]
+
+    def test_seed1_retrieval_equals_the_reference(self, seed1_corpus):
+        kb = build_kb(seed1_corpus)
+        reference = _ReferenceRetrieval(kb.docs)
+        snippets = [entry.code_snippet for entry in build_task2(seed1_corpus)]
+        assert (len(kb), len(snippets)) == (910, 887)
+        for k, snippet in enumerate(snippets):
+            for top_n in (3,) if k % 40 else (1, 3, 10, len(kb) + 5):
+                got = _ids_and_scores(kb.retrieve(snippet, top_n))
+                assert got == _ids_and_scores(reference.retrieve(snippet, top_n))
 
     def test_camera_query_surfaces_camera_example(self, fixture_corpus):
         kb = build_kb(fixture_corpus)

@@ -249,6 +249,37 @@ class TestReasoners:
         assert caching.misses == 1
         assert caching.hits == 1
 
+    def test_caching_reasoner_hashes_once_per_miss_and_per_hit(self, tmp_path, monkeypatch):
+        hashed = []
+        cache_key = ResponseCache.cache_key
+
+        def counting_cache_key(reasoner_id, prompt):
+            hashed.append(prompt)
+            return cache_key(reasoner_id, prompt)
+
+        monkeypatch.setattr(ResponseCache, "cache_key", staticmethod(counting_cache_key))
+        caching = CachingReasoner(ScriptedReasoner(lambda prompt: "6"), ResponseCache(tmp_path))
+        for prompt in ["p", "q", "p", "q", "r"]:
+            assert caching.complete(prompt) == "6"
+        assert (caching.misses, caching.hits) == (3, 2)
+        assert hashed == ["p", "q", "p", "q", "r"]
+
+    def test_put_after_get_of_another_prompt_or_reasoner_keys_its_own(self, tmp_path):
+        cache = ResponseCache(tmp_path)
+        assert cache.get("r1", "a") is None
+        cache.put("r1", "b", "1")
+        assert cache.get("r1", "b") == "1"
+        cache.put("r2", "b", "2")
+        prompt = "".join(["a", "b"])
+        assert cache.get("r1", "ab") is None
+        cache.put("r1", prompt, "3")
+        got = [cache.get("r1", "b"), cache.get("r2", "b"), cache.get("r1", "ab")]
+        assert got == ["1", "2", "3"]
+        with contextlib.closing(sqlite3.connect(cache.path)) as db:
+            rows = db.execute("SELECT key, reasoner_id, prompt FROM responses").fetchall()
+        assert all(key == ResponseCache.cache_key(rid, prompt) for key, rid, prompt in rows)
+        cache.close()
+
     def test_replay_reasoner_serves_cache_only(self, tmp_path):
         cache = ResponseCache(tmp_path)
         cache.put("run1", "known", "5")
