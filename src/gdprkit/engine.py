@@ -17,6 +17,7 @@ ascending article number so output is fully deterministic.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import defaultdict
 from dataclasses import dataclass
@@ -395,27 +396,18 @@ class AnalysisResult:
         }
 
 
-@dataclass(frozen=True)
-class MultiGranularityResult:
-    file: AnalysisResult
-    lines: dict[tuple[int, int], AnalysisResult]
+def check_span(text: str, span: tuple[int, int]) -> None:
+    """Raise InputError unless ``span`` is a range of lines of ``text``; a line ends at "\\n"."""
+    start, end = span
+    line_count = text.count("\n") + 1
+    if not 1 <= start <= end <= line_count:
+        raise InputError(f"line span {start}-{end} is outside the text ({line_count} lines)")
 
 
-def _analyze_facts(facts: Sequence[Fact], catalog: RuleCatalog) -> AnalysisResult:
-    findings = evaluate_rules(facts, catalog)
-    return AnalysisResult(tuple(facts), tuple(findings), rank_articles(findings))
-
-
-def analyze_source(
-    source: str,
-    language: str,
-    *,
-    path: str = "",
-    catalog: RuleCatalog | None = None,
-) -> AnalysisResult:
-    catalog = default_catalog() if catalog is None else catalog
-    facts = extract_facts(source, language, path=path)
-    return _analyze_facts(facts, catalog)
+@functools.lru_cache(maxsize=1)
+def _facts_of(source: str, language: str, path: str) -> tuple[Fact, ...]:
+    """The facts of the last text analyzed, so each scope of one file extracts them once."""
+    return tuple(extract_facts(source, language, path=path))
 
 
 def _refocus(facts: Sequence[Fact], start: int, end: int) -> list[Fact]:
@@ -428,31 +420,23 @@ def _refocus(facts: Sequence[Fact], start: int, end: int) -> list[Fact]:
     ]
 
 
-def analyze_multigranularity(
+def analyze_source(
     source: str,
     language: str,
     *,
+    span: tuple[int, int] | None = None,
     path: str = "",
-    line_spans: Sequence[tuple[int, int]] | None = None,
     catalog: RuleCatalog | None = None,
-) -> MultiGranularityResult:
-    """Analyze one file as a whole and over each of its line spans.
+) -> AnalysisResult:
+    """Analyze ``source`` as a whole, or over the lines of ``span`` only.
 
     A line scope sees only facts inside its span as evidence, but file-wide
     guards (consent checks, crypto, notice text) still apply to it.
-    Requested spans must fall inside the file.  There is no module scope:
-    task-1 module instances are scored with the file result.
     """
     catalog = default_catalog() if catalog is None else catalog
-    line_count = source.count("\n") + 1
-    facts = extract_facts(source, language, path=path)
-    lines: dict[tuple[int, int], AnalysisResult] = {}
-    for start, end in line_spans or ():
-        if not (1 <= start <= end):
-            raise InputError(f"line span {start}-{end} is not a valid line range")
-        if end > line_count:
-            raise InputError(
-                f"line span {start}-{end} exceeds file length ({line_count} lines)"
-            )
-        lines[(start, end)] = _analyze_facts(_refocus(facts, start, end), catalog)
-    return MultiGranularityResult(file=_analyze_facts(facts, catalog), lines=lines)
+    facts: Sequence[Fact] = _facts_of(source, language, path)
+    if span is not None:
+        check_span(source, span)
+        facts = _refocus(facts, *span)
+    findings = evaluate_rules(facts, catalog)
+    return AnalysisResult(tuple(facts), tuple(findings), rank_articles(findings))

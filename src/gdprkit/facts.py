@@ -7,9 +7,9 @@ frontends; languages without a structural frontend fall back to a lexical
 scan driven by the same pattern table, so every input yields *some* facts.
 
 Both frontends find word-entry matches the same way: the pattern table
-keys each language's word entries by token when it is built, and one
-``\\w+`` pass over a text looks every token up in that index, instead of
-testing every entry against the text (see ``_WordIndex``).
+keys its word entries by token when it is built, and one ``\\w+`` pass
+over a text looks every token up in that index, instead of testing every
+entry against the text (see ``_WordIndex``).
 """
 
 from __future__ import annotations
@@ -104,16 +104,12 @@ class PatternEntry:
     pattern: str
     kind: FactKind
     data_category: DataCategory | None
-    languages: frozenset[str] | None  # None means any language
     match: str  # "word" or "regex"
     compiled: re.Pattern = field(compare=False)
     parts: tuple[str, ...] = field(compare=False)  # literal dot-separated parts of the pattern
     # for an ignore_case regex entry: lower-case strings, one of which occurs
     # in every match once the match is lower-cased (see ``_regex_pass``)
     literals: tuple[str, ...] = ()
-
-    def applies_to(self, language: str) -> bool:
-        return self.languages is None or language in self.languages
 
 
 def _compile_word(pattern: str) -> re.Pattern:
@@ -173,24 +169,14 @@ class _WordIndex:
                     yield entry, m
 
 
-class _LanguageView:
-    """The entries that apply to one language, with the token index of its word entries."""
-
-    def __init__(self, entries: Sequence[PatternEntry]):
-        self.words = tuple(e for e in entries if e.match == "word")
-        self.regexes = tuple(e for e in entries if e.match == "regex")
-        self.word_index = _WordIndex(self.words)
-
-
 class PatternTable:
     """Indexed view over the sensitive-API pattern list.
 
-    Everything is built here, once: the call lookup by name, and for each
-    language the word and regex entries that apply to it and the token
-    index of its word entries (see ``_WordIndex``).  Both frontends share
-    that index: the lexical fallback over the source, the bare-identifier
-    walk of the structural frontend over the blanked text.  A language that
-    no entry names sees the entries that name no language.
+    Everything is built here, once: the call lookup by name, the word and
+    regex entries, and the token index of the word entries (see
+    ``_WordIndex``).  Both frontends share that index: the lexical fallback
+    over the source, the bare-identifier walk of the structural frontend
+    over the blanked text.  Every entry applies to every language.
 
     An ``ignore_case`` regex entry may list ``literals``: lower-case strings,
     one of which occurs in every match of the entry once the match is
@@ -200,36 +186,19 @@ class PatternTable:
 
     def __init__(self, entries: Sequence[PatternEntry]):
         self.entries = tuple(entries)
-        self._by_name: dict[str, PatternEntry] = {}
-        for entry in self.entries:
-            if entry.match == "word":
-                self._by_name[entry.pattern] = entry
-        named = sorted({lang for e in self.entries if e.languages for lang in e.languages})
-        self._views = {
-            lang: _LanguageView([e for e in self.entries if e.applies_to(lang)]) for lang in named
-        }
-        self._unnamed = _LanguageView([e for e in self.entries if e.languages is None])
+        self.word_entries = tuple(e for e in self.entries if e.match == "word")
+        self._by_name = {entry.pattern: entry for entry in self.word_entries}
+        self.regex_entries = tuple(e for e in self.entries if e.match == "regex")
+        self.word_index = _WordIndex(self.word_entries)
 
-    def _view(self, language: str) -> _LanguageView:
-        return self._views.get(language, self._unnamed)
-
-    def word_entries(self, language: str) -> tuple[PatternEntry, ...]:
-        return self._view(language).words
-
-    def regex_entries(self, language: str) -> tuple[PatternEntry, ...]:
-        return self._view(language).regexes
-
-    def word_index(self, language: str) -> _WordIndex:
-        return self._view(language).word_index
-
-    def lookup_call(self, receiver: str | None, name: str, language: str) -> PatternEntry | None:
+    def lookup_call(self, receiver: str | None, name: str) -> PatternEntry | None:
         """Match a call expression against the table, most-qualified first."""
         if receiver is not None:
             entry = self._by_name.get(f"{receiver}.{name}")
-            if entry is not None and entry.applies_to(language):
+            if entry is not None:
                 return entry
         entry = self._by_name.get(name)
-        if entry is not None and "." not in entry.pattern and entry.applies_to(language):
+        if entry is not None and "." not in entry.pattern:
             return entry
         return None
 
@@ -257,12 +226,10 @@ def _pattern_entry(obj: dict) -> PatternEntry:
                 f"literals must be a non-empty list of non-empty lower-case strings: {pattern!r}"
             )
     category = obj.get("data_category")
-    languages = obj.get("languages")
     return PatternEntry(
         pattern=pattern,
         kind=FactKind(obj["kind"]),
         data_category=DataCategory(category) if category else None,
-        languages=frozenset(languages) if languages else None,
         match=match,
         compiled=compiled,
         parts=tuple(pattern.split(".")),
@@ -343,7 +310,7 @@ def _regex_pass(
     facts = []
     defaults = {FactKind.URL_LITERAL: "url", FactKind.STRING_LITERAL: "literal"}
     lowered = source.lower() if source.isascii() else None
-    for entry in table.regex_entries(language):
+    for entry in table.regex_entries:
         if (
             entry.literals
             and lowered is not None
@@ -393,16 +360,16 @@ def lexical_fallback(source: str, language: str, path: str = "") -> list[Fact]:
 
     Word entries match on identifier boundaries, so ``getDeviceId`` does not
     fire inside ``widgetDeviceIdx``.  They are found in one ``\\w+`` token
-    pass through the language's ``PatternTable.word_index``: a one-word
-    entry matches where a token equals it, and a dotted entry's regex runs
-    only when its last part occurs as a token (see ``_WordIndex``).  Used
+    pass through ``PatternTable.word_index``: a one-word entry matches
+    where a token equals it, and a dotted entry's regex runs only when its
+    last part occurs as a token (see ``_WordIndex``).  Used
     for every language that has no structural frontend registered, and as
     the safety net when a structural frontend raises.
     """
     table = default_pattern_table()
     index = _LineIndex(source)
     facts = []
-    for entry, m in table.word_index(language).matches(source):
+    for entry, m in table.word_index.matches(source):
         line = index.line_of(m.start())
         facts.append(
             Fact(
@@ -524,7 +491,7 @@ def structural_frontend(source: str, language: str, path: str = "") -> list[Fact
                 continue  # `void foo(` style declaration
         if recv in _CONTROL_KEYWORDS:
             recv = None
-        entry = table.lookup_call(recv, name, language)
+        entry = table.lookup_call(recv, name)
         if entry is None:
             continue
         line = index.line_of(m.start("name"))
@@ -542,7 +509,7 @@ def structural_frontend(source: str, language: str, path: str = "") -> list[Fact
 
     # bare identifiers still count for consent guards and permission strings:
     # `if (consentGiven)` has no call expression but is a guard all the same
-    for entry, m in table.word_index(language).matches(blanked):
+    for entry, m in table.word_index.matches(blanked):
         if entry.kind not in _GUARD_KINDS:
             continue
         if _OPEN_PAREN_RE.match(blanked, m.end()):

@@ -18,10 +18,10 @@ import hashlib
 import json
 import logging
 import time
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 from .corpus import (
     SpanRef,
@@ -34,7 +34,7 @@ from .corpus import (
     split_snippet_path,
     write_atomic,
 )
-from .engine import RuleCatalog, load_rules
+from .engine import RankedPrediction, RuleCatalog, load_rules
 from .errors import (
     ConfigurationError,
     GdprKitError,
@@ -141,12 +141,14 @@ def reconstruct_source(
     ``group`` holds (record, span) pairs as ``group_by_file`` gives them.
     Snippet lines land at their recorded line numbers in a blank buffer;
     the first record to claim a line wins.  Records without a span are
-    appended after everything placed.  Returns (source, line_count).
+    appended after everything placed.  A line is what ends at "\\n", as in
+    every other layer, and a snippet's final "\\n" ends its last line.
+    Returns (source, line_count).
     """
     placed: dict[int, str] = {}
     tail: list[str] = []
     for record, span in group:
-        lines = record.code_snippet.splitlines() or [""]
+        lines = record.code_snippet.removesuffix("\n").split("\n")
         if span is None:
             tail.extend(lines)
             continue
@@ -314,13 +316,49 @@ def _error_text(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _raise_replay_misses(missing: Sequence[str]) -> None:
-    """Abort with every distinct key the replay cache lacked, in order of first miss."""
-    if missing:
-        raise ReplayMissError(list(dict.fromkeys(missing)))
-
-
 _PAST_END = "span outside reconstructed source"
+
+
+def _predict_scopes(
+    scopes: Iterable[tuple[Instance, str, str, str]],
+    predict: Callable[..., tuple[RankedPrediction, tuple[int, ...]]],
+) -> list[PredictionRecord]:
+    """One record per instance of ``scopes``, each predicted on its own.
+
+    Each scope is (instance, text, language, path), and ``predict(text,
+    language, span, path)`` gives its (ranking, labels).  A line span past
+    the end of the text is skipped.  A module instance takes the record of
+    the file instance before it: a module's scope is the whole reconstructed
+    file until module spans are derived.  An exception errors its own
+    instance only.  Replay misses are collected over every scope and raised
+    together at the end, before any artifact is written.
+    """
+    records: list[PredictionRecord] = []
+    missing: list[str] = []
+    file_record = None
+    for inst, text, language, path in scopes:
+        if inst.granularity == "module":
+            if file_record is not None:
+                records.append(replace(file_record, instance_id=inst.instance_id))
+            continue
+        record = None
+        if inst.span is not None and inst.span[1] > text.count("\n") + 1:
+            record = PredictionRecord(inst.instance_id, "skipped", error=_PAST_END)
+        else:
+            try:
+                ranking, labels = predict(text, language, inst.span, path)
+                record = PredictionRecord(inst.instance_id, "scored", ranking.articles, labels)
+            except ReplayMissError as exc:
+                missing.extend(exc.missing_keys)
+            except Exception as exc:
+                record = PredictionRecord(inst.instance_id, "errored", error=_error_text(exc))
+        if inst.granularity == "file":
+            file_record = record
+        if record is not None:
+            records.append(record)
+    if missing:
+        raise ReplayMissError(list(dict.fromkeys(missing)))  # each key once, in order of first miss
+    return records
 
 
 def predict_task1(
@@ -329,68 +367,33 @@ def predict_task1(
     method,
 ) -> list[PredictionRecord]:
     groups = group_by_file(corpus)
-    by_entry: dict[int, list[Instance]] = {}
-    for inst in task1_instances(entries):
-        by_entry.setdefault(inst.entry_index, []).append(inst)
-    records: list[PredictionRecord] = []
-    missing: list[str] = []
-    for i, entry in enumerate(entries):
-        group = groups.get((entry.repo_url, entry.app_name, entry.file_path), [])
-        source, line_count = reconstruct_source(group)
-        instances: list[Instance] = []
-        for inst in by_entry.get(i, []):
-            if inst.span is None or inst.span[1] <= line_count:
-                instances.append(inst)
-            else:
-                records.append(PredictionRecord(inst.instance_id, "skipped", error=_PAST_END))
-        spans = tuple(inst.span for inst in instances if inst.span is not None)
-        try:
-            rankings = method.predict_file(
-                source, detect_language(entry.file_path), line_spans=spans, path=entry.file_path
-            )
-        except ReplayMissError as exc:
-            missing.extend(exc.missing_keys)
-            continue
-        except Exception as exc:
-            error = _error_text(exc)
-            records.extend(
-                PredictionRecord(inst.instance_id, "errored", error=error) for inst in instances
-            )
-            continue
-        for inst in instances:
-            # A module's scope is the whole reconstructed file until module
-            # spans are derived, so it takes the file prediction.
-            ranking = rankings.file if inst.span is None else rankings.lines[inst.span]
-            records.append(PredictionRecord(inst.instance_id, "scored", ranking=ranking.articles))
-    _raise_replay_misses(missing)
-    return records
+
+    def scopes():
+        for inst in task1_instances(entries):
+            if inst.granularity == "file":
+                entry = entries[inst.entry_index]
+                group = groups.get((entry.repo_url, entry.app_name, entry.file_path), [])
+                source, _ = reconstruct_source(group)
+                language = detect_language(entry.file_path)
+            yield inst, source, language, entry.file_path
+
+    def predict(text, language, span, path):
+        return method.rank(text, language, span=span, path=path), ()
+
+    return _predict_scopes(scopes(), predict)
 
 
 def predict_task2(entries: Sequence[Task2Entry], method) -> list[PredictionRecord]:
-    records = []
-    missing: list[str] = []
-    for inst, entry in zip(task2_instances(entries), entries):
-        file_path, _ = split_snippet_path(entry.code_snippet_path)
-        try:
-            labels, ranking = method.predict_labels(
-                entry.code_snippet, detect_language(file_path), path=file_path
-            )
-        except ReplayMissError as exc:
-            missing.extend(exc.missing_keys)
-            continue
-        except Exception as exc:
-            records.append(PredictionRecord(inst.instance_id, "errored", error=_error_text(exc)))
-            continue
-        records.append(
-            PredictionRecord(
-                inst.instance_id,
-                "scored",
-                ranking=ranking.articles,
-                labels=tuple(sorted(labels)),
-            )
-        )
-    _raise_replay_misses(missing)
-    return records
+    def scopes():
+        for inst, entry in zip(task2_instances(entries), entries):
+            file_path, _ = split_snippet_path(entry.code_snippet_path)
+            yield inst, entry.code_snippet, detect_language(file_path), file_path
+
+    def predict(text, language, span, path):
+        labels, ranking = method.predict_labels(text, language, path=path)
+        return ranking, tuple(sorted(labels))
+
+    return _predict_scopes(scopes(), predict)
 
 
 # ---------------------------------------------------------------------------

@@ -20,13 +20,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Mapping, Protocol, Sequence
 
-from .engine import (
-    AnalysisResult,
-    RankedPrediction,
-    RuleCatalog,
-    analyze_multigranularity,
-    analyze_source,
-)
+from .engine import RankedPrediction, RuleCatalog, analyze_source, check_span
 from .errors import ConfigurationError, InputError, MethodError, ModelOutputError, ReplayMissError
 from .knowledge import (
     ArticleInfo,
@@ -463,7 +457,7 @@ def _tool_code_search(arg: str, context: "ReactContext") -> str:
         return "error: expected a keyword"
     hits = [
         f"line {i}: {line.strip()}"
-        for i, line in enumerate(context.snippet.splitlines(), start=1)
+        for i, line in enumerate(context.snippet.split("\n"), start=1)
         if keyword.lower() in line.lower()
     ]
     return "\n".join(hits[:20]) if hits else f"no lines match {keyword!r}"
@@ -557,21 +551,6 @@ def react_run(
 # Method adapters
 
 
-@dataclass(frozen=True)
-class GranularRankings:
-    """Article rankings for one file: the whole file and each requested line span."""
-
-    file: RankedPrediction
-    lines: dict[tuple[int, int], RankedPrediction]
-
-
-def source_slice(source: str, start: int, end: int) -> str:
-    lines = source.split("\n")
-    if not (1 <= start <= end <= len(lines)):
-        raise InputError(f"span {start}-{end} exceeds source length ({len(lines)} lines)")
-    return "\n".join(lines[start - 1 : end])
-
-
 # A formal snippet label is one of the best MAX_LABELS articles with confidence >= LABEL_THRESHOLD.
 LABEL_THRESHOLD = 1.0
 MAX_LABELS = 3
@@ -583,46 +562,27 @@ class FormalMethod:
     def __init__(self, rules: RuleCatalog | None = None):
         self.rules = rules
 
-    def _labels_from(self, result: AnalysisResult) -> LabelSet:
-        picked = [
-            article
-            for article, score in zip(result.ranking.articles, result.ranking.scores)
-            if score >= LABEL_THRESHOLD
-        ]
-        return LabelSet(picked[:MAX_LABELS])
+    def rank(
+        self, text: str, language: str, *, span: tuple[int, int] | None = None, path: str = ""
+    ) -> RankedPrediction:
+        """Rank the whole text, or its facts refocused on the lines of ``span``."""
+        return analyze_source(text, language, span=span, path=path, catalog=self.rules).ranking
 
     def predict_labels(
         self, snippet: str, language: str = "java", path: str = ""
     ) -> tuple[LabelSet, RankedPrediction]:
-        result = analyze_source(snippet, language, path=path, catalog=self.rules)
-        return self._labels_from(result), result.ranking
-
-    def predict_file(
-        self,
-        source: str,
-        language: str,
-        *,
-        line_spans: Sequence[tuple[int, int]] | None = None,
-        path: str = "",
-    ) -> GranularRankings:
-        """Rank the whole file and each line span; module instances take the file ranking."""
-        result = analyze_multigranularity(
-            source, language, path=path, line_spans=line_spans, catalog=self.rules
-        )
-        return GranularRankings(
-            file=result.file.ranking,
-            lines={span: r.ranking for span, r in result.lines.items()},
-        )
+        ranking = self.rank(snippet, language, path=path)
+        picked = [a for a, score in zip(ranking.articles, ranking.scores) if score >= LABEL_THRESHOLD]
+        return LabelSet(picked[:MAX_LABELS]), ranking
 
 
 class _PromptedMethod:
-    """Shared scope-slicing logic for the model-backed methods.
+    """Shared scope logic for the model-backed methods.
 
     Zero-shot and retrieval methods turn a text into one prompt (``prompt``)
-    and read the reasoner's answer; ReAct runs its agent loop instead.  Under
-    cache replay each text is sent once, during prediction: a prompt the cache
-    lacks raises ``ReplayMissError``, and ``predict_file`` tries every scope
-    before it raises one error with all their missing keys.
+    and parse the reasoner's answer strictly; ReAct runs its agent loop
+    instead.  Under cache replay a prompt the cache lacks raises
+    ``ReplayMissError``.
     """
 
     def __init__(self, reasoner: Reasoner, *, catalog: Mapping[int, ArticleInfo] | None = None):
@@ -636,42 +596,20 @@ class _PromptedMethod:
         """Distinct articles, most suspect first; the answer is parsed strictly."""
         return parse_model_output(self.reasoner.complete(self.prompt(text)))
 
+    def rank(
+        self, text: str, language: str, *, span: tuple[int, int] | None = None, path: str = ""
+    ) -> RankedPrediction:
+        """Rank the whole text, or only the lines of ``span``, which alone are sent."""
+        if span is not None:
+            check_span(text, span)
+            text = "\n".join(text.split("\n")[span[0] - 1 : span[1]])
+        return RankedPrediction(self._predict(text, language))
+
     def predict_labels(
         self, snippet: str, language: str = "java", path: str = ""
     ) -> tuple[LabelSet, RankedPrediction]:
-        ordered = self._predict(snippet, language)
-        return LabelSet(ordered), RankedPrediction(ordered)
-
-    def predict_file(
-        self,
-        source: str,
-        language: str,
-        *,
-        line_spans: Sequence[tuple[int, int]] | None = None,
-        path: str = "",
-    ) -> GranularRankings:
-        """One prediction for the whole file, then one per line span.
-
-        Module instances take the file ranking.  A replay miss in one scope
-        does not stop the others, so the raised error lists every scope's key.
-        """
-        missing: list[str] = []
-
-        def rank(text: str) -> RankedPrediction | None:
-            try:
-                return RankedPrediction(self._predict(text, language))
-            except ReplayMissError as exc:
-                missing.extend(exc.missing_keys)
-                return None
-
-        try:
-            file_ranking = rank(source)
-            lines = {span: rank(source_slice(source, *span)) for span in line_spans or ()}
-        finally:
-            # a miss outranks a later failure of another kind: replay must abort on it
-            if missing:
-                raise ReplayMissError(missing)
-        return GranularRankings(file=file_ranking, lines=lines)
+        ranking = self.rank(snippet, language, path=path)
+        return LabelSet(ranking.articles), ranking
 
 
 class ZeroShotMethod(_PromptedMethod):

@@ -18,7 +18,6 @@ from gdprkit.engine import (
     Predicate,
     Rule,
     RuleCatalog,
-    analyze_multigranularity,
     analyze_source,
     atom_inventory,
     confidence_for,
@@ -146,8 +145,7 @@ class TestCatalog:
     def test_explicit_empty_catalog_is_not_replaced_by_the_default(self):
         empty = RuleCatalog([])
         assert analyze_source(HTTP_SOURCE, "java", catalog=empty).findings == ()
-        result = analyze_multigranularity(HTTP_SOURCE, "java", line_spans=[(3, 6)], catalog=empty)
-        assert result.file.findings == result.lines[(3, 6)].findings == ()
+        assert analyze_source(HTTP_SOURCE, "java", span=(3, 6), catalog=empty).findings == ()
 
 
 class TestConditionParsing:
@@ -312,9 +310,9 @@ class TestRanking:
 class TestMultiGranularity:
     def test_single_line_file_agrees_across_scopes(self):
         source = "manager.openCamera(a, b, c);\n"
-        result = analyze_multigranularity(source, "java", line_spans=[(1, 1)])
-        assert result.file.ranking.articles[0] == 6
-        assert result.lines[(1, 1)].ranking == result.file.ranking
+        whole = analyze_source(source, "java")
+        assert whole.ranking.articles[0] == 6
+        assert analyze_source(source, "java", span=(1, 1)).ranking == whole.ranking
 
     def test_guard_above_still_covers_focused_line(self):
         source = (
@@ -322,23 +320,23 @@ class TestMultiGranularity:
             "    manager.openCamera(camerId, stateCallback, null);\n"
             "}\n"
         )
-        result = analyze_multigranularity(source, "java", line_spans=[(2, 2)])
-        line_result = result.lines[(2, 2)]
+        line_result = analyze_source(source, "java", span=(2, 2))
         assert all(f.article != 6 for f in line_result.findings)
 
     def test_unguarded_focused_line_flags_article_6(self):
         source = "int x = 1;\nmanager.openCamera(camerId, stateCallback, null);\n"
-        result = analyze_multigranularity(source, "java", line_spans=[(2, 2)])
-        assert 6 in result.lines[(2, 2)].ranking.articles
+        assert 6 in analyze_source(source, "java", span=(2, 2)).ranking.articles
 
     def test_empty_file_empty_everywhere(self):
-        result = analyze_multigranularity("", "java")
-        assert result.file.ranking.articles == ()
-        assert result.lines == {}
+        assert analyze_source("", "java").ranking.articles == ()
+        assert analyze_source("", "java", span=(1, 1)).ranking.articles == ()
 
     def test_span_out_of_bounds_rejected(self):
-        with pytest.raises(InputError):
-            analyze_multigranularity("int x;\n", "java", line_spans=[(5, 9)])
+        # "int x;\n" has two lines: the second one, after its "\n", is empty
+        for span in [(5, 9), (3, 3), (0, 1), (2, 1)]:
+            with pytest.raises(InputError, match="outside the text"):
+                analyze_source("int x;\n", "java", span=span)
+        assert analyze_source("int x;\n", "java", span=(2, 2)).findings == ()
 
 
 def positive_only(rule: Rule) -> bool:

@@ -267,7 +267,7 @@ def _reference_lexical(source: str, language: str) -> list[Fact]:
     table = default_pattern_table()
     index = facts_module._LineIndex(source)
     facts = []
-    for entry in table.word_entries(language):
+    for entry in table.word_entries:
         for m in entry.compiled.finditer(source):
             facts.append(_word_fact(entry, m, index, language))
     facts.extend(facts_module._regex_pass(source, language, table, "", index))
@@ -280,7 +280,7 @@ def _reference_structural(source: str, language: str) -> list[Fact]:
         facts = structural_frontend(source, language)
     index = facts_module._LineIndex(source)
     blanked, _ = facts_module._scan_java_like(source, index)
-    for entry in default_pattern_table().word_entries(language):
+    for entry in default_pattern_table().word_entries:
         if entry.kind not in (FactKind.CONSENT_GUARD, FactKind.PERMISSION_DECL):
             continue
         for m in entry.compiled.finditer(blanked):
@@ -305,23 +305,6 @@ class TestWordPrefilter:
         slow = [_reference_lexical(source, language), _reference_structural(source, language)]
         assert fast == slow
 
-    def test_index_covers_only_the_entries_of_its_language(self):
-        def entry(pattern, languages):
-            return facts_module._pattern_entry(
-                {"pattern": pattern, "kind": "ApiCall", "languages": languages}
-            )
-
-        table = facts_module.PatternTable(
-            [entry("getImei", None), entry("Log.d", ["kt"]), entry("uses-permission", ["kt"])]
-        )
-        text = "getImei(); Log\n.d(x); uses-permission"
-
-        def found(language):
-            return [(e.pattern, m.start()) for e, m in table.word_index(language).matches(text)]
-
-        assert found("kt") == [("getImei", 0), ("Log.d", 11), ("uses-permission", 22)]
-        assert found("js") == [("getImei", 0)]
-        assert table.word_entries("js") == table.word_entries("php")
 
 # Reference for TestRegexPrefilter: the regex-entry loop before the literal
 # pre-check, which runs every entry over every text.
@@ -329,7 +312,7 @@ def _reference_regex_pass(source: str, language: str) -> list[Fact]:
     index = facts_module._LineIndex(source)
     facts = []
     defaults = {FactKind.URL_LITERAL: "url", FactKind.STRING_LITERAL: "literal"}
-    for entry in default_pattern_table().regex_entries(language):
+    for entry in default_pattern_table().regex_entries:
         for m in entry.compiled.finditer(source):
             groups = m.groupdict()
             symbol = groups.get("symbol") or defaults.get(entry.kind, entry.kind.value.lower())
@@ -459,7 +442,7 @@ class TestRegexPrefilter:
             facts_module._pattern_entry({"pattern": "pass", "kind": "StringLiteral", **extra})
 
     def test_default_table_gives_literals_to_every_case_insensitive_entry(self):
-        entries = default_pattern_table().regex_entries("java")
+        entries = default_pattern_table().regex_entries
         assert [bool(e.literals) for e in entries] == [
             bool(e.compiled.flags & re.IGNORECASE) for e in entries
         ]
@@ -576,13 +559,13 @@ class TestJavaLikeScan:
 class TestPatternTable:
     def test_qualified_lookup_wins_over_bare_name(self):
         table = default_pattern_table()
-        entry = table.lookup_call("Log", "d", "java")
+        entry = table.lookup_call("Log", "d")
         assert entry is not None
         assert entry.kind is FactKind.LOG_WRITE
 
     def test_table_loads_with_categories(self):
         table = default_pattern_table()
-        cats = {e.data_category for e in table.word_entries("java") if e.data_category}
+        cats = {e.data_category for e in table.word_entries if e.data_category}
         assert DataCategory.CAMERA in cats
         assert DataCategory.LOCATION in cats
 

@@ -1,5 +1,6 @@
 """Run orchestration: instance catalogs, prediction, evaluation, artifacts."""
 
+import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -7,6 +8,7 @@ import os
 import sqlite3
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -14,7 +16,7 @@ import requests
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gdprkit import harness, knowledge, methods
+from gdprkit import engine, harness, knowledge, methods
 from gdprkit.corpus import group_by_file, load_corpus, read_json, write_atomic
 from gdprkit.errors import (
     ConfigurationError,
@@ -93,6 +95,19 @@ class TestReconstructSource:
     def test_first_record_wins_shared_lines(self, camera_record_pair):
         source, _ = reconstruct_source(one_file(camera_record_pair))
         assert source.count("openCamera") == 1
+
+    def test_only_newline_ends_a_line(self, camera_record_pair):
+        # str.splitlines also breaks at these, which no other layer does
+        for separator in "\r\v\f\x1c\x1d\x1e\x85\u2028\u2029":
+            first = dataclasses.replace(
+                camera_record_pair[0],
+                code_snippet_path="A.js: lines 1-2",
+                code_snippet=f'var s = "x{separator}y";\nsend(s);\n',
+            )
+            second = dataclasses.replace(first, code_snippet_path="A.js: line 3", code_snippet="log(s);")
+            source, line_count = reconstruct_source(one_file([first, second]))
+            assert source.split("\n") == [f'var s = "x{separator}y";', "send(s);", "log(s);"]
+            assert line_count == 3
 
 
 class TestInstanceCatalogs:
@@ -180,6 +195,20 @@ class TestFormalRuns:
         assert ranking["line"].n_instances == 9
         assert ranking["line"].accuracy_at[1] == pytest.approx(4 / 9, abs=1e-9)
         assert ranking["line"].accuracy_at[5] == pytest.approx(7 / 9, abs=1e-9)
+
+    def test_task1_extracts_facts_once_per_entry(self, workspace, monkeypatch):
+        sources = []
+        extract = engine.extract_facts
+
+        def counted(source, language, path=""):
+            sources.append(source)
+            return extract(source, language, path=path)
+
+        monkeypatch.setattr(engine, "extract_facts", counted)
+        engine._facts_of.cache_clear()
+        result = run(formal_config(workspace, 1, output_dir=str(workspace["root"] / "t1-extract-once")))
+        assert result.manifest["counts"] == {"scored": 23, "errored": 0, "skipped": 0}
+        assert len(sources) == len(set(sources)) == 7
 
     @pytest.mark.parametrize("task, scored", [(1, 23), (2, 10)])
     def test_empty_rule_file_gives_empty_rankings(self, workspace, tmp_path, task, scored):
@@ -387,6 +416,24 @@ class TestCachingAndReplay:
         assert sorted(err.value.missing_keys) == sorted(deleted)
         assert not (out / "predictions.json").exists()
 
+    @pytest.mark.parametrize("span_answer", [None, "banana"])
+    def test_replay_miss_lists_every_scope(self, tmp_path, fixture_corpus, span_answer):
+        """Each scope the cache lacks is listed; an unparseable answer to another scope cannot hide them."""
+        entries = build_task1(fixture_corpus)
+        recorder = methods.ScriptedReasoner(lambda prompt: "0")
+        predict_task1(entries, fixture_corpus, methods.ZeroShotMethod(recorder))
+        keys = [methods.ResponseCache.cache_key("run1", prompt) for prompt in recorder.calls]
+        assert len(keys) == len(set(keys)) == 16  # 7 files and 9 line spans
+        cache = methods.ResponseCache(tmp_path)
+        if span_answer is not None:
+            # the first line span of the first file; its file's second span comes next
+            cache.put("run1", recorder.calls[1], span_answer)
+        method = methods.ZeroShotMethod(methods.CacheReplayReasoner(cache, "run1"))
+        with pytest.raises(ReplayMissError) as err:
+            predict_task1(entries, fixture_corpus, method)
+        assert err.value.missing_keys == (keys if span_answer is None else keys[:1] + keys[2:])
+        cache.close()
+
     @pytest.mark.parametrize("task", [1, 2])
     def test_replay_from_missing_cache_dir_lists_every_key_and_creates_nothing(self, workspace, task):
         root = workspace["root"] / f"absent-{task}"
@@ -496,7 +543,7 @@ class FailingMethod:
     def predict_labels(self, snippet, language="java", path=""):
         raise self.error
 
-    def predict_file(self, source, language, *, line_spans=None, path=""):
+    def rank(self, text, language, *, span=None, path=""):
         raise self.error
 
 
@@ -596,6 +643,30 @@ class TestErrorAndSkipPaths:
         report, counts = score(formal_config(workspace, 1), entries, records)
         assert report.ranking["file"].accuracy_at[5] == 0.0
         assert counts == {"scored": 0, "errored": 23, "skipped": 0}
+
+    def test_unparseable_file_answer_errors_only_its_file_and_module(self, workspace):
+        """Each line instance is scored from its own prompt, whatever its file's answer."""
+
+        def answer(prompt):
+            # every file has at least 7 lines, so every whole-file answer is unparseable
+            code = prompt.split(methods.CODE_HEADING + "\n", 1)[1]
+            return "banana" if code.count("\n") + 1 >= 5 else "6"
+
+        entries = load_task1(workspace["task1"])
+        corpus = load_corpus(workspace["corpus_path"])
+        records = predict_task1(entries, corpus, methods.ZeroShotMethod(methods.ScriptedReasoner(answer)))
+        outcomes = Counter((r.instance_id.split("::")[1], r.status) for r in records)
+        assert outcomes == {
+            ("file", "errored"): 7,
+            ("module", "errored"): 7,
+            ("line", "scored"): 5,
+            ("line", "errored"): 4,
+        }
+        long_spans = {"150-160", "120-131", "60-70", "3-7"}
+        for r in records:
+            if "::line::" in r.instance_id:
+                long_span = r.instance_id.rsplit("::", 1)[1] in long_spans
+                assert (r.status, r.ranking) == (("errored", ()) if long_span else ("scored", (6,)))
 
     def test_foreign_exceptions_become_errored_records_named_by_type(self, workspace, caplog):
         method = FailingMethod(TypeError("unsupported operand"))

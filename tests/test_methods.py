@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import gdprkit
 from gdprkit.errors import (
     ConfigurationError,
+    InputError,
     MethodError,
     ModelOutputError,
     ReplayMissError,
@@ -382,22 +383,6 @@ class TestZeroShotMethodPath:
         assert labels == LabelSet({5, 6})
         assert ranking.articles == (5, 6)
 
-    @pytest.mark.parametrize("span_answer", [None, "banana"])
-    def test_predict_file_replay_miss_lists_every_scope(self, tmp_path, span_answer):
-        """Each scope the cache lacks is listed; a later failure of another kind cannot hide them."""
-        cache = ResponseCache(tmp_path)
-        method = ZeroShotMethod(CacheReplayReasoner(cache, "run1"))
-        source = "int a;\nint b;\nint c;"
-        spans = [(1, 1), (2, 3)]
-        texts = [source, "int a;", "int b;\nint c;"]
-        keys = [ResponseCache.cache_key("run1", method.prompt(t)) for t in texts]
-        if span_answer is not None:
-            cache.put("run1", method.prompt(texts[1]), span_answer)
-        with pytest.raises(ReplayMissError) as err:
-            method.predict_file(source, "java", line_spans=spans)
-        # an unparseable cached answer stops the file at its span, so later keys go unlisted
-        assert err.value.missing_keys == (keys if span_answer is None else keys[:1])
-
 
 class TestRagMethodPath:
     def test_empty_kb_prompt_degrades_to_zero_shot(self):
@@ -489,6 +474,13 @@ class TestReactLoop:
         result = react_run(CAMERA_SNIPPET, reasoner)
         assert "openCamera" in result.trace.steps[0].observation
 
+    def test_code_search_numbers_lines_by_newline_only(self):
+        reasoner = ScriptedReasoner(
+            ["Action: code_search\nAction Input: send", "Action: finish\nAction Input: 0"]
+        )
+        result = react_run('var s = "x\u2028y";\r\nsend(s);\n', reasoner)
+        assert result.trace.steps[0].observation == "line 2: send(s);"
+
     def test_never_finishing_stub_hits_cap(self):
         reasoner = ScriptedReasoner(
             lambda p: "Still looking.\nAction: code_search\nAction Input: x"
@@ -572,7 +564,7 @@ class TestReactLoop:
         )
         method = ReactMethod(reasoner)
         method.predict_labels(snippet, "py")
-        method.predict_file(snippet, "py")
+        method.rank(snippet, "py")
         observations = [reasoner.calls[i].rsplit("Observation: ", 1)[1] for i in (1, 3)]
         assert all("(A6-DEVICE-ID," in o for o in observations), observations
 
@@ -594,9 +586,46 @@ class TestFormalMethodAdapter:
         strong = RuleCatalog([dataclasses.replace(rule, weight=1.0) for rule in default_catalog()])
         assert 6 in FormalMethod(strong).predict_labels(CAMERA_SNIPPET)[0]
 
-    def test_predict_file_produces_all_granularities(self):
+    def test_rank_scores_the_file_and_a_line_span(self):
         source = "class A {\n    manager.openCamera(a, b, c);\n}\n"
-        rankings = FormalMethod().predict_file(source, "java", line_spans=[(2, 2)])
-        assert rankings.file.articles[0] == 6
-        assert set(rankings.lines) == {(2, 2)}
-        assert rankings.lines[(2, 2)].articles[0] == 6
+        assert FormalMethod().rank(source, "java").articles[0] == 6
+        assert FormalMethod().rank(source, "java", span=(2, 2)).articles[0] == 6
+        assert FormalMethod().rank(source, "java", span=(3, 3)).articles == ()
+
+
+class TestScopes:
+    """Both method families rank one scope per call, behind one span check."""
+
+    SOURCE = "int a;\nint b;\nint c;\n"
+
+    @pytest.mark.parametrize("span", [(0, 1), (2, 1), (4, 5)])
+    @pytest.mark.parametrize("family", ["formal", "prompted"])
+    def test_span_outside_the_text_is_rejected(self, family, span):
+        reasoner = ScriptedReasoner(lambda p: "0")
+        method = FormalMethod() if family == "formal" else ZeroShotMethod(reasoner)
+        with pytest.raises(InputError, match="outside the text"):
+            method.rank(self.SOURCE, "java", span=span)
+        assert reasoner.calls == []
+
+    def test_prompted_span_sends_only_its_lines(self):
+        reasoner = ScriptedReasoner(lambda p: "0")
+        method = ZeroShotMethod(reasoner)
+        method.rank(self.SOURCE, "java", span=(2, 3))
+        method.rank(self.SOURCE, "java", span=(4, 4))  # the empty line after the last "\n"
+        assert reasoner.calls == [method.prompt("int b;\nint c;"), method.prompt("")]
+
+    def test_formal_scopes_of_one_text_extract_its_facts_once(self, monkeypatch):
+        calls = []
+        extract = gdprkit.engine.extract_facts
+
+        def counted(source, language, path=""):
+            calls.append(source)
+            return extract(source, language, path=path)
+
+        monkeypatch.setattr(gdprkit.engine, "extract_facts", counted)
+        gdprkit.engine._facts_of.cache_clear()
+        method = FormalMethod()
+        for span in (None, (1, 1), (2, 3), None):
+            method.rank(self.SOURCE, "java", span=span)
+        method.predict_labels("int d;", "java")
+        assert calls == [self.SOURCE, "int d;"]
