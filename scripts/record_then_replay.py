@@ -4,7 +4,8 @@ Demonstrates the reproducibility workflow for the prompted baselines: the
 first pass answers every prompt through a reasoner and records each response
 in the one-file cache ``<out>/cache/responses.sqlite3``, the second pass
 replays the run with the network binding swapped out entirely.  Both passes
-must produce identical reports.  Each response is committed as it is
+must write byte-identical predictions.json and report.json; the script exits
+1 and names each file that differs.  Each response is committed as it is
 recorded, so a recording cut short by a crash keeps what it was paid for.
 An ``<out>/cache`` holding per-file ``*.json`` entries of the old cache
 format is refused with a ConfigurationError; record into a fresh ``--out``.
@@ -66,11 +67,15 @@ def main(argv: list[str] | None = None) -> int:
     )
     print(f"replayed {replayed.manifest['counts']['scored']} instances from {cache_dir}")
 
-    first = (recorded.output_dir / "report.json").read_bytes()
-    second = (replayed.output_dir / "report.json").read_bytes()
-    matches = first == second
-    print(f"reports identical: {matches}")
-    return 0 if matches else 1
+    differing = [
+        name
+        for name in ("predictions.json", "report.json")
+        if (recorded.output_dir / name).read_bytes() != (replayed.output_dir / name).read_bytes()
+    ]
+    for name in differing:
+        print(f"{name} differs between {recorded.output_dir} and {replayed.output_dir}")
+    print(f"predictions and reports identical: {not differing}")
+    return 1 if differing else 0
 
 
 if __name__ == "__main__":

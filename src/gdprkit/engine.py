@@ -1,10 +1,10 @@
 """Declarative rule engine over extracted facts.
 
-Facts populate a fixed inventory of boolean predicates; a catalog of
-article-tagged rules (boolean expressions over those predicates) is then
-evaluated, once per distinct set of held predicates, to produce findings.
-A finding carries the facts that support it, and its confidence grows with
-their number:
+Facts decide which predicates of a fixed inventory hold, each with the
+facts that support it; a catalog of article-tagged rules (boolean
+expressions over those predicates) is then evaluated, once per distinct set
+of held predicates, to produce findings.  A finding carries the facts that
+support it, and its confidence grows with their number:
 
     confidence = weight * (1 + ln(1 + n_supporting_facts))
 
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -31,6 +30,8 @@ from .facts import (
     DataCategory,
     Fact,
     FactKind,
+    Frontend,
+    default_registry,
     extract_facts,
 )
 
@@ -47,8 +48,9 @@ _PRIVACY_PHRASES = ("privacy policy", "privacy notice", "privacy statement", "da
 class AtomExpr:
     name: str
 
-    def evaluate(self, state: Mapping[str, "Predicate"]) -> bool:
-        return state[self.name].holds
+    def evaluate(self, held: Mapping[str, Sequence[Fact]]) -> bool:
+        """Whether this predicate is among the held ones."""
+        return self.name in held
 
     def walk(self, positive: bool, out: list[tuple[str, bool]]) -> None:
         out.append((self.name, positive))
@@ -58,8 +60,8 @@ class AtomExpr:
 class NotExpr:
     child: "Expr"
 
-    def evaluate(self, state) -> bool:
-        return not self.child.evaluate(state)
+    def evaluate(self, held) -> bool:
+        return not self.child.evaluate(held)
 
     def walk(self, positive, out) -> None:
         self.child.walk(not positive, out)
@@ -69,8 +71,8 @@ class NotExpr:
 class AndExpr:
     children: tuple["Expr", ...]
 
-    def evaluate(self, state) -> bool:
-        return all(c.evaluate(state) for c in self.children)
+    def evaluate(self, held) -> bool:
+        return all(c.evaluate(held) for c in self.children)
 
     def walk(self, positive, out) -> None:
         for c in self.children:
@@ -81,8 +83,8 @@ class AndExpr:
 class OrExpr:
     children: tuple["Expr", ...]
 
-    def evaluate(self, state) -> bool:
-        return any(c.evaluate(state) for c in self.children)
+    def evaluate(self, held) -> bool:
+        return any(c.evaluate(held) for c in self.children)
 
     def walk(self, positive, out) -> None:
         for c in self.children:
@@ -115,103 +117,78 @@ def parse_condition(obj) -> Expr:
 # Predicates
 
 
-@dataclass(frozen=True)
-class Predicate:
-    name: str
-    holds: bool
-    support: tuple[Fact, ...] = ()
-
-
 _SENSITIVE_ORDER = sorted(SENSITIVE_CATEGORIES, key=lambda c: c.value)
 _EVIDENCE_ATOMS = [f"CollectsData({c.value})" for c in _SENSITIVE_ORDER]
-_EVIDENCE = tuple(zip(_SENSITIVE_ORDER, _EVIDENCE_ATOMS))
-_OTHER_ATOMS = [
-    "CollectsAnyPersonalData",
-    "HasConsentCheck",
-    "DeclaresPermission",
-    "UsesInsecureTransport",
-    "SendsDataOffDevice",
-    "StoresDataLocally",
-    "HandlesCredentials",
-    "StoresPlaintextCredentials",
-    "UsesEncryption",
-    "LogsSensitiveAccess",
-    "WritesLogs",
-    "HasPrivacyNoticeText",
-    "AccessesSpecialCategoryData",
-]
-_NOT_HELD = {name: Predicate(name, False) for name in _EVIDENCE_ATOMS + _OTHER_ATOMS}
+_CREDENTIALS = {DataCategory.CREDENTIALS}
+# The predicates that a fact supports by its kind and data category alone:
+# name -> (fact kinds, data categories or None for any, evidence only).
+# Evidence predicates only take non-contextual facts; guard predicates
+# (consent, encryption) take every fact, so a guard anywhere in the file
+# still covers a narrow focus span.
+_DIRECT = {
+    **{name: ({FactKind.API_CALL}, {c}, True) for c, name in zip(_SENSITIVE_ORDER, _EVIDENCE_ATOMS)},
+    "HasConsentCheck": ({FactKind.CONSENT_GUARD}, None, False),
+    "DeclaresPermission": ({FactKind.PERMISSION_DECL}, None, True),
+    "SendsDataOffDevice": ({FactKind.NETWORK_SEND}, None, True),
+    "StoresDataLocally": ({FactKind.STORAGE_WRITE}, None, True),
+    "HandlesCredentials": (set(FactKind), _CREDENTIALS, True),
+    "StoresPlaintextCredentials": ({FactKind.STRING_LITERAL, FactKind.STORAGE_WRITE}, _CREDENTIALS, True),
+    "UsesEncryption": ({FactKind.CRYPTO_USE}, None, False),
+    "WritesLogs": ({FactKind.LOG_WRITE}, None, True),
+    "AccessesSpecialCategoryData": ({FactKind.API_CALL}, {DataCategory.GENERIC}, True),
+}
+_SUPPORTED = {
+    (kind, category, contextual): tuple(
+        name
+        for name, (kinds, categories, evidence) in _DIRECT.items()
+        if kind in kinds and (categories is None or category in categories) and not (evidence and contextual)
+    )
+    for kind in FactKind
+    for category in (None, *DataCategory)
+    for contextual in (False, True)
+}
+# The predicates that also read a fact's detail, or other predicates
+_DERIVED = ("UsesInsecureTransport", "HasPrivacyNoticeText", "CollectsAnyPersonalData", "LogsSensitiveAccess")
 
 
 def atom_inventory() -> tuple[str, ...]:
     """Every predicate name a rule condition may reference."""
-    return tuple(_EVIDENCE_ATOMS + _OTHER_ATOMS)
+    return (*_DIRECT, *_DERIVED)
 
 
-def populate_predicates(facts: Sequence[Fact]) -> dict[str, Predicate]:
-    """Evaluate the full predicate inventory over one fact set.
+def populate_predicates(facts: Sequence[Fact]) -> dict[str, list[Fact]]:
+    """The predicates of the inventory that hold over one fact set, each with its support.
 
-    Every inventory name is present in the result, held or not.  Evidence
-    predicates only look at non-contextual facts; guard predicates
-    (consent, encryption, privacy notice) look at everything, so a guard
-    anywhere in the file still covers a narrow focus span.
+    A predicate holds when its support, the facts that show it, is not
+    empty; a predicate that does not hold is absent.  Support is in fact
+    order, but ``CollectsAnyPersonalData`` groups it by data category and
+    ``LogsSensitiveAccess`` lists logs, then personal data, then credentials.
     """
-    local, anywhere = defaultdict(list), defaultdict(list)
-    calls: dict[DataCategory | None, list[Fact]] = defaultdict(list)  # local API calls
-    credentials: list[Fact] = []
-    for f in facts:
-        anywhere[f.kind].append(f)
-        if not f.contextual:
-            if f.kind is FactKind.API_CALL:
-                calls[f.data_category].append(f)
+    held: dict[str, list[Fact]] = {}
+    for fact in facts:
+        kind = fact.kind
+        names = _SUPPORTED[kind, fact.data_category, fact.contextual]
+        if kind is FactKind.URL_LITERAL:
+            if not fact.contextual and fact.detail.startswith("http://"):
+                names += ("UsesInsecureTransport",)
+        elif kind is FactKind.STRING_LITERAL:
+            detail = fact.detail.lower()
+            if any(phrase in detail for phrase in _PRIVACY_PHRASES):
+                names += ("HasPrivacyNoticeText",)
+        for name in names:
+            if name in held:
+                held[name].append(fact)
             else:
-                local[f.kind].append(f)
-            if f.data_category is DataCategory.CREDENTIALS:
-                credentials.append(f)
-    state = dict(_NOT_HELD)
-
-    def put(name: str, support: Sequence[Fact]) -> None:
-        if support:
-            state[name] = Predicate(name, True, tuple(support))
-
-    collect_all: list[Fact] = []
-    for category, name in _EVIDENCE:
-        matches = calls.get(category, ())
-        put(name, matches)
-        collect_all.extend(matches)
-    put("CollectsAnyPersonalData", collect_all)
-
-    put("HasConsentCheck", anywhere[FactKind.CONSENT_GUARD])
-    put("DeclaresPermission", local[FactKind.PERMISSION_DECL])
-    put(
-        "UsesInsecureTransport",
-        [f for f in local[FactKind.URL_LITERAL] if f.detail.startswith("http://")],
-    )
-    put("SendsDataOffDevice", local[FactKind.NETWORK_SEND])
-    put("StoresDataLocally", local[FactKind.STORAGE_WRITE])
-
-    put("HandlesCredentials", credentials)
-    crypto_anywhere = anywhere[FactKind.CRYPTO_USE]
-    plaintext = [
-        f for f in credentials if f.kind in (FactKind.STRING_LITERAL, FactKind.STORAGE_WRITE)
-    ]
-    put("StoresPlaintextCredentials", plaintext if not crypto_anywhere else [])
-    put("UsesEncryption", crypto_anywhere)
-
-    logs = local[FactKind.LOG_WRITE]
-    put("WritesLogs", logs)
-    sensitive = collect_all + credentials
-    put("LogsSensitiveAccess", logs + sensitive if logs and sensitive else [])
-
-    notices = [
-        f
-        for f in anywhere[FactKind.STRING_LITERAL]
-        if any(phrase in f.detail.lower() for phrase in _PRIVACY_PHRASES)
-    ]
-    put("HasPrivacyNoticeText", notices)
-    put("AccessesSpecialCategoryData", calls.get(DataCategory.GENERIC, ()))
-
-    return state
+                held[name] = [fact]
+    collect_all = [f for name in _EVIDENCE_ATOMS if name in held for f in held[name]]
+    if collect_all:
+        held["CollectsAnyPersonalData"] = collect_all
+    if "UsesEncryption" in held:
+        held.pop("StoresPlaintextCredentials", None)
+    logs, sensitive = held.get("WritesLogs"), collect_all + held.get("HandlesCredentials", [])
+    if logs and sensitive:
+        held["LogsSensitiveAccess"] = logs + sensitive
+    return held
 
 
 # ---------------------------------------------------------------------------
@@ -239,12 +216,16 @@ class RuleCatalog:
             self._compiled.append((rule, tuple(dict.fromkeys(n for n, positive in atoms if positive))))
         self._fired: dict[frozenset[str], tuple[tuple[Rule, tuple[str, ...]], ...]] = {}
 
-    def fired(self, state: Mapping[str, Predicate]) -> tuple[tuple[Rule, tuple[str, ...]], ...]:
-        """The rules whose condition holds in ``state``, each with its un-negated predicates."""
-        held = frozenset(name for name, p in state.items() if p.holds)
-        if held not in self._fired:
-            self._fired[held] = tuple(c for c in self._compiled if c[0].condition.evaluate(state))
-        return self._fired[held]
+    def fired(self, held: Mapping[str, Sequence[Fact]]) -> tuple[tuple[Rule, tuple[str, ...]], ...]:
+        """The rules whose condition holds when exactly the predicates in ``held`` hold.
+
+        Each comes with its un-negated predicates; the result is kept per
+        ``frozenset(held)``.
+        """
+        key = frozenset(held)
+        if key not in self._fired:
+            self._fired[key] = tuple(c for c in self._compiled if c[0].condition.evaluate(held))
+        return self._fired[key]
 
     def __len__(self) -> int:
         return len(self.rules)
@@ -354,11 +335,11 @@ def evaluate_rules(
 ) -> list[Finding]:
     """Fire every satisfied rule, one finding per rule."""
     catalog = default_catalog() if catalog is None else catalog
-    state = populate_predicates(facts)
+    held = populate_predicates(facts)
     findings: list[Finding] = []
-    for rule, atoms in catalog.fired(state):
+    for rule, atoms in catalog.fired(held):
         # each supporting fact once, in order of first appearance
-        support = tuple({id(f): f for name in atoms for f in state[name].support}.values())
+        support = tuple({id(f): f for name in atoms for f in held.get(name, ())}.values())
         findings.append(
             Finding(rule.article, rule.id, confidence_for(rule.weight, len(support)), support, rule.message)
         )
@@ -405,8 +386,8 @@ def check_span(text: str, span: tuple[int, int]) -> None:
 
 
 @functools.lru_cache(maxsize=1)
-def _facts_of(source: str, language: str, path: str) -> tuple[Fact, ...]:
-    """The facts of the last text analyzed, so each scope of one file extracts them once."""
+def _facts_of(source: str, language: str, path: str, frontend: Frontend) -> tuple[Fact, ...]:
+    """The facts of the last text analyzed by ``frontend``, so each scope of one file extracts them once."""
     return tuple(extract_facts(source, language, path=path))
 
 
@@ -434,7 +415,7 @@ def analyze_source(
     guards (consent checks, crypto, notice text) still apply to it.
     """
     catalog = default_catalog() if catalog is None else catalog
-    facts: Sequence[Fact] = _facts_of(source, language, path)
+    facts: Sequence[Fact] = _facts_of(source, language, path, default_registry().frontend_for(language))
     if span is not None:
         check_span(source, span)
         facts = _refocus(facts, *span)

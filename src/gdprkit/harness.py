@@ -60,7 +60,7 @@ from .methods import (
     ReactMethod,
     Reasoner,
     ResponseCache,
-    ScriptedReasoner,
+    StubReasoner,
     ZeroShotMethod,
 )
 from .taskgen import Task1Entry, Task2Entry, load_task1, load_task2
@@ -279,7 +279,7 @@ def _build_reasoner(config: RunConfig, cache: ResponseCache | None) -> Reasoner:
     if config.reasoner == "live":
         base: Reasoner = LiveHttpReasoner(model=config.model)
     elif config.reasoner == "stub":
-        base = ScriptedReasoner(lambda prompt: "0", reasoner_id=f"stub:{config.model}")
+        base = StubReasoner(config.model)
     else:
         return CacheReplayReasoner(cache, config.replay_reasoner_id or f"http:{config.model}")
     if cache is not None:

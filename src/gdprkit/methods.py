@@ -88,6 +88,16 @@ class Reasoner(Protocol):
     def complete(self, prompt: str) -> str: ...
 
 
+class StubReasoner:
+    """The offline ``stub`` binding: answers "0" (no article) to every prompt and keeps none."""
+
+    def __init__(self, model: str):
+        self.reasoner_id = f"stub:{model}"
+
+    def complete(self, prompt: str) -> str:
+        return "0"
+
+
 class ScriptedReasoner:
     """Deterministic test double: answers from a dict, list, or callable."""
 

@@ -15,7 +15,6 @@ from gdprkit.engine import (
     Finding,
     NotExpr,
     OrExpr,
-    Predicate,
     Rule,
     RuleCatalog,
     analyze_source,
@@ -30,7 +29,7 @@ from gdprkit.engine import (
     _refocus,
 )
 from gdprkit.errors import InputError, RuleLoadError
-from gdprkit.facts import SENSITIVE_CATEGORIES, DataCategory, Fact, FactKind, extract_facts
+from gdprkit.facts import SENSITIVE_CATEGORIES, DataCategory, Fact, FactKind, default_registry, extract_facts
 
 CAMERA_SOURCE = (
     "public class CameraGrabber {\n"
@@ -162,8 +161,8 @@ class TestConditionParsing:
 
     def test_or_condition_evaluates(self):
         expr = parse_condition(["or", "WritesLogs", "HasConsentCheck"])
-        state = populate_predicates(extract_facts('Log.d("t", v);', "java"))
-        assert expr.evaluate(state) is True
+        held = populate_predicates(extract_facts('Log.d("t", v);', "java"))
+        assert expr.evaluate(held) is True
 
     @pytest.mark.parametrize(
         "obj",
@@ -177,14 +176,12 @@ class TestConditionParsing:
 class TestPredicates:
     def test_device_id_sets_collects_data(self):
         facts = extract_facts("String id = tm.getDeviceId();", "java")
-        state = populate_predicates(facts)
-        assert state["CollectsData(DEVICE_ID)"].holds is True
-        assert state["HasConsentCheck"].holds is False
+        held = populate_predicates(facts)
+        assert "CollectsData(DEVICE_ID)" in held
+        assert "HasConsentCheck" not in held
 
     def test_no_facts_means_all_existentials_false(self):
-        state = populate_predicates([])
-        assert set(state) == set(atom_inventory())
-        assert not any(p.holds for p in state.values())
+        assert populate_predicates([]) == {}
 
     @pytest.mark.parametrize("crypto", [False, True])
     def test_inventory_complete_when_every_predicate_can_hold(self, crypto):
@@ -203,17 +200,16 @@ class TestPredicates:
         ]
         if crypto:
             facts.append(fact(FactKind.CRYPTO_USE))
-        state = populate_predicates(facts)
-        assert set(state) == set(atom_inventory())
+        held = populate_predicates(facts)
         # encryption anywhere clears plaintext credentials, so exactly one stays false
         unheld = "StoresPlaintextCredentials" if crypto else "UsesEncryption"
-        assert [name for name, p in state.items() if not p.holds] == [unheld]
+        assert set(held) == set(atom_inventory()) - {unheld}
 
     def test_guard_plus_camera(self):
         source = "ContextCompat.checkSelfPermission(ctx, p);\nmanager.openCamera(a, b, c);\n"
-        state = populate_predicates(extract_facts(source, "java"))
-        assert state["CollectsData(CAMERA)"].holds is True
-        assert state["HasConsentCheck"].holds is True
+        held = populate_predicates(extract_facts(source, "java"))
+        assert "CollectsData(CAMERA)" in held
+        assert "HasConsentCheck" in held
 
     def test_guard_predicates_see_contextual_facts(self):
         source = (
@@ -221,16 +217,16 @@ class TestPredicates:
             "manager.openCamera(a, b, c);\n"
         )
         facts = _refocus(extract_facts(source, "java"), 2, 2)
-        state = populate_predicates(facts)
+        held = populate_predicates(facts)
         # evidence predicate restricted to the focus; guard sees the whole file
-        assert state["CollectsData(CAMERA)"].holds is True
-        assert state["HasConsentCheck"].holds is True
+        assert "CollectsData(CAMERA)" in held
+        assert "HasConsentCheck" in held
 
     def test_evidence_predicates_ignore_contextual_facts(self):
         source = "manager.openCamera(a, b, c);\nint x = 1;\n"
         facts = _refocus(extract_facts(source, "java"), 2, 2)
-        state = populate_predicates(facts)
-        assert state["CollectsData(CAMERA)"].holds is False
+        held = populate_predicates(facts)
+        assert "CollectsData(CAMERA)" not in held
 
 
 class TestEvaluation:
@@ -338,6 +334,19 @@ class TestMultiGranularity:
                 analyze_source("int x;\n", "java", span=span)
         assert analyze_source("int x;\n", "java", span=(2, 2)).findings == ()
 
+    def test_frontend_registered_later_sees_the_same_text_again(self, monkeypatch):
+        """The per-text facts cache does not serve facts of a frontend no longer in use."""
+        registry = default_registry()
+        # register on a copy, so the default registry is as before once the test ends
+        monkeypatch.setattr(registry, "_frontends", dict(registry._frontends))
+        source = "camera.open(handler);\n"
+        assert analyze_source(source, "rb").facts == ()
+        fact = Fact(FactKind.API_CALL, "open", "camera.open", SpanRef("", 1, 1), "rb", DataCategory.CAMERA)
+        registry.register("rb", lambda text, language, path="": [fact])
+        again = analyze_source(source, "rb")
+        assert again.facts == (fact,)
+        assert 6 in again.ranking.articles
+
 
 def positive_only(rule: Rule) -> bool:
     """No predicate of the rule's condition appears under a negation."""
@@ -389,13 +398,14 @@ class TestInvariants:
 _REFERENCE_PHRASES = ("privacy policy", "privacy notice", "privacy statement", "data protection")
 
 
-def reference_predicates(facts) -> dict[str, Predicate]:
-    """``populate_predicates`` as one list comprehension per predicate."""
+def reference_predicates(facts) -> dict[str, list[Fact]]:
+    """``populate_predicates`` as one list comprehension per predicate, held ones only."""
     local = [f for f in facts if not f.contextual]
-    state = {}
+    held = {}
 
     def put(name, support):
-        state[name] = Predicate(name, bool(support), tuple(support))
+        if support:
+            held[name] = list(support)
 
     collect_all = []
     for category in sorted(SENSITIVE_CATEGORIES, key=lambda c: c.value):
@@ -434,26 +444,36 @@ def reference_predicates(facts) -> dict[str, Predicate]:
         "AccessesSpecialCategoryData",
         [f for f in local if f.kind is FactKind.API_CALL and f.data_category is DataCategory.GENERIC],
     )
-    return state
+    return held
+
+
+def reference_holds(condition, held) -> bool:
+    """A rule condition evaluated by matching on its tree, not through ``Expr.evaluate``."""
+    if isinstance(condition, AtomExpr):
+        return condition.name in held
+    if isinstance(condition, NotExpr):
+        return not reference_holds(condition.child, held)
+    values = [reference_holds(child, held) for child in condition.children]
+    return all(values) if isinstance(condition, AndExpr) else any(values)
 
 
 def reference_findings(facts, rules) -> list[tuple]:
-    """Tree ``evaluate`` per rule, ``walk`` for its positive atoms, support deduplicated by id.
+    """``reference_holds`` per rule, ``walk`` for its positive atoms, support deduplicated by id.
 
     Each finding is ``(article, rule_id, confidence, support, spans, explanation)``,
     with its spans and explanation built eagerly.
     """
-    state = reference_predicates(facts)
+    held = reference_predicates(facts)
     findings = []
     for rule in rules:
-        if not rule.condition.evaluate(state):
+        if not reference_holds(rule.condition, held):
             continue
         atoms: list[tuple[str, bool]] = []
         rule.condition.walk(True, atoms)
         support, seen = [], set()
         for name, positive in atoms:
-            if positive and state[name].holds:
-                for fact in state[name].support:
+            if positive and name in held:
+                for fact in held[name]:
                     if id(fact) not in seen:
                         seen.add(id(fact))
                         support.append(fact)
@@ -527,6 +547,12 @@ class TestFiredRuleMemo:
     @settings(max_examples=200, deadline=None)
     def test_predicate_support_matches_reference(self, facts):
         assert populate_predicates(facts) == reference_predicates(facts)
+
+    @given(condition=_conditions, facts=_fact_sets)
+    @settings(max_examples=200, deadline=None)
+    def test_condition_evaluates_as_the_tree_evaluator(self, condition, facts):
+        expected = reference_holds(condition, reference_predicates(facts))
+        assert condition.evaluate(populate_predicates(facts)) == expected
 
     @given(rules=_rules, fact_sets=st.lists(_fact_sets, min_size=1, max_size=4))
     @settings(max_examples=200, deadline=None)

@@ -272,18 +272,18 @@ class TestModuleInstances:
     def test_module_records_equal_their_file_record(self, workspace, monkeypatch, method):
         reasoners = []
 
-        def prompt_dependent_stub(script, reasoner_id):
+        def prompt_dependent_stub(model):
             # answers differ between prompts, so equal records mean equal predictions
             reasoner = methods.ScriptedReasoner(
                 lambda prompt: ("5", "6", "25", "32")[
                     hashlib.sha256(prompt.encode("utf-8")).digest()[0] % 4
                 ],
-                reasoner_id=reasoner_id,
+                reasoner_id=f"stub:{model}",
             )
             reasoners.append(reasoner)
             return reasoner
 
-        monkeypatch.setattr(harness, "ScriptedReasoner", prompt_dependent_stub)
+        monkeypatch.setattr(harness, "StubReasoner", prompt_dependent_stub)
         out = workspace["root"] / f"t1-modules-{method}"
         run(
             RunConfig(
@@ -320,6 +320,25 @@ class TestStubZeroShot:
         assert result.manifest["counts"]["scored"] == 10
         assert all(r.labels == () for r in result.records)
         assert result.report.labels.accuracy == pytest.approx(0.8, abs=1e-9)
+
+    def test_stub_binding_keeps_no_prompt(self, workspace, monkeypatch):
+        built = []
+        build = harness._build_reasoner
+
+        def recorded(config, cache):
+            built.append(build(config, cache))
+            return built[-1]
+
+        monkeypatch.setattr(harness, "_build_reasoner", recorded)
+        config = RunConfig(
+            task=2,
+            method="zero_shot",
+            dataset_path=workspace["task2"],
+            reasoner="stub",
+            output_dir=str(workspace["root"] / "t2-stub-keeps-nothing"),
+        )
+        assert run(config).manifest["counts"]["scored"] == 10
+        assert [vars(reasoner) for reasoner in built] == [{"reasoner_id": "stub:default"}]
 
     def test_stub_runs_are_deterministic(self, workspace):
         paths = []
@@ -495,12 +514,33 @@ class TestCachingAndReplay:
 
         monkeypatch.setattr(requests, "Session", Session)
         monkeypatch.setenv("GDPRKIT_ENDPOINT", "http://localhost:1/v1")
-        path = DATA_DIR.parent.parent / "scripts" / "record_then_replay.py"
-        spec = importlib.util.spec_from_file_location("record_then_replay", path)
-        script = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(script)
         argv = ["--reasoner", "live", "--model", "gpt-4o", "--out", str(tmp_path)]
-        assert script.main(argv) == 0
+        assert _record_then_replay_script().main(argv) == 0
+
+    def test_record_then_replay_script_fails_when_only_predictions_differ(self, tmp_path, monkeypatch, capsys):
+        script = _record_then_replay_script()
+        run_config = script.run
+
+        def run_then_touch_replayed_predictions(config):
+            result = run_config(config)
+            if config.reasoner == "cache_replay":
+                with open(result.output_dir / "predictions.json", "a", encoding="utf-8") as out:
+                    out.write("\n")
+            return result
+
+        monkeypatch.setattr(script, "run", run_then_touch_replayed_predictions)
+        assert script.main(["--out", str(tmp_path)]) == 1
+        printed = capsys.readouterr().out
+        assert "predictions.json differs" in printed
+        assert "report.json differs" not in printed
+
+
+def _record_then_replay_script():
+    path = DATA_DIR.parent.parent / "scripts" / "record_then_replay.py"
+    spec = importlib.util.spec_from_file_location("record_then_replay", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
 
 
 def test_offline_runs_never_import_requests(workspace, tmp_path):
