@@ -15,9 +15,7 @@ from pathlib import Path
 
 from .corpus import compute_stats, detect_language, load_corpus, read_json
 from .engine import analyze_source, load_rules
-from .errors import GdprKitError
-from .harness import METHOD_NAMES, RunConfig, emit_report, evaluate_run, run
-from .taskgen import build_task1, build_task2, dump_entries
+from .errors import GdprKitError, InputError
 
 
 def _cmd_stats(args) -> int:
@@ -27,17 +25,11 @@ def _cmd_stats(args) -> int:
     return 0
 
 
-def _cmd_gen_task1(args) -> int:
-    corpus = load_corpus(args.corpus)
-    entries = build_task1(corpus)
-    dump_entries(entries, args.output)
-    print(f"wrote {len(entries)} entries to {args.output}")
-    return 0
+def _cmd_gen(args) -> int:
+    from .taskgen import build_task1, build_task2, dump_entries
 
-
-def _cmd_gen_task2(args) -> int:
     corpus = load_corpus(args.corpus)
-    entries = build_task2(corpus)
+    entries = (build_task1 if args.task == 1 else build_task2)(corpus)
     dump_entries(entries, args.output)
     print(f"wrote {len(entries)} entries to {args.output}")
     return 0
@@ -47,7 +39,10 @@ def _cmd_analyze(args) -> int:
     # isfile, unlike Path.exists, is False for a snippet too long or odd to be a path
     if os.path.isfile(args.target):
         target = Path(args.target)
-        source = target.read_text(encoding="utf-8")
+        try:
+            source = target.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{target}: {exc}") from None
         language = args.language or detect_language(str(target))
         path = str(target)
     else:
@@ -78,6 +73,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    from .harness import RunConfig, emit_report, run
+
     flags = {
         "task": args.task,
         "method": args.method,
@@ -101,6 +98,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    from .harness import emit_report, evaluate_run
+
     sys.stdout.write(emit_report(evaluate_run(args.run_dir), args.format))
     return 0
 
@@ -116,15 +115,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("corpus")
     p.set_defaults(func=_cmd_stats)
 
-    p = sub.add_parser("gen-task1", help="build the localization dataset")
-    p.add_argument("corpus")
-    p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=_cmd_gen_task1)
-
-    p = sub.add_parser("gen-task2", help="build the snippet classification dataset")
-    p.add_argument("corpus")
-    p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=_cmd_gen_task2)
+    for task, dataset in ((1, "localization"), (2, "snippet classification")):
+        p = sub.add_parser(f"gen-task{task}", help=f"build the {dataset} dataset")
+        p.add_argument("corpus")
+        p.add_argument("-o", "--output", required=True)
+        p.set_defaults(func=_cmd_gen, task=task)
 
     p = sub.add_parser("analyze", help="analyze a source file or inline snippet")
     p.add_argument("target", help="path to a source file, or snippet text")
@@ -135,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="run one method over one task dataset")
     p.add_argument("--task", type=int, choices=(1, 2))
-    p.add_argument("--method", choices=METHOD_NAMES)
+    p.add_argument("--method")
     p.add_argument("--config", help="run configuration JSON file")
     p.add_argument("--dataset", help="dataset path (overrides config)")
     p.add_argument("--corpus", help="corpus path (overrides config)")

@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import os
 import re
-import statistics
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, TypeVar
@@ -321,6 +320,8 @@ def group_by_snippet(corpus: Iterable[ViolationRecord]) -> dict[str, list[Violat
 def _length_stats(lengths: list[int]) -> LengthStats:
     if not lengths:
         return LengthStats(0, 0, 0.0, 0.0, 0.0)
+    import statistics
+
     return LengthStats(
         min=min(lengths),
         max=max(lengths),

@@ -13,12 +13,10 @@ from __future__ import annotations
 import hashlib
 import os
 import re
-import sqlite3
 import time
 from dataclasses import dataclass
-from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Mapping, Protocol, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Protocol, Sequence
 
 from .engine import RankedPrediction, RuleCatalog, analyze_source, check_span
 from .errors import ConfigurationError, InputError, MethodError, ModelOutputError, ReplayMissError
@@ -30,6 +28,9 @@ from .knowledge import (
     article_lookup,
 )
 from .errors import UnknownArticleError
+
+if TYPE_CHECKING:
+    import sqlite3
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +204,8 @@ class ResponseCache:
     once ``put`` returns.  An equal re-record leaves its row untouched; a
     different one replaces it.  Nothing is created before the first ``put``.
     A directory of old-format ``*.json`` entries raises ConfigurationError.
+    SQLite loads on first use, so a run that never reads or writes a
+    response does not load it.
     A ``put`` right after a ``get`` of the same reasoner id and the same
     prompt object reuses the key ``get`` computed, so a miss hashes its
     prompt once.
@@ -228,6 +231,10 @@ class ResponseCache:
 
     def _connect(self, create: bool) -> sqlite3.Connection | None:
         if self._db is None and (create or self.path.exists()):
+            import sqlite3
+            from datetime import datetime, timezone
+
+            self._now = lambda: datetime.now(timezone.utc).isoformat()
             self.root.mkdir(parents=True, exist_ok=True)
             self._db = sqlite3.connect(self.path, isolation_level=None)  # autocommit
             self._db.executescript(
@@ -254,7 +261,7 @@ class ResponseCache:
             "INSERT INTO responses VALUES (?, ?, ?, ?, ?) ON CONFLICT (key) DO UPDATE SET"
             " response = excluded.response, created_at = excluded.created_at"
             " WHERE response != excluded.response",
-            (key, reasoner_id, prompt, response, datetime.now(timezone.utc).isoformat()),
+            (key, reasoner_id, prompt, response, self._now()),
         )
 
     def close(self) -> None:

@@ -9,8 +9,8 @@ contributes 0 rather than being skipped.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from statistics import fmean
 from typing import Iterable, Sequence
 
 from .errors import InputError, UndefinedMetricError
@@ -176,8 +176,8 @@ def evaluate_labels(
         n_instances=len(instances),
         universe=resolved,
         accuracy=multilabel_accuracy(instances, resolved),
-        macro_precision=fmean(v[0] for v in per_article.values()),
-        macro_recall=fmean(v[1] for v in per_article.values()),
-        macro_f1=fmean(v[2] for v in per_article.values()),
+        macro_precision=math.fsum(v[0] for v in per_article.values()) / len(per_article),
+        macro_recall=math.fsum(v[1] for v in per_article.values()) / len(per_article),
+        macro_f1=math.fsum(v[2] for v in per_article.values()) / len(per_article),
         per_article=per_article,
     )

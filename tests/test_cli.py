@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -86,6 +87,15 @@ class TestAnalyze:
         assert main(["analyze", "String id = tm.getDeviceId();\0"]) == 0
         assert capsys.readouterr().out.startswith("articles (most suspect first): 6")
 
+    def test_file_that_is_not_utf8_is_an_error_line(self, tmp_path, capsys):
+        src = tmp_path / "a.java"
+        src.write_bytes(b'String s = "caf\xe9";\n')
+        assert main(["analyze", str(src)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {src}: 'utf-8' codec can't decode byte 0xe9")
+        assert captured.err.count("\n") == 1
+
     def test_fixture_snippets_match_golden_output(self):
         golden = json.loads((GOLDEN_DIR / "analyze_fixture.json").read_text(encoding="utf-8"))
         assert analyze_outputs() == golden
@@ -139,6 +149,14 @@ class TestRun:
     def test_run_without_required_args_exits_two(self, capsys):
         assert main(["run", "--task", "2"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_unknown_method_is_an_error_line_naming_the_methods(self, capsys):
+        assert main(["run", "--task", "2", "--method", "bogus", "--dataset", "X"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: method must be one of ('formal', 'zero_shot', 'rag', 'react'), got 'bogus'\n"
+        )
 
     def test_run_with_config_file(self, task2_path, tmp_path, capsys):
         config_path = tmp_path / "config.json"
@@ -328,3 +346,32 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["total_records"] == 12
+
+    def test_package_loads_each_module_on_first_access(self):
+        assert gdprkit.taskgen.build_task2 is not None
+        with pytest.raises(AttributeError, match="has no attribute 'nope'"):
+            gdprkit.nope
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["analyze", "manager.openCamera(camerId, stateCallback, null);"], ["stats", CORPUS]],
+        ids=["analyze", "stats"],
+    )
+    def test_command_loads_only_the_modules_it_uses(self, argv):
+        """``analyze`` and ``stats`` load neither the run machinery nor SQLite."""
+        script = (
+            "import json, sys\n"
+            "from gdprkit.cli import main\n"
+            "assert main(json.loads(sys.argv[1])) == 0\n"
+            "print(json.dumps(sorted(m for m in sys.modules if m in json.loads(sys.argv[2]))))\n"
+        )
+        unwanted = [f"gdprkit.{m}" for m in ("harness", "methods", "knowledge", "metrics", "taskgen")]
+        proc = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(argv), json.dumps([*unwanted, "sqlite3"])],
+            env=dict(os.environ, PYTHONPATH=str(Path(gdprkit.__file__).resolve().parents[1])),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == []

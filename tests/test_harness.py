@@ -544,36 +544,42 @@ def _record_then_replay_script():
 
 
 def test_offline_runs_never_import_requests(workspace, tmp_path):
-    """Formal, stub and replay runs load no HTTP stack: only the live reasoner imports it."""
+    """Formal, stub and replay runs load no HTTP stack: only the live reasoner imports it.
+    Formal runs, started from the CLI module, also load no SQLite, datetime or statistics."""
     common = {"dataset_path": workspace["task2"], "corpus_path": workspace["corpus_path"], "task": 2}
     cache = {"method": "zero_shot", "cache_dir": str(tmp_path / "cache")}
-    configs = [
+    formal = [
         dict(common, method="formal", task=1, dataset_path=workspace["task1"]),
         dict(common, method="formal"),
+    ]
+    cached = [
         dict(common, reasoner="stub", **cache),
         dict(common, reasoner="cache_replay", replay_reasoner_id="stub:default", **cache),
     ]
-    for i, config in enumerate(configs):
-        config["output_dir"] = str(tmp_path / f"run{i}")
     script = (
         "import json, sys\n"
-        "import gdprkit\n"
+        "import gdprkit.cli\n"
         "from gdprkit.harness import RunConfig, run\n"
         "for config in json.loads(sys.argv[1]):\n"
         "    counts = run(RunConfig(**config)).manifest['counts']\n"
         "    assert counts['scored'] > 0 and counts['errored'] == 0, counts\n"
-        "print('requests' in sys.modules)\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m in json.loads(sys.argv[2]))))\n"
     )
     src = str(Path(harness.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-c", script, json.dumps(configs)],
-        env=dict(os.environ, PYTHONPATH=src),
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    for i, (configs, unwanted) in enumerate(
+        [(formal, ["sqlite3", "datetime", "statistics", "requests"]), (cached, ["requests"])]
+    ):
+        for j, config in enumerate(configs):
+            config["output_dir"] = str(tmp_path / f"run{i}-{j}")
+        proc = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(configs), json.dumps(unwanted)],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == []
 
 
 class FailingMethod:

@@ -1,9 +1,10 @@
 """Ranking and multi-label metrics against brute-force reference scorers."""
 
 import random
+import statistics
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gdprkit.errors import InputError, UndefinedMetricError
@@ -239,6 +240,16 @@ class TestProperties:
         assert multilabel_accuracy(instances, universe) == pytest.approx(
             expected["accuracy"], abs=1e-12
         )
+
+    @given(instances=label_instances, universe=st.sampled_from([None, frozenset(range(1, 7))]))
+    @settings(max_examples=200, deadline=None)
+    def test_macro_means_equal_statistics_fmean(self, instances, universe):
+        assume(universe or any(inst.ground_truth for inst in instances))
+        metrics = evaluate_labels(instances, universe=universe)
+        columns = list(zip(*metrics.per_article.values()))
+        assert metrics.macro_precision == statistics.fmean(columns[0])
+        assert metrics.macro_recall == statistics.fmean(columns[1])
+        assert metrics.macro_f1 == statistics.fmean(columns[2])
 
     @given(instances=ranking_instances, seed=st.integers(0, 2**16))
     @settings(max_examples=100, deadline=None)
