@@ -4,24 +4,23 @@ Facts decide which predicates of a fixed inventory hold, each with the
 facts that support it; a catalog of article-tagged rules (boolean
 expressions over those predicates) is then evaluated, once per distinct set
 of held predicates, to produce findings.  A finding carries the facts that
-support it, and its confidence grows with their number:
+support it, each once, and its confidence grows with their number:
 
     confidence = weight * (1 + ln(1 + n_supporting_facts))
 
-Rankings read only each finding's article and confidence, so a finding's
-source spans and explanation are derived from its support when read.
-
-Article rankings order articles by their best finding, ties broken by
-ascending article number so output is fully deterministic.
+A scope is ranked straight from its held predicates, by each article's best
+fired-rule confidence, ties broken by ascending article number.  A line scope
+reads facts outside its span as contextual without copying them; its facts
+and findings (with their spans and explanations) are built only when read.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .corpus import SpanRef, read_entries
 from .errors import InputError, RuleLoadError
@@ -156,20 +155,24 @@ def atom_inventory() -> tuple[str, ...]:
     return (*_DIRECT, *_DERIVED)
 
 
-def populate_predicates(facts: Sequence[Fact]) -> dict[str, list[Fact]]:
+def populate_predicates(facts: Sequence[Fact], span: tuple[int, int] | None = None) -> dict[str, list[Fact]]:
     """The predicates of the inventory that hold over one fact set, each with its support.
 
     A predicate holds when its support, the facts that show it, is not
     empty; a predicate that does not hold is absent.  Support is in fact
     order, but ``CollectsAnyPersonalData`` groups it by data category and
     ``LogsSensitiveAccess`` lists logs, then personal data, then credentials.
+    With ``span``, every fact outside lines start-end counts as contextual,
+    as ``_refocus`` would mark it, and support lists the fact itself.
     """
+    start, end = span or (-math.inf, math.inf)
     held: dict[str, list[Fact]] = {}
     for fact in facts:
         kind = fact.kind
-        names = _SUPPORTED[kind, fact.data_category, fact.contextual]
+        contextual = fact.contextual or not (start <= fact.span.start_line and fact.span.end_line <= end)
+        names = _SUPPORTED[kind, fact.data_category, contextual]
         if kind is FactKind.URL_LITERAL:
-            if not fact.contextual and fact.detail.startswith("http://"):
+            if not contextual and fact.detail.startswith("http://"):
                 names += ("UsesInsecureTransport",)
         elif kind is FactKind.STRING_LITERAL:
             detail = fact.detail.lower()
@@ -330,33 +333,38 @@ def confidence_for(weight: float, support_count: int) -> float:
     return weight * (1.0 + math.log1p(support_count))
 
 
+def _fired(held: Mapping[str, Sequence[Fact]], catalog: RuleCatalog) -> Iterator[tuple[Rule, float, dict]]:
+    """Each rule ``held`` fires, its confidence and its support: each fact once by id, first seen first."""
+    for rule, atoms in catalog.fired(held):
+        support = {id(f): f for name in atoms for f in held.get(name, ())}
+        yield rule, confidence_for(rule.weight, len(support)), support
+
+
 def evaluate_rules(
     facts: Sequence[Fact], catalog: RuleCatalog | None = None
 ) -> list[Finding]:
     """Fire every satisfied rule, one finding per rule."""
     catalog = default_catalog() if catalog is None else catalog
-    held = populate_predicates(facts)
-    findings: list[Finding] = []
-    for rule, atoms in catalog.fired(held):
-        # each supporting fact once, in order of first appearance
-        support = tuple({id(f): f for name in atoms for f in held.get(name, ())}.values())
-        findings.append(
-            Finding(rule.article, rule.id, confidence_for(rule.weight, len(support)), support, rule.message)
-        )
-    return findings
+    return [
+        Finding(rule.article, rule.id, confidence, tuple(support.values()), rule.message)
+        for rule, confidence, support in _fired(populate_predicates(facts), catalog)
+    ]
+
+
+def _ranked(scored: Iterable[tuple[int, float]]) -> RankedPrediction:
+    """Order the articles of (article, confidence) pairs by best confidence, ties by article number."""
+    best: dict[int, float] = {}
+    for article, confidence in scored:
+        prev = best.get(article)
+        if prev is None or confidence > prev:
+            best[article] = confidence
+    ordered = sorted(best.items(), key=lambda item: (-item[1], item[0]))
+    return RankedPrediction(articles=tuple(a for a, _ in ordered), scores=tuple(s for _, s in ordered))
 
 
 def rank_articles(findings: Sequence[Finding]) -> RankedPrediction:
     """Order articles by best finding confidence, ties by article number."""
-    best: dict[int, float] = {}
-    for finding in findings:
-        prev = best.get(finding.article)
-        if prev is None or finding.confidence > prev:
-            best[finding.article] = finding.confidence
-    ordered = sorted(best.items(), key=lambda item: (-item[1], item[0]))
-    return RankedPrediction(
-        articles=tuple(a for a, _ in ordered), scores=tuple(s for _, s in ordered)
-    )
+    return _ranked((f.article, f.confidence) for f in findings)
 
 
 # ---------------------------------------------------------------------------
@@ -365,9 +373,20 @@ def rank_articles(findings: Sequence[Finding]) -> RankedPrediction:
 
 @dataclass(frozen=True)
 class AnalysisResult:
-    facts: tuple[Fact, ...]
-    findings: tuple[Finding, ...]
+    """A scope's ranking; its facts (refocused on ``span``) and findings are built when read."""
+
     ranking: RankedPrediction
+    extracted: tuple[Fact, ...]
+    span: tuple[int, int] | None
+    catalog: RuleCatalog
+
+    @functools.cached_property
+    def facts(self) -> tuple[Fact, ...]:
+        return self.extracted if self.span is None else tuple(_refocus(self.extracted, *self.span))
+
+    @functools.cached_property
+    def findings(self) -> tuple[Finding, ...]:
+        return tuple(evaluate_rules(self.facts, self.catalog))
 
     def to_dict(self) -> dict:
         return {
@@ -394,10 +413,8 @@ def _facts_of(source: str, language: str, path: str, frontend: Frontend) -> tupl
 def _refocus(facts: Sequence[Fact], start: int, end: int) -> list[Fact]:
     """The same fact set scoped to lines start-end: facts outside are contextual."""
     return [
-        fact
-        if start <= fact.span.start_line and fact.span.end_line <= end
-        else Fact(fact.kind, fact.symbol, fact.detail, fact.span, fact.language, fact.data_category, True)
-        for fact in facts
+        f if start <= f.span.start_line and f.span.end_line <= end else replace(f, contextual=True)
+        for f in facts
     ]
 
 
@@ -415,9 +432,9 @@ def analyze_source(
     guards (consent checks, crypto, notice text) still apply to it.
     """
     catalog = default_catalog() if catalog is None else catalog
-    facts: Sequence[Fact] = _facts_of(source, language, path, default_registry().frontend_for(language))
+    facts = _facts_of(source, language, path, default_registry().frontend_for(language))
     if span is not None:
         check_span(source, span)
-        facts = _refocus(facts, *span)
-    findings = evaluate_rules(facts, catalog)
-    return AnalysisResult(tuple(facts), tuple(findings), rank_articles(findings))
+    held = populate_predicates(facts, span)
+    ranking = _ranked((rule.article, confidence) for rule, confidence, _ in _fired(held, catalog))
+    return AnalysisResult(ranking, facts, span, catalog)

@@ -69,10 +69,10 @@ SENSITIVE_CATEGORIES: frozenset[DataCategory] = frozenset(
 class Fact:
     """One observation about a piece of source code.
 
-    ``contextual`` marks facts that fall outside the analysed scope (set by
-    ``engine._refocus``).  They still participate in evaluation of
-    file-wide guard conditions but are not themselves evidence local to the
-    scope.
+    ``contextual`` marks facts that fall outside the analysed scope (read
+    so by ``engine.populate_predicates``, set by ``engine._refocus``).  They
+    still participate in evaluation of file-wide guard conditions but are
+    not themselves evidence local to the scope.
     """
 
     kind: FactKind

@@ -320,29 +320,29 @@ _PAST_END = "span outside reconstructed source"
 
 
 def _predict_scopes(
-    scopes: Iterable[tuple[Instance, str, str, str]],
+    scopes: Iterable[tuple[Instance, str, str, str, int | None]],
     predict: Callable[..., tuple[RankedPrediction, tuple[int, ...]]],
 ) -> list[PredictionRecord]:
     """One record per instance of ``scopes``, each predicted on its own.
 
-    Each scope is (instance, text, language, path), and ``predict(text,
-    language, span, path)`` gives its (ranking, labels).  A line span past
-    the end of the text is skipped.  A module instance takes the record of
-    the file instance before it: a module's scope is the whole reconstructed
-    file until module spans are derived.  An exception errors its own
-    instance only.  Replay misses are collected over every scope and raised
+    Each scope is (instance, text, language, path, line count), and
+    ``predict(text, language, span, path)`` gives its (ranking, labels).  A
+    line span past the line count is skipped.  A module instance takes the
+    record of the file instance before it: a module's scope is the whole
+    reconstructed file until module spans are derived.  An exception errors
+    its own instance only.  Replay misses are collected over every scope and raised
     together at the end, before any artifact is written.
     """
     records: list[PredictionRecord] = []
     missing: list[str] = []
     file_record = None
-    for inst, text, language, path in scopes:
+    for inst, text, language, path, line_count in scopes:
         if inst.granularity == "module":
             if file_record is not None:
                 records.append(replace(file_record, instance_id=inst.instance_id))
             continue
         record = None
-        if inst.span is not None and inst.span[1] > text.count("\n") + 1:
+        if inst.span is not None and inst.span[1] > line_count:
             record = PredictionRecord(inst.instance_id, "skipped", error=_PAST_END)
         else:
             try:
@@ -373,9 +373,9 @@ def predict_task1(
             if inst.granularity == "file":
                 entry = entries[inst.entry_index]
                 group = groups.get((entry.repo_url, entry.app_name, entry.file_path), [])
-                source, _ = reconstruct_source(group)
+                source, line_count = reconstruct_source(group)
                 language = detect_language(entry.file_path)
-            yield inst, source, language, entry.file_path
+            yield inst, source, language, entry.file_path, line_count
 
     def predict(text, language, span, path):
         return method.rank(text, language, span=span, path=path), ()
@@ -387,7 +387,7 @@ def predict_task2(entries: Sequence[Task2Entry], method) -> list[PredictionRecor
     def scopes():
         for inst, entry in zip(task2_instances(entries), entries):
             file_path, _ = split_snippet_path(entry.code_snippet_path)
-            yield inst, entry.code_snippet, detect_language(file_path), file_path
+            yield inst, entry.code_snippet, detect_language(file_path), file_path, None
 
     def predict(text, language, span, path):
         labels, ranking = method.predict_labels(text, language, path=path)

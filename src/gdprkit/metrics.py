@@ -4,12 +4,15 @@ Ranking quality is scored with accuracy@k: the share of instances whose
 first correct article appears within the top k of the prediction.  Label
 sets are scored with per-cell accuracy over the article universe and with
 macro-averaged precision, recall, and F1, where a zero denominator
-contributes 0 rather than being skipped.
+contributes 0 rather than being skipped.  ``evaluate_rankings`` and
+``evaluate_labels`` score a run in one pass over its instances: the first
+correct rank serves every k, and one set of tp/fp/fn counts every metric.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -86,17 +89,16 @@ class RankingMetrics:
 
 def evaluate_rankings(instances: Sequence[RankedInstance]) -> dict[str, RankingMetrics]:
     """Accuracy@k per granularity, only for granularities that appear."""
-    out: dict[str, RankingMetrics] = {}
-    for granularity in GRANULARITIES:
-        subset = [inst for inst in instances if inst.granularity == granularity]
-        if not subset:
-            continue
-        out[granularity] = RankingMetrics(
-            granularity=granularity,
-            n_instances=len(subset),
-            accuracy_at={k: accuracy_at_k(subset, k, granularity) for k in DEFAULT_KS},
+    ranks: dict[str, list[float]] = {granularity: [] for granularity in GRANULARITIES}
+    for inst in instances:  # a miss ranks past every k
+        ranks[inst.granularity].append(first_correct_rank(inst.prediction, inst.ground_truth) or math.inf)
+    return {
+        granularity: RankingMetrics(
+            granularity, len(found), {k: sum(rank <= k for rank in found) / len(found) for k in DEFAULT_KS}
         )
-    return out
+        for granularity, found in ranks.items()
+        if found
+    }
 
 
 def _resolve_universe(
@@ -163,19 +165,23 @@ def evaluate_labels(
     if not instances:
         raise UndefinedMetricError("label metrics undefined on no instances")
     resolved = _resolve_universe(instances, universe)
+    tps, fps, fns = Counter(), Counter(), Counter()
+    for inst in instances:
+        tps.update(inst.prediction & inst.ground_truth)
+        fps.update(inst.prediction - inst.ground_truth)
+        fns.update(inst.ground_truth - inst.prediction)
     per_article: dict[int, tuple[float, float, float]] = {}
     for article in resolved:
-        tp = sum(1 for i in instances if article in i.prediction and article in i.ground_truth)
-        fp = sum(1 for i in instances if article in i.prediction and article not in i.ground_truth)
-        fn = sum(1 for i in instances if article not in i.prediction and article in i.ground_truth)
+        tp, fp, fn = tps[article], fps[article], fns[article]
         precision = tp / (tp + fp) if tp + fp else 0.0
         recall = tp / (tp + fn) if tp + fn else 0.0
         f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
         per_article[article] = (precision, recall, f1)
+    cells = len(instances) * len(resolved)  # a disagreeing cell is a false positive or a false negative
     return LabelMetrics(
         n_instances=len(instances),
         universe=resolved,
-        accuracy=multilabel_accuracy(instances, resolved),
+        accuracy=(cells - sum(fps[a] + fns[a] for a in resolved)) / cells,
         macro_precision=math.fsum(v[0] for v in per_article.values()) / len(per_article),
         macro_recall=math.fsum(v[1] for v in per_article.values()) / len(per_article),
         macro_f1=math.fsum(v[2] for v in per_article.values()) / len(per_article),

@@ -3,11 +3,13 @@
 import dataclasses
 import json
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gdprkit import engine
 from gdprkit.corpus import SpanRef
 from gdprkit.engine import (
     AndExpr,
@@ -564,3 +566,87 @@ class TestFiredRuleMemo:
         ]
         # the second pass takes every fired-rule tuple from the memo
         assert [evaluate_rules(facts, catalog) for facts in fact_sets] == first
+
+
+# ---------------------------------------------------------------------------
+# A scope ranked from its held predicates against the analysis that refocused
+# the facts, built every finding and ranked the findings
+
+_DETAILS = ("x", "http://plain.example.com", "https://safe.example.com", "Read our Privacy Policy")
+_LINES = 12
+_random_facts = st.lists(
+    st.builds(
+        lambda kind, category, detail, start, extent, contextual: Fact(
+            kind, f"{kind.value}-{start}", detail, SpanRef("A.java", start, start + extent), "java",
+            category, contextual,
+        ),
+        st.sampled_from(FactKind),
+        st.sampled_from([None, *DataCategory]),
+        st.sampled_from(_DETAILS),
+        st.integers(1, _LINES),
+        st.integers(0, 3),  # a fact may straddle a span border or run past the text
+        st.booleans(),
+    ),
+    max_size=14,
+)
+_spans = st.none() | st.tuples(st.integers(1, _LINES), st.integers(0, _LINES - 1)).map(
+    lambda drawn: (drawn[0], min(_LINES, drawn[0] + drawn[1]))
+)
+
+
+def reference_analysis(facts, span, rules) -> tuple[tuple, list[tuple], tuple]:
+    """(facts, findings, ranking) as the refocus-then-findings analysis gave them.
+
+    Facts outside ``span`` are copied with ``contextual`` set, each finding
+    is ``reference_findings``' tuple, and the ranking is each article's best
+    finding confidence, ties by article number, as (articles, scores).
+    """
+    if span is not None:
+        start, end = span
+        inside = [start <= f.span.start_line and f.span.end_line <= end for f in facts]
+        facts = [f if keep else dataclasses.replace(f, contextual=True) for f, keep in zip(facts, inside)]
+    findings = reference_findings(facts, rules)
+    best: dict[int, float] = {}
+    for article, _, confidence, *_ in findings:
+        best[article] = max(best.get(article, confidence), confidence)
+    ordered = sorted(best.items(), key=lambda item: (-item[1], item[0]))
+    return tuple(facts), findings, (tuple(a for a, _ in ordered), tuple(c for _, c in ordered))
+
+
+class TestRankFromHeldPredicates:
+    @given(facts=_random_facts, span=_spans, rules=st.just(list(default_catalog())) | _rules)
+    @settings(max_examples=300, deadline=None)
+    def test_ranking_findings_and_facts_match_the_refocused_analysis(self, facts, span, rules):
+        catalog = RuleCatalog(rules)
+        with mock.patch.object(engine, "_facts_of", lambda *args: tuple(facts)):
+            result = analyze_source("\n" * (_LINES - 1), "java", span=span, catalog=catalog)
+        expected_facts, expected_findings, expected_ranking = reference_analysis(facts, span, rules)
+        assert (result.ranking.articles, result.ranking.scores) == expected_ranking
+        scoped = facts if span is None else _refocus(facts, *span)
+        assert result.ranking == rank_articles(evaluate_rules(scoped, catalog))
+        # the facts and findings built on read are the ones the old analysis returned
+        assert result.facts == expected_facts
+        assert [finding_fields(f) for f in result.findings] == expected_findings
+        assert {n: len(s) for n, s in populate_predicates(facts, span).items()} == {
+            n: len(s) for n, s in populate_predicates(scoped).items()
+        }
+
+    def test_a_fact_listed_twice_in_one_predicate_counts_once(self):
+        # a log write of credentials supports WritesLogs and HandlesCredentials,
+        # so LogsSensitiveAccess lists it twice
+        fact = Fact(FactKind.LOG_WRITE, "d", "Log.d(tag, password)", SpanRef("", 1, 1), "java",
+                    DataCategory.CREDENTIALS)
+        assert populate_predicates([fact])["LogsSensitiveAccess"] == [fact, fact]
+        rule = next(r for r in default_catalog() if r.id == "A5-COVERT-LOG")
+        with mock.patch.object(engine, "_facts_of", lambda *args: (fact,)):
+            result = analyze_source("x\n", "java", span=(1, 1), catalog=RuleCatalog([rule]))
+        once = confidence_for(rule.weight, 1)
+        assert result.ranking.scores == (once,)
+        assert [(f.confidence, f.support) for f in result.findings] == [(once, (fact,))]
+
+    def test_facts_and_findings_are_built_once_when_read(self):
+        result = analyze_source(HTTP_SOURCE, "java", span=(3, 3))
+        assert "facts" not in vars(result) and "findings" not in vars(result)
+        assert result.findings is result.findings
+        assert result.facts is result.facts
+        assert all(f.contextual for f in result.facts if f.span.start_line != 3)

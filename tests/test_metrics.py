@@ -1,5 +1,6 @@
 """Ranking and multi-label metrics against brute-force reference scorers."""
 
+import math
 import random
 import statistics
 
@@ -8,8 +9,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gdprkit.errors import InputError, UndefinedMetricError
+from gdprkit.knowledge import article_catalog
 from gdprkit.metrics import (
+    GRANULARITIES,
     LabeledInstance,
+    LabelMetrics,
     RankedInstance,
     accuracy_at_k,
     evaluate_labels,
@@ -258,3 +262,64 @@ class TestProperties:
         random.Random(seed).shuffle(shuffled)
         for k in range(1, 6):
             assert accuracy_at_k(instances, k) == accuracy_at_k(shuffled, k)
+
+
+def per_article_sum_label_metrics(instances, universe):
+    """``evaluate_labels`` with three sums over the instances per article and ``multilabel_accuracy``."""
+    if universe is None:
+        universe = set().union(*(inst.ground_truth for inst in instances))
+    resolved = tuple(sorted(set(universe)))
+    per_article = {}
+    for article in resolved:
+        tp = sum(1 for i in instances if article in i.prediction and article in i.ground_truth)
+        fp = sum(1 for i in instances if article in i.prediction and article not in i.ground_truth)
+        fn = sum(1 for i in instances if article not in i.prediction and article in i.ground_truth)
+        precision = tp / (tp + fp) if tp + fp else 0.0
+        recall = tp / (tp + fn) if tp + fn else 0.0
+        f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+        per_article[article] = (precision, recall, f1)
+    return LabelMetrics(
+        n_instances=len(instances),
+        universe=resolved,
+        accuracy=multilabel_accuracy(instances, resolved),
+        macro_precision=math.fsum(v[0] for v in per_article.values()) / len(per_article),
+        macro_recall=math.fsum(v[1] for v in per_article.values()) / len(per_article),
+        macro_f1=math.fsum(v[2] for v in per_article.values()) / len(per_article),
+        per_article=per_article,
+    )
+
+
+CATALOG = frozenset(article_catalog())
+# labels mostly from the catalog, some outside it; either side may be empty
+catalog_labels = st.sets(st.sampled_from(sorted(CATALOG)) | st.sampled_from([1, 2, 99]), max_size=4)
+catalog_label_instances = st.lists(
+    st.builds(labeled, catalog_labels, catalog_labels), min_size=1, max_size=30
+)
+mixed_ranking_instances = st.lists(
+    st.builds(
+        ranked,
+        st.lists(articles, max_size=6, unique=True),
+        st.sets(articles, min_size=1, max_size=4),
+        st.sampled_from(GRANULARITIES),
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+
+class TestOnePassScoring:
+    @given(instances=catalog_label_instances, universe=st.sampled_from([None, CATALOG]))
+    @settings(max_examples=300, deadline=None)
+    def test_label_metrics_equal_per_article_sums(self, instances, universe):
+        assume(universe or any(inst.ground_truth for inst in instances))
+        assert evaluate_labels(instances, universe) == per_article_sum_label_metrics(instances, universe)
+
+    @given(instances=mixed_ranking_instances)
+    @settings(max_examples=300, deadline=None)
+    def test_rankings_equal_brute_force_per_granularity(self, instances):
+        metrics = evaluate_rankings(instances)
+        assert set(metrics) == {inst.granularity for inst in instances}
+        for granularity, got in metrics.items():
+            subset = [inst for inst in instances if inst.granularity == granularity]
+            assert got.n_instances == len(subset)
+            assert got.accuracy_at == {k: brute_accuracy_at_k(subset, k) for k in range(1, 6)}
