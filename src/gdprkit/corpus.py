@@ -239,30 +239,6 @@ def write_atomic(path: str | Path, text: str) -> None:
         raise
 
 
-def parse_span(code_snippet_path: str) -> tuple[str, SpanRef | None]:
-    """Split a snippet path into (file_path, span).
-
-    The line spec, when present, follows the last ``:`` separator: ``line N``
-    maps to (N, N), ``lines A-B`` (hyphen or en-dash) to (A, B). Text after
-    the last ``:`` that is not a line spec is kept as part of the path.
-    """
-    if not code_snippet_path:
-        raise SpanParseError("empty code_snippet_path")
-    head, sep, tail = code_snippet_path.rpartition(":")
-    if sep:
-        m = _LINE_SPEC_RE.match(tail)
-        if m:
-            start = int(m.group(1))
-            end = int(m.group(2)) if m.group(2) else start
-            file_path = head.strip()
-            if start < 1 or end < start:
-                raise SpanParseError(
-                    f"invalid line spec {tail.strip()!r} in {code_snippet_path!r}"
-                )
-            return file_path, SpanRef(file_path, start, end)
-    return code_snippet_path.strip(), None
-
-
 def path_suffix(file_path: str) -> str:
     """``PurePosixPath(file_path).suffix``, without building a path object.
 
@@ -281,11 +257,23 @@ def detect_language(file_path: str) -> str:
 
 
 def split_snippet_path(code_snippet_path: str) -> tuple[str, SpanRef | None]:
-    """parse_span that degrades to (whole stripped path, no span) on a malformed spec."""
-    try:
-        return parse_span(code_snippet_path)
-    except SpanParseError:
-        return code_snippet_path.strip(), None
+    """Split a snippet path into (file_path, span).
+
+    The line spec, when present, follows the last ``:`` separator: ``line N``
+    maps to (N, N), ``lines A-B`` (hyphen or en-dash) to (A, B). Text after
+    the last ``:`` that is not a line spec is kept as part of the path; so is
+    a malformed spec (``line 0``, ``lines 15-10``), which gives the whole
+    stripped path and no span.
+    """
+    head, sep, tail = code_snippet_path.rpartition(":")
+    m = _LINE_SPEC_RE.match(tail) if sep else None
+    if m:
+        start = int(m.group(1))
+        end = int(m.group(2)) if m.group(2) else start
+        if 1 <= start <= end:
+            file_path = head.strip()
+            return file_path, SpanRef(file_path, start, end)
+    return code_snippet_path.strip(), None
 
 
 def group_by_file(

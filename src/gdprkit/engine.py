@@ -1,26 +1,28 @@
 """Declarative rule engine over extracted facts.
 
-Facts decide which predicates of a fixed inventory hold, each with the
-facts that support it; a catalog of article-tagged rules (boolean
-expressions over those predicates) is then evaluated, once per distinct set
-of held predicates, to produce findings.  A finding carries the facts that
-support it, each once, and its confidence grows with their number:
+A scope is a fact list and, for a line scope, a span.  Its facts decide
+which predicates of a fixed inventory hold, each with the facts that
+support it; facts outside the span count only as guards (consent checks,
+crypto, notice text), never as evidence.  A catalog of article-tagged rules
+(boolean expressions over those predicates) is evaluated once per distinct
+set of held predicates.  Each fired rule counts the distinct facts that
+support it, and its confidence grows with their number:
 
     confidence = weight * (1 + ln(1 + n_supporting_facts))
 
-A scope is ranked straight from its held predicates, by each article's best
-fired-rule confidence, ties broken by ascending article number.  A line scope
-reads facts outside its span as contextual without copying them; its facts
-and findings (with their spans and explanations) are built only when read.
+``analyze_facts`` is the one scoring path: it ranks articles by their best
+fired-rule confidence, ties broken by ascending article number, and builds
+the findings (with their spans and explanations) from the same fired rules
+only when they are read.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .corpus import SpanRef, read_entries
 from .errors import InputError, RuleLoadError
@@ -121,9 +123,9 @@ _EVIDENCE_ATOMS = [f"CollectsData({c.value})" for c in _SENSITIVE_ORDER]
 _CREDENTIALS = {DataCategory.CREDENTIALS}
 # The predicates that a fact supports by its kind and data category alone:
 # name -> (fact kinds, data categories or None for any, evidence only).
-# Evidence predicates only take non-contextual facts; guard predicates
-# (consent, encryption) take every fact, so a guard anywhere in the file
-# still covers a narrow focus span.
+# Evidence predicates only take facts inside the scope's span; guard
+# predicates (consent, encryption) take every fact, so a guard anywhere in
+# the file still covers a narrow focus span.
 _DIRECT = {
     **{name: ({FactKind.API_CALL}, {c}, True) for c, name in zip(_SENSITIVE_ORDER, _EVIDENCE_ATOMS)},
     "HasConsentCheck": ({FactKind.CONSENT_GUARD}, None, False),
@@ -162,14 +164,14 @@ def populate_predicates(facts: Sequence[Fact], span: tuple[int, int] | None = No
     empty; a predicate that does not hold is absent.  Support is in fact
     order, but ``CollectsAnyPersonalData`` groups it by data category and
     ``LogsSensitiveAccess`` lists logs, then personal data, then credentials.
-    With ``span``, every fact outside lines start-end counts as contextual,
-    as ``_refocus`` would mark it, and support lists the fact itself.
+    With ``span``, every fact outside lines start-end is contextual: it
+    supports guard predicates only.
     """
     start, end = span or (-math.inf, math.inf)
     held: dict[str, list[Fact]] = {}
     for fact in facts:
         kind = fact.kind
-        contextual = fact.contextual or not (start <= fact.span.start_line and fact.span.end_line <= end)
+        contextual = not (start <= fact.span.start_line and fact.span.end_line <= end)
         names = _SUPPORTED[kind, fact.data_category, contextual]
         if kind is FactKind.URL_LITERAL:
             if not contextual and fact.detail.startswith("http://"):
@@ -333,24 +335,6 @@ def confidence_for(weight: float, support_count: int) -> float:
     return weight * (1.0 + math.log1p(support_count))
 
 
-def _fired(held: Mapping[str, Sequence[Fact]], catalog: RuleCatalog) -> Iterator[tuple[Rule, float, dict]]:
-    """Each rule ``held`` fires, its confidence and its support: each fact once by id, first seen first."""
-    for rule, atoms in catalog.fired(held):
-        support = {id(f): f for name in atoms for f in held.get(name, ())}
-        yield rule, confidence_for(rule.weight, len(support)), support
-
-
-def evaluate_rules(
-    facts: Sequence[Fact], catalog: RuleCatalog | None = None
-) -> list[Finding]:
-    """Fire every satisfied rule, one finding per rule."""
-    catalog = default_catalog() if catalog is None else catalog
-    return [
-        Finding(rule.article, rule.id, confidence, tuple(support.values()), rule.message)
-        for rule, confidence, support in _fired(populate_predicates(facts), catalog)
-    ]
-
-
 def _ranked(scored: Iterable[tuple[int, float]]) -> RankedPrediction:
     """Order the articles of (article, confidence) pairs by best confidence, ties by article number."""
     best: dict[int, float] = {}
@@ -362,38 +346,59 @@ def _ranked(scored: Iterable[tuple[int, float]]) -> RankedPrediction:
     return RankedPrediction(articles=tuple(a for a, _ in ordered), scores=tuple(s for _, s in ordered))
 
 
-def rank_articles(findings: Sequence[Finding]) -> RankedPrediction:
-    """Order articles by best finding confidence, ties by article number."""
-    return _ranked((f.article, f.confidence) for f in findings)
-
-
 # ---------------------------------------------------------------------------
 # End-to-end analysis
 
 
 @dataclass(frozen=True)
 class AnalysisResult:
-    """A scope's ranking; its facts (refocused on ``span``) and findings are built when read."""
+    """A scope's ranking and its fired rules, each with its confidence and support by fact id.
+
+    ``facts`` is the scope's whole fact list; with ``span``, the facts
+    outside it are written as ``"contextual": true``.  ``findings`` are
+    built from ``fired`` when first read.
+    """
 
     ranking: RankedPrediction
-    extracted: tuple[Fact, ...]
+    facts: tuple[Fact, ...]
     span: tuple[int, int] | None
-    catalog: RuleCatalog
-
-    @functools.cached_property
-    def facts(self) -> tuple[Fact, ...]:
-        return self.extracted if self.span is None else tuple(_refocus(self.extracted, *self.span))
+    fired: tuple[tuple[Rule, float, dict[int, Fact]], ...]
 
     @functools.cached_property
     def findings(self) -> tuple[Finding, ...]:
-        return tuple(evaluate_rules(self.facts, self.catalog))
+        return tuple(
+            Finding(rule.article, rule.id, confidence, tuple(support.values()), rule.message)
+            for rule, confidence, support in self.fired
+        )
 
     def to_dict(self) -> dict:
+        start, end = self.span or (-math.inf, math.inf)
         return {
-            "facts": [f.to_dict() for f in self.facts],
+            "facts": [
+                {**f.to_dict(), "contextual": not (start <= f.span.start_line and f.span.end_line <= end)}
+                for f in self.facts
+            ],
             "findings": [f.to_dict() for f in self.findings],
             "ranking": self.ranking.to_dict(),
         }
+
+
+def analyze_facts(
+    facts: Sequence[Fact], span: tuple[int, int] | None = None, catalog: RuleCatalog | None = None
+) -> AnalysisResult:
+    """Score one scope: every rule its held predicates fire, and the articles ranked from them.
+
+    A fired rule's support holds each supporting fact once, by id, first
+    seen first; with ``span``, facts outside it count only as guards.
+    """
+    catalog = default_catalog() if catalog is None else catalog
+    held = populate_predicates(facts, span)
+    fired = []
+    for rule, atoms in catalog.fired(held):
+        support = {id(f): f for name in atoms for f in held.get(name, ())}
+        fired.append((rule, confidence_for(rule.weight, len(support)), support))
+    ranking = _ranked((rule.article, confidence) for rule, confidence, _ in fired)
+    return AnalysisResult(ranking, tuple(facts), span, tuple(fired))
 
 
 def check_span(text: str, span: tuple[int, int]) -> None:
@@ -410,14 +415,6 @@ def _facts_of(source: str, language: str, path: str, frontend: Frontend) -> tupl
     return tuple(extract_facts(source, language, path=path))
 
 
-def _refocus(facts: Sequence[Fact], start: int, end: int) -> list[Fact]:
-    """The same fact set scoped to lines start-end: facts outside are contextual."""
-    return [
-        f if start <= f.span.start_line and f.span.end_line <= end else replace(f, contextual=True)
-        for f in facts
-    ]
-
-
 def analyze_source(
     source: str,
     language: str,
@@ -426,15 +423,12 @@ def analyze_source(
     path: str = "",
     catalog: RuleCatalog | None = None,
 ) -> AnalysisResult:
-    """Analyze ``source`` as a whole, or over the lines of ``span`` only.
+    """Analyze ``source`` as a whole, or over the lines of ``span`` only, by ``analyze_facts``.
 
     A line scope sees only facts inside its span as evidence, but file-wide
     guards (consent checks, crypto, notice text) still apply to it.
     """
-    catalog = default_catalog() if catalog is None else catalog
-    facts = _facts_of(source, language, path, default_registry().frontend_for(language))
     if span is not None:
         check_span(source, span)
-    held = populate_predicates(facts, span)
-    ranking = _ranked((rule.article, confidence) for rule, confidence, _ in _fired(held, catalog))
-    return AnalysisResult(ranking, facts, span, catalog)
+    facts = _facts_of(source, language, path, default_registry().frontend_for(language))
+    return analyze_facts(facts, span, catalog)

@@ -21,7 +21,7 @@ class CorpusSchemaError(GdprKitError):
 
 
 class SpanParseError(GdprKitError):
-    """A code_snippet_path line spec is malformed (A > B or non-positive)."""
+    """A line span is malformed: its start is below 1 or after its end."""
 
 
 class InputError(GdprKitError):

@@ -67,13 +67,7 @@ SENSITIVE_CATEGORIES: frozenset[DataCategory] = frozenset(
 
 @dataclass(frozen=True)
 class Fact:
-    """One observation about a piece of source code.
-
-    ``contextual`` marks facts that fall outside the analysed scope (read
-    so by ``engine.populate_predicates``, set by ``engine._refocus``).  They
-    still participate in evaluation of file-wide guard conditions but are
-    not themselves evidence local to the scope.
-    """
+    """One observation about a piece of source code."""
 
     kind: FactKind
     symbol: str
@@ -81,7 +75,6 @@ class Fact:
     span: SpanRef
     language: str
     data_category: DataCategory | None = None
-    contextual: bool = False
 
     def to_dict(self) -> dict:
         return {
@@ -91,7 +84,6 @@ class Fact:
             "span": self.span.to_dict(),
             "language": self.language,
             "data_category": self.data_category.value if self.data_category else None,
-            "contextual": self.contextual,
         }
 
 

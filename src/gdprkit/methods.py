@@ -183,11 +183,13 @@ class LiveHttpReasoner:
         ) from last_error
 
     @staticmethod
-    def _extract_text(body: dict) -> str:
+    def _extract_text(body) -> str:
+        if not isinstance(body, dict):
+            raise MethodError(f"unrecognized completion response shape: {type(body).__name__}")
         if isinstance(body.get("text"), str):
             return body["text"]
         choices = body.get("choices")
-        if isinstance(choices, list) and choices:
+        if isinstance(choices, list) and choices and isinstance(choices[0], dict):
             first = choices[0]
             if isinstance(first.get("text"), str):
                 return first["text"]
@@ -582,7 +584,7 @@ class FormalMethod:
     def rank(
         self, text: str, language: str, *, span: tuple[int, int] | None = None, path: str = ""
     ) -> RankedPrediction:
-        """Rank the whole text, or its facts refocused on the lines of ``span``."""
+        """Rank the whole text, or the lines of ``span`` with the rest of the text as guards only."""
         return analyze_source(text, language, span=span, path=path, catalog=self.rules).ranking
 
     def predict_labels(

@@ -17,12 +17,11 @@ from gdprkit.corpus import (
     detect_language,
     group_by_file,
     load_corpus,
-    parse_span,
     path_suffix,
     split_snippet_path,
     write_atomic,
 )
-from gdprkit.errors import CorpusSchemaError, SpanParseError
+from gdprkit.errors import CorpusSchemaError
 
 VALID_COMMIT = "ab" * 20
 
@@ -130,7 +129,7 @@ class TestLoadCorpus:
 
 class TestParseSpan:
     def test_single_line_spec(self):
-        file_path, span = parse_span(
+        file_path, span = split_snippet_path(
             "app/src/main/java/me/hawkshaw/test/MainActivity2.java: line 202"
         )
         assert file_path == "app/src/main/java/me/hawkshaw/test/MainActivity2.java"
@@ -138,23 +137,25 @@ class TestParseSpan:
 
     @pytest.mark.parametrize("dash", ["-", "\u2013"])
     def test_range_spec_accepts_hyphen_and_en_dash(self, dash):
-        file_path, span = parse_span(f"src/a.kt: lines 10{dash}15")
+        file_path, span = split_snippet_path(f"src/a.kt: lines 10{dash}15")
         assert file_path == "src/a.kt"
         assert (span.start_line, span.end_line) == (10, 15)
 
     def test_no_line_spec_gives_absent_span(self):
-        assert parse_span("src/a.kt") == ("src/a.kt", None)
+        assert split_snippet_path("src/a.kt") == ("src/a.kt", None)
 
+    # a malformed spec is rejected: the whole stripped path comes back, with no span
     def test_reversed_range_rejected(self):
-        with pytest.raises(SpanParseError):
-            parse_span("src/a.kt: lines 15-10")
+        assert split_snippet_path(" src/a.kt: lines 15-10 ") == ("src/a.kt: lines 15-10", None)
 
     def test_non_positive_line_rejected(self):
-        with pytest.raises(SpanParseError):
-            parse_span("src/a.kt: line 0")
+        assert split_snippet_path("src/a.kt: line 0") == ("src/a.kt: line 0", None)
+
+    def test_empty_path_gives_no_span(self):
+        assert split_snippet_path("") == ("", None)
 
     def test_colon_without_line_spec_stays_in_path(self):
-        file_path, span = parse_span("C:/work/Main.java")
+        file_path, span = split_snippet_path("C:/work/Main.java")
         assert file_path == "C:/work/Main.java"
         assert span is None
 

@@ -19,16 +19,15 @@ from gdprkit.engine import (
     OrExpr,
     Rule,
     RuleCatalog,
+    _ranked,
+    analyze_facts,
     analyze_source,
     atom_inventory,
     confidence_for,
     default_catalog,
-    evaluate_rules,
     load_rules,
     parse_condition,
     populate_predicates,
-    rank_articles,
-    _refocus,
 )
 from gdprkit.errors import InputError, RuleLoadError
 from gdprkit.facts import SENSITIVE_CATEGORIES, DataCategory, Fact, FactKind, default_registry, extract_facts
@@ -140,7 +139,7 @@ class TestCatalog:
         path.write_text(json.dumps({"version": 1, "rules": []}), encoding="utf-8")
         catalog = load_rules(path)
         assert len(catalog) == 0
-        assert evaluate_rules([], catalog) == []
+        assert analyze_facts([], catalog=catalog).findings == ()
 
 
     def test_explicit_empty_catalog_is_not_replaced_by_the_default(self):
@@ -218,16 +217,14 @@ class TestPredicates:
             "ContextCompat.checkSelfPermission(ctx, p);\n"
             "manager.openCamera(a, b, c);\n"
         )
-        facts = _refocus(extract_facts(source, "java"), 2, 2)
-        held = populate_predicates(facts)
+        held = populate_predicates(extract_facts(source, "java"), (2, 2))
         # evidence predicate restricted to the focus; guard sees the whole file
         assert "CollectsData(CAMERA)" in held
         assert "HasConsentCheck" in held
 
     def test_evidence_predicates_ignore_contextual_facts(self):
         source = "manager.openCamera(a, b, c);\nint x = 1;\n"
-        facts = _refocus(extract_facts(source, "java"), 2, 2)
-        held = populate_predicates(facts)
+        held = populate_predicates(extract_facts(source, "java"), (2, 2))
         assert "CollectsData(CAMERA)" not in held
 
 
@@ -277,24 +274,15 @@ class TestEvaluation:
 
 class TestRanking:
     def test_max_confidence_per_article_then_sort(self):
-        findings = [
-            Finding(article=6, rule_id="a", confidence=0.9, support=(), message=""),
-            Finding(article=32, rule_id="b", confidence=0.6, support=(), message=""),
-            Finding(article=6, rule_id="c", confidence=0.4, support=(), message=""),
-        ]
-        ranked = rank_articles(findings)
+        ranked = _ranked([(6, 0.9), (32, 0.6), (6, 0.4)])
         assert ranked.articles == (6, 32)
         assert ranked.scores == (0.9, 0.6)
 
     def test_tie_breaks_by_ascending_article(self):
-        findings = [
-            Finding(article=6, rule_id="a", confidence=0.5, support=(), message=""),
-            Finding(article=5, rule_id="b", confidence=0.5, support=(), message=""),
-        ]
-        assert rank_articles(findings).articles == (5, 6)
+        assert _ranked([(6, 0.5), (5, 0.5)]).articles == (5, 6)
 
     def test_no_findings_empty_prediction(self):
-        ranked = rank_articles([])
+        ranked = _ranked([])
         assert ranked.articles == ()
         assert ranked.scores == ()
 
@@ -384,8 +372,8 @@ class TestInvariants:
         small = [pool[i] for i in sorted(subset)]
         large = [pool[i] for i in sorted(subset | extra)]
         catalog = RuleCatalog([r for r in default_catalog() if positive_only(r)])
-        fired_small = {f.rule_id for f in evaluate_rules(small, catalog)}
-        fired_large = {f.rule_id for f in evaluate_rules(large, catalog)}
+        fired_small = {rule.id for rule, *_ in analyze_facts(small, catalog=catalog).fired}
+        fired_large = {rule.id for rule, *_ in analyze_facts(large, catalog=catalog).fired}
         assert fired_small <= fired_large
 
     def test_repeated_analysis_serializes_identically(self):
@@ -400,9 +388,12 @@ class TestInvariants:
 _REFERENCE_PHRASES = ("privacy policy", "privacy notice", "privacy statement", "data protection")
 
 
-def reference_predicates(facts) -> dict[str, list[Fact]]:
-    """``populate_predicates`` as one list comprehension per predicate, held ones only."""
-    local = [f for f in facts if not f.contextual]
+def reference_predicates(facts, span=None) -> dict[str, list[Fact]]:
+    """``populate_predicates`` as one list comprehension per predicate, held ones only.
+
+    With ``span``, only the facts that lie within it are local evidence.
+    """
+    local = [f for f in facts if span is None or span[0] <= f.span.start_line <= f.span.end_line <= span[1]]
     held = {}
 
     def put(name, support):
@@ -459,13 +450,13 @@ def reference_holds(condition, held) -> bool:
     return all(values) if isinstance(condition, AndExpr) else any(values)
 
 
-def reference_findings(facts, rules) -> list[tuple]:
+def reference_findings(facts, rules, span=None) -> list[tuple]:
     """``reference_holds`` per rule, ``walk`` for its positive atoms, support deduplicated by id.
 
     Each finding is ``(article, rule_id, confidence, support, spans, explanation)``,
     with its spans and explanation built eagerly.
     """
-    held = reference_predicates(facts)
+    held = reference_predicates(facts, span)
     findings = []
     for rule in rules:
         if not reference_holds(rule.condition, held):
@@ -503,7 +494,7 @@ def _pool_fact(kind, category=None, detail="x", line=1):
     return Fact(kind, f"{kind.value}-{line}", detail, SpanRef("A.java", line, line), "java", category)
 
 
-_LOCAL_POOL = extract_facts(HTTP_SOURCE + CONSENT_SOURCE, "java") + [
+FACT_POOL = extract_facts(HTTP_SOURCE + CONSENT_SOURCE, "java") + [
     _pool_fact(FactKind.API_CALL, DataCategory.CAMERA, line=20),
     _pool_fact(FactKind.API_CALL, DataCategory.GENERIC, line=21),
     _pool_fact(FactKind.URL_LITERAL, detail="https://safe.example.com", line=22),
@@ -523,7 +514,7 @@ _LOCAL_POOL = extract_facts(HTTP_SOURCE + CONSENT_SOURCE, "java") + [
     _pool_fact(FactKind.API_CALL, DataCategory.SMS, line=35),
     _pool_fact(FactKind.API_CALL, DataCategory.KEYSTROKES, line=36),
 ]
-FACT_POOL = _LOCAL_POOL + [dataclasses.replace(f, contextual=True) for f in _LOCAL_POOL]
+_POOL_LINES = 36
 
 _conditions = st.recursive(
     st.sampled_from(atom_inventory()).map(AtomExpr),
@@ -542,50 +533,50 @@ _rules = st.lists(
 _fact_sets = st.lists(st.sampled_from(range(len(FACT_POOL))), unique=True).map(
     lambda picked: [FACT_POOL[i] for i in picked]
 )
+_pool_spans = st.none() | st.tuples(st.integers(1, _POOL_LINES), st.integers(0, _POOL_LINES)).map(
+    lambda drawn: (drawn[0], drawn[0] + drawn[1])
+)
 
 
 class TestFiredRuleMemo:
-    @given(facts=_fact_sets)
+    @given(facts=_fact_sets, span=_pool_spans)
     @settings(max_examples=200, deadline=None)
-    def test_predicate_support_matches_reference(self, facts):
-        assert populate_predicates(facts) == reference_predicates(facts)
+    def test_predicate_support_matches_reference(self, facts, span):
+        assert populate_predicates(facts, span) == reference_predicates(facts, span)
 
-    @given(condition=_conditions, facts=_fact_sets)
+    @given(condition=_conditions, facts=_fact_sets, span=_pool_spans)
     @settings(max_examples=200, deadline=None)
-    def test_condition_evaluates_as_the_tree_evaluator(self, condition, facts):
-        expected = reference_holds(condition, reference_predicates(facts))
-        assert condition.evaluate(populate_predicates(facts)) == expected
+    def test_condition_evaluates_as_the_tree_evaluator(self, condition, facts, span):
+        expected = reference_holds(condition, reference_predicates(facts, span))
+        assert condition.evaluate(populate_predicates(facts, span)) == expected
 
-    @given(rules=_rules, fact_sets=st.lists(_fact_sets, min_size=1, max_size=4))
+    @given(rules=_rules, fact_sets=st.lists(_fact_sets, min_size=1, max_size=4), span=_pool_spans)
     @settings(max_examples=200, deadline=None)
-    def test_evaluate_rules_matches_tree_evaluation(self, rules, fact_sets):
+    def test_findings_match_tree_evaluation(self, rules, fact_sets, span):
         catalog = RuleCatalog(rules)
-        first = [evaluate_rules(facts, catalog) for facts in fact_sets]
+        first = [analyze_facts(facts, span, catalog).findings for facts in fact_sets]
         assert [[finding_fields(f) for f in findings] for findings in first] == [
-            reference_findings(facts, rules) for facts in fact_sets
+            reference_findings(facts, rules, span) for facts in fact_sets
         ]
         # the second pass takes every fired-rule tuple from the memo
-        assert [evaluate_rules(facts, catalog) for facts in fact_sets] == first
+        assert [analyze_facts(facts, span, catalog).findings for facts in fact_sets] == first
 
 
 # ---------------------------------------------------------------------------
-# A scope ranked from its held predicates against the analysis that refocused
-# the facts, built every finding and ranked the findings
+# A scope's ranking and findings against the reference analysis of its facts
 
 _DETAILS = ("x", "http://plain.example.com", "https://safe.example.com", "Read our Privacy Policy")
 _LINES = 12
 _random_facts = st.lists(
     st.builds(
-        lambda kind, category, detail, start, extent, contextual: Fact(
-            kind, f"{kind.value}-{start}", detail, SpanRef("A.java", start, start + extent), "java",
-            category, contextual,
+        lambda kind, category, detail, start, extent: Fact(
+            kind, f"{kind.value}-{start}", detail, SpanRef("A.java", start, start + extent), "java", category
         ),
         st.sampled_from(FactKind),
         st.sampled_from([None, *DataCategory]),
         st.sampled_from(_DETAILS),
         st.integers(1, _LINES),
         st.integers(0, 3),  # a fact may straddle a span border or run past the text
-        st.booleans(),
     ),
     max_size=14,
 )
@@ -594,42 +585,50 @@ _spans = st.none() | st.tuples(st.integers(1, _LINES), st.integers(0, _LINES - 1
 )
 
 
-def reference_analysis(facts, span, rules) -> tuple[tuple, list[tuple], tuple]:
-    """(facts, findings, ranking) as the refocus-then-findings analysis gave them.
+def reference_analysis(facts, span, rules) -> tuple[list[tuple], tuple]:
+    """(findings, ranking) of one scope.
 
-    Facts outside ``span`` are copied with ``contextual`` set, each finding
-    is ``reference_findings``' tuple, and the ranking is each article's best
-    finding confidence, ties by article number, as (articles, scores).
+    Each finding is ``reference_findings``' tuple, and the ranking is each
+    article's best finding confidence, ties by article number, as
+    (articles, scores).
     """
-    if span is not None:
-        start, end = span
-        inside = [start <= f.span.start_line and f.span.end_line <= end for f in facts]
-        facts = [f if keep else dataclasses.replace(f, contextual=True) for f, keep in zip(facts, inside)]
-    findings = reference_findings(facts, rules)
+    findings = reference_findings(facts, rules, span)
     best: dict[int, float] = {}
     for article, _, confidence, *_ in findings:
         best[article] = max(best.get(article, confidence), confidence)
     ordered = sorted(best.items(), key=lambda item: (-item[1], item[0]))
-    return tuple(facts), findings, (tuple(a for a, _ in ordered), tuple(c for _, c in ordered))
+    return findings, (tuple(a for a, _ in ordered), tuple(c for _, c in ordered))
+
+
+def best_finding_per_article(result) -> dict[int, float]:
+    best: dict[int, float] = {}
+    for finding in result.findings:
+        best[finding.article] = max(best.get(finding.article, finding.confidence), finding.confidence)
+    return best
 
 
 class TestRankFromHeldPredicates:
-    @given(facts=_random_facts, span=_spans, rules=st.just(list(default_catalog())) | _rules)
+    @given(
+        facts=_random_facts,
+        repeat=st.integers(0, 3),
+        span=_spans,
+        rules=st.just(list(default_catalog())) | _rules,
+    )
     @settings(max_examples=300, deadline=None)
-    def test_ranking_findings_and_facts_match_the_refocused_analysis(self, facts, span, rules):
+    def test_ranking_findings_and_facts_match_the_refocused_analysis(self, facts, repeat, span, rules):
+        facts = facts + facts[:repeat]  # a fact object listed twice still supports a rule once
         catalog = RuleCatalog(rules)
         with mock.patch.object(engine, "_facts_of", lambda *args: tuple(facts)):
             result = analyze_source("\n" * (_LINES - 1), "java", span=span, catalog=catalog)
-        expected_facts, expected_findings, expected_ranking = reference_analysis(facts, span, rules)
+        expected_findings, expected_ranking = reference_analysis(facts, span, rules)
         assert (result.ranking.articles, result.ranking.scores) == expected_ranking
-        scoped = facts if span is None else _refocus(facts, *span)
-        assert result.ranking == rank_articles(evaluate_rules(scoped, catalog))
-        # the facts and findings built on read are the ones the old analysis returned
-        assert result.facts == expected_facts
         assert [finding_fields(f) for f in result.findings] == expected_findings
-        assert {n: len(s) for n, s in populate_predicates(facts, span).items()} == {
-            n: len(s) for n, s in populate_predicates(scoped).items()
-        }
+        assert dict(zip(result.ranking.articles, result.ranking.scores)) == best_finding_per_article(result)
+        assert result.facts == tuple(facts)
+        start, end = span or (1, math.inf)
+        assert [f["contextual"] for f in result.to_dict()["facts"]] == [
+            not start <= f.span.start_line <= f.span.end_line <= end for f in facts
+        ]
 
     def test_a_fact_listed_twice_in_one_predicate_counts_once(self):
         # a log write of credentials supports WritesLogs and HandlesCredentials,
@@ -644,9 +643,21 @@ class TestRankFromHeldPredicates:
         assert result.ranking.scores == (once,)
         assert [(f.confidence, f.support) for f in result.findings] == [(once, (fact,))]
 
+    def test_ranking_and_findings_agree_on_a_guard_listed_twice_outside_the_span(self):
+        guard = Fact(FactKind.CONSENT_GUARD, "checkSelfPermission", "ContextCompat.checkSelfPermission",
+                     SpanRef("", 1, 1), "java")
+        rule = Rule("R-CONSENT", 6, AtomExpr("HasConsentCheck"), 0.5, "consent is checked")
+        with mock.patch.object(engine, "_facts_of", lambda *args: (guard, guard)):
+            result = analyze_source("x\ny\nz\n", "java", span=(2, 2), catalog=RuleCatalog([rule]))
+        once = confidence_for(rule.weight, 1)
+        assert best_finding_per_article(result) == dict(zip(result.ranking.articles, result.ranking.scores))
+        assert best_finding_per_article(result) == {6: once}
+
     def test_facts_and_findings_are_built_once_when_read(self):
         result = analyze_source(HTTP_SOURCE, "java", span=(3, 3))
-        assert "facts" not in vars(result) and "findings" not in vars(result)
+        assert "findings" not in vars(result)
         assert result.findings is result.findings
-        assert result.facts is result.facts
-        assert all(f.contextual for f in result.facts if f.span.start_line != 3)
+        # the scope keeps the file's facts as extracted, with no copy per span
+        assert result.facts is analyze_source(HTTP_SOURCE, "java").facts
+        facts = result.to_dict()["facts"]
+        assert all(f["contextual"] is (f["span"]["start_line"] != 3) for f in facts)

@@ -1,6 +1,5 @@
 """Fact extraction: pattern table, lexical fallback, structural frontend."""
 
-import dataclasses
 import re
 from unittest import mock
 
@@ -10,7 +9,7 @@ from hypothesis import strategies as st
 
 from gdprkit import facts as facts_module
 from gdprkit.corpus import SpanRef, detect_language, group_by_file, split_snippet_path
-from gdprkit.engine import _refocus
+from gdprkit.engine import analyze_source
 from gdprkit.errors import ConfigurationError
 from gdprkit.facts import (
     DataCategory,
@@ -144,16 +143,14 @@ class TestFocus:
     )
 
     def test_focus_marks_out_of_span_facts_contextual(self):
-        focused = _refocus(extract_facts(self.SOURCE, "java"), 2, 2)
-        by_symbol = {f.symbol: f for f in focused}
-        assert by_symbol["openCamera"].contextual is False
-        assert by_symbol["checkSelfPermission"].contextual is True
+        focused = analyze_source(self.SOURCE, "java", span=(2, 2)).to_dict()["facts"]
+        by_symbol = {f["symbol"]: f for f in focused}
+        assert by_symbol["openCamera"]["contextual"] is False
+        assert by_symbol["checkSelfPermission"]["contextual"] is True
 
     def test_focus_never_changes_fact_content(self):
-        plain = extract_facts(self.SOURCE, "java")
-        focused = _refocus(plain, 2, 2)
-        strip = lambda fs: [dataclasses.replace(f, contextual=False) for f in fs]
-        assert strip(plain) == strip(focused)
+        focused = analyze_source(self.SOURCE, "java", span=(2, 2)).facts
+        assert focused == tuple(extract_facts(self.SOURCE, "java"))
 
 
 class TestRegistry:
@@ -223,10 +220,13 @@ class TestProperties:
     @given(source=source_text, start=st.integers(1, 5), extent=st.integers(0, 5))
     @settings(max_examples=100, deadline=None)
     def test_focus_only_toggles_contextual_flag(self, source, start, extent):
-        plain = extract_facts(source, "java")
-        focused = _refocus(plain, start, start + extent)
-        strip = lambda fs: [dataclasses.replace(f, contextual=False) for f in fs]
+        line_count = source.count("\n") + 1
+        start = min(start, line_count)
+        plain = analyze_source(source, "java").to_dict()["facts"]
+        focused = analyze_source(source, "java", span=(start, min(start + extent, line_count))).to_dict()["facts"]
+        strip = lambda fs: [{k: v for k, v in f.items() if k != "contextual"} for f in fs]
         assert strip(plain) == strip(focused)
+        assert not any(f["contextual"] for f in plain)
 
 
 _WORD_PATTERNS = sorted(e.pattern for e in default_pattern_table().entries if e.match == "word")

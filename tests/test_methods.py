@@ -358,6 +358,22 @@ class TestReasoners:
             reasoner = LiveHttpReasoner(endpoint="http://x/v1", session=OkSession(body))
             assert reasoner.complete("p") == "6,32"
 
+    @pytest.mark.parametrize("body", [[], "text", {"choices": ["x"]}], ids=["list", "string", "string-choice"])
+    def test_live_reasoner_rejects_a_body_that_is_not_an_object(self, body):
+        class OkSession:
+            def __init__(self):
+                self.posts = 0
+
+            def post(self, *args, **kwargs):
+                self.posts += 1
+                return mock.Mock(json=lambda: body)
+
+        session = OkSession()
+        reasoner = LiveHttpReasoner(endpoint="http://x/v1", session=session, sleep=lambda s: None)
+        with pytest.raises(MethodError, match="unrecognized completion response shape"):
+            reasoner.complete("p")
+        assert session.posts == 1
+
 
 class TestZeroShotMethodPath:
     def test_stub_round_trip(self):
