@@ -9,7 +9,8 @@ grouping records per file (``group_by_file``) or per snippet location
 (``group_by_snippet``) live here, once, for the task builders, the
 knowledge base and the harness; so does ``read_entries``, the one reader
 of a JSON array of entries (datasets, predictions, rules, articles,
-patterns).
+patterns), and ``article_numbers``, the one check of the article labels in
+datasets and predictions.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import json
 import os
 import re
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, TypeVar
 
@@ -25,7 +27,7 @@ from .errors import CorpusSchemaError, InputError, SpanParseError
 
 T = TypeVar("T")
 
-_COMMIT_RE = re.compile(r"[0-9a-fA-F]{40}")
+_is_commit = re.compile(r"[0-9a-fA-F]{40}").fullmatch
 
 # "line N" or "lines A-B" (hyphen or en-dash), case-insensitive.
 _LINE_SPEC_RE = re.compile(
@@ -149,29 +151,38 @@ _REQUIRED_FIELDS = (
 # The same fields as keyed in a record that spells the commit key "Commit_ID".
 _COMMIT_ID_KEYS = _REQUIRED_FIELDS[:2] + ("Commit_ID",) + _REQUIRED_FIELDS[3:]
 _TEXT_FIELDS = ("app_name", "repo_url", "code_snippet_path", "code_snippet")
+# (keys, getter of their values) for each spelling of the commit key
+_FIELDS = (_REQUIRED_FIELDS, itemgetter(*_REQUIRED_FIELDS))
+_COMMIT_ID_FIELDS = (_COMMIT_ID_KEYS, itemgetter(*_COMMIT_ID_KEYS))
 
 
 def _record_from_obj(obj: object, index: int) -> ViolationRecord:
     if not isinstance(obj, dict):
         raise CorpusSchemaError(index, "<record>", "must be an object")
-    keys = _COMMIT_ID_KEYS if "commit_id" not in obj and "Commit_ID" in obj else _REQUIRED_FIELDS
+    keys, values_of = _COMMIT_ID_FIELDS if "commit_id" not in obj and "Commit_ID" in obj else _FIELDS
     try:
-        app_name, repo_url, commit, article, snippet_path, snippet, note = map(obj.__getitem__, keys)
+        app_name, repo_url, commit, article, snippet_path, snippet, note = values_of(obj)
     except KeyError:
         name = next(name for name, key in zip(_REQUIRED_FIELDS, keys) if key not in obj)
         raise CorpusSchemaError(index, name, "missing") from None
 
     if not isinstance(article, int) or isinstance(article, bool) or article < 1:
         raise CorpusSchemaError(index, "violated_article", f"must be a positive integer, got {article!r}")
-    if not isinstance(commit, str) or not _COMMIT_RE.fullmatch(commit):
+    if not isinstance(commit, str) or not _is_commit(commit):
         raise CorpusSchemaError(index, "commit_id", "must be a 40-char hex Git SHA")
     if not snippet:
         raise CorpusSchemaError(index, "code_snippet", "must be non-empty")
-    if not isinstance(note, str) or not note.strip():
+    if not isinstance(note, str) or not note or note.isspace():
         raise CorpusSchemaError(index, "annotation_note", "must contain text")
-    for name, value in zip(_TEXT_FIELDS, (app_name, repo_url, snippet_path, snippet)):
-        if not isinstance(value, str):
-            raise CorpusSchemaError(index, name, "must be a string")
+    if not (
+        isinstance(app_name, str)
+        and isinstance(repo_url, str)
+        and isinstance(snippet_path, str)
+        and isinstance(snippet, str)
+    ):
+        texts = (app_name, repo_url, snippet_path, snippet)
+        name = next(name for name, value in zip(_TEXT_FIELDS, texts) if not isinstance(value, str))
+        raise CorpusSchemaError(index, name, "must be a string")
     return ViolationRecord(app_name, repo_url, commit, article, snippet_path, snippet, note)
 
 
@@ -226,6 +237,23 @@ def read_entries(path: str | Path, build: Callable[[dict], T], key: str | None =
         except (TypeError, AttributeError) as exc:
             raise InputError(f"{path}: entry {i}: {exc}") from None
     return out
+
+
+def article_numbers(values, field: str) -> tuple[int, ...]:
+    """The article labels under ``field`` of a dataset or predictions entry.
+
+    They must be a JSON array of positive integers, booleans excluded as for
+    ``violated_article``; anything else raises InputError naming ``field``
+    (TypeError if ``values`` is not iterable), which ``read_entries`` turns
+    into an error naming the file and the entry.
+    """
+    numbers = tuple(values)
+    if not isinstance(values, list):
+        raise InputError(f"{field} must be an array of article numbers, got {type(values).__name__}")
+    for number in numbers:
+        if not isinstance(number, int) or isinstance(number, bool) or number < 1:
+            raise InputError(f"{field} must hold positive integer article numbers, got {number!r}")
+    return numbers
 
 
 def write_atomic(path: str | Path, text: str) -> None:

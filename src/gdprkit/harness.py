@@ -26,6 +26,7 @@ from typing import Callable, Iterable, Sequence
 from .corpus import (
     SpanRef,
     ViolationRecord,
+    article_numbers,
     detect_language,
     group_by_file,
     load_corpus,
@@ -366,7 +367,10 @@ def predict_task1(
     corpus: Sequence[ViolationRecord],
     method,
 ) -> list[PredictionRecord]:
-    groups = group_by_file(corpus)
+    # Only the records of the dataset's apps: a file's group keys on its app,
+    # so every file the dataset names gets the group a full split would give.
+    apps = {(entry.repo_url, entry.app_name) for entry in entries}
+    groups = group_by_file(r for r in corpus if (r.repo_url, r.app_name) in apps)
 
     def scopes():
         for inst in task1_instances(entries):
@@ -632,7 +636,7 @@ def _prediction(obj: dict) -> PredictionRecord:
     return PredictionRecord(
         instance_id=obj["instance_id"],
         status=obj["status"],
-        ranking=tuple(obj.get("ranking", ())),
-        labels=tuple(obj.get("labels", ())),
+        ranking=article_numbers(obj.get("ranking", []), "ranking"),
+        labels=article_numbers(obj.get("labels", []), "labels"),
         error=obj.get("error"),
     )

@@ -7,20 +7,27 @@ location as grouped by ``corpus.group_by_snippet`` (the grouping of the
 task 2 dataset), and answers nearest-neighbour queries with a plain
 token-frequency cosine, which keeps retrieval deterministic and
 dependency-free.  A token is a maximal run of ASCII ``[a-z0-9]`` in the
-lower-cased text; every other character separates tokens.  Construction
-tokenizes every document once into an inverted index whose postings are
-plain lists of (doc index, count) pairs, so a query only tokenizes itself
-and scores the documents it shares a token with; every score equals
-``similarity(query, doc.body)`` exactly.  The top n are picked by a score
-floor, so only the documents at or above the n-th best score are sorted.
+lower-cased text; every other character separates tokens.
+
+Construction tokenizes every document once and counts its tokens with a
+``Counter``, which gives the document's squared norm.  The inverted index
+maps each token to one flat list ``[doc index, count, doc index, count,
+...]`` in document order.  A document's pairs are appended to its tokens'
+lists in one bulk ``map`` of ``list.extend`` over its ``Counter``, in the
+``Counter``'s token order, not in a Python loop per pair.  A query then only
+tokenizes itself and scores the documents it shares a token with; every
+score equals ``similarity(query, doc.body)`` exactly.  The top n are picked
+by a score floor, so only the documents at or above the n-th best score are
+sorted.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from collections import Counter
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
+from itertools import repeat
 from operator import mul
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -41,16 +48,32 @@ class ArticleInfo:
     summary: str
 
 
-def _article(obj: dict) -> ArticleInfo:
-    number = obj["number"]
-    if not isinstance(number, int) or isinstance(number, bool):
-        raise InputError(f"article number must be an integer, got {number!r}")
-    return ArticleInfo(number=number, title=obj["title"], summary=obj["summary"])
-
-
 def load_articles(path: str | Path | None = None) -> dict[int, ArticleInfo]:
-    infos = read_entries(path or _DATA_DIR / "articles.json", _article, "articles")
-    return dict(sorted({info.number: info for info in infos}.items()))
+    """The articles file's entries by number, ascending.
+
+    A number that is not a positive integer or occurs twice, and a title or
+    summary that is not a string, raise InputError naming the file and the
+    entry.
+    """
+    seen: set[int] = set()
+
+    def article(obj: dict) -> ArticleInfo:
+        number = obj["number"]
+        if not isinstance(number, int) or isinstance(number, bool):
+            raise InputError(f"article number must be an integer, got {number!r}")
+        if number < 1:
+            raise InputError(f"article number must be positive, got {number}")
+        if number in seen:
+            raise InputError(f"duplicate article number {number}")
+        seen.add(number)
+        title, summary = obj["title"], obj["summary"]
+        for name, value in (("title", title), ("summary", summary)):
+            if not isinstance(value, str):
+                raise InputError(f"article {number} {name} must be a string, got {value!r}")
+        return ArticleInfo(number, title, summary)
+
+    infos = read_entries(path or _DATA_DIR / "articles.json", article, "articles")
+    return {info.number: info for info in sorted(infos, key=lambda info: info.number)}
 
 
 _catalog: dict[int, ArticleInfo] | None = None
@@ -112,22 +135,17 @@ class KnowledgeBase:
         if len({d.doc_id for d in self.docs}) != len(self.docs):
             raise ConfigurationError("knowledge base doc ids must be unique")
         # Per document: squared norm of its token counts.  Per token: one flat
-        # list [doc index, count, doc index, count, ...], grown a pair at a
-        # time; a list of small ints builds faster than an int array.
+        # list [doc index, count, ...] (a list of small ints builds faster
+        # than an int array), extended by each document in one bulk pass.
         norms: list[int] = []
-        index: dict[str, list[int]] = {}
-        get = index.get
+        index: defaultdict[str, list[int]] = defaultdict(list)
+        postings_of, extend, consume = index.__getitem__, list.extend, deque(maxlen=0).extend
         for i, doc in enumerate(self.docs):
             counts = Counter(tokenize(doc.body))
             values = counts.values()
             norms.append(sum(map(mul, values, values)))
-            for token, count in counts.items():
-                postings = get(token)
-                if postings is None:
-                    index[token] = [i, count]
-                else:
-                    postings += (i, count)
-        self._norms, self._postings = norms, index
+            consume(map(extend, map(postings_of, counts), zip(repeat(i), values)))
+        self._norms, self._postings = norms, dict(index)
         self._id_order = sorted(range(len(self.docs)), key=lambda i: self.docs[i].doc_id)
 
     def __len__(self) -> int:

@@ -19,6 +19,7 @@ from pathlib import Path
 from .corpus import (
     SpanRef,
     ViolationRecord,
+    article_numbers,
     group_by_file,
     group_by_snippet,
     read_entries,
@@ -177,8 +178,11 @@ def _task1_entry(obj: dict) -> Task1Entry:
         app_name=obj["app_name"],
         commit_id=obj["commit_id"],
         file_path=obj["file_path"],
-        file_level=frozenset(obj["file_level"]),
-        module_level={k: frozenset(v) for k, v in obj["module_level"].items()},
+        file_level=frozenset(article_numbers(obj["file_level"], "file_level")),
+        module_level={
+            k: frozenset(article_numbers(v, f"module_level[{k!r}]"))
+            for k, v in obj["module_level"].items()
+        },
         line_level=tuple(
             LineViolation(
                 span=SpanRef(
@@ -186,10 +190,10 @@ def _task1_entry(obj: dict) -> Task1Entry:
                     item["span"]["start_line"],
                     item["span"]["end_line"],
                 ),
-                articles=frozenset(item["articles"]),
+                articles=frozenset(article_numbers(item["articles"], f"line_level[{j}].articles")),
                 description=item["description"],
             )
-            for item in obj["line_level"]
+            for j, item in enumerate(obj["line_level"])
         ),
     )
 
@@ -201,7 +205,7 @@ def _task2_entry(obj: dict) -> Task2Entry:
         commit_id=obj["commit_id"],
         code_snippet_path=obj["code_snippet_path"],
         code_snippet=obj["code_snippet"],
-        violated_articles=tuple(obj["violated_articles"]),
+        violated_articles=article_numbers(obj["violated_articles"], "violated_articles"),
     )
 
 

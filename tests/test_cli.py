@@ -196,6 +196,20 @@ class TestRun:
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and named in captured.err
 
+    def test_dataset_label_that_is_not_an_article_number_is_an_error_line(self, task2_path, tmp_path, capsys):
+        entries = json.loads(task2_path.read_text(encoding="utf-8"))
+        entries[0]["violated_articles"] = ["5", True]
+        task2_path.write_text(json.dumps(entries), encoding="utf-8")
+        out_dir = tmp_path / "out"
+        assert main(["run", "--task", "2", "--method", "formal", "--dataset", str(task2_path),
+                     "--output-dir", str(out_dir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: {task2_path}: entry 0: violated_articles must hold positive integer article numbers, "
+            "got '5'\n"
+        )
+        assert not out_dir.exists()
+
 
 def run_formal(tmp_path, task: int, dataset, **fields) -> Path:
     """Run the formal method through ``run --config`` and return the output directory."""

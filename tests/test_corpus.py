@@ -82,6 +82,8 @@ class TestLoadCorpus:
             ("Commit_ID", VALID_COMMIT + "\n"),
             ("code_snippet", ""),
             ("annotation_note", "   "),
+            ("annotation_note", ""),
+            ("annotation_note", "\u2028\x1c\x85\u3000"),
             ("violated_article", -3),
             ("app_name", None),
             ("repo_url", False),
@@ -96,6 +98,18 @@ class TestLoadCorpus:
             load_corpus(path)
         # the error names the canonical field, so Commit_ID reads commit_id
         assert err.value.field == field.lower()
+
+    def test_note_with_one_visible_character_accepted(self, tmp_path):
+        path = tmp_path / "ok.json"
+        path.write_text(json.dumps([make_obj(annotation_note="\u2028x\u3000")]), encoding="utf-8")
+        assert load_corpus(path)[0].annotation_note == "\u2028x\u3000"
+
+    def test_first_text_field_that_is_not_a_string_is_named(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps([make_obj(repo_url=1, code_snippet=[2], code_snippet_path=None)]))
+        with pytest.raises(CorpusSchemaError) as err:
+            load_corpus(path)
+        assert err.value.field == "repo_url"
 
     @pytest.mark.parametrize(
         "record",

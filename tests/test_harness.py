@@ -160,6 +160,25 @@ class TestFormalRuns:
         manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
         assert list(manifest) == ["version", "config", "datasets", "counts", "timings"]
 
+    def test_task1_rankings_do_not_depend_on_the_other_files_of_the_dataset(self, seed1_corpus):
+        """A dataset of every third file ranks each (file, granularity, span) as the full one does."""
+        entries = build_task1(seed1_corpus)
+        method = methods.FormalMethod(None)
+
+        def rankings(part):
+            records = {r.instance_id: r for r in predict_task1(part, seed1_corpus, method)}
+            out = {}
+            for inst in task1_instances(part):
+                entry = part[inst.entry_index]
+                scope = inst.instance_id.split("::", 1)[1]  # granularity, then module name or span
+                record = records[inst.instance_id]
+                out[entry.repo_url, entry.app_name, entry.file_path, scope] = (record.status, record.ranking)
+            return out
+
+        full, part = rankings(entries), rankings(entries[::3])
+        assert len(part) > 500 and len(full) > 2 * len(part)
+        assert part == {key: full[key] for key in part}
+
     def test_fixture_predictions_match_golden_hashes(self, workspace):
         """Formal predictions of both fixture tasks keep their recorded bytes."""
         got = {}
@@ -965,8 +984,17 @@ class TestReports:
             ([{"status": "scored"}], "entry 0: missing key 'instance_id'"),
             (["t2-0001"], "entry 0: expected a JSON object"),
             ([{"instance_id": "t2-0001", "status": "scored", "ranking": 5}], "entry 0: 'int' object"),
+            ([{"instance_id": "t2-0001", "status": "scored", "ranking": [6, "6"]}],
+             "entry 0: ranking must hold positive integer article numbers, got '6'"),
+            ([{"instance_id": "t2-0001", "status": "scored", "labels": [True]}],
+             "entry 0: labels must hold positive integer article numbers, got True"),
+            ([{"instance_id": "t2-0001", "status": "scored", "labels": [0]}],
+             "entry 0: labels must hold positive integer article numbers, got 0"),
+            ([{"instance_id": "t2-0001", "status": "scored", "ranking": "56"}],
+             "entry 0: ranking must be an array of article numbers, got str"),
         ],
-        ids=["unknown-status", "missing-key", "entry-not-an-object", "wrong-type"],
+        ids=["unknown-status", "missing-key", "entry-not-an-object", "wrong-type", "string-in-ranking",
+             "bool-label", "zero-label", "string-ranking"],
     )
     def test_malformed_predictions_rejected(self, tmp_path, predictions, message):
         path = tmp_path / "predictions.json"

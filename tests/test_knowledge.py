@@ -59,6 +59,31 @@ class TestArticleCatalog:
             f"{path}: entry {entry}: article number must be an integer, got {numbers[entry]!r}"
         )
 
+    @pytest.mark.parametrize(
+        "second, message",
+        [
+            ({"number": 5, "title": "t", "summary": "s"}, "duplicate article number 5"),
+            ({"number": 0, "title": "t", "summary": "s"}, "article number must be positive, got 0"),
+            ({"number": 6, "title": "t", "summary": None}, "article 6 summary must be a string, got None"),
+            ({"number": 6, "title": 7, "summary": "s"}, "article 6 title must be a string, got 7"),
+        ],
+        ids=["duplicate-number", "zero-number", "null-summary", "int-title"],
+    )
+    def test_bad_entry_names_file_and_entry(self, second, message, tmp_path):
+        path = tmp_path / "articles.json"
+        path.write_text(json.dumps({"articles": [{"number": 5, "title": "t", "summary": "s"}, second]}))
+        with pytest.raises(InputError) as raised:
+            load_articles(path)
+        assert str(raised.value) == f"{path}: entry 1: {message}"
+
+    def test_articles_come_back_in_number_order(self, tmp_path):
+        path = tmp_path / "articles.json"
+        articles = [{"number": n, "title": f"t{n}", "summary": f"s{n}"} for n in (32, 5, 7)]
+        path.write_text(json.dumps({"articles": articles}))
+        assert [(n, info.title) for n, info in load_articles(path).items()] == [
+            (5, "t5"), (7, "t7"), (32, "t32")
+        ]
+
 
 class TestSimilarity:
     def test_identity(self):
@@ -254,6 +279,34 @@ class TestRetrieve:
         kb = build_kb(fixture_corpus)
         scores = [score for _, score in kb.retrieve("location consent", top_n=10)]
         assert scores == sorted(scores, reverse=True)
+
+
+def _per_pair_index(docs):
+    """Norms and postings appended a (doc index, count) pair at a time: the reference index."""
+    norms, postings = [], {}
+    for i, doc in enumerate(docs):
+        counts = Counter(tokenize(doc.body))
+        norms.append(sum(count * count for count in counts.values()))
+        for token, count in counts.items():
+            postings.setdefault(token, []).extend((i, count))
+    return norms, postings
+
+
+class TestIndexBuild:
+    @pytest.mark.parametrize("corpus", ["fixture_corpus", "seed1_corpus"])
+    def test_postings_and_norms_equal_a_per_pair_build(self, corpus, request):
+        kb = build_kb(request.getfixturevalue(corpus))
+        norms, postings = _per_pair_index(kb.docs)
+        assert kb._norms == norms
+        assert kb._postings == postings
+        assert list(kb._postings) == list(postings)  # tokens in order of first appearance
+
+    @given(bodies=st.lists(_TEXT, max_size=12))
+    @settings(max_examples=100, deadline=None)
+    def test_any_docs_index_as_a_per_pair_build(self, bodies):
+        kb = KnowledgeBase([KbDoc(f"d{j}", VIOLATION_EXAMPLE, b, frozenset()) for j, b in enumerate(bodies)])
+        norms, postings = _per_pair_index(kb.docs)
+        assert (kb._norms, kb._postings, list(kb._postings)) == (norms, postings, list(postings))
 
 
 class TestPersistence:

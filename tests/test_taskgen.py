@@ -191,3 +191,38 @@ class TestLoadValidation:
         path.write_text(json.dumps(damage(entries)), encoding="utf-8")
         with pytest.raises(InputError, match=message):
             (load_task1 if task == 1 else load_task2)(path)
+
+    @pytest.mark.parametrize("label", ["6", True, 0, -2, 6.0, None], ids=repr)
+    @pytest.mark.parametrize(
+        "task, field",
+        [(1, "file_level"), (1, "module_level"), (1, "line_level"), (2, "violated_articles")],
+    )
+    def test_label_that_is_not_an_article_number_rejected(self, tmp_path, task, field, label):
+        entries = json.loads((GOLDEN_DIR / f"task{task}_fixture.json").read_text(encoding="utf-8"))
+        entry = entries[1]
+        if field == "module_level":
+            name = next(iter(entry["module_level"]))
+            entry["module_level"][name] = [5, label]
+            field = f"module_level[{name!r}]"
+        elif field == "line_level":
+            entry["line_level"][0]["articles"] = [5, label]
+            field = "line_level[0].articles"
+        else:
+            entry[field] = [5, label]
+        path = tmp_path / "dataset.json"
+        path.write_text(json.dumps(entries), encoding="utf-8")
+        with pytest.raises(InputError) as raised:
+            (load_task1 if task == 1 else load_task2)(path)
+        assert str(raised.value) == (
+            f"{path}: entry 1: {field} must hold positive integer article numbers, got {label!r}"
+        )
+
+    @pytest.mark.parametrize("task, field", [(1, "file_level"), (2, "violated_articles")])
+    def test_labels_that_are_not_an_array_rejected(self, tmp_path, task, field):
+        entries = json.loads((GOLDEN_DIR / f"task{task}_fixture.json").read_text(encoding="utf-8"))
+        entries[0][field] = "56"
+        path = tmp_path / "dataset.json"
+        path.write_text(json.dumps(entries), encoding="utf-8")
+        with pytest.raises(InputError) as raised:
+            (load_task1 if task == 1 else load_task2)(path)
+        assert str(raised.value) == f"{path}: entry 0: {field} must be an array of article numbers, got str"
