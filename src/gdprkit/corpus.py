@@ -15,6 +15,7 @@ datasets and predictions.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import re
@@ -186,28 +187,46 @@ def _record_from_obj(obj: object, index: int) -> ViolationRecord:
     return ViolationRecord(app_name, repo_url, commit, article, snippet_path, snippet, note)
 
 
-def load_corpus(path: str | Path) -> list[ViolationRecord]:
+def load_corpus(path: str | Path, *, digests: dict[str, str] | None = None) -> list[ViolationRecord]:
     """Load a JSON corpus file, preserving input order.
 
     Raises CorpusSchemaError naming the record index and field on a schema
     violation, InputError if the file is not JSON, OSError if it cannot be
-    read.
+    read.  ``digests`` is filled as ``read_json`` fills it.
     """
-    raw = read_json(path)
+    raw = read_json(path, digests=digests)
     if not isinstance(raw, list):
         raise CorpusSchemaError(0, "<document>", "top-level value must be an array")
     return [_record_from_obj(obj, i) for i, obj in enumerate(raw)]
 
 
-def read_json(path: str | Path):
-    """The JSON document in ``path``; one that does not decode raises InputError naming the file."""
+def read_json(path: str | Path, *, digests: dict[str, str] | None = None):
+    """The JSON document in ``path``; one that does not decode raises InputError naming the file.
+
+    The file is read once.  When ``digests`` is given, the sha256 of the
+    bytes read is stored in it under ``str(path)``: the digest of exactly
+    the bytes the document was decoded from.
+    """
+    data = Path(path).read_bytes()
+    if digests is not None:
+        import hashlib  # not loaded by commands that record no digest, such as analyze
+
+        digests[str(path)] = hashlib.sha256(data).hexdigest()
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        # decoded as Path.read_text decodes, so "\r\n" and "\r" read as "\n"
+        # and a decoding error gives the position it gave there
+        return json.loads(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read())
     except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
         raise InputError(f"{path}: {exc}") from None
 
 
-def read_entries(path: str | Path, build: Callable[[dict], T], key: str | None = None) -> list[T]:
+def read_entries(
+    path: str | Path,
+    build: Callable[[dict], T],
+    key: str | None = None,
+    *,
+    digests: dict[str, str] | None = None,
+) -> list[T]:
     """``build`` applied to each object of the JSON array in ``path``, or of
     the array stored under ``key`` of the JSON object there.
 
@@ -215,9 +234,10 @@ def read_entries(path: str | Path, build: Callable[[dict], T], key: str | None =
     an entry that is not an object, lacks a key ``build`` reads, holds a
     value of the wrong type, or makes ``build`` raise InputError, and then
     the message also names the entry's index.  An InputError of ``build``
-    keeps its type (a rules file raises RuleLoadError).
+    keeps its type (a rules file raises RuleLoadError).  ``digests`` is
+    filled as ``read_json`` fills it.
     """
-    raw = read_json(path)
+    raw = read_json(path, digests=digests)
     if key is not None:
         if not isinstance(raw, dict) or key not in raw:
             raise InputError(f"{path}: expected a JSON object with key {key!r}")

@@ -239,7 +239,11 @@ class RuleCatalog:
         return iter(self.rules)
 
 
-def load_rules(path: str | Path | None = None) -> RuleCatalog:
+def load_rules(path: str | Path | None = None, *, digests: dict[str, str] | None = None) -> RuleCatalog:
+    """The rules file's rules, the built-in file's when ``path`` is None.
+
+    ``digests`` is filled as ``corpus.read_json`` fills it.
+    """
     known = set(atom_inventory())
     seen: set[str] = set()
 
@@ -262,7 +266,7 @@ def load_rules(path: str | Path | None = None) -> RuleCatalog:
             raise RuleLoadError(f"rule {rule_id!r} article must be a positive integer")
         return Rule(rule_id, article, condition, float(weight), obj["message"])
 
-    return RuleCatalog(read_entries(path or _DATA_DIR / "rules.json", rule, "rules"))
+    return RuleCatalog(read_entries(path or _DATA_DIR / "rules.json", rule, "rules", digests=digests))
 
 
 _default_catalog: RuleCatalog | None = None

@@ -10,11 +10,16 @@ Both frontends find word-entry matches the same way: the pattern table
 keys its word entries by token when it is built, and one ``\\w+`` pass
 over a text looks every token up in that index, instead of testing every
 entry against the text (see ``_WordIndex``).
+
+A fact's ``start_line`` and ``end_line`` are 1 plus the number of "\\n"
+before the offsets where its match starts and ends: only "\\n" ends a line,
+as in task generation and source reconstruction, so "\\r" and "\\u2028" do
+not.  Each frontend counts them with one ``_LineIndex`` per text, a cursor
+that counts the "\\n" between the previous offset asked about and the next.
 """
 
 from __future__ import annotations
 
-import bisect
 import re
 from dataclasses import dataclass, field
 from enum import Enum
@@ -246,13 +251,29 @@ def default_pattern_table() -> PatternTable:
 
 
 class _LineIndex:
-    def __init__(self, source: str):
-        self.starts = [0]
-        for m in re.finditer("\n", source):
-            self.starts.append(m.end())
+    """The 1-based line of an offset in one text, counted from a cursor.
+
+    The cursor is the last offset asked about and its line.  The next query
+    counts the "\\n" between the cursor and its offset with ``str.count``,
+    forwards or backwards: the queries of one ascending pass scan the text
+    once in all, and nothing is built per line.
+    """
+
+    __slots__ = ("text", "offset", "line")
+
+    def __init__(self, text: str):
+        self.text = text
+        self.offset = 0
+        self.line = 1
 
     def line_of(self, offset: int) -> int:
-        return bisect.bisect_right(self.starts, offset)
+        if offset >= self.offset:
+            line = self.line + self.text.count("\n", self.offset, offset)
+        else:
+            line = self.line - self.text.count("\n", offset, self.offset)
+        self.offset = offset
+        self.line = line
+        return line
 
 
 _URL_RE = re.compile(r"https?://[^\s\"'<>\\]+")
@@ -286,6 +307,11 @@ def _literal_facts(
     ]
 
 
+# the symbol of a regex-entry fact whose match has no "symbol" group, by kind;
+# any other kind uses its lower-cased value
+_DEFAULT_SYMBOLS = {FactKind.URL_LITERAL: "url", FactKind.STRING_LITERAL: "literal"}
+
+
 def _regex_pass(
     source: str, language: str, table: PatternTable, path: str, index: _LineIndex
 ) -> list[Fact]:
@@ -300,18 +326,17 @@ def _regex_pass(
     leaves apart (``re.search("pass", "paſs", re.I)`` matches).
     """
     facts = []
-    defaults = {FactKind.URL_LITERAL: "url", FactKind.STRING_LITERAL: "literal"}
     lowered = source.lower() if source.isascii() else None
     for entry in table.regex_entries:
         if (
             entry.literals
             and lowered is not None
-            and not any(lit in lowered for lit in entry.literals)
+            and not any(map(lowered.__contains__, entry.literals))
         ):
             continue
         for m in entry.compiled.finditer(source):
             groups = m.groupdict()
-            symbol = groups.get("symbol") or defaults.get(entry.kind, entry.kind.value.lower())
+            symbol = groups.get("symbol") or _DEFAULT_SYMBOLS.get(entry.kind, entry.kind.value.lower())
             detail = groups.get("detail")
             if detail is None:
                 detail = m.group(0)
@@ -331,16 +356,12 @@ def _regex_pass(
 
 
 def _finalize(facts: Iterable[Fact]) -> list[Fact]:
-    seen = set()
-    out = []
+    """The facts sorted by (lines, kind, symbol, detail), each such key once: its first fact."""
+    by_key: dict[tuple[int, int, str, str, str], Fact] = {}
     for fact in facts:
-        key = (fact.kind, fact.symbol, fact.detail, fact.span.start_line, fact.span.end_line)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(fact)
-    out.sort(key=lambda f: (f.span.start_line, f.span.end_line, f.kind.value, f.symbol, f.detail))
-    return out
+        span = fact.span
+        by_key.setdefault((span.start_line, span.end_line, fact.kind.value, fact.symbol, fact.detail), fact)
+    return [by_key[key] for key in sorted(by_key)]
 
 
 # ---------------------------------------------------------------------------

@@ -146,22 +146,23 @@ def reconstruct_source(
     every other layer, and a snippet's final "\\n" ends its last line.
     Returns (source, line_count).
     """
-    placed: dict[int, str] = {}
+    placed: list[tuple[int, list[str]]] = []  # (index of the first line, lines)
     tail: list[str] = []
+    top = 0
     for record, span in group:
         lines = record.code_snippet.removesuffix("\n").split("\n")
         if span is None:
             tail.extend(lines)
             continue
-        for offset, text in enumerate(lines):
-            line_no = span.start_line + offset
-            placed.setdefault(line_no, text)
-    top = max(placed) if placed else 0
-    buffer = [placed.get(i, "") for i in range(1, top + 1)]
-    buffer.extend(tail)
-    if not buffer:
-        buffer = [""]
-    return "\n".join(buffer), len(buffer)
+        first = span.start_line - 1
+        placed.append((first, lines))
+        top = max(top, first + len(lines))
+    buffer = [""] * (top + len(tail))
+    # later records first, so an earlier record overwrites what they claimed
+    for first, lines in reversed(placed):
+        buffer[first:first + len(lines)] = lines
+    buffer[top:] = tail
+    return "\n".join(buffer), max(len(buffer), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -293,8 +294,8 @@ def _build_method(
     corpus: Sequence[ViolationRecord] | None,
     cache: ResponseCache | None,
     catalog: dict[int, ArticleInfo] | None,
+    rules: RuleCatalog | None,
 ):
-    rules: RuleCatalog | None = load_rules(config.rules_path) if config.rules_path else None
     if config.method == "formal":
         return FormalMethod(rules)
     reasoner = _build_reasoner(config, cache)
@@ -364,16 +365,18 @@ def _predict_scopes(
 
 def predict_task1(
     entries: Sequence[Task1Entry],
+    instances: Sequence[Instance],
     corpus: Sequence[ViolationRecord],
     method,
 ) -> list[PredictionRecord]:
+    """One record per instance of ``instances``, the ``task1_instances`` of ``entries``."""
     # Only the records of the dataset's apps: a file's group keys on its app,
     # so every file the dataset names gets the group a full split would give.
     apps = {(entry.repo_url, entry.app_name) for entry in entries}
     groups = group_by_file(r for r in corpus if (r.repo_url, r.app_name) in apps)
 
     def scopes():
-        for inst in task1_instances(entries):
+        for inst in instances:
             if inst.granularity == "file":
                 entry = entries[inst.entry_index]
                 group = groups.get((entry.repo_url, entry.app_name, entry.file_path), [])
@@ -387,9 +390,13 @@ def predict_task1(
     return _predict_scopes(scopes(), predict)
 
 
-def predict_task2(entries: Sequence[Task2Entry], method) -> list[PredictionRecord]:
+def predict_task2(
+    entries: Sequence[Task2Entry], instances: Sequence[Instance], method
+) -> list[PredictionRecord]:
+    """One record per instance of ``instances``, the ``task2_instances`` of ``entries``."""
+
     def scopes():
-        for inst, entry in zip(task2_instances(entries), entries):
+        for inst, entry in zip(instances, entries):
             file_path, _ = split_snippet_path(entry.code_snippet_path)
             yield inst, entry.code_snippet, detect_language(file_path), file_path, None
 
@@ -422,11 +429,12 @@ def _join(
 
 def score(
     config: RunConfig,
-    entries: Sequence[Task1Entry] | Sequence[Task2Entry],
+    instances: Sequence[Instance],
     records: Sequence[PredictionRecord],
     catalog: dict[int, ArticleInfo] | None = None,
 ) -> tuple[RunReport, dict[str, int]]:
-    """Score a run's records against its dataset: the report and the records per status.
+    """Score a run's records against its dataset's instances: the report and
+    the records per status.
 
     Every record must join one instance and every instance one record, or
     ReconciliationError is raised.  Task 1 gets accuracy@k per granularity;
@@ -435,7 +443,6 @@ def score(
     Errored instances score with their (empty) recorded prediction; skipped
     instances are left out of the population.
     """
-    instances = (task1_instances if config.task == 1 else task2_instances)(entries)
     counts = dict.fromkeys(STATUSES, 0)
     kept = []
     for inst, rec in _join(instances, records):
@@ -559,27 +566,30 @@ class RunResult:
 def run(config: RunConfig) -> RunResult:
     """Predict, evaluate, and write all artifacts for one configured run."""
     started = time.monotonic()
-    corpus = load_corpus(config.corpus_path) if config.corpus_path else None
-    entries = (load_task1 if config.task == 1 else load_task2)(config.dataset_path)
-    catalog = load_articles(config.articles_path) if config.articles_path else None
+    digests: dict[str, str] = {}  # sha256 of each input file, of the bytes its loader read
+    corpus = load_corpus(config.corpus_path, digests=digests) if config.corpus_path else None
+    entries = (load_task1 if config.task == 1 else load_task2)(config.dataset_path, digests=digests)
+    catalog = load_articles(config.articles_path, digests=digests) if config.articles_path else None
+    rules = load_rules(config.rules_path, digests=digests) if config.rules_path else None
+    instances = (task1_instances if config.task == 1 else task2_instances)(entries)
     cache = ResponseCache(config.cache_dir) if config.cache_dir and config.method != "formal" else None
     try:
-        method = _build_method(config, corpus, cache, catalog)
+        method = _build_method(config, corpus, cache, catalog, rules)
         if config.task == 1:
-            records = predict_task1(entries, corpus or [], method)
+            records = predict_task1(entries, instances, corpus or [], method)
         else:
-            records = predict_task2(entries, method)
+            records = predict_task2(entries, instances, method)
     finally:
         if cache is not None:
             cache.close()
 
-    report, counts = score(config, entries, records, catalog)
+    report, counts = score(config, instances, records, catalog)
 
     datasets = {}
     for name, attr in _INPUT_FIELDS.items():
         path = getattr(config, attr)
         if path:
-            datasets[name] = {"path": path, "sha256": _sha256_file(path)}
+            datasets[name] = {"path": path, "sha256": digests[path]}
     manifest = {
         "version": 1,
         "config": asdict(config),
@@ -622,8 +632,9 @@ def evaluate_run(run_dir: str | Path) -> RunReport:
                 f"its sha256 is not the one recorded in {manifest_path}"
             )
     entries = (load_task1 if config.task == 1 else load_task2)(config.dataset_path)
+    instances = (task1_instances if config.task == 1 else task2_instances)(entries)
     catalog = load_articles(config.articles_path) if config.articles_path else None
-    return score(config, entries, load_predictions(run_dir / "predictions.json"), catalog)[0]
+    return score(config, instances, load_predictions(run_dir / "predictions.json"), catalog)[0]
 
 
 def load_predictions(path: str | Path) -> list[PredictionRecord]:

@@ -48,12 +48,14 @@ class ArticleInfo:
     summary: str
 
 
-def load_articles(path: str | Path | None = None) -> dict[int, ArticleInfo]:
+def load_articles(
+    path: str | Path | None = None, *, digests: dict[str, str] | None = None
+) -> dict[int, ArticleInfo]:
     """The articles file's entries by number, ascending.
 
     A number that is not a positive integer or occurs twice, and a title or
     summary that is not a string, raise InputError naming the file and the
-    entry.
+    entry.  ``digests`` is filled as ``corpus.read_json`` fills it.
     """
     seen: set[int] = set()
 
@@ -72,7 +74,7 @@ def load_articles(path: str | Path | None = None) -> dict[int, ArticleInfo]:
                 raise InputError(f"article {number} {name} must be a string, got {value!r}")
         return ArticleInfo(number, title, summary)
 
-    infos = read_entries(path or _DATA_DIR / "articles.json", article, "articles")
+    infos = read_entries(path or _DATA_DIR / "articles.json", article, "articles", digests=digests)
     return {info.number: info for info in sorted(infos, key=lambda info: info.number)}
 
 

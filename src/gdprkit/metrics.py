@@ -55,24 +55,6 @@ def first_correct_rank(prediction: Sequence[int], ground_truth: frozenset[int]) 
     return None
 
 
-def accuracy_at_k(
-    instances: Sequence[RankedInstance], k: int, granularity: str | None = None
-) -> float:
-    if not (1 <= k <= 5):
-        raise InputError(f"k must be between 1 and 5, got {k}")
-    if granularity is not None:
-        instances = [inst for inst in instances if inst.granularity == granularity]
-    if not instances:
-        where = f" at granularity {granularity!r}" if granularity else ""
-        raise UndefinedMetricError(f"accuracy@k undefined: no instances{where}")
-    hits = 0
-    for inst in instances:
-        rank = first_correct_rank(inst.prediction, inst.ground_truth)
-        if rank is not None and rank <= k:
-            hits += 1
-    return hits / len(instances)
-
-
 @dataclass(frozen=True)
 class RankingMetrics:
     granularity: str
@@ -111,22 +93,6 @@ def _resolve_universe(
     if not resolved:
         raise UndefinedMetricError("label metrics need a non-empty article universe")
     return tuple(resolved)
-
-
-def multilabel_accuracy(
-    instances: Sequence[LabeledInstance], universe: Iterable[int] | None = None
-) -> float:
-    """Mean agreement over every (instance, article) cell."""
-    if not instances:
-        raise UndefinedMetricError("multilabel accuracy undefined on no instances")
-    resolved = _resolve_universe(instances, universe)
-    agree = sum(
-        1
-        for inst in instances
-        for article in resolved
-        if (article in inst.prediction) == (article in inst.ground_truth)
-    )
-    return agree / (len(instances) * len(resolved))
 
 
 @dataclass(frozen=True)

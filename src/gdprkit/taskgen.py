@@ -209,9 +209,11 @@ def _task2_entry(obj: dict) -> Task2Entry:
     )
 
 
-def load_task1(path: str | Path) -> list[Task1Entry]:
-    return read_entries(path, _task1_entry)
+def load_task1(path: str | Path, *, digests: dict[str, str] | None = None) -> list[Task1Entry]:
+    """The task-1 dataset in ``path``; ``digests`` is filled as ``corpus.read_json`` fills it."""
+    return read_entries(path, _task1_entry, digests=digests)
 
 
-def load_task2(path: str | Path) -> list[Task2Entry]:
-    return read_entries(path, _task2_entry)
+def load_task2(path: str | Path, *, digests: dict[str, str] | None = None) -> list[Task2Entry]:
+    """The task-2 dataset in ``path``; ``digests`` is filled as ``corpus.read_json`` fills it."""
+    return read_entries(path, _task2_entry, digests=digests)

@@ -28,9 +28,8 @@ from gdprkit.methods import (
 from gdprkit.metrics import (
     LabeledInstance,
     RankedInstance,
-    accuracy_at_k,
     evaluate_labels,
-    multilabel_accuracy,
+    evaluate_rankings,
 )
 from gdprkit.taskgen import build_task1, build_task2, dump_entries, entries_json
 from tests.conftest import GOLDEN_DIR
@@ -116,15 +115,16 @@ def test_metrics_match_brute_force_on_random_sets(announce):
                 )
                 for _ in range(n)
             ]
+            ranking = evaluate_rankings(ranked)
+            assert list(ranking) == ["file"] and ranking["file"].n_instances == n
             for k in range(1, 6):
-                assert abs(accuracy_at_k(ranked, k) - brute_accuracy_at_k(ranked, k)) < TOLERANCE
+                assert abs(ranking["file"].accuracy_at[k] - brute_accuracy_at_k(ranked, k)) < TOLERANCE
             expected = brute_label_scores(labeled, universe)
             got = evaluate_labels(labeled, universe=universe)
             assert abs(got.accuracy - expected["accuracy"]) < TOLERANCE
             assert abs(got.macro_precision - expected["precision"]) < TOLERANCE
             assert abs(got.macro_recall - expected["recall"]) < TOLERANCE
             assert abs(got.macro_f1 - expected["f1"]) < TOLERANCE
-            assert abs(multilabel_accuracy(labeled, universe) - expected["accuracy"]) < TOLERANCE
         elapsed = time.perf_counter() - started
         assert elapsed < 10.0, f"oracle comparison took {elapsed:.2f}s"
 
@@ -136,9 +136,10 @@ def test_worked_metric_fixtures_reproduce_exactly(announce):
             RankedInstance("file", (7, 8, 5), frozenset({5})),   # rank 3
             RankedInstance("file", (7,), frozenset({5})),        # absent
         ]
-        assert accuracy_at_k(ranked, 1) == 1 / 3
-        assert accuracy_at_k(ranked, 3) == 2 / 3
-        assert accuracy_at_k(ranked, 5) == 2 / 3
+        accuracy_at = evaluate_rankings(ranked)["file"].accuracy_at
+        assert accuracy_at[1] == 1 / 3
+        assert accuracy_at[3] == 2 / 3
+        assert accuracy_at[5] == 2 / 3
 
         labeled = [
             LabeledInstance(frozenset({5, 6}), frozenset({5})),

@@ -556,6 +556,72 @@ class TestJavaLikeScan:
         assert facts_module._scan_java_like(source, index) == _reference_scan(source)
 
 
+# Texts for TestLineNumbers: three placed lines, each giving facts of its own
+# kind, between filler lines that give none; only "\n" ends a line.
+_LINE_ENDS = ["\n", "\r\n", "\r", "\u2028"]
+_FILLER = ["", "int a = 1;", "  x += 2;", "}"]
+_PLACED = {
+    FactKind.API_CALL: "id = tm.getDeviceId();",
+    FactKind.STRING_LITERAL: 'password = "hunter2";',
+    FactKind.URL_LITERAL: 'u = "http://example.com/a";',
+}
+_gaps = st.lists(
+    st.lists(st.tuples(st.sampled_from(_FILLER), st.sampled_from(_LINE_ENDS)), max_size=6),
+    min_size=len(_PLACED) + 1,
+    max_size=len(_PLACED) + 1,
+)
+
+
+class TestLineNumbers:
+    """Fact lines equal 1 plus the "\\n" before the offset, counted straight from the text."""
+
+    @given(
+        order=st.permutations(list(_PLACED)),
+        gaps=_gaps,
+        ends=st.lists(st.sampled_from(_LINE_ENDS), min_size=len(_PLACED), max_size=len(_PLACED)),
+        language=st.sampled_from(["java", "js"]),
+    )
+    # the call before the literals: in java the call pass asks for an offset
+    # before the literal scan's last, and the regex pass for one before the call's
+    @example(
+        order=list(_PLACED),
+        gaps=[[("", "\n")], [("int a = 1;", "\r\n"), ("", "\n")], [("}", "\u2028")], [("", "\r")]],
+        ends=["\n", "\r", "\n"],
+        language="java",
+    )
+    @example(
+        order=[FactKind.URL_LITERAL, FactKind.STRING_LITERAL, FactKind.API_CALL],
+        gaps=[[], [("", "\n")], [("  x += 2;", "\n")], []],
+        ends=["\n", "\u2028", "\n"],
+        language="js",
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_placed_facts_carry_their_line(self, order, gaps, ends, language):
+        text = ""
+        expected = {}
+        for kind, gap, end in zip(order, gaps, ends):
+            text += "".join(filler + line_end for filler, line_end in gap)
+            expected[kind] = 1 + text.count("\n")
+            text += _PLACED[kind] + end
+        text += "".join(filler + line_end for filler, line_end in gaps[-1])
+        frontend = {"java": structural_frontend, "js": lexical_fallback}[language]
+        facts = frontend(text, language)
+        assert {fact.kind for fact in facts} == set(_PLACED)
+        for fact in facts:
+            assert (fact.span.start_line, fact.span.end_line) == (expected[fact.kind],) * 2
+
+    @given(
+        text=st.lists(st.sampled_from(["a", "\n", "\r\n", "\r", "\u2028", "bc"]), max_size=30).map("".join),
+        picks=st.lists(st.floats(0, 1), max_size=20),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_queries_in_any_order(self, text, picks):
+        index = facts_module._LineIndex(text)
+        for pick in picks:  # forwards, backwards, repeated and at the end of the text
+            offset = round(pick * len(text))
+            assert index.line_of(offset) == 1 + text.count("\n", 0, offset)
+
+
 class TestPatternTable:
     def test_qualified_lookup_wins_over_bare_name(self):
         table = default_pattern_table()

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gdprkit import engine, harness, knowledge, methods
-from gdprkit.corpus import group_by_file, load_corpus, read_json, write_atomic
+from gdprkit.corpus import SpanRef, ViolationRecord, group_by_file, load_corpus, read_json, write_atomic
 from gdprkit.errors import (
     ConfigurationError,
     InputError,
@@ -72,7 +72,39 @@ def one_file(records):
     return group
 
 
+def _reference_reconstruct(group):
+    """Source reconstruction line by line: a dict of placed lines, then the buffer."""
+    placed, tail = {}, []
+    for record, span in group:
+        lines = record.code_snippet.removesuffix("\n").split("\n")
+        if span is None:
+            tail.extend(lines)
+            continue
+        for offset, text in enumerate(lines):
+            placed.setdefault(span.start_line + offset, text)
+    buffer = [placed.get(i, "") for i in range(1, max(placed, default=0) + 1)] + tail
+    return "\n".join(buffer or [""]), len(buffer or [""])
+
+
+_snippet_lines = st.lists(st.sampled_from(["", "a();", "b = 1;", "}"]), min_size=1, max_size=4)
+_placements = st.lists(
+    st.tuples(st.one_of(st.none(), st.integers(1, 12)), _snippet_lines, st.booleans()), max_size=8
+)
+
+
 class TestReconstructSource:
+    @given(placements=_placements)
+    @settings(max_examples=300, deadline=None)
+    def test_equals_line_by_line_placement(self, placements):
+        """Overlapping, unspanned and newline-terminated snippets land as the per-line loop put them."""
+        group = []
+        for i, (start, lines, final_newline) in enumerate(placements):
+            snippet = "\n".join(f"{line} // {i}" for line in lines) + ("\n" if final_newline else "")
+            record = ViolationRecord("App", "https://example.org/app", "0" * 40, 6, "A.java", snippet, "note")
+            span = None if start is None else SpanRef("A.java", start, start + len(lines) - 1)
+            group.append((record, span))
+        assert reconstruct_source(group) == _reference_reconstruct(group)
+
     def test_lines_land_at_recorded_positions(self, camera_record_pair):
         source, line_count = reconstruct_source(one_file(camera_record_pair))
         lines = source.split("\n")
@@ -166,7 +198,7 @@ class TestFormalRuns:
         method = methods.FormalMethod(None)
 
         def rankings(part):
-            records = {r.instance_id: r for r in predict_task1(part, seed1_corpus, method)}
+            records = {r.instance_id: r for r in predict_task1(part, task1_instances(part), seed1_corpus, method)}
             out = {}
             for inst in task1_instances(part):
                 entry = part[inst.entry_index]
@@ -285,6 +317,51 @@ class TestFormalRuns:
         mb["config"].pop("output_dir")
         assert ma == mb
 
+    @pytest.mark.parametrize("task", [1, 2])
+    def test_one_instance_list_per_run(self, workspace, monkeypatch, task):
+        """A run lists its instances once; its directory still re-scores to its report."""
+        name = f"task{task}_instances"
+        listed = getattr(harness, name)
+        calls = []
+
+        def counted(entries):
+            calls.append(len(entries))
+            return listed(entries)
+
+        monkeypatch.setattr(harness, name, counted)
+        result = run(formal_config(workspace, task, output_dir=str(workspace["root"] / f"t{task}-one-list")))
+        assert len(calls) == 1
+        report = (result.output_dir / "report.json").read_text(encoding="utf-8")
+        assert emit_report(evaluate_run(result.output_dir), "json") == report
+
+    def test_manifest_digests_are_of_the_bytes_the_run_read(self, workspace, tmp_path, monkeypatch):
+        """A corpus rewritten after load_corpus read it keeps the digest of the bytes scored."""
+        scored = Path(workspace["corpus_path"]).read_bytes()
+        corpus_path = tmp_path / "corpus.json"
+        corpus_path.write_bytes(scored)
+        load_corpus = harness.load_corpus
+
+        def load_then_rewrite(path, **kwargs):
+            records = load_corpus(path, **kwargs)
+            Path(path).write_bytes(scored + b"\n")  # still the same corpus, in other bytes
+            return records
+
+        monkeypatch.setattr(harness, "load_corpus", load_then_rewrite)
+        config = RunConfig(
+            task=1,
+            method="formal",
+            dataset_path=workspace["task1"],
+            corpus_path=str(corpus_path),
+            rules_path=str(engine._DATA_DIR / "rules.json"),
+            articles_path=str(knowledge._DATA_DIR / "articles.json"),
+            output_dir=str(tmp_path / "out"),
+        )
+        datasets = run(config).manifest["datasets"]
+        assert datasets.pop("corpus") == {"path": str(corpus_path), "sha256": hashlib.sha256(scored).hexdigest()}
+        assert list(datasets) == ["dataset", "rules", "articles"]
+        for entry in datasets.values():
+            assert entry["sha256"] == hashlib.sha256(Path(entry["path"]).read_bytes()).hexdigest()
+
 
 class TestModuleInstances:
     @pytest.mark.parametrize("method", ["formal", "zero_shot"])
@@ -380,9 +457,9 @@ class TestStubZeroShot:
         paths = []
         load_articles = harness.load_articles
 
-        def counted(path):
+        def counted(path, **kwargs):
             paths.append(path)
-            return load_articles(path)
+            return load_articles(path, **kwargs)
 
         monkeypatch.setattr(harness, "load_articles", counted)
         result = run(
@@ -459,7 +536,7 @@ class TestCachingAndReplay:
         """Each scope the cache lacks is listed; an unparseable answer to another scope cannot hide them."""
         entries = build_task1(fixture_corpus)
         recorder = methods.ScriptedReasoner(lambda prompt: "0")
-        predict_task1(entries, fixture_corpus, methods.ZeroShotMethod(recorder))
+        predict_task1(entries, task1_instances(entries), fixture_corpus, methods.ZeroShotMethod(recorder))
         keys = [methods.ResponseCache.cache_key("run1", prompt) for prompt in recorder.calls]
         assert len(keys) == len(set(keys)) == 16  # 7 files and 9 line spans
         cache = methods.ResponseCache(tmp_path)
@@ -468,7 +545,7 @@ class TestCachingAndReplay:
             cache.put("run1", recorder.calls[1], span_answer)
         method = methods.ZeroShotMethod(methods.CacheReplayReasoner(cache, "run1"))
         with pytest.raises(ReplayMissError) as err:
-            predict_task1(entries, fixture_corpus, method)
+            predict_task1(entries, task1_instances(entries), fixture_corpus, method)
         assert err.value.missing_keys == (keys if span_answer is None else keys[:1] + keys[2:])
         cache.close()
 
@@ -693,19 +770,21 @@ class TestPredictionsWriter:
 class TestErrorAndSkipPaths:
     def test_method_errors_score_as_empty_predictions(self, workspace):
         entries = load_task2(workspace["task2"])
-        records = predict_task2(entries, FailingMethod())
+        instances = task2_instances(entries)
+        records = predict_task2(entries, instances, FailingMethod())
         assert all(r.status == "errored" for r in records)
-        metrics = score(formal_config(workspace, 2), entries, records)[0].labels
+        metrics = score(formal_config(workspace, 2), instances, records)[0].labels
         assert metrics.macro_recall == 0.0
         assert metrics.n_instances == 10
 
     def test_task1_method_error_marks_entry_instances(self, workspace):
         entries = load_task1(workspace["task1"])
         corpus = load_corpus(workspace["corpus_path"])
-        records = predict_task1(entries, corpus, FailingMethod())
+        instances = task1_instances(entries)
+        records = predict_task1(entries, instances, corpus, FailingMethod())
         assert len(records) == 23
         assert all(r.status == "errored" for r in records)
-        report, counts = score(formal_config(workspace, 1), entries, records)
+        report, counts = score(formal_config(workspace, 1), instances, records)
         assert report.ranking["file"].accuracy_at[5] == 0.0
         assert counts == {"scored": 0, "errored": 23, "skipped": 0}
 
@@ -719,7 +798,8 @@ class TestErrorAndSkipPaths:
 
         entries = load_task1(workspace["task1"])
         corpus = load_corpus(workspace["corpus_path"])
-        records = predict_task1(entries, corpus, methods.ZeroShotMethod(methods.ScriptedReasoner(answer)))
+        method = methods.ZeroShotMethod(methods.ScriptedReasoner(answer))
+        records = predict_task1(entries, task1_instances(entries), corpus, method)
         outcomes = Counter((r.instance_id.split("::")[1], r.status) for r in records)
         assert outcomes == {
             ("file", "errored"): 7,
@@ -738,8 +818,8 @@ class TestErrorAndSkipPaths:
         entries2 = load_task2(workspace["task2"])
         entries1 = load_task1(workspace["task1"])
         corpus = load_corpus(workspace["corpus_path"])
-        records = predict_task2(entries2, method)
-        records += predict_task1(entries1, corpus, method)
+        records = predict_task2(entries2, task2_instances(entries2), method)
+        records += predict_task1(entries1, task1_instances(entries1), corpus, method)
         assert len(records) == 10 + 23
         assert {r.status for r in records} == {"errored"}
         assert {r.error for r in records} == {"TypeError: unsupported operand"}
@@ -748,7 +828,7 @@ class TestErrorAndSkipPaths:
     def test_replay_miss_still_aborts_prediction(self, workspace):
         entries = load_task2(workspace["task2"])
         with pytest.raises(ReplayMissError) as err:
-            predict_task2(entries, FailingMethod(ReplayMissError(["k"])))
+            predict_task2(entries, task2_instances(entries), FailingMethod(ReplayMissError(["k"])))
         assert err.value.missing_keys == ["k"]
 
     def test_out_of_range_span_is_skipped_not_scored(self, tmp_path, fixture_corpus):
@@ -1027,7 +1107,7 @@ class TestReconciliation:
         ]
         records.append(PredictionRecord("t2-9999", "scored", ranking=()))
         with pytest.raises(ReconciliationError) as err:
-            score(formal_config(workspace, 2), entries, records)
+            score(formal_config(workspace, 2), instances, records)
         assert "t2-9999" in err.value.orphan_ids
         assert instances[-1].instance_id in err.value.missing_ids
 
@@ -1039,9 +1119,9 @@ class TestReconciliation:
             for inst, status in zip(instances, ("scored", "errored", "skipped"))
         ]
         with pytest.raises(ReconciliationError) as err:
-            score(formal_config(workspace, 2), entries, records)
+            score(formal_config(workspace, 2), instances, records)
         assert err.value.missing_ids == [inst.instance_id for inst in instances[3:]]
-        report, counts = score(formal_config(workspace, 2), entries[:3], records)
+        report, counts = score(formal_config(workspace, 2), instances[:3], records)
         assert counts == {"scored": 1, "errored": 1, "skipped": 1}
         assert report.labels.n_instances == 2
 
@@ -1053,4 +1133,4 @@ class TestReconciliation:
         ]
         records.append(records[0])
         with pytest.raises(ReconciliationError):
-            score(formal_config(workspace, 2), entries, records)
+            score(formal_config(workspace, 2), instances, records)

@@ -24,7 +24,7 @@ from gdprkit.errors import (
     ReplayMissError,
 )
 from gdprkit.engine import RuleCatalog, default_catalog
-from gdprkit.harness import RunConfig, predict_task1, predict_task2
+from gdprkit.harness import RunConfig, predict_task1, predict_task2, task1_instances, task2_instances
 from gdprkit.knowledge import ArticleInfo, KnowledgeBase, build_kb
 from gdprkit.methods import (
     CacheReplayReasoner,
@@ -442,10 +442,11 @@ class TestRagMethodPath:
         must be sent exactly once, in order of first appearance.
         """
         kb = build_kb(fixture_corpus)
+        entries1, entries2 = build_task1(fixture_corpus), build_task2(fixture_corpus)
         sent = {}
         for task, predict in (
-            ("task1", lambda m: predict_task1(build_task1(fixture_corpus), fixture_corpus, m)),
-            ("task2", lambda m: predict_task2(build_task2(fixture_corpus), m)),
+            ("task1", lambda m: predict_task1(entries1, task1_instances(entries1), fixture_corpus, m)),
+            ("task2", lambda m: predict_task2(entries2, task2_instances(entries2), m)),
         ):
             reasoner = ScriptedReasoner(lambda prompt: "0")
             predict(RagMethod(reasoner, kb))

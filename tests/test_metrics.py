@@ -8,18 +8,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gdprkit.errors import InputError, UndefinedMetricError
+from gdprkit.errors import UndefinedMetricError
 from gdprkit.knowledge import article_catalog
 from gdprkit.metrics import (
     GRANULARITIES,
     LabeledInstance,
     LabelMetrics,
     RankedInstance,
-    accuracy_at_k,
     evaluate_labels,
     evaluate_rankings,
     first_correct_rank,
-    multilabel_accuracy,
 )
 
 
@@ -33,6 +31,11 @@ def ranked(prediction, ground_truth, granularity="file"):
 
 def labeled(prediction, ground_truth):
     return LabeledInstance(prediction=frozenset(prediction), ground_truth=frozenset(ground_truth))
+
+
+def file_accuracy_at(instances):
+    """accuracy@k by k of ``instances``, which are all at file granularity."""
+    return evaluate_rankings(instances)["file"].accuracy_at
 
 
 # -- reference scorers, written straight from the metric definitions --------
@@ -106,30 +109,26 @@ class TestAccuracyAtK:
     ]
 
     def test_mixed_rank_fixture(self):
-        assert accuracy_at_k(self.FIXTURE, 1) == pytest.approx(1 / 3)
-        assert accuracy_at_k(self.FIXTURE, 3) == pytest.approx(2 / 3)
-        assert accuracy_at_k(self.FIXTURE, 5) == pytest.approx(2 / 3)
+        accuracy_at = file_accuracy_at(self.FIXTURE)
+        assert accuracy_at[1] == pytest.approx(1 / 3)
+        assert accuracy_at[3] == pytest.approx(2 / 3)
+        assert accuracy_at[5] == pytest.approx(2 / 3)
 
     def test_all_rank_one(self):
         instances = [ranked([6], {6}) for _ in range(4)]
-        for k in range(1, 6):
-            assert accuracy_at_k(instances, k) == 1.0
+        assert file_accuracy_at(instances) == {k: 1.0 for k in range(1, 6)}
 
     def test_single_instance_rank_two(self):
         instances = [ranked([9, 6], {6})]
-        assert accuracy_at_k(instances, 1) == 0.0
-        assert accuracy_at_k(instances, 2) == 1.0
+        assert file_accuracy_at(instances)[1] == 0.0
+        assert file_accuracy_at(instances)[2] == 1.0
 
-    @pytest.mark.parametrize("k", [0, 6, -1])
-    def test_k_outside_one_to_five_rejected(self, k):
-        with pytest.raises(InputError):
-            accuracy_at_k(self.FIXTURE, k)
+    def test_k_is_one_to_five(self):
+        assert list(file_accuracy_at(self.FIXTURE)) == [1, 2, 3, 4, 5]
 
-    def test_empty_population_undefined(self):
-        with pytest.raises(UndefinedMetricError):
-            accuracy_at_k([], 1)
-        with pytest.raises(UndefinedMetricError):
-            accuracy_at_k(self.FIXTURE, 1, granularity="line")
+    def test_empty_population_reports_nothing(self):
+        assert evaluate_rankings([]) == {}
+        assert "line" not in evaluate_rankings(self.FIXTURE)
 
     def test_evaluate_rankings_only_reports_present_granularities(self):
         instances = [ranked([5], {5}, "file"), ranked([5], {5}, "line")]
@@ -170,7 +169,7 @@ class TestLabelMetrics:
         )
 
     def test_single_cell_miss(self):
-        assert multilabel_accuracy([labeled(set(), {5})], universe={5}) == 0.0
+        assert evaluate_labels([labeled(set(), {5})], universe={5}).accuracy == 0.0
 
     def test_unused_universe_article_scores_zero_not_nan(self):
         instances = [labeled({5}, {5})]
@@ -186,8 +185,6 @@ class TestLabelMetrics:
     def test_no_instances_undefined(self):
         with pytest.raises(UndefinedMetricError):
             evaluate_labels([])
-        with pytest.raises(UndefinedMetricError):
-            multilabel_accuracy([])
 
     def test_empty_universe_undefined(self):
         with pytest.raises(UndefinedMetricError):
@@ -219,14 +216,14 @@ class TestProperties:
     @given(instances=ranking_instances, k=st.integers(1, 5))
     @settings(max_examples=200, deadline=None)
     def test_accuracy_at_k_matches_brute_force(self, instances, k):
-        assert accuracy_at_k(instances, k) == pytest.approx(
+        assert file_accuracy_at(instances)[k] == pytest.approx(
             brute_accuracy_at_k(instances, k), abs=1e-12
         )
 
     @given(instances=ranking_instances)
     @settings(max_examples=200, deadline=None)
     def test_accuracy_non_decreasing_in_k(self, instances):
-        values = [accuracy_at_k(instances, k) for k in range(1, 6)]
+        values = [file_accuracy_at(instances)[k] for k in range(1, 6)]
         assert values == sorted(values)
 
     @given(instances=label_instances)
@@ -241,9 +238,6 @@ class TestProperties:
         )
         assert metrics.macro_recall == pytest.approx(expected["macro_recall"], abs=1e-12)
         assert metrics.macro_f1 == pytest.approx(expected["macro_f1"], abs=1e-12)
-        assert multilabel_accuracy(instances, universe) == pytest.approx(
-            expected["accuracy"], abs=1e-12
-        )
 
     @given(instances=label_instances, universe=st.sampled_from([None, frozenset(range(1, 7))]))
     @settings(max_examples=200, deadline=None)
@@ -260,12 +254,11 @@ class TestProperties:
     def test_instance_order_is_irrelevant(self, instances, seed):
         shuffled = list(instances)
         random.Random(seed).shuffle(shuffled)
-        for k in range(1, 6):
-            assert accuracy_at_k(instances, k) == accuracy_at_k(shuffled, k)
+        assert evaluate_rankings(instances) == evaluate_rankings(shuffled)
 
 
 def per_article_sum_label_metrics(instances, universe):
-    """``evaluate_labels`` with three sums over the instances per article and ``multilabel_accuracy``."""
+    """``evaluate_labels`` with three sums over the instances per article and a count of agreeing cells."""
     if universe is None:
         universe = set().union(*(inst.ground_truth for inst in instances))
     resolved = tuple(sorted(set(universe)))
@@ -281,7 +274,10 @@ def per_article_sum_label_metrics(instances, universe):
     return LabelMetrics(
         n_instances=len(instances),
         universe=resolved,
-        accuracy=multilabel_accuracy(instances, resolved),
+        accuracy=sum(
+            (article in i.prediction) == (article in i.ground_truth) for i in instances for article in resolved
+        )
+        / (len(instances) * len(resolved)),
         macro_precision=math.fsum(v[0] for v in per_article.values()) / len(per_article),
         macro_recall=math.fsum(v[1] for v in per_article.values()) / len(per_article),
         macro_f1=math.fsum(v[2] for v in per_article.values()) / len(per_article),
