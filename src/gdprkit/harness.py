@@ -14,7 +14,6 @@ call it, so a run directory re-scores to its own report.json.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 import time
@@ -49,7 +48,7 @@ from .metrics import (
     LabeledInstance,
     RankedInstance,
     RankingMetrics,
-    evaluate_labels,
+    count_labels,
     evaluate_rankings,
 )
 from .methods import (
@@ -88,7 +87,6 @@ class RunConfig:
     replay_reasoner_id: str | None = None
     rules_path: str | None = None
     articles_path: str | None = None
-    article_universe: str = "ground_truth"  # or "catalog"
 
     def __post_init__(self):
         if type(self.task) is not int or self.task not in (1, 2):
@@ -104,8 +102,6 @@ class RunConfig:
             raise ConfigurationError(
                 f"reasoner must be one of {REASONER_BINDINGS}, got {self.reasoner!r}"
             )
-        if self.article_universe not in ("ground_truth", "catalog"):
-            raise ConfigurationError("article_universe must be 'ground_truth' or 'catalog'")
         if self.reasoner == "cache_replay" and not self.cache_dir:
             raise ConfigurationError("cache_replay binding requires cache_dir")
         if self.task == 1 and not self.corpus_path:
@@ -273,10 +269,6 @@ _INPUT_FIELDS = {
 }
 
 
-def _sha256_file(path: str | Path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
 def _build_reasoner(config: RunConfig, cache: ResponseCache | None) -> Reasoner:
     if config.reasoner == "live":
         base: Reasoner = LiveHttpReasoner(model=config.model)
@@ -437,9 +429,10 @@ def score(
     the records per status.
 
     Every record must join one instance and every instance one record, or
-    ReconciliationError is raised.  Task 1 gets accuracy@k per granularity;
-    task 2 gets label metrics over the ``article_universe`` of ``config``,
-    with ``catalog`` (the built-in one when None) as the catalog universe.
+    ReconciliationError is raised.  Task 1 gets accuracy@k per granularity.
+    Task 2 gets label metrics over the ground-truth articles and over
+    ``catalog`` (the built-in one when None; no block when it is empty),
+    both from one count.
     Errored instances score with their (empty) recorded prediction; skipped
     instances are left out of the population.
     """
@@ -449,19 +442,19 @@ def score(
         counts[rec.status] += 1
         if rec.status != "skipped":
             kept.append((inst, rec))
-    ranking = labels = None
+    ranking = labels = over_catalog = None
     if config.task == 1:
         ranking = evaluate_rankings(
             [RankedInstance(inst.granularity, rec.ranking, inst.ground_truth) for inst, rec in kept]
         )
     else:
-        universe = None
-        if config.article_universe == "catalog":
-            universe = sorted(article_catalog() if catalog is None else catalog)
-        labels = evaluate_labels(
-            [LabeledInstance(frozenset(rec.labels), inst.ground_truth) for inst, rec in kept], universe
+        label_counts = count_labels(
+            [LabeledInstance(frozenset(rec.labels), inst.ground_truth) for inst, rec in kept]
         )
-    return RunReport(config.task, config.method, config.article_universe, ranking, labels), counts
+        catalog = article_catalog() if catalog is None else catalog
+        labels = label_counts.over()
+        over_catalog = label_counts.over(catalog) if catalog else None
+    return RunReport(config.task, config.method, ranking, labels, over_catalog), counts
 
 
 # ---------------------------------------------------------------------------
@@ -472,20 +465,25 @@ def score(
 class RunReport:
     task: int
     method: str
-    universe_source: str
     ranking: dict[str, RankingMetrics] | None
-    labels: LabelMetrics | None
+    labels: LabelMetrics | None  # over the ground-truth articles
+    labels_over_catalog: LabelMetrics | None
 
     def to_dict(self) -> dict:
         return {
             "task": self.task,
             "method": self.method,
-            "universe_source": self.universe_source,
             "ranking": {g: m.to_dict() for g, m in self.ranking.items()}
             if self.ranking is not None
             else None,
             "labels": self.labels.to_dict() if self.labels is not None else None,
+            "labels_over_catalog": self.labels_over_catalog and self.labels_over_catalog.to_dict(),
         }
+
+    def label_rows(self) -> list[tuple[str, LabelMetrics]]:
+        """(universe, metrics) of each task-2 block there is, ground truth first."""
+        rows = (("ground_truth", self.labels), ("catalog", self.labels_over_catalog))
+        return [(universe, m) for universe, m in rows if m is not None]
 
 
 def emit_report(report: RunReport, fmt: str = "json") -> str:
@@ -515,18 +513,19 @@ def _markdown_report(report: RunReport) -> str:
             lines.append(f"| {report.method} | {cells} |")
             lines.append("")
     if report.labels is not None:
-        m = report.labels
-        lines.append("| Method | Accuracy | Macro-Precision | Macro-Recall | Macro-F1 |")
-        lines.append("| --- | --- | --- | --- | --- |")
-        lines.append(
-            f"| {report.method} | {m.accuracy:.3f} | {m.macro_precision:.3f} "
-            f"| {m.macro_recall:.3f} | {m.macro_f1:.3f} |"
-        )
+        lines.append("| Method | Universe | Accuracy | Macro-Precision | Macro-Recall | Macro-F1 |")
+        lines.append("| --- | --- | --- | --- | --- | --- |")
+        for universe, m in report.label_rows():
+            lines.append(
+                f"| {report.method} | {universe.replace('_', ' ')} ({len(m.universe)} articles) "
+                f"| {m.accuracy:.3f} | {m.macro_precision:.3f} | {m.macro_recall:.3f} | {m.macro_f1:.3f} |"
+            )
         lines.append("")
-        lines.append(
-            f"Macro metrics over {len(m.universe)} articles (universe: {report.universe_source})"
-        )
-        lines.append("")
+    if report.labels_over_catalog is not None:  # a catalog article without ground truth scores 0
+        n = len(report.labels_over_catalog.universe)
+        supported = len(set(report.labels.universe).intersection(report.labels_over_catalog.universe))
+        ceiling = f"{supported}/{n} = {supported / n:.3f}"
+        lines += [f"Over the {n}-article catalog the macro metrics cannot exceed {ceiling}.", ""]
     return "\n".join(lines)
 
 
@@ -538,15 +537,15 @@ def _csv_report(report: RunReport) -> str:
             for k, value in sorted(metrics.accuracy_at.items()):
                 rows.append(f"{report.method},{granularity},{k},{value:.6f}")
     if report.labels is not None:
-        rows.append("method,metric,value")
-        m = report.labels
-        for name, value in (
-            ("accuracy", m.accuracy),
-            ("macro_precision", m.macro_precision),
-            ("macro_recall", m.macro_recall),
-            ("macro_f1", m.macro_f1),
-        ):
-            rows.append(f"{report.method},{name},{value:.6f}")
+        rows.append("method,universe,metric,value")
+        for universe, m in report.label_rows():
+            for name, value in (
+                ("accuracy", m.accuracy),
+                ("macro_precision", m.macro_precision),
+                ("macro_recall", m.macro_recall),
+                ("macro_f1", m.macro_f1),
+            ):
+                rows.append(f"{report.method},{universe},{name},{value:.6f}")
     return "\n".join(rows) + "\n"
 
 
@@ -611,9 +610,9 @@ def evaluate_run(run_dir: str | Path) -> RunReport:
     """Re-score a run directory's predictions.json into the report the run wrote.
 
     The config is the one in the run's manifest.json, so its paths resolve
-    as they did for the run.  A dataset or articles file whose sha256
-    differs from the one the manifest recorded is refused with
-    ConfigurationError.
+    as they did for the run.  A dataset or articles file whose bytes, as
+    its loader read them, have a sha256 other than the one the manifest
+    recorded is refused with ConfigurationError.
     """
     run_dir = Path(run_dir)
     manifest_path = run_dir / "manifest.json"
@@ -624,16 +623,17 @@ def evaluate_run(run_dir: str | Path) -> RunReport:
     except (KeyError, TypeError, AttributeError):
         raise ConfigurationError(f"{manifest_path} is not a run manifest") from None
     config = RunConfig.from_dict(raw_config)
+    digests: dict[str, str] = {}  # of the bytes the loaders read, which are the bytes scored
+    entries = (load_task1 if config.task == 1 else load_task2)(config.dataset_path, digests=digests)
+    catalog = load_articles(config.articles_path, digests=digests) if config.articles_path else None
     for name in ("dataset", "articles"):  # the inputs that scoring reads
         path = getattr(config, _INPUT_FIELDS[name])
-        if path and _sha256_file(path) != recorded.get(name):
+        if path and digests[path] != recorded.get(name):
             raise ConfigurationError(
                 f"{name} {path} has changed since the run: "
                 f"its sha256 is not the one recorded in {manifest_path}"
             )
-    entries = (load_task1 if config.task == 1 else load_task2)(config.dataset_path)
     instances = (task1_instances if config.task == 1 else task2_instances)(entries)
-    catalog = load_articles(config.articles_path) if config.articles_path else None
     return score(config, instances, load_predictions(run_dir / "predictions.json"), catalog)[0]
 
 

@@ -4,9 +4,10 @@ Ranking quality is scored with accuracy@k: the share of instances whose
 first correct article appears within the top k of the prediction.  Label
 sets are scored with per-cell accuracy over the article universe and with
 macro-averaged precision, recall, and F1, where a zero denominator
-contributes 0 rather than being skipped.  ``evaluate_rankings`` and
-``evaluate_labels`` score a run in one pass over its instances: the first
-correct rank serves every k, and one set of tp/fp/fn counts every metric.
+contributes 0 rather than being skipped.  ``evaluate_rankings`` scores a
+run in one pass over its instances, the first correct rank serving every k;
+``count_labels`` counts tp/fp/fn in one pass, and those counts give every
+label metric over any universe.
 """
 
 from __future__ import annotations
@@ -83,18 +84,6 @@ def evaluate_rankings(instances: Sequence[RankedInstance]) -> dict[str, RankingM
     }
 
 
-def _resolve_universe(
-    instances: Sequence[LabeledInstance], universe: Iterable[int] | None
-) -> tuple[int, ...]:
-    if universe is None:
-        resolved = sorted(set().union(*(inst.ground_truth for inst in instances)) if instances else set())
-    else:
-        resolved = sorted(set(universe))
-    if not resolved:
-        raise UndefinedMetricError("label metrics need a non-empty article universe")
-    return tuple(resolved)
-
-
 @dataclass(frozen=True)
 class LabelMetrics:
     n_instances: int
@@ -120,36 +109,57 @@ class LabelMetrics:
         }
 
 
-def evaluate_labels(
-    instances: Sequence[LabeledInstance], universe: Iterable[int] | None = None
-) -> LabelMetrics:
-    """Exact-cell accuracy plus unweighted macro precision/recall/F1.
+@dataclass(frozen=True)
+class LabelCounts:
+    """Per-article true positives, false positives and false negatives of a
+    run's label sets, counted once and scored over any universe by ``over``."""
 
-    The universe defaults to the union of ground-truth labels; pass the
-    full catalog explicitly to score against a fixed label space.
-    """
+    n_instances: int
+    tps: Counter
+    fps: Counter
+    fns: Counter
+
+    def over(self, universe: Iterable[int] | None = None) -> LabelMetrics:
+        """Exact-cell accuracy plus unweighted macro precision/recall/F1 over
+        ``universe``, by default the union of ground-truth labels (every
+        article with a true positive or a false negative)."""
+        resolved = tuple(sorted(set(self.tps) | set(self.fns) if universe is None else set(universe)))
+        if not resolved:
+            raise UndefinedMetricError("label metrics need a non-empty article universe")
+        per_article: dict[int, tuple[float, float, float]] = {}
+        for article in resolved:
+            tp, fp, fn = self.tps[article], self.fps[article], self.fns[article]
+            precision = tp / (tp + fp) if tp + fp else 0.0
+            recall = tp / (tp + fn) if tp + fn else 0.0
+            f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+            per_article[article] = (precision, recall, f1)
+        cells = self.n_instances * len(resolved)  # a disagreeing cell is a false positive or a false negative
+        return LabelMetrics(
+            n_instances=self.n_instances,
+            universe=resolved,
+            accuracy=(cells - sum(self.fps[a] + self.fns[a] for a in resolved)) / cells,
+            macro_precision=math.fsum(v[0] for v in per_article.values()) / len(per_article),
+            macro_recall=math.fsum(v[1] for v in per_article.values()) / len(per_article),
+            macro_f1=math.fsum(v[2] for v in per_article.values()) / len(per_article),
+            per_article=per_article,
+        )
+
+
+def count_labels(instances: Sequence[LabeledInstance]) -> LabelCounts:
+    """The tp/fp/fn counts of ``instances``, in one pass over them."""
     if not instances:
         raise UndefinedMetricError("label metrics undefined on no instances")
-    resolved = _resolve_universe(instances, universe)
     tps, fps, fns = Counter(), Counter(), Counter()
     for inst in instances:
         tps.update(inst.prediction & inst.ground_truth)
         fps.update(inst.prediction - inst.ground_truth)
         fns.update(inst.ground_truth - inst.prediction)
-    per_article: dict[int, tuple[float, float, float]] = {}
-    for article in resolved:
-        tp, fp, fn = tps[article], fps[article], fns[article]
-        precision = tp / (tp + fp) if tp + fp else 0.0
-        recall = tp / (tp + fn) if tp + fn else 0.0
-        f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-        per_article[article] = (precision, recall, f1)
-    cells = len(instances) * len(resolved)  # a disagreeing cell is a false positive or a false negative
-    return LabelMetrics(
-        n_instances=len(instances),
-        universe=resolved,
-        accuracy=(cells - sum(fps[a] + fns[a] for a in resolved)) / cells,
-        macro_precision=math.fsum(v[0] for v in per_article.values()) / len(per_article),
-        macro_recall=math.fsum(v[1] for v in per_article.values()) / len(per_article),
-        macro_f1=math.fsum(v[2] for v in per_article.values()) / len(per_article),
-        per_article=per_article,
-    )
+    return LabelCounts(len(instances), tps, fps, fns)
+
+
+def evaluate_labels(
+    instances: Sequence[LabeledInstance], universe: Iterable[int] | None = None
+) -> LabelMetrics:
+    """``count_labels(instances).over(universe)``: label metrics over
+    ``universe``, by default the union of ground-truth labels."""
+    return count_labels(instances).over(universe)

@@ -343,11 +343,13 @@ def test_end_to_end_offline_run_and_report(announce, tmp_path, fixture_corpus, f
             )
         )
         report_md = (result2.output_dir / "report.md").read_text(encoding="utf-8")
-        assert "| Method | Accuracy | Macro-Precision | Macro-Recall | Macro-F1 |" in report_md
-        row = next(l for l in report_md.splitlines() if l.startswith("| formal |"))
-        cells = [c.strip() for c in row.strip("|").split("|")][1:]
-        assert len(cells) == 4
-        assert all(math.isfinite(float(c)) for c in cells)
+        assert "| Method | Universe | Accuracy | Macro-Precision | Macro-Recall | Macro-F1 |" in report_md
+        rows = [l for l in report_md.splitlines() if l.startswith("| formal |")]
+        assert len(rows) == 2  # over the ground-truth articles and over the catalog
+        for row in rows:
+            cells = [c.strip() for c in row.strip("|").split("|")][2:]
+            assert len(cells) == 4
+            assert all(math.isfinite(float(c)) for c in cells)
 
         result1 = run(
             RunConfig(

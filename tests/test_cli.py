@@ -143,7 +143,7 @@ class TestRun:
         assert code == 0
         printed = capsys.readouterr().out
         assert "10 scored, 0 errored, 0 skipped" in printed
-        assert "| Method | Accuracy | Macro-Precision | Macro-Recall | Macro-F1 |" in printed
+        assert "| Method | Universe | Accuracy | Macro-Precision | Macro-Recall | Macro-F1 |" in printed
         assert (out_dir / "report.md").exists()
 
     def test_run_without_required_args_exits_two(self, capsys):
@@ -244,14 +244,13 @@ class TestEvaluateAndReport:
     def test_evaluate_reproduces_the_runs_own_report(self, task, tmp_path, capsys):
         dataset = tmp_path / f"task{task}.json"
         assert main([f"gen-task{task}", CORPUS, "-o", str(dataset)]) == 0
-        out_dir = run_formal(tmp_path, task, dataset, article_universe="catalog")
+        out_dir = run_formal(tmp_path, task, dataset)
         capsys.readouterr()
         assert main(["evaluate", str(out_dir)]) == 0
         assert capsys.readouterr().out.encode("utf-8") == (out_dir / "report.json").read_bytes()
         assert main(["evaluate", str(out_dir), "--format", "markdown"]) == 0
         assert capsys.readouterr().out.encode("utf-8") == (out_dir / "report.md").read_bytes()
-        if task == 2:
-            assert json.loads((out_dir / "report.json").read_text())["universe_source"] == "catalog"
+        assert (json.loads((out_dir / "report.json").read_text())["labels_over_catalog"] is None) == (task == 1)
 
     def test_evaluate_refuses_a_dataset_edited_after_the_run(self, task2_path, tmp_path, capsys):
         out_dir = run_formal(tmp_path, 2, task2_path)
@@ -265,7 +264,7 @@ class TestEvaluateAndReport:
     def test_evaluate_refuses_an_articles_file_edited_after_the_run(self, task2_path, tmp_path, capsys):
         articles = tmp_path / "articles.json"
         shutil.copy(ARTICLES, articles)
-        out_dir = run_formal(tmp_path, 2, task2_path, article_universe="catalog", articles_path=str(articles))
+        out_dir = run_formal(tmp_path, 2, task2_path, articles_path=str(articles))
         recorded = json.loads((out_dir / "manifest.json").read_text())["datasets"]
         assert recorded["articles"]["path"] == str(articles)
         catalog = json.loads(articles.read_text())
@@ -276,6 +275,37 @@ class TestEvaluateAndReport:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:") and str(articles) in captured.err
+
+    def test_evaluate_scores_the_dataset_bytes_it_checked(self, task2_path, tmp_path, capsys, monkeypatch):
+        out_dir = run_formal(tmp_path, 2, task2_path)
+        entries = json.loads(task2_path.read_text(encoding="utf-8"))
+        for entry in entries:
+            entry["violated_articles"] = [99]
+        altered = json.dumps(entries).encode("utf-8")
+        read_bytes, reads = Path.read_bytes, []
+
+        def recorded_then_altered(path):
+            if path != task2_path:
+                return read_bytes(path)
+            reads.append(path)
+            return read_bytes(path) if len(reads) == 1 else altered
+
+        monkeypatch.setattr(Path, "read_bytes", recorded_then_altered)
+        capsys.readouterr()
+        assert main(["evaluate", str(out_dir)]) == 0
+        assert capsys.readouterr().out.encode("utf-8") == (out_dir / "report.json").read_bytes()
+
+    def test_evaluate_refuses_a_manifest_naming_article_universe(self, task2_path, tmp_path, capsys):
+        # a run of an earlier gdprkit, which scored one label universe per run
+        out_dir = run_formal(tmp_path, 2, task2_path)
+        manifest = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))
+        manifest["config"]["article_universe"] = "catalog"
+        (out_dir / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["evaluate", str(out_dir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: unknown config keys: ['article_universe']\n"
 
     def test_evaluate_refuses_a_directory_without_a_run_manifest(self, tmp_path, capsys):
         (tmp_path / "manifest.json").write_text("[]")

@@ -469,7 +469,6 @@ class TestStubZeroShot:
                 dataset_path=workspace["task2"],
                 reasoner="stub",
                 articles_path=articles,
-                article_universe="catalog",
                 output_dir=str(workspace["root"] / "t2-stub-catalog"),
             )
         )
@@ -971,7 +970,7 @@ class TestRunConfig:
             "method": "formal",
             "dataset_path": workspace["task2"],
             "rules_path": "rules.json",
-            "article_universe": "catalog",
+            "articles_path": "articles.json",
         }
         path = tmp_path / "config.json"
         path.write_text(json.dumps(raw), encoding="utf-8")
@@ -1020,10 +1019,28 @@ def task1_report(workspace):
 
 
 class TestReports:
-    def test_task2_markdown_shape(self, task2_report):
-        text = emit_report(task2_report, "markdown")
-        assert "| Method | Accuracy | Macro-Precision | Macro-Recall | Macro-F1 |" in text
-        assert "| formal |" in text
+    def test_task2_markdown_has_a_row_per_universe_and_the_ceiling(self, task2_report):
+        assert emit_report(task2_report, "markdown") == (
+            "# Task 2 results\n\n"
+            "| Method | Universe | Accuracy | Macro-Precision | Macro-Recall | Macro-F1 |\n"
+            "| --- | --- | --- | --- | --- | --- |\n"
+            "| formal | ground truth (6 articles) | 0.750 | 0.457 | 0.653 | 0.497 |\n"
+            "| formal | catalog (23 articles) | 0.935 | 0.119 | 0.170 | 0.130 |\n\n"
+            "Over the 23-article catalog the macro metrics cannot exceed 6/23 = 0.261.\n"
+        )
+
+    def test_catalog_block_is_the_ground_truth_block_times_the_supported_share(self, task2_report):
+        truth, catalog = task2_report.labels, task2_report.labels_over_catalog
+        assert truth.universe == (5, 6, 7, 9, 25, 32)
+        assert catalog.universe == tuple(sorted(knowledge.article_catalog()))
+        assert catalog.n_instances == truth.n_instances == 10
+        # a catalog article without ground truth scores 0, so each macro mean is scaled by 6/23
+        assert catalog.per_article == {a: truth.per_article.get(a, (0.0, 0.0, 0.0)) for a in catalog.universe}
+        for name in ("macro_precision", "macro_recall", "macro_f1"):
+            assert getattr(catalog, name) == pytest.approx(getattr(truth, name) * 6 / 23, rel=1e-12)
+        # the values a run with the catalog as its only universe reported
+        assert (round(catalog.accuracy, 4), round(catalog.macro_f1, 4)) == (0.9348, 0.1297)
+        assert (round(truth.accuracy, 4), round(truth.macro_f1, 4)) == (0.75, 0.4972)
 
     def test_task1_markdown_covers_all_granularities(self, task1_report):
         text = emit_report(task1_report, "markdown")
@@ -1031,10 +1048,18 @@ class TestReports:
         for heading in ("## File granularity", "## Module granularity", "## Line granularity"):
             assert heading in text
 
-    def test_csv_report_has_six_decimal_values(self, task2_report):
-        text = emit_report(task2_report, "csv")
-        assert "method,metric,value" in text
-        assert "formal,accuracy,0.750000" in text
+    def test_csv_report_has_six_decimal_values_per_universe(self, task2_report):
+        assert emit_report(task2_report, "csv") == (
+            "method,universe,metric,value\n"
+            "formal,ground_truth,accuracy,0.750000\n"
+            "formal,ground_truth,macro_precision,0.457143\n"
+            "formal,ground_truth,macro_recall,0.652778\n"
+            "formal,ground_truth,macro_f1,0.497222\n"
+            "formal,catalog,accuracy,0.934783\n"
+            "formal,catalog,macro_precision,0.119255\n"
+            "formal,catalog,macro_recall,0.170290\n"
+            "formal,catalog,macro_f1,0.129710\n"
+        )
 
     def test_unknown_format_rejected(self, task2_report):
         with pytest.raises(ConfigurationError):
@@ -1046,16 +1071,25 @@ class TestReports:
             assert emit_report(report, "json") == text
             assert emit_report(evaluate_run(workspace["root"] / name), "json") == text
 
-    @pytest.mark.parametrize("universe, size", [("catalog", 23), ("ground_truth", 6)])
-    def test_markdown_states_the_label_universe(self, workspace, universe, size):
-        report = run(
-            formal_config(
-                workspace, 2, article_universe=universe, output_dir=str(workspace["root"] / f"t2-{universe}")
-            )
-        ).report
-        text = emit_report(report, "markdown")
-        assert "\n| formal |" in text
-        assert text.endswith(f" |\n\nMacro metrics over {size} articles (universe: {universe})\n")
+    @pytest.mark.parametrize(
+        "numbers, tail",
+        [
+            # articles 5 and 6 have ground truth; 7, 9, 25 and 32 do too but are not in this catalog
+            ([5, 6, 8, 12], "| formal | catalog (4 articles) | 0.875 | 0.250 | 0.292 | 0.267 |\n\n"
+             "Over the 4-article catalog the macro metrics cannot exceed 2/4 = 0.500.\n"),
+            ([], "| formal | ground truth (6 articles) | 0.750 | 0.457 | 0.653 | 0.497 |\n"),
+        ],
+    )
+    def test_catalog_block_follows_the_articles_file(self, workspace, numbers, tail):
+        out = workspace["root"] / f"t2-articles-{len(numbers)}"
+        out.mkdir()
+        builtin = json.loads((knowledge._DATA_DIR / "articles.json").read_text(encoding="utf-8"))["articles"]
+        articles = out / "articles.json"
+        articles.write_text(json.dumps({"articles": [a for a in builtin if a["number"] in numbers]}))
+        result = run(formal_config(workspace, 2, articles_path=str(articles), output_dir=str(out)))
+        assert (result.report.labels_over_catalog is None) == (not numbers)  # an empty catalog fails no run
+        assert emit_report(result.report, "markdown").endswith(f" |\n{tail}")
+        assert emit_report(evaluate_run(out), "json") == (out / "report.json").read_text(encoding="utf-8")
 
     @pytest.mark.parametrize(
         "predictions, message",

@@ -15,6 +15,7 @@ from gdprkit.metrics import (
     LabeledInstance,
     LabelMetrics,
     RankedInstance,
+    count_labels,
     evaluate_labels,
     evaluate_rankings,
     first_correct_rank,
@@ -309,6 +310,17 @@ class TestOnePassScoring:
     def test_label_metrics_equal_per_article_sums(self, instances, universe):
         assume(universe or any(inst.ground_truth for inst in instances))
         assert evaluate_labels(instances, universe) == per_article_sum_label_metrics(instances, universe)
+
+    @given(instances=catalog_label_instances)
+    @settings(max_examples=300, deadline=None)
+    def test_one_count_scores_both_universes(self, instances):
+        assume(any(inst.ground_truth for inst in instances))
+        counts = count_labels(instances)
+        truth, catalog = counts.over(), counts.over(CATALOG)
+        assert truth == per_article_sum_label_metrics(instances, None)
+        assert catalog == per_article_sum_label_metrics(instances, CATALOG)
+        # the ceiling of report.md: a catalog article without ground truth scores 0
+        assert catalog.per_article == {a: truth.per_article.get(a, (0.0, 0.0, 0.0)) for a in catalog.universe}
 
     @given(instances=mixed_ranking_instances)
     @settings(max_examples=300, deadline=None)
