@@ -50,7 +50,7 @@ LANGUAGE_BY_EXTENSION = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpanRef:
     """1-based inclusive line span within a file."""
 
@@ -72,7 +72,7 @@ class SpanRef:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ViolationRecord:
     """One annotated violation instance: provenance + article + snippet + note."""
 
@@ -96,7 +96,7 @@ class ViolationRecord:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LengthStats:
     """Character-count summary; stddev is population stddev."""
 
@@ -116,7 +116,7 @@ class LengthStats:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CorpusStats:
     total_records: int
     single_line_count: int

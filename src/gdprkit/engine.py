@@ -45,7 +45,7 @@ _PRIVACY_PHRASES = ("privacy policy", "privacy notice", "privacy statement", "da
 # Rule condition expressions
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AtomExpr:
     name: str
 
@@ -57,7 +57,7 @@ class AtomExpr:
         out.append((self.name, positive))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NotExpr:
     child: "Expr"
 
@@ -68,7 +68,7 @@ class NotExpr:
         self.child.walk(not positive, out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AndExpr:
     children: tuple["Expr", ...]
 
@@ -80,7 +80,7 @@ class AndExpr:
             c.walk(positive, out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OrExpr:
     children: tuple["Expr", ...]
 
@@ -200,7 +200,7 @@ def populate_predicates(facts: Sequence[Fact], span: tuple[int, int] | None = No
 # Rules and findings
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Rule:
     id: str
     article: int
@@ -279,7 +279,7 @@ def default_catalog() -> RuleCatalog:
     return _default_catalog
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Finding:
     """A fired rule with its supporting facts, each once, in order of first appearance.
 
@@ -318,7 +318,7 @@ class Finding:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RankedPrediction:
     """Articles ordered most-suspect first, with their scores."""
 

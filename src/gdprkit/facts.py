@@ -70,7 +70,7 @@ SENSITIVE_CATEGORIES: frozenset[DataCategory] = frozenset(
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Fact:
     """One observation about a piece of source code."""
 
@@ -96,7 +96,7 @@ class Fact:
 # Pattern table
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PatternEntry:
     pattern: str
     kind: FactKind
@@ -116,6 +116,8 @@ def _compile_word(pattern: str) -> re.Pattern:
 
 
 _TOKEN_RE = re.compile(r"\w+")
+# the same tokens over ASCII text: there Unicode and ASCII \w agree
+_ASCII_TOKEN_RE = re.compile(r"\w+", re.ASCII)
 
 
 class _WordIndex:
@@ -133,6 +135,11 @@ class _WordIndex:
     its dot-separated parts.  All three checks are exact: ``_compile_word``
     joins the escaped parts only with ``\\s*\\.\\s*`` and never ignores
     case, so every match holds each part verbatim.
+
+    ``matches`` scans an ASCII text with ``re.ASCII`` ``\\w+``, which
+    finds the same tokens there and runs faster; any other text keeps the
+    Unicode scan, so ``é`` next to a table word still joins its token and
+    blocks the match, as ``\\b`` does.
     """
 
     def __init__(self, entries: Iterable[PatternEntry]):
@@ -149,7 +156,8 @@ class _WordIndex:
         """Every match of every indexed entry in ``text``, as ``(entry, match)``."""
         dotted: dict[str, list[PatternEntry]] = {}  # last part -> its dotted entries
         get = self.by_token.get
-        for m in _TOKEN_RE.finditer(text):
+        token_re = _ASCII_TOKEN_RE if text.isascii() else _TOKEN_RE
+        for m in token_re.finditer(text):
             hit = get(m.group())
             if hit is not None:
                 for entry in hit[0]:
@@ -401,7 +409,25 @@ def lexical_fallback(source: str, language: str, path: str = "") -> list[Fact]:
 # ---------------------------------------------------------------------------
 # Structural frontend (java / kt)
 
-_CALL_RE = re.compile(r"(?:(?P<recv>[A-Za-z_$][\w$]*)\s*\.\s*)?(?P<name>[A-Za-z_$][\w$]*)\s*\(")
+# A call is `recv.name(` or `name(`.  A match of the plain pattern
+# `(?:(?P<recv>[A-Za-z_$][\w$]*)\s*\.\s*)?(?P<name>[A-Za-z_$][\w$]*)\s*\(`
+# that starts inside a run of [\w$] characters must take recv or name to the
+# end of that run (a shorter one is followed by [\w$], not by `.`, `(` or
+# whitespace), and what follows the run is the same from every start.  So
+# each start in a run succeeds or fails alike, a leftmost scan matches at the
+# run's first [A-Za-z_$] if anywhere, and the other starts are only retries:
+# the plain pattern retries a run of n characters n times, O(n^2) in all.
+# This pattern tries each run once.  The lookarounds admit only the start of
+# a run, the `[^\WA-Za-z_]*` prefix (digits, non-ASCII word characters) steps
+# to its first [A-Za-z_$], and the `call` group is the plain pattern's match:
+# the same span, recv and name.  (A lookbehind of `[A-Za-z_$]` alone is exact
+# too, but still retries `a1a1a1...` from every `a`.)  A failed try backs off
+# over its run, the whitespace after it and the run after a `.` only, so the
+# scan is linear in the length of the text.
+_CALL_RE = re.compile(
+    r"(?=[\w$])(?<![\w$])[^\WA-Za-z_]*"
+    r"(?P<call>(?:(?P<recv>[A-Za-z_$][\w$]*)\s*\.\s*)?(?P<name>[A-Za-z_$][\w$]*)\s*\()"
+)
 
 # keywords that look like calls when followed by '('
 _CONTROL_KEYWORDS = frozenset(
@@ -499,7 +525,7 @@ def structural_frontend(source: str, language: str, path: str = "") -> list[Fact
             continue
         recv = m.group("recv")
         if recv is None:
-            word = _preceding_word(blanked, m.start())
+            word = _preceding_word(blanked, m.start("call"))
             if word is not None and word not in _CALL_PRECEDING_WORDS:
                 continue  # `void foo(` style declaration
         if recv in _CONTROL_KEYWORDS:
@@ -513,7 +539,7 @@ def structural_frontend(source: str, language: str, path: str = "") -> list[Fact
             Fact(
                 kind=entry.kind,
                 symbol=symbol,
-                detail=m.group(0).rstrip("( \t"),
+                detail=m.group("call").rstrip("( \t"),
                 span=SpanRef(path, line, line),
                 language=language,
                 data_category=entry.data_category,

@@ -165,7 +165,7 @@ def reconstruct_source(
 # Instance catalogs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Instance:
     instance_id: str
     granularity: str  # file | module | line for task 1; snippet for task 2
@@ -218,7 +218,7 @@ def task2_instances(entries: Sequence[Task2Entry]) -> list[Instance]:
 STATUSES = ("scored", "errored", "skipped")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PredictionRecord:
     instance_id: str
     status: str  # one of STATUSES
@@ -461,7 +461,7 @@ def score(
 # Reports
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RunReport:
     task: int
     method: str

@@ -41,7 +41,7 @@ ARTICLE_TEXT = "article_text"
 VIOLATION_EXAMPLE = "violation_example"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ArticleInfo:
     number: int
     title: str
@@ -123,7 +123,7 @@ def similarity(a: str, b: str) -> float:
 # Knowledge base
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KbDoc:
     doc_id: str
     kind: str  # ARTICLE_TEXT or VIOLATION_EXAMPLE

@@ -393,7 +393,7 @@ def render_rag_prompt(
 # Tool-using agent loop
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AgentStep:
     thought: str
     action: str
@@ -401,13 +401,13 @@ class AgentStep:
     observation: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AgentTrace:
     steps: tuple[AgentStep, ...]
     truncated: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReactResult:
     labels: LabelSet
     ranking: RankedPrediction
@@ -438,9 +438,18 @@ Code snippet:
 
 Thought:"""
 
-_ACTION_RE = re.compile(r"^Action:\s*(?P<action>.+?)\s*$", re.MULTILINE)
+# Both patterns scan a turn in linear time: neither has a lazy group followed
+# by `\s*`, which retries a run of whitespace from each of its characters.
+# The action is the rest of its line up to its last non-space character, or,
+# when only whitespace is left in the turn, its last whitespace character
+# that is not a newline (stripped to "").  The match then takes the
+# whitespace after it up to the last newline before the next non-space
+# character, or to the end of the turn; the input search starts there.  The
+# input runs from the first non-space character after "Action Input:" to
+# the first "\nObservation:" or "\nThought:" or the end of the turn.
+_ACTION_RE = re.compile(r"^Action:\s*(?P<action>\S(?:[^\S\n]*\S)*|[^\S\n])\s*$", re.MULTILINE)
 _ACTION_INPUT_RE = re.compile(
-    r"Action Input:\s*(?P<value>.*?)\s*(?:\nObservation:|\nThought:|\Z)", re.DOTALL
+    r"Action Input:\s*(?P<value>(?:(?!\n(?:Observation|Thought):).)*)", re.DOTALL
 )
 
 

@@ -23,7 +23,7 @@ GRANULARITIES = ("file", "module", "line")
 DEFAULT_KS = (1, 2, 3, 4, 5)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RankedInstance:
     """One localization judgement: a ranked prediction against true articles."""
 
@@ -40,7 +40,7 @@ class RankedInstance:
             raise InputError("ranked prediction must not repeat articles")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LabeledInstance:
     """One classification judgement; either side may be empty."""
 
@@ -56,7 +56,7 @@ def first_correct_rank(prediction: Sequence[int], ground_truth: frozenset[int]) 
     return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RankingMetrics:
     granularity: str
     n_instances: int
@@ -84,7 +84,7 @@ def evaluate_rankings(instances: Sequence[RankedInstance]) -> dict[str, RankingM
     }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LabelMetrics:
     n_instances: int
     universe: tuple[int, ...]
@@ -109,7 +109,7 @@ class LabelMetrics:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LabelCounts:
     """Per-article true positives, false positives and false negatives of a
     run's label sets, counted once and scored over any universe by ``over``."""

@@ -29,7 +29,7 @@ from .corpus import (
 log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LineViolation:
     span: SpanRef
     articles: frozenset[int]
@@ -43,7 +43,7 @@ class LineViolation:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Task1Entry:
     repo_url: str
     app_name: str
@@ -65,7 +65,7 @@ class Task1Entry:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Task2Entry:
     repo_url: str
     app_name: str

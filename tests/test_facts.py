@@ -1,12 +1,15 @@
 """Fact extraction: pattern table, lexical fallback, structural frontend."""
 
+import dataclasses
 import re
+import time
 from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import gdprkit
 from gdprkit import facts as facts_module
 from gdprkit.corpus import SpanRef, detect_language, group_by_file, split_snippet_path
 from gdprkit.engine import analyze_source
@@ -641,3 +644,70 @@ class TestPatternTable:
         assert obj["kind"] == "ApiCall"
         assert obj["symbol"] == "openCamera"
         assert obj["data_category"] == "CAMERA"
+
+
+# The call pattern as it was before it was anchored at runs of [\w$]: a
+# leftmost scan with it retries a run from each of its characters.
+_PLAIN_CALL_RE = re.compile(r"(?:(?P<recv>[A-Za-z_$][\w$]*)\s*\.\s*)?(?P<name>[A-Za-z_$][\w$]*)\s*\(")
+_call_text = st.text(alphabet="aZq09_$\u00e9. \t\n(", max_size=40)
+
+
+class TestLinearScan:
+    """Extraction is linear in the input and finds what the unanchored scans found."""
+
+    @given(source=_call_text)
+    @settings(max_examples=1000, deadline=None)
+    @example(source="1a1$b(")
+    @example(source="\u00e9x . y (")
+    @example(source="a1a1.b2(c$(")
+    @example(source="9 $ . _(")
+    def test_call_scan_equals_unanchored_pattern(self, source):
+        plain = [(m.span(), m.group("recv"), m.group("name")) for m in _PLAIN_CALL_RE.finditer(source)]
+        anchored = [
+            (m.span("call"), m.group("recv"), m.group("name"))
+            for m in facts_module._CALL_RE.finditer(source)
+        ]
+        assert anchored == plain
+
+    @given(source=st.text(alphabet=st.characters(max_codepoint=127), max_size=60))
+    @settings(max_examples=300, deadline=None)
+    @example(source="getDeviceId x_getDeviceId getDeviceId9 Log.d(")
+    def test_ascii_token_scan_equals_unicode_scan(self, source):
+        def spans(token_re):
+            return [m.span() for m in token_re.finditer(source)]
+
+        assert spans(facts_module._ASCII_TOKEN_RE) == spans(facts_module._TOKEN_RE)
+        index = default_pattern_table().word_index
+        with mock.patch.object(facts_module, "_ASCII_TOKEN_RE", facts_module._TOKEN_RE):
+            unicode_scan = [(e.pattern, m.span()) for e, m in index.matches(source)]
+        assert [(e.pattern, m.span()) for e, m in index.matches(source)] == unicode_scan
+
+    @pytest.mark.parametrize("source", ["x = \u00e9getDeviceId;", "x = getDeviceId\u00e9;"])
+    def test_adjacent_non_ascii_letter_blocks_a_table_word(self, source):
+        assert lexical_fallback(source, "js") == []
+        assert lexical_fallback(source.replace("\u00e9", " "), "js") != []
+
+    @pytest.mark.parametrize(
+        "run", ["a" * 50_000, "$" * 50_000, "a1" * 25_000, "a\u00e9" * 25_000], ids=["a", "$", "a1", "a\u00e9"]
+    )
+    def test_structural_frontend_is_linear_in_a_run(self, run):
+        started = time.perf_counter()
+        facts = structural_frontend(f"x = {run};\ny = tm.getDeviceId();", "java")
+        elapsed = time.perf_counter() - started
+        assert elapsed < 1.0, f"took {elapsed:.2f}s"
+        assert [fact.symbol for fact in facts] == ["getDeviceId"]
+
+    def test_frozen_value_classes_are_slotted(self):
+        frozen = [
+            cls
+            for name in ("corpus", "engine", "facts", "harness", "knowledge", "methods", "metrics", "taskgen")
+            for cls in vars(getattr(gdprkit, name)).values()
+            if dataclasses.is_dataclass(cls) and cls.__dataclass_params__.frozen
+        ]
+        assert len(frozen) > 20
+        for cls in frozen:
+            # AnalysisResult keeps its __dict__ for the findings cached_property
+            assert hasattr(cls, "__slots__") == (cls.__name__ != "AnalysisResult"), cls
+        span = SpanRef("A.java", 1, 1)
+        with pytest.raises((AttributeError, TypeError)):
+            object.__setattr__(span, "note", "x")

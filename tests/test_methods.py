@@ -5,14 +5,16 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 import sqlite3
 import subprocess
 import sys
+import time
 from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gdprkit
@@ -37,6 +39,7 @@ from gdprkit.methods import (
     ResponseCache,
     ScriptedReasoner,
     ZeroShotMethod,
+    _parse_react_step,
     parse_model_output,
     react_run,
     render_rag_prompt,
@@ -454,6 +457,53 @@ class TestRagMethodPath:
         golden = json.loads((GOLDEN_DIR / "rag_prompts_fixture.json").read_text(encoding="utf-8"))
         assert sent["task2"] == golden["task2"]
         assert sent["task1"] == list(dict.fromkeys(golden["task1"]))
+
+
+# The turn patterns before they were made linear: a lazy group followed by
+# `\s*` retries a run of whitespace from each of its characters.
+_PLAIN_ACTION_RE = re.compile(r"^Action:\s*(?P<action>.+?)\s*$", re.MULTILINE)
+_PLAIN_ACTION_INPUT_RE = re.compile(
+    r"Action Input:\s*(?P<value>.*?)\s*(?:\nObservation:|\nThought:|\Z)", re.DOTALL
+)
+_TURN_PIECES = ["Thought:", "Action:", "Action Input:", "Observation:", "Action", ":", "a", "finish",
+                "6, 32", "\n", " ", "\t", "\r", "\x0b", "\x85", "\u2028"]
+
+
+def _plain_parse(text: str) -> tuple[str, str, str] | None:
+    m = _PLAIN_ACTION_RE.search(text)
+    if m is None:
+        return None
+    thought = text[: m.start()].strip()
+    if thought.startswith("Thought:"):
+        thought = thought[len("Thought:"):].strip()
+    input_m = _PLAIN_ACTION_INPUT_RE.search(text, m.end())
+    return thought, m.group("action").strip(), input_m.group("value").strip() if input_m else ""
+
+
+class TestReactTurnParse:
+    @given(turn=st.lists(st.sampled_from(_TURN_PIECES), max_size=14).map("".join))
+    @settings(max_examples=1000, deadline=None)
+    @example(turn="Action:  \n\n")  # only whitespace after the action: the action is ""
+    @example(turn="Action:\n\n")  # ... and no match when that whitespace is all newlines
+    @example(turn="Action: a \n \nAction Input:\nObservation: x")  # input after its own newline
+    @example(turn="Thought: t\nAction: a b \t\nAction Input: 6 \n\nThought: more")
+    def test_parse_equals_plain_patterns(self, turn):
+        assert _parse_react_step(turn) == _plain_parse(turn)
+
+    @pytest.mark.parametrize(
+        "turn",
+        [
+            "Thought: t\nAction: rule" + " " * 50_000 + "check\nAction Input: x",
+            "Thought: t\nAction: finish\nAction Input: 6" + " " * 50_000 + "32",
+            "Action:" + " " * 50_000,
+        ],
+        ids=["in-action", "in-input", "after-action"],
+    )
+    def test_parse_is_linear_in_a_whitespace_run(self, turn):
+        started = time.perf_counter()
+        _parse_react_step(turn)
+        elapsed = time.perf_counter() - started
+        assert elapsed < 1.0, f"took {elapsed:.2f}s"
 
 
 class TestReactLoop:
