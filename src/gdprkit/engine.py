@@ -346,8 +346,10 @@ def _ranked(scored: Iterable[tuple[int, float]]) -> RankedPrediction:
         prev = best.get(article)
         if prev is None or confidence > prev:
             best[article] = confidence
-    ordered = sorted(best.items(), key=lambda item: (-item[1], item[0]))
-    return RankedPrediction(articles=tuple(a for a, _ in ordered), scores=tuple(s for _, s in ordered))
+    if not best:
+        return RankedPrediction(())
+    articles, scores = zip(*sorted(best.items(), key=lambda item: (-item[1], item[0])))
+    return RankedPrediction(articles, scores)
 
 
 # ---------------------------------------------------------------------------
@@ -356,24 +358,30 @@ def _ranked(scored: Iterable[tuple[int, float]]) -> RankedPrediction:
 
 @dataclass(frozen=True)
 class AnalysisResult:
-    """A scope's ranking and its fired rules, each with its confidence and support by fact id.
+    """A scope's ranking and its fired rules, each as (rule, confidence, un-negated predicates).
 
     ``facts`` is the scope's whole fact list; with ``span``, the facts
-    outside it are written as ``"contextual": true``.  ``findings`` are
-    built from ``fired`` when first read.
+    outside it are written as ``"contextual": true``.  A ranking needs only
+    the number of facts that support each fired rule, so no support is kept
+    here: ``findings``, with each rule's supporting facts, are built from
+    ``fired`` and the predicates of ``facts`` over ``span``, computed again,
+    when first read.
     """
 
     ranking: RankedPrediction
     facts: tuple[Fact, ...]
     span: tuple[int, int] | None
-    fired: tuple[tuple[Rule, float, dict[int, Fact]], ...]
+    fired: tuple[tuple[Rule, float, tuple[str, ...]], ...]
 
     @functools.cached_property
     def findings(self) -> tuple[Finding, ...]:
-        return tuple(
-            Finding(rule.article, rule.id, confidence, tuple(support.values()), rule.message)
-            for rule, confidence, support in self.fired
-        )
+        held = populate_predicates(self.facts, self.span)
+        findings = []
+        for rule, confidence, atoms in self.fired:
+            # each supporting fact once, first seen first
+            support = {id(f): f for name in atoms for f in held.get(name, ())}
+            findings.append(Finding(rule.article, rule.id, confidence, tuple(support.values()), rule.message))
+        return tuple(findings)
 
     def to_dict(self) -> dict:
         start, end = self.span or (-math.inf, math.inf)
@@ -392,16 +400,16 @@ def analyze_facts(
 ) -> AnalysisResult:
     """Score one scope: every rule its held predicates fire, and the articles ranked from them.
 
-    A fired rule's support holds each supporting fact once, by id, first
-    seen first; with ``span``, facts outside it count only as guards.
+    A fired rule's confidence counts the distinct facts (by id) that
+    support it; with ``span``, facts outside it count only as guards.
     """
     catalog = default_catalog() if catalog is None else catalog
     held = populate_predicates(facts, span)
-    fired = []
-    for rule, atoms in catalog.fired(held):
-        support = {id(f): f for name in atoms for f in held.get(name, ())}
-        fired.append((rule, confidence_for(rule.weight, len(support)), support))
-    ranking = _ranked((rule.article, confidence) for rule, confidence, _ in fired)
+    fired = [
+        (rule, confidence_for(rule.weight, len({id(f) for name in atoms for f in held.get(name, ())})), atoms)
+        for rule, atoms in catalog.fired(held)
+    ]
+    ranking = _ranked([(rule.article, confidence) for rule, confidence, _ in fired])
     return AnalysisResult(ranking, tuple(facts), span, tuple(fired))
 
 

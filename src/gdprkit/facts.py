@@ -187,6 +187,13 @@ class PatternTable:
     one of which occurs in every match of the entry once the match is
     lower-cased.  ``_regex_pass`` skips the entry over an ASCII text whose
     lower-cased form holds none of them.
+
+    Two word sets let the structural frontend skip work that cannot match.
+    ``call_names`` holds the last dot-part of every word entry, less the
+    control keywords: ``lookup_call`` finds an entry only for a name in it.
+    ``guard_words`` holds the last part of every consent-guard and
+    permission word entry: each match of such an entry holds its last part
+    verbatim, so a text without any of them has no guard match.
     """
 
     def __init__(self, entries: Sequence[PatternEntry]):
@@ -195,6 +202,8 @@ class PatternTable:
         self._by_name = {entry.pattern: entry for entry in self.word_entries}
         self.regex_entries = tuple(e for e in self.entries if e.match == "regex")
         self.word_index = _WordIndex(self.word_entries)
+        self.call_names = frozenset(e.parts[-1] for e in self.word_entries) - _CONTROL_KEYWORDS
+        self.guard_words = frozenset(e.parts[-1] for e in self.word_entries if e.kind in _GUARD_KINDS)
 
     def lookup_call(self, receiver: str | None, name: str) -> PatternEntry | None:
         """Match a call expression against the table, most-qualified first."""
@@ -519,10 +528,11 @@ def structural_frontend(source: str, language: str, path: str = "") -> list[Fact
     blanked, literals = _scan_java_like(source, index)
     facts = []
 
+    call_names = table.call_names
     for m in _CALL_RE.finditer(blanked):
         name = m.group("name")
-        if name in _CONTROL_KEYWORDS:
-            continue
+        if name not in call_names:
+            continue  # no entry ends in it, nor does a control keyword call
         recv = m.group("recv")
         if recv is None:
             word = _preceding_word(blanked, m.start("call"))
@@ -547,8 +557,10 @@ def structural_frontend(source: str, language: str, path: str = "") -> list[Fact
         )
 
     # bare identifiers still count for consent guards and permission strings:
-    # `if (consentGiven)` has no call expression but is a guard all the same
-    for entry, m in table.word_index.matches(blanked):
+    # `if (consentGiven)` has no call expression but is a guard all the same;
+    # a text that holds no guard word has no guard match
+    guard_text = any(map(blanked.__contains__, table.guard_words))
+    for entry, m in table.word_index.matches(blanked) if guard_text else ():
         if entry.kind not in _GUARD_KINDS:
             continue
         if _OPEN_PAREN_RE.match(blanked, m.end()):

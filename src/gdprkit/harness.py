@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import logging
 import time
-from dataclasses import MISSING, asdict, dataclass, fields, replace
+from dataclasses import MISSING, asdict, dataclass, fields
 from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -333,7 +333,8 @@ def _predict_scopes(
     for inst, text, language, path, line_count in scopes:
         if inst.granularity == "module":
             if file_record is not None:
-                records.append(replace(file_record, instance_id=inst.instance_id))
+                r = file_record
+                records.append(PredictionRecord(inst.instance_id, r.status, r.ranking, r.labels, r.error))
             continue
         record = None
         if inst.span is not None and inst.span[1] > line_count:

@@ -59,24 +59,33 @@ def parse_model_output(text: str, *, strict: bool = True) -> tuple[int, ...]:
     Strict mode requires the whole response to be a comma-separated number
     list (or exactly ``0`` for no violation) and rejects anything else.
     Lenient mode scavenges every integer in order of appearance and drops
-    zeros.  First appearance wins for ranking purposes either way.
+    zeros.  First appearance wins for ranking purposes either way.  A digit
+    run too long for ``int`` (Python's int-string limit, 4,300 digits by
+    default) is no article number: strict mode rejects the response and
+    lenient mode skips the run.
     """
     if strict:
         m = _STRICT_RE.match(text)
         if m is None:
             raise ModelOutputError(text)
-        numbers = [int(p) for p in m.group(1).split(",")]
+        try:
+            numbers = [int(p) for p in m.group(1).split(",")]
+        except ValueError:
+            raise ModelOutputError(text, "number longer than the int-string limit") from None
         if 0 in numbers:
             if numbers == [0]:
                 return ()
             raise ModelOutputError(text, "zero mixed with article numbers")
     else:
-        numbers = [int(p) for p in _INT_RE.findall(text) if int(p) != 0]
-    out: list[int] = []
-    for n in numbers:
-        if n not in out:
-            out.append(n)
-    return tuple(out)
+        numbers = []
+        for run in _INT_RE.findall(text):
+            try:
+                n = int(run)
+            except ValueError:
+                continue  # too long for int
+            if n:
+                numbers.append(n)
+    return tuple(dict.fromkeys(numbers))
 
 
 # ---------------------------------------------------------------------------

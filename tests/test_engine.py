@@ -661,3 +661,57 @@ class TestRankFromHeldPredicates:
         assert result.facts is analyze_source(HTTP_SOURCE, "java").facts
         facts = result.to_dict()["facts"]
         assert all(f["contextual"] is (f["span"]["start_line"] != 3) for f in facts)
+
+
+# ---------------------------------------------------------------------------
+# Supports built when read against the eager dict-based analysis
+
+
+def eager_analysis(facts, span, catalog) -> tuple[tuple, list[tuple]]:
+    """``analyze_facts`` as it was when each fired rule kept its ``{id: fact}`` support.
+
+    Returns the ranking as (articles, scores) and each fired rule as
+    (rule id, confidence, support).
+    """
+    held = populate_predicates(facts, span)
+    fired = []
+    for rule, atoms in catalog.fired(held):
+        support = {id(f): f for name in atoms for f in held.get(name, ())}
+        fired.append((rule, confidence_for(rule.weight, len(support)), support))
+    best: dict[int, float] = {}
+    for rule, confidence, _ in fired:
+        prev = best.get(rule.article)
+        if prev is None or confidence > prev:
+            best[rule.article] = confidence
+    ordered = sorted(best.items(), key=lambda item: (-item[1], item[0]))
+    ranking = (tuple(a for a, _ in ordered), tuple(s for _, s in ordered))
+    return ranking, [(rule.id, confidence, tuple(support.values())) for rule, confidence, support in fired]
+
+
+# a log write of credentials: LogsSensitiveAccess lists it twice, once as a
+# log and once as credentials
+_CREDENTIAL_LOG = Fact(FactKind.LOG_WRITE, "d", "Log.d(tag, password)", SpanRef("A.java", 2, 2), "java",
+                       DataCategory.CREDENTIALS)
+_TWICE_RULE = Rule("R-TWICE", 5, AtomExpr("LogsSensitiveAccess"), 0.7, "logs what it collects")
+
+
+class TestSupportsBuiltWhenRead:
+    @given(
+        facts=_random_facts,
+        repeat=st.integers(0, 3),
+        log_at=st.integers(0, 14),
+        span=_spans,
+        rules=st.just(list(default_catalog())) | _rules,
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_ranking_confidences_and_findings_equal_the_eager_analysis(
+        self, facts, repeat, log_at, span, rules
+    ):
+        facts = facts[:log_at] + [_CREDENTIAL_LOG] + facts[log_at:]
+        facts = facts + facts[:repeat]
+        catalog = RuleCatalog([*rules, _TWICE_RULE])
+        result = analyze_facts(facts, span, catalog)
+        ranking, fired = eager_analysis(facts, span, catalog)
+        assert (result.ranking.articles, result.ranking.scores) == ranking
+        assert [(rule.id, confidence) for rule, confidence, _ in result.fired] == [f[:2] for f in fired]
+        assert [(f.rule_id, f.confidence, f.support) for f in result.findings] == fired

@@ -711,3 +711,90 @@ class TestLinearScan:
         span = SpanRef("A.java", 1, 1)
         with pytest.raises((AttributeError, TypeError)):
             object.__setattr__(span, "note", "x")
+
+
+def _unfiltered_structural(source: str, language: str) -> list[Fact]:
+    """``structural_frontend`` without its two prefilters.
+
+    Every call candidate but a control keyword goes through the declaration
+    check and ``lookup_call``, and the guard pass runs over every text.
+    """
+    table = default_pattern_table()
+    index = facts_module._LineIndex(source)
+    blanked, literals = facts_module._scan_java_like(source, index)
+    facts = []
+    for m in facts_module._CALL_RE.finditer(blanked):
+        name, recv = m.group("name"), m.group("recv")
+        if name in facts_module._CONTROL_KEYWORDS:
+            continue
+        if recv is None:
+            word = facts_module._preceding_word(blanked, m.start("call"))
+            if word is not None and word not in facts_module._CALL_PRECEDING_WORDS:
+                continue
+        entry = table.lookup_call(None if recv in facts_module._CONTROL_KEYWORDS else recv, name)
+        if entry is not None:
+            line = index.line_of(m.start("name"))
+            symbol = entry.pattern if "." in entry.pattern else name
+            detail = m.group("call").rstrip("( \t")
+            span = SpanRef("", line, line)
+            facts.append(Fact(entry.kind, symbol, detail, span, language, entry.data_category))
+    for entry, m in table.word_index.matches(blanked):
+        if entry.kind in (FactKind.CONSENT_GUARD, FactKind.PERMISSION_DECL) and not re.match(
+            r"[ \t]*\(", blanked[m.end():]
+        ):
+            facts.append(_word_fact(entry, m, index, language))
+    for start_line, end_line, content in literals:
+        facts.extend(facts_module._literal_facts(content, start_line, end_line, language, ""))
+    facts.extend(facts_module._regex_pass(source, language, table, "", index))
+    return facts_module._finalize(facts)
+
+
+def _placements(pattern: str) -> str:
+    """A text that holds ``pattern`` as a call, a bare identifier, a declaration, a comment and a string."""
+    receiver = "" if "." in pattern else "obj."
+    return (
+        f"class A {{\n"
+        f"  void run() {{ x = {receiver}{pattern}(a, b);\n"
+        f"    {pattern}(c);\n"
+        f"    if ({pattern}) {{ y = {pattern}; }}\n"
+        f"  }}\n"
+        f"  public static int {pattern}(int a) {{ return 1; }}\n"
+        f"  // {pattern}(d)\n"
+        f"  /* {pattern} */\n"
+        f'  String s = "{pattern}(e)";\n'
+        f"}}\n"
+    )
+
+
+class TestStructuralPrefilters:
+    """The structural frontend's skips are exact.
+
+    They skip a call name that ends no pattern, and the guard pass over a
+    text without a guard word.
+    """
+
+    def test_fixture_snippets(self, fixture_corpus):
+        texts = {(r.code_snippet, detect_language(split_snippet_path(r.code_snippet_path)[0]))
+                 for r in fixture_corpus}
+        checked = [(text, lang) for text, lang in sorted(texts) if lang in ("java", "kt")]
+        assert checked
+        for text, language in checked:
+            assert structural_frontend(text, language) == _unfiltered_structural(text, language)
+
+    def test_seed1_java_and_kt_texts(self, seed1_texts):
+        checked = [(text, lang) for text, lang in seed1_texts if lang in ("java", "kt")]
+        assert len(checked) > 300
+        for text, language in checked:
+            assert structural_frontend(text, language) == _unfiltered_structural(text, language)
+
+    @pytest.mark.parametrize("pattern", _WORD_PATTERNS)
+    def test_every_table_name_in_every_place(self, pattern):
+        text = _placements(pattern)
+        assert structural_frontend(text, "java") == _unfiltered_structural(text, "java")
+
+    def test_the_prefilters_skip_what_they_claim(self):
+        table = default_pattern_table()
+        assert {"getDeviceId", "d", "uses-permission"} <= table.call_names
+        assert not table.call_names & facts_module._CONTROL_KEYWORDS
+        assert {"consentGiven", "uses-permission"} <= table.guard_words
+        assert "getDeviceId" not in table.guard_words

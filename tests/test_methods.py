@@ -145,6 +145,23 @@ class TestParseModelOutput:
             parse_model_output("")
         assert parse_model_output("", strict=False) == ()
 
+    def test_a_digit_run_over_the_int_string_limit_is_a_parse_error_not_a_crash(self):
+        long_run = "1" * 5000  # past Python's default limit of 4,300 digits
+        with pytest.raises(ModelOutputError):
+            parse_model_output(f"6, {long_run}")
+        assert parse_model_output(f"6, {long_run}, 32", strict=False) == (6, 32)
+
+    def test_react_finish_reads_an_over_long_number_leniently(self):
+        reasoner = ScriptedReasoner([f"Done.\nAction: finish\nAction Input: 6, {'1' * 5000}"])
+        assert react_run("x", reasoner).labels == LabelSet({6})
+
+    def test_200000_distinct_numbers_parse_in_linear_time(self):
+        text = ", ".join(map(str, range(1, 200_001)))
+        started = time.perf_counter()
+        assert parse_model_output(text) == parse_model_output(text, strict=False) == tuple(range(1, 200_001))
+        elapsed = time.perf_counter() - started
+        assert elapsed < 10.0, f"took {elapsed:.2f}s"
+
     @given(labels=st.frozensets(st.integers(1, 99), max_size=8))
     @settings(max_examples=200, deadline=None)
     def test_format_parse_round_trip(self, labels):
