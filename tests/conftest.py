@@ -32,15 +32,21 @@ def raw_fixture_objects(fixture_corpus_path) -> list[dict]:
 
 
 @pytest.fixture(scope="session")
-def seed1_corpus(tmp_path_factory) -> list[ViolationRecord]:
-    """Synthetic corpus seed 1 of ``perfbench/corpus_gen.py``, as ``load_corpus`` reads it."""
+def seed1_corpus_path(tmp_path_factory) -> Path:
+    """The file ``perfbench/corpus_gen.py`` writes for synthetic corpus seed 1."""
     path = DATA_DIR.parent.parent / "perfbench" / "corpus_gen.py"
     spec = importlib.util.spec_from_file_location("corpus_gen", path)
     corpus_gen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(corpus_gen)
     corpus_path = tmp_path_factory.mktemp("seed1") / "corpus.json"
     corpus_gen.write_corpus(corpus_gen.generate(1), corpus_path)
-    return load_corpus(corpus_path)
+    return corpus_path
+
+
+@pytest.fixture(scope="session")
+def seed1_corpus(seed1_corpus_path) -> list[ViolationRecord]:
+    """Synthetic corpus seed 1, as ``load_corpus`` reads it."""
+    return load_corpus(seed1_corpus_path)
 
 
 @pytest.fixture
