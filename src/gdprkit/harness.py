@@ -8,8 +8,10 @@ and cache-replay misses abort a run.  Prediction goes on past a replay miss,
 so the one ``ReplayMissError`` raised at its end, before any artifact is
 written, lists every key the cache lacks.  Everything written is byte-stable
 except the manifest's "timings" section, which determinism comparisons must
-drop.  ``score`` is the only scoring path: ``run`` and ``evaluate_run`` both
-call it, so a run directory re-scores to its own report.json.
+drop.  The manifest's "counters" are the cache hits and misses of a caching
+binding, 0 and 0 for a run without one.  ``score`` is the only scoring
+path: ``run`` and ``evaluate_run`` both call it, so a run directory
+re-scores to its own report.json.
 """
 
 from __future__ import annotations
@@ -584,6 +586,8 @@ def run(config: RunConfig) -> RunResult:
             cache.close()
 
     report, counts = score(config, instances, records, catalog)
+    reasoner = getattr(method, "reasoner", None)  # a prompted method's binding
+    caching = isinstance(reasoner, CachingReasoner)
 
     datasets = {}
     for name, attr in _INPUT_FIELDS.items():
@@ -595,6 +599,10 @@ def run(config: RunConfig) -> RunResult:
         "config": asdict(config),
         "datasets": datasets,
         "counts": counts,
+        "counters": {
+            "cache_hits": reasoner.hits if caching else 0,
+            "cache_misses": reasoner.misses if caching else 0,
+        },
         "timings": {"total_seconds": round(time.monotonic() - started, 3)},
     }
 

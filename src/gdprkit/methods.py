@@ -636,7 +636,10 @@ class _PromptedMethod:
     def rank(
         self, text: str, language: str, *, span: tuple[int, int] | None = None, path: str = ""
     ) -> RankedPrediction:
-        """Rank the whole text, or only the lines of ``span``, which alone are sent."""
+        """Rank the whole text, or only the lines of ``span``, which alone are sent.
+
+        The lines of a span are sent joined by "\\n", with no final "\\n".
+        """
         if span is not None:
             check_span(text, span)
             text = "\n".join(text.split("\n")[span[0] - 1 : span[1]])
@@ -645,7 +648,11 @@ class _PromptedMethod:
     def predict_labels(
         self, snippet: str, language: str = "java", path: str = ""
     ) -> tuple[LabelSet, RankedPrediction]:
-        ranking = self.rank(snippet, language, path=path)
+        """Label a task-2 snippet, sent as its lines: its final "\\n" only ends
+        its last line and is not sent.  So a snippet's prompt is the task-1
+        prompt of the line span it was cut from, and a task-2 run that follows
+        task 1 on the same cache finds that prompt recorded."""
+        ranking = self.rank(snippet.removesuffix("\n"), language, path=path)
         return LabelSet(ranking.articles), ranking
 
 

@@ -16,8 +16,8 @@ import hashlib
 import json
 import os
 
-from gdprkit.harness import METHOD_NAMES, RunConfig, run
 from gdprkit.corpus import load_corpus
+from gdprkit.harness import METHOD_NAMES, RunConfig, run
 from gdprkit.taskgen import build_task1, build_task2, dump_entries
 from tests.conftest import GOLDEN_DIR
 

@@ -169,6 +169,19 @@ class TestInstanceCatalogs:
         assert instances[0].ground_truth == frozenset({6, 32})
 
 
+@pytest.fixture(scope="module")
+def seed1_workspace(tmp_path_factory, seed1_corpus_path, seed1_corpus):
+    root = tmp_path_factory.mktemp("harness-seed1")
+    dump_entries(build_task1(seed1_corpus), root / "task1.json")
+    dump_entries(build_task2(seed1_corpus), root / "task2.json")
+    return {
+        "root": root,
+        "corpus_path": str(seed1_corpus_path),
+        "task1": str(root / "task1.json"),
+        "task2": str(root / "task2.json"),
+    }
+
+
 class TestFormalRuns:
     def test_task2_formal_end_to_end(self, workspace):
         config = RunConfig(
@@ -190,7 +203,8 @@ class TestFormalRuns:
             assert (out / name).exists()
         # per-instance status and reasons live in predictions.json alone
         manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
-        assert list(manifest) == ["version", "config", "datasets", "counts", "timings"]
+        assert list(manifest) == ["version", "config", "datasets", "counts", "counters", "timings"]
+        assert manifest["counters"] == {"cache_hits": 0, "cache_misses": 0}
 
     def test_task1_rankings_do_not_depend_on_the_other_files_of_the_dataset(self, seed1_corpus):
         """A dataset of every third file ranks each (file, granularity, span) as the full one does."""
@@ -576,6 +590,37 @@ class TestCachingAndReplay:
         monkeypatch.setattr(knowledge.KnowledgeBase, "retrieve", counted)
         result = run(RunConfig(output_dir=str(root / "replay"), **replay))
         assert result.manifest["counts"]["scored"] == len(queries) == 10
+
+    @pytest.mark.parametrize("method", ["zero_shot", "rag", "react"])
+    @pytest.mark.parametrize(
+        "workspace_name, hits, misses",
+        [("workspace", 7, 3), ("seed1_workspace", 887, 0)],
+    )
+    def test_task2_replays_from_a_task1_recording(self, request, method, workspace_name, hits, misses):
+        """A task-2 snippet is sent as the task-1 prompt of its span, so after a
+        task-1 recording a task-2 replay misses only the snippets that are not
+        the lines of their span: on the fixture, one without a span and two
+        with more lines than their span."""
+        space = request.getfixturevalue(workspace_name)
+        root = space["root"] / f"cross-task-{method}"
+        replay = dict(self._record(space, root, 1, method), task=2, dataset_path=space["task2"])
+        task1_keys = self._keys(root / "cache")
+        missing = []
+        try:
+            result = run(RunConfig(output_dir=str(root / "replay"), **replay))
+            assert result.manifest["counters"] == {"cache_hits": 0, "cache_misses": 0}  # no caching binding
+        except ReplayMissError as err:
+            missing = err.missing_keys
+        recorded = run(RunConfig(**dict(replay, reasoner="stub", output_dir=str(root / "task2"))))
+        assert sorted(missing) == sorted(self._keys(root / "cache") - task1_keys)
+        assert recorded.manifest["counters"] == {"cache_hits": hits, "cache_misses": misses}
+
+    @staticmethod
+    def _keys(cache_dir) -> set[str]:
+        db = sqlite3.connect(cache_dir / "responses.sqlite3")
+        keys = {key for (key,) in db.execute("SELECT key FROM responses")}
+        db.close()
+        return keys
 
     def test_record_then_replay_script_replays_live_recordings(self, tmp_path, monkeypatch):
         class Response:

@@ -25,6 +25,7 @@ from gdprkit.errors import (
     ModelOutputError,
     ReplayMissError,
 )
+from gdprkit.corpus import split_snippet_path
 from gdprkit.engine import RuleCatalog, default_catalog
 from gdprkit.harness import RunConfig, predict_task1, predict_task2, task1_instances, task2_instances
 from gdprkit.knowledge import ArticleInfo, KnowledgeBase, build_kb
@@ -401,7 +402,7 @@ class TestZeroShotMethodPath:
         labels, ranking = ZeroShotMethod(reasoner).predict_labels(CAMERA_SNIPPET)
         assert labels == LabelSet({6, 32})
         assert ranking.articles == (6, 32)
-        assert reasoner.calls == [render_zero_shot_prompt(CAMERA_SNIPPET)]
+        assert reasoner.calls == [render_zero_shot_prompt(CAMERA_SNIPPET.removesuffix("\n"))]
 
     def test_unparseable_strict_output_raises_with_raw_text(self):
         with pytest.raises(ModelOutputError) as err:
@@ -456,10 +457,9 @@ class TestRagMethodPath:
         """Every rag prompt the harness sends on both fixture tasks keeps its recorded bytes.
 
         Cached responses are keyed by prompt bytes, so a retrieval change that
-        alters any prompt invalidates existing recordings.  The golden file
-        lists a task-1 file's prompt once more for each of its modules; module
-        instances reuse the file prediction, so each distinct task-1 prompt
-        must be sent exactly once, in order of first appearance.
+        alters any prompt invalidates existing recordings.  Module instances
+        reuse the file prediction, so each distinct task-1 prompt is sent
+        exactly once, in order of first appearance.
         """
         kb = build_kb(fixture_corpus)
         entries1, entries2 = build_task1(fixture_corpus), build_task2(fixture_corpus)
@@ -473,7 +473,70 @@ class TestRagMethodPath:
             sent[task] = [hashlib.sha256(p.encode("utf-8")).hexdigest() for p in reasoner.calls]
         golden = json.loads((GOLDEN_DIR / "rag_prompts_fixture.json").read_text(encoding="utf-8"))
         assert sent["task2"] == golden["task2"]
-        assert sent["task1"] == list(dict.fromkeys(golden["task1"]))
+        assert sent["task1"] == golden["task1"]
+        # a snippet that is the lines of its span sends that span's task-1 prompt;
+        # of the other three, one has no span and two have more lines than their span
+        in_task1 = [digest in golden["task1"] for digest in golden["task2"]]
+        assert in_task1 == [True, False, True, True, True, False, True, False, True, True]
+
+
+class TestOnePromptPerSnippet:
+    """A task-2 snippet sends the prompt that task 1 sends for the line span it was cut from."""
+
+    @staticmethod
+    def _prompts(records, calls) -> dict[str, str]:
+        """The prompt each scored file, line or snippet instance sent.
+
+        Every method sends one prompt per scope when the answer is "0", and
+        a module instance sends none.
+        """
+        sent = [r.instance_id for r in records if r.status == "scored" and "::module::" not in r.instance_id]
+        assert len(sent) == len(calls)
+        return dict(zip(sent, calls))
+
+    @pytest.mark.parametrize("method", ["zero_shot", "rag", "react"])
+    @pytest.mark.parametrize(
+        "corpus_name, matched, others",
+        [
+            (
+                "fixture_corpus",
+                7,
+                {  # no span, and two snippets with more lines than their span
+                    "web/src/analytics.js",
+                    "app/src/main/java/me/hawkshaw/test/MainActivity2.java: lines 150-160",
+                    "server/app/Http/UserController.php: line 88",
+                },
+            ),
+            ("seed1_corpus", 887, set()),
+        ],
+    )
+    def test_snippet_prompt_is_its_span_prompt(self, request, method, corpus_name, matched, others):
+        corpus = request.getfixturevalue(corpus_name)
+        build = {
+            "zero_shot": ZeroShotMethod,
+            "rag": lambda r: RagMethod(r, build_kb(corpus)),
+            "react": ReactMethod,
+        }[method]
+        entries1, entries2 = build_task1(corpus), build_task2(corpus)
+        instances1 = task1_instances(entries1)
+        reasoner1, reasoner2 = ScriptedReasoner(lambda p: "0"), ScriptedReasoner(lambda p: "0")
+        prompts1 = self._prompts(predict_task1(entries1, instances1, corpus, build(reasoner1)), reasoner1.calls)
+        prompts2 = self._prompts(predict_task2(entries2, task2_instances(entries2), build(reasoner2)), reasoner2.calls)
+        line_ids = {
+            (entries1[inst.entry_index].repo_url, entries1[inst.entry_index].app_name,
+             entries1[inst.entry_index].file_path, inst.span): inst.instance_id
+            for inst in instances1
+            if inst.granularity == "line"
+        }
+        unmatched = set()
+        for inst, entry in zip(task2_instances(entries2), entries2):
+            file_path, span = split_snippet_path(entry.code_snippet_path)
+            span = span and (span.start_line, span.end_line)
+            line_id = line_ids.get((entry.repo_url, entry.app_name, file_path, span))
+            if prompts2[inst.instance_id] != prompts1.get(line_id):
+                unmatched.add(entry.code_snippet_path)
+        assert unmatched == others
+        assert len(entries2) - len(unmatched) == matched
 
 
 # The turn patterns before they were made linear: a lazy group followed by
