@@ -84,17 +84,6 @@ class ViolationRecord:
     code_snippet: str
     annotation_note: str
 
-    def to_dict(self) -> dict:
-        return {
-            "app_name": self.app_name,
-            "repo_url": self.repo_url,
-            "commit_id": self.commit_id,
-            "violated_article": self.violated_article,
-            "code_snippet_path": self.code_snippet_path,
-            "code_snippet": self.code_snippet,
-            "annotation_note": self.annotation_note,
-        }
-
 
 @dataclass(frozen=True, slots=True)
 class LengthStats:

@@ -232,12 +232,6 @@ class RuleCatalog:
             self._fired[key] = tuple(c for c in self._compiled if c[0].condition.evaluate(held))
         return self._fired[key]
 
-    def __len__(self) -> int:
-        return len(self.rules)
-
-    def __iter__(self):
-        return iter(self.rules)
-
 
 def load_rules(path: str | Path | None = None, *, digests: dict[str, str] | None = None) -> RuleCatalog:
     """The rules file's rules, the built-in file's when ``path`` is None.

@@ -624,20 +624,13 @@ def default_registry() -> FrontendRegistry:
     return _DEFAULT_REGISTRY
 
 
-def extract_facts(
-    source: str,
-    language: str,
-    *,
-    path: str = "",
-    registry: FrontendRegistry | None = None,
-) -> list[Fact]:
+def extract_facts(source: str, language: str, *, path: str = "") -> list[Fact]:
     """Extract facts from one source text.
 
     A structural frontend that raises degrades to the lexical fallback
     instead of failing the caller.
     """
-    registry = registry or _DEFAULT_REGISTRY
-    frontend = registry.frontend_for(language)
+    frontend = _DEFAULT_REGISTRY.frontend_for(language)
     try:
         return frontend(source, language, path=path)
     except Exception:

@@ -139,19 +139,19 @@ SAMPLING = {"temperature": 0.0, "top_p": 1.0, "max_tokens": 512, "n": 1}
 class LiveHttpReasoner:
     """Completion-over-HTTP binding.
 
-    Endpoint, credential, and model name come from arguments or the
-    GDPRKIT_ENDPOINT / GDPRKIT_API_KEY / GDPRKIT_MODEL environment
-    variables.  Transient transport failures retry with exponential backoff
-    before surfacing as a MethodError.  Requests carry the ``SAMPLING`` settings.
+    Endpoint and credential come from arguments or the GDPRKIT_ENDPOINT /
+    GDPRKIT_API_KEY environment variables.  Transient transport failures
+    retry with exponential backoff before surfacing as a MethodError.
+    Requests carry the ``SAMPLING`` settings.
     """
 
     MAX_ATTEMPTS = 3
 
     def __init__(
         self,
+        model: str,
         endpoint: str | None = None,
         api_key: str | None = None,
-        model: str | None = None,
         session=None,
         sleep: Callable[[float], None] = time.sleep,
     ):
@@ -161,7 +161,7 @@ class LiveHttpReasoner:
                 "no endpoint configured; pass endpoint= or set GDPRKIT_ENDPOINT"
             )
         self.api_key = api_key or os.environ.get("GDPRKIT_API_KEY")
-        self.model = model or os.environ.get("GDPRKIT_MODEL", "default")
+        self.model = model
         if session is None:
             import requests
             session = requests.Session()
@@ -214,7 +214,9 @@ class ResponseCache:
     Each ``put`` commits on its own, so a response survives a process crash
     once ``put`` returns.  An equal re-record leaves its row untouched; a
     different one replaces it.  Nothing is created before the first ``put``.
-    A directory of old-format ``*.json`` entries raises ConfigurationError.
+    A directory holding an old-format entry, ``<sha256 hex>.json``, raises
+    ConfigurationError; other ``*.json`` files, such as a run's artifacts
+    when ``cache_dir`` is also its ``output_dir``, are left alone.
     SQLite loads on first use, so a run that never reads or writes a
     response does not load it.
     A ``put`` right after a ``get`` of the same reasoner id and the same
@@ -225,7 +227,7 @@ class ResponseCache:
     def __init__(self, root: str | Path):
         self.root = Path(root)
         self.path = self.root / "responses.sqlite3"
-        if self.root.is_dir() and any(self.root.glob("*.json")):
+        if self.root.is_dir() and any(self.root.glob("[0-9a-f]" * 64 + ".json")):
             raise ConfigurationError(
                 f"{self.root} holds old-format *.json cache entries; record into a new cache_dir"
             )
@@ -418,13 +420,13 @@ class AgentTrace:
 
 @dataclass(frozen=True, slots=True)
 class ReactResult:
-    labels: LabelSet
     ranking: RankedPrediction
     trace: AgentTrace
     transcript: str
 
 
 REACT_TOOLS = ("gdpr_lookup", "code_search", "rule_check", "finish")
+REACT_MAX_STEPS = 5
 
 _REACT_SCAFFOLD = """You are a GDPR compliance expert investigating a code snippet for GDPR violations.
 You can use the following tools:
@@ -533,16 +535,13 @@ def react_run(
     language: str = "java",
     catalog: Mapping[int, ArticleInfo] | None = None,
     rules: RuleCatalog | None = None,
-    max_iterations: int = 5,
 ) -> ReactResult:
-    """Run the Thought/Action/Observation loop until finish or the cap.
+    """Run the Thought/Action/Observation loop until finish or ``REACT_MAX_STEPS`` turns.
 
     A turn with no parseable action is treated as an attempt to finish and
-    read leniently.  Hitting the iteration cap marks the trace truncated and
+    read leniently.  Hitting the step cap marks the trace truncated and
     also falls back to a lenient read of the last turn.
     """
-    if max_iterations < 1:
-        raise ConfigurationError("max_iterations must be >= 1")
     context = ReactContext(snippet=snippet, language=language, catalog=catalog, rules=rules)
     transcript = _REACT_SCAFFOLD.format(snippet=snippet)
     steps: list[AgentStep] = []
@@ -550,13 +549,12 @@ def react_run(
 
     def result(ordered: tuple[int, ...], truncated: bool) -> ReactResult:
         return ReactResult(
-            labels=LabelSet(ordered),
             ranking=RankedPrediction(ordered),
             trace=AgentTrace(tuple(steps), truncated),
             transcript=transcript,
         )
 
-    for _ in range(max_iterations):
+    for _ in range(REACT_MAX_STEPS):
         last_response = reasoner.complete(transcript)
         transcript += " " + last_response.strip() + "\n"
         parsed = _parse_react_step(last_response)

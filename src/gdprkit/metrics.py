@@ -156,10 +156,3 @@ def count_labels(instances: Sequence[LabeledInstance]) -> LabelCounts:
         fns.update(inst.ground_truth - inst.prediction)
     return LabelCounts(len(instances), tps, fps, fns)
 
-
-def evaluate_labels(
-    instances: Sequence[LabeledInstance], universe: Iterable[int] | None = None
-) -> LabelMetrics:
-    """``count_labels(instances).over(universe)``: label metrics over
-    ``universe``, by default the union of ground-truth labels."""
-    return count_labels(instances).over(universe)

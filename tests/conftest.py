@@ -9,7 +9,8 @@ import pytest
 from gdprkit.corpus import ViolationRecord, load_corpus
 from gdprkit.knowledge import VIOLATION_EXAMPLE, KnowledgeBase, build_kb
 
-DATA_DIR = Path(__file__).parent / "data"
+REPO_DIR = Path(__file__).resolve().parent.parent
+DATA_DIR = REPO_DIR / "tests" / "data"
 GOLDEN_DIR = DATA_DIR / "golden"
 
 CAMERA_SNIPPET = "            manager.openCamera(camerId, stateCallback, null);\n"
@@ -31,13 +32,19 @@ def raw_fixture_objects(fixture_corpus_path) -> list[dict]:
     return json.loads(fixture_corpus_path.read_text(encoding="utf-8"))
 
 
+def load_script(relative_path: str):
+    """The module of a script that is not part of the package, such as ``perfbench/corpus_gen.py``."""
+    path = REPO_DIR / relative_path
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 @pytest.fixture(scope="session")
 def seed1_corpus_path(tmp_path_factory) -> Path:
     """The file ``perfbench/corpus_gen.py`` writes for synthetic corpus seed 1."""
-    path = DATA_DIR.parent.parent / "perfbench" / "corpus_gen.py"
-    spec = importlib.util.spec_from_file_location("corpus_gen", path)
-    corpus_gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(corpus_gen)
+    corpus_gen = load_script("perfbench/corpus_gen.py")
     corpus_path = tmp_path_factory.mktemp("seed1") / "corpus.json"
     corpus_gen.write_corpus(corpus_gen.generate(1), corpus_path)
     return corpus_path

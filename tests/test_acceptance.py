@@ -14,12 +14,11 @@ import time
 
 import pytest
 
-from gdprkit.corpus import compute_stats, load_corpus
 from gdprkit.engine import analyze_source, default_catalog
 from gdprkit.harness import RunConfig, run
 from gdprkit.knowledge import article_lookup
 from gdprkit.methods import (
-    LabelSet,
+    REACT_MAX_STEPS,
     ScriptedReasoner,
     parse_model_output,
     react_run,
@@ -28,11 +27,11 @@ from gdprkit.methods import (
 from gdprkit.metrics import (
     LabeledInstance,
     RankedInstance,
-    evaluate_labels,
+    count_labels,
     evaluate_rankings,
 )
 from gdprkit.taskgen import build_task1, build_task2, dump_entries, entries_json
-from tests.conftest import GOLDEN_DIR
+from tests.conftest import GOLDEN_DIR, load_script
 
 TOLERANCE = 1e-12
 
@@ -120,7 +119,7 @@ def test_metrics_match_brute_force_on_random_sets(announce):
             for k in range(1, 6):
                 assert abs(ranking["file"].accuracy_at[k] - brute_accuracy_at_k(ranked, k)) < TOLERANCE
             expected = brute_label_scores(labeled, universe)
-            got = evaluate_labels(labeled, universe=universe)
+            got = count_labels(labeled).over(universe)
             assert abs(got.accuracy - expected["accuracy"]) < TOLERANCE
             assert abs(got.macro_precision - expected["precision"]) < TOLERANCE
             assert abs(got.macro_recall - expected["recall"]) < TOLERANCE
@@ -145,7 +144,7 @@ def test_worked_metric_fixtures_reproduce_exactly(announce):
             LabeledInstance(frozenset({5, 6}), frozenset({5})),
             LabeledInstance(frozenset({5}), frozenset({5, 6})),
         ]
-        metrics = evaluate_labels(labeled, universe={5, 6})
+        metrics = count_labels(labeled).over({5, 6})
         assert metrics.macro_precision == 0.5
         assert metrics.macro_recall == 0.5
         assert metrics.macro_f1 == 0.5
@@ -173,36 +172,18 @@ def test_task_generation_fixtures_and_stable_goldens(announce, camera_record_pai
             assert entries_json(build_task2(fixture_corpus)).encode() == golden2
 
 
-def test_published_corpus_statistics(announce):
-    with criterion(announce, "published-corpus-statistics"):
-        corpus_path = os.environ.get("GDPRKIT_CORPUS")
-        if not corpus_path:
-            pytest.skip("set GDPRKIT_CORPUS to the published corpus JSON to enable")
-        corpus = load_corpus(corpus_path)
-        assert len(corpus) == 1951
-        assert len(build_task1(corpus)) == 368
-        assert len(build_task2(corpus)) == 887
-
-        stats = compute_stats(corpus)
-        assert stats.multi_line_count == 994
-        assert stats.single_line_count == 957
-        for article, expected in ((6, 442), (5, 430), (25, 311), (32, 254)):
-            assert stats.per_article_counts[article] == expected
-        expected_extensions = {
-            ".js": 528, ".json": 474, ".java": 298, ".kt": 244, ".cs": 174,
-            ".php": 126, ".xml": 63, ".html": 26, ".py": 17, ".h": 1,
-        }
-        for ext, count in expected_extensions.items():
-            assert stats.per_extension_counts[ext] == count
-        s, a = stats.snippet_length_stats, stats.note_length_stats
-        assert (s.min, s.max) == (12, 1717)
-        assert abs(s.mean - 171.01) <= 0.01
-        assert abs(s.median - 95.0) <= 0.01
-        assert abs(s.stddev - 206.58) <= 0.01
-        assert (a.min, a.max) == (60, 684)
-        assert abs(a.mean - 224.38) <= 0.01
-        assert abs(a.median - 208.0) <= 0.01
-        assert abs(a.stddev - 90.00) <= 0.01
+@pytest.mark.parametrize("corpus", ["seed1", "GDPRKIT_CORPUS"])
+def test_published_corpus_statistics(announce, request, corpus):
+    """``scripts/check_published_corpus.py`` passes on synthetic seed 1, which has the
+    published corpus's shape, and on the published corpus when GDPRKIT_CORPUS names it."""
+    with criterion(announce, f"published-corpus-statistics[{corpus}]"):
+        if corpus == "seed1":
+            corpus_path = request.getfixturevalue("seed1_corpus_path")
+        else:
+            corpus_path = os.environ.get("GDPRKIT_CORPUS")
+            if not corpus_path:
+                pytest.skip("set GDPRKIT_CORPUS to the published corpus JSON to enable")
+        assert load_script("scripts/check_published_corpus.py").main([str(corpus_path)]) == 0
 
 
 FRAGMENTS = [
@@ -243,7 +224,7 @@ def test_formal_engine_fixtures_and_determinism(announce, tmp_path):
         )
         assert all(f.article != 6 for f in guarded.findings)
 
-        assert len(default_catalog()) >= 35
+        assert len(default_catalog().rules) >= 35
 
         # Deterministic reanalysis of a generated 50-file tree.
         rng = random.Random(7)
@@ -310,7 +291,7 @@ def test_agent_loop_trace_shape_and_tools(announce):
         result = react_run(
             "            manager.openCamera(camerId, stateCallback, null);\n", scripted
         )
-        assert result.labels == LabelSet({6, 32})
+        assert result.ranking.articles == (6, 32)
         assert result.trace.truncated is False
         assert [s.action for s in result.trace.steps] == [
             "rule_check",
@@ -320,11 +301,10 @@ def test_agent_loop_trace_shape_and_tools(announce):
         assert "Lawfulness of processing" in result.trace.steps[1].observation
         assert article_lookup(6).title == "Lawfulness of processing"
 
-        for cap in (1, 2, 4, 5):
-            loop = ScriptedReasoner(lambda p: "Hmm.\nAction: code_search\nAction Input: x")
-            capped = react_run("int x;\n", loop, max_iterations=cap)
-            assert len(capped.trace.steps) <= cap
-            assert capped.trace.truncated is True
+        loop = ScriptedReasoner(lambda p: "Hmm.\nAction: code_search\nAction Input: x")
+        capped = react_run("int x;\n", loop)
+        assert len(capped.trace.steps) == len(loop.calls) == REACT_MAX_STEPS == 5
+        assert capped.trace.truncated is True
 
 
 def test_end_to_end_offline_run_and_report(announce, tmp_path, fixture_corpus, fixture_corpus_path):

@@ -137,7 +137,7 @@ class TestLoadCorpus:
 
     def test_dump_then_load_round_trips(self, tmp_path, fixture_corpus):
         path = tmp_path / "copy.json"
-        write_atomic(path, json.dumps([r.to_dict() for r in fixture_corpus]))
+        write_atomic(path, json.dumps([dataclasses.asdict(r) for r in fixture_corpus]))
         assert load_corpus(path) == fixture_corpus
 
 

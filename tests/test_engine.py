@@ -64,17 +64,17 @@ CONSENT_SOURCE = (
 
 class TestCatalog:
     def test_default_catalog_size_and_integrity(self):
-        catalog = default_catalog()
-        assert len(catalog) >= 35
-        ids = [rule.id for rule in catalog]
+        rules = default_catalog().rules
+        assert len(rules) >= 35
+        ids = [rule.id for rule in rules]
         assert len(ids) == len(set(ids))
-        for rule in catalog:
+        for rule in rules:
             assert 0 < rule.weight <= 1
             assert rule.article >= 1
             assert rule.message
 
     def test_catalog_spans_dominant_articles(self):
-        assert {rule.article for rule in default_catalog()} >= {5, 6, 25, 32}
+        assert {rule.article for rule in default_catalog().rules} >= {5, 6, 25, 32}
 
     def test_unknown_predicate_names_rule_id(self, tmp_path):
         path = tmp_path / "rules.json"
@@ -138,7 +138,7 @@ class TestCatalog:
         path = tmp_path / "rules.json"
         path.write_text(json.dumps({"version": 1, "rules": []}), encoding="utf-8")
         catalog = load_rules(path)
-        assert len(catalog) == 0
+        assert catalog.rules == ()
         assert analyze_facts([], catalog=catalog).findings == ()
 
 
@@ -351,7 +351,7 @@ class TestInvariants:
     def test_weight_rescaling_preserves_ranking_order(self, factor):
         base = analyze_source(HTTP_SOURCE, "java")
         scaled_catalog = RuleCatalog(
-            [dataclasses.replace(r, weight=r.weight * factor) for r in default_catalog()]
+            [dataclasses.replace(r, weight=r.weight * factor) for r in default_catalog().rules]
         )
         scaled = analyze_source(HTTP_SOURCE, "java", catalog=scaled_catalog)
         assert scaled.ranking.articles == base.ranking.articles
@@ -371,7 +371,7 @@ class TestInvariants:
         extra = data.draw(st.sets(st.sampled_from(range(len(pool))), max_size=len(pool)))
         small = [pool[i] for i in sorted(subset)]
         large = [pool[i] for i in sorted(subset | extra)]
-        catalog = RuleCatalog([r for r in default_catalog() if positive_only(r)])
+        catalog = RuleCatalog([r for r in default_catalog().rules if positive_only(r)])
         fired_small = {rule.id for rule, *_ in analyze_facts(small, catalog=catalog).fired}
         fired_large = {rule.id for rule, *_ in analyze_facts(large, catalog=catalog).fired}
         assert fired_small <= fired_large
@@ -612,7 +612,7 @@ class TestRankFromHeldPredicates:
         facts=_random_facts,
         repeat=st.integers(0, 3),
         span=_spans,
-        rules=st.just(list(default_catalog())) | _rules,
+        rules=st.just(list(default_catalog().rules)) | _rules,
     )
     @settings(max_examples=300, deadline=None)
     def test_ranking_findings_and_facts_match_the_refocused_analysis(self, facts, repeat, span, rules):
@@ -636,7 +636,7 @@ class TestRankFromHeldPredicates:
         fact = Fact(FactKind.LOG_WRITE, "d", "Log.d(tag, password)", SpanRef("", 1, 1), "java",
                     DataCategory.CREDENTIALS)
         assert populate_predicates([fact])["LogsSensitiveAccess"] == [fact, fact]
-        rule = next(r for r in default_catalog() if r.id == "A5-COVERT-LOG")
+        rule = next(r for r in default_catalog().rules if r.id == "A5-COVERT-LOG")
         with mock.patch.object(engine, "_facts_of", lambda *args: (fact,)):
             result = analyze_source("x\n", "java", span=(1, 1), catalog=RuleCatalog([rule]))
         once = confidence_for(rule.weight, 1)
@@ -701,7 +701,7 @@ class TestSupportsBuiltWhenRead:
         repeat=st.integers(0, 3),
         log_at=st.integers(0, 14),
         span=_spans,
-        rules=st.just(list(default_catalog())) | _rules,
+        rules=st.just(list(default_catalog().rules)) | _rules,
     )
     @settings(max_examples=300, deadline=None)
     def test_ranking_confidences_and_findings_equal_the_eager_analysis(

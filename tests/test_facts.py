@@ -20,6 +20,7 @@ from gdprkit.facts import (
     FactKind,
     FrontendRegistry,
     default_pattern_table,
+    default_registry,
     extract_facts,
     lexical_fallback,
     structural_frontend,
@@ -163,7 +164,7 @@ class TestRegistry:
         with pytest.raises(ConfigurationError):
             registry.register("java", structural_frontend)
 
-    def test_custom_frontend_dispatch(self):
+    def test_custom_frontend_dispatch(self, monkeypatch):
         marker = Fact(
             kind=FactKind.API_CALL,
             symbol="FromCustom",
@@ -175,19 +176,18 @@ class TestRegistry:
         def custom(source, language, path=""):
             return [marker]
 
-        registry = FrontendRegistry()
+        registry = default_registry()
+        # register on a copy, so the default registry is as before once the test ends
+        monkeypatch.setattr(registry, "_frontends", dict(registry._frontends))
         registry.register("zz", custom)
-        assert extract_facts("anything", "zz", registry=registry) == [marker]
+        assert extract_facts("anything", "zz") == [marker]
 
-    def test_raising_frontend_degrades_to_lexical_fallback(self):
+    def test_raising_frontend_degrades_to_lexical_fallback(self, monkeypatch):
         def broken(source, language, path=""):
             raise ValueError("parser exploded")
 
-        registry = FrontendRegistry()
-        registry.register("java", broken)
-        facts = extract_facts(
-            "String deviceId = telephonyManager.getDeviceId();", "java", registry=registry
-        )
+        monkeypatch.setattr(default_registry(), "_frontends", {"java": broken})
+        facts = extract_facts("String deviceId = telephonyManager.getDeviceId();", "java")
         assert [f.symbol for f in facts] == ["getDeviceId"]
 
 

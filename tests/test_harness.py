@@ -2,7 +2,6 @@
 
 import dataclasses
 import hashlib
-import importlib.util
 import json
 import os
 import sqlite3
@@ -12,7 +11,6 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-import requests
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -577,6 +575,23 @@ class TestCachingAndReplay:
             run(config)
         assert sorted(cache_dir.iterdir()) == [old_entry]
 
+    @pytest.mark.parametrize("task", [1, 2])
+    def test_cache_dir_that_is_the_output_dir_replays(self, workspace, task):
+        """A run's own *.json artifacts in its cache_dir are not old-format cache entries."""
+        out = workspace["root"] / f"cache-is-output-{task}"
+        common = dict(
+            task=task,
+            method="zero_shot",
+            dataset_path=workspace[f"task{task}"],
+            corpus_path=workspace["corpus_path"],
+            cache_dir=str(out),
+            output_dir=str(out),
+        )
+        run(RunConfig(reasoner="stub", **common))
+        recorded = {name: (out / name).read_bytes() for name in ("predictions.json", "report.json")}
+        run(RunConfig(reasoner="cache_replay", replay_reasoner_id="stub:default", **common))
+        assert {name: (out / name).read_bytes() for name in recorded} == recorded
+
     def test_rag_replay_retrieves_once_per_instance(self, workspace, monkeypatch):
         root = workspace["root"] / "rag-retrievals"
         replay = self._record(workspace, root, 2, "rag")
@@ -621,48 +636,6 @@ class TestCachingAndReplay:
         keys = {key for (key,) in db.execute("SELECT key FROM responses")}
         db.close()
         return keys
-
-    def test_record_then_replay_script_replays_live_recordings(self, tmp_path, monkeypatch):
-        class Response:
-            def raise_for_status(self):
-                pass
-
-            def json(self):
-                return {"text": "6"}
-
-        class Session:
-            def post(self, *args, **kwargs):
-                return Response()
-
-        monkeypatch.setattr(requests, "Session", Session)
-        monkeypatch.setenv("GDPRKIT_ENDPOINT", "http://localhost:1/v1")
-        argv = ["--reasoner", "live", "--model", "gpt-4o", "--out", str(tmp_path)]
-        assert _record_then_replay_script().main(argv) == 0
-
-    def test_record_then_replay_script_fails_when_only_predictions_differ(self, tmp_path, monkeypatch, capsys):
-        script = _record_then_replay_script()
-        run_config = script.run
-
-        def run_then_touch_replayed_predictions(config):
-            result = run_config(config)
-            if config.reasoner == "cache_replay":
-                with open(result.output_dir / "predictions.json", "a", encoding="utf-8") as out:
-                    out.write("\n")
-            return result
-
-        monkeypatch.setattr(script, "run", run_then_touch_replayed_predictions)
-        assert script.main(["--out", str(tmp_path)]) == 1
-        printed = capsys.readouterr().out
-        assert "predictions.json differs" in printed
-        assert "report.json differs" not in printed
-
-
-def _record_then_replay_script():
-    path = DATA_DIR.parent.parent / "scripts" / "record_then_replay.py"
-    spec = importlib.util.spec_from_file_location("record_then_replay", path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    return script
 
 
 def test_offline_runs_never_import_requests(workspace, tmp_path):
@@ -871,7 +844,7 @@ class TestErrorAndSkipPaths:
         )
         corpus = [doctored[0], broken]
         corpus_path = tmp_path / "corpus.json"
-        write_atomic(corpus_path, json.dumps([r.to_dict() for r in corpus]))
+        write_atomic(corpus_path, json.dumps([dataclasses.asdict(r) for r in corpus]))
         dataset_path = tmp_path / "task1.json"
         dump_entries(build_task1(corpus), dataset_path)
         config = RunConfig(

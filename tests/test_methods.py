@@ -30,6 +30,7 @@ from gdprkit.engine import RuleCatalog, default_catalog
 from gdprkit.harness import RunConfig, predict_task1, predict_task2, task1_instances, task2_instances
 from gdprkit.knowledge import ArticleInfo, KnowledgeBase, build_kb
 from gdprkit.methods import (
+    REACT_MAX_STEPS,
     CacheReplayReasoner,
     CachingReasoner,
     FormalMethod,
@@ -154,7 +155,7 @@ class TestParseModelOutput:
 
     def test_react_finish_reads_an_over_long_number_leniently(self):
         reasoner = ScriptedReasoner([f"Done.\nAction: finish\nAction Input: 6, {'1' * 5000}"])
-        assert react_run("x", reasoner).labels == LabelSet({6})
+        assert react_run("x", reasoner).ranking.articles == (6,)
 
     def test_200000_distinct_numbers_parse_in_linear_time(self):
         text = ", ".join(map(str, range(1, 200_001)))
@@ -314,7 +315,7 @@ class TestReasoners:
     def test_live_reasoner_requires_endpoint(self, monkeypatch):
         monkeypatch.delenv("GDPRKIT_ENDPOINT", raising=False)
         with pytest.raises(ConfigurationError):
-            LiveHttpReasoner()
+            LiveHttpReasoner("m")
 
     def test_live_reasoner_retries_then_fails(self):
         import requests
@@ -330,7 +331,7 @@ class TestReasoners:
         session = FailingSession()
         sleeps = []
         reasoner = LiveHttpReasoner(
-            endpoint="http://localhost:1/v1", session=session, sleep=sleeps.append
+            "m", endpoint="http://localhost:1/v1", session=session, sleep=sleeps.append
         )
         with pytest.raises(MethodError):
             reasoner.complete("p")
@@ -347,7 +348,7 @@ class TestReasoners:
                 return mock.Mock(json=lambda: {"text": "6"})
 
         session = RecordingSession()
-        reasoner = LiveHttpReasoner(endpoint="http://x/v1", model="m", session=session)
+        reasoner = LiveHttpReasoner("m", endpoint="http://x/v1", session=session)
         assert reasoner.complete("p") == "6"
         assert session.payloads == [
             {"model": "m", "prompt": "p", "temperature": 0.0, "top_p": 1.0, "max_tokens": 512, "n": 1}
@@ -376,7 +377,7 @@ class TestReasoners:
             {"choices": [{"text": "6,32"}]},
             {"choices": [{"message": {"content": "6,32"}}]},
         ):
-            reasoner = LiveHttpReasoner(endpoint="http://x/v1", session=OkSession(body))
+            reasoner = LiveHttpReasoner("m", endpoint="http://x/v1", session=OkSession(body))
             assert reasoner.complete("p") == "6,32"
 
     @pytest.mark.parametrize("body", [[], "text", {"choices": ["x"]}], ids=["list", "string", "string-choice"])
@@ -390,7 +391,7 @@ class TestReasoners:
                 return mock.Mock(json=lambda: body)
 
         session = OkSession()
-        reasoner = LiveHttpReasoner(endpoint="http://x/v1", session=session, sleep=lambda s: None)
+        reasoner = LiveHttpReasoner("m", endpoint="http://x/v1", session=session, sleep=lambda s: None)
         with pytest.raises(MethodError, match="unrecognized completion response shape"):
             reasoner.complete("p")
         assert session.posts == 1
@@ -595,7 +596,7 @@ class TestReactLoop:
             ]
         )
         result = react_run(CAMERA_SNIPPET, reasoner)
-        assert result.labels == LabelSet({6})
+        assert result.ranking.articles == (6,)
         assert len(result.trace.steps) == 2
         assert result.trace.truncated is False
         assert result.trace.steps[0].action == "rule_check"
@@ -632,17 +633,10 @@ class TestReactLoop:
         reasoner = ScriptedReasoner(
             lambda p: "Still looking.\nAction: code_search\nAction Input: x"
         )
-        result = react_run("int x;\n", reasoner, max_iterations=5)
-        assert len(result.trace.steps) == 5
+        result = react_run("int x;\n", reasoner)
+        assert len(result.trace.steps) == REACT_MAX_STEPS == 5
+        assert len(reasoner.calls) == 5
         assert result.trace.truncated is True
-
-    def test_cap_never_exceeded_for_any_budget(self):
-        for cap in (1, 2, 3, 7):
-            reasoner = ScriptedReasoner(
-                lambda p: "Again.\nAction: gdpr_lookup\nAction Input: 5"
-            )
-            result = react_run("x", reasoner, max_iterations=cap)
-            assert len(result.trace.steps) <= cap
 
     def test_unknown_tool_observation_lists_available_tools(self):
         reasoner = ScriptedReasoner(
@@ -658,7 +652,7 @@ class TestReactLoop:
     def test_turn_without_action_finishes_leniently(self):
         reasoner = ScriptedReasoner(["The answer is articles 6 and 32."])
         result = react_run("x", reasoner)
-        assert result.labels == LabelSet({6, 32})
+        assert result.ranking.articles == (6, 32)
         assert result.trace.truncated is False
 
     def test_reasoner_failure_propagates(self):
@@ -673,10 +667,6 @@ class TestReactLoop:
         with pytest.raises(MethodError, match="endpoint down"):
             react_run("x", ScriptedReasoner(flaky))
         assert calls["n"] == 2
-
-    def test_invalid_cap_rejected(self):
-        with pytest.raises(ConfigurationError):
-            react_run("x", ScriptedReasoner(["a"]), max_iterations=0)
 
     def test_transcript_records_observations(self):
         reasoner = ScriptedReasoner(
@@ -724,13 +714,13 @@ class TestFormalMethodAdapter:
 
     def test_label_threshold_filters_weak_articles(self):
         # weight 0.5 keeps one camera fact below confidence 1.0: 0.5 * (1 + ln 2) = 0.85
-        weak = RuleCatalog([dataclasses.replace(rule, weight=0.5) for rule in default_catalog()])
+        weak = RuleCatalog([dataclasses.replace(rule, weight=0.5) for rule in default_catalog().rules])
         labels, ranking = FormalMethod(weak).predict_labels(CAMERA_SNIPPET)
         assert labels == LabelSet()
         assert ranking.articles != ()
         assert max(ranking.scores) < gdprkit.methods.LABEL_THRESHOLD == 1.0
         # at full weight the same findings reach the threshold
-        strong = RuleCatalog([dataclasses.replace(rule, weight=1.0) for rule in default_catalog()])
+        strong = RuleCatalog([dataclasses.replace(rule, weight=1.0) for rule in default_catalog().rules])
         assert 6 in FormalMethod(strong).predict_labels(CAMERA_SNIPPET)[0]
 
     def test_rank_scores_the_file_and_a_line_span(self):

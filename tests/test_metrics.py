@@ -16,7 +16,6 @@ from gdprkit.metrics import (
     LabelMetrics,
     RankedInstance,
     count_labels,
-    evaluate_labels,
     evaluate_rankings,
     first_correct_rank,
 )
@@ -142,7 +141,7 @@ class TestAccuracyAtK:
 class TestLabelMetrics:
     def test_two_article_worked_fixture(self):
         instances = [labeled({5, 6}, {5}), labeled({5}, {5, 6})]
-        metrics = evaluate_labels(instances, universe={5, 6})
+        metrics = count_labels(instances).over({5, 6})
         assert metrics.per_article[5] == (1.0, 1.0, 1.0)
         assert metrics.per_article[6] == (0.0, 0.0, 0.0)
         assert metrics.macro_precision == pytest.approx(0.5)
@@ -152,7 +151,7 @@ class TestLabelMetrics:
 
     def test_perfect_predictor(self):
         instances = [labeled({5}, {5}), labeled({6, 32}, {6, 32})]
-        metrics = evaluate_labels(instances)
+        metrics = count_labels(instances).over()
         assert (metrics.macro_precision, metrics.macro_recall, metrics.macro_f1) == (
             1.0,
             1.0,
@@ -162,7 +161,7 @@ class TestLabelMetrics:
 
     def test_all_empty_predictions(self):
         instances = [labeled(set(), {5}), labeled(set(), {6})]
-        metrics = evaluate_labels(instances)
+        metrics = count_labels(instances).over()
         assert (metrics.macro_precision, metrics.macro_recall, metrics.macro_f1) == (
             0.0,
             0.0,
@@ -170,26 +169,26 @@ class TestLabelMetrics:
         )
 
     def test_single_cell_miss(self):
-        assert evaluate_labels([labeled(set(), {5})], universe={5}).accuracy == 0.0
+        assert count_labels([labeled(set(), {5})]).over({5}).accuracy == 0.0
 
     def test_unused_universe_article_scores_zero_not_nan(self):
         instances = [labeled({5}, {5})]
-        metrics = evaluate_labels(instances, universe={5, 99})
+        metrics = count_labels(instances).over({5, 99})
         assert metrics.per_article[99] == (0.0, 0.0, 0.0)
         assert metrics.accuracy == 1.0  # article 99 agrees vacuously in every cell
 
     def test_default_universe_is_ground_truth_union(self):
         instances = [labeled({5}, {5}), labeled({6}, {32})]
-        metrics = evaluate_labels(instances)
+        metrics = count_labels(instances).over()
         assert metrics.universe == (5, 32)
 
     def test_no_instances_undefined(self):
         with pytest.raises(UndefinedMetricError):
-            evaluate_labels([])
+            count_labels([]).over()
 
     def test_empty_universe_undefined(self):
         with pytest.raises(UndefinedMetricError):
-            evaluate_labels([labeled({5}, {5})], universe=set())
+            count_labels([labeled({5}, {5})]).over(set())
 
 
 articles = st.integers(1, 6)
@@ -231,7 +230,7 @@ class TestProperties:
     @settings(max_examples=200, deadline=None)
     def test_label_metrics_match_brute_force(self, instances):
         universe = set(range(1, 7))
-        metrics = evaluate_labels(instances, universe=universe)
+        metrics = count_labels(instances).over(universe)
         expected = brute_label_metrics(instances, universe)
         assert metrics.accuracy == pytest.approx(expected["accuracy"], abs=1e-12)
         assert metrics.macro_precision == pytest.approx(
@@ -244,7 +243,7 @@ class TestProperties:
     @settings(max_examples=200, deadline=None)
     def test_macro_means_equal_statistics_fmean(self, instances, universe):
         assume(universe or any(inst.ground_truth for inst in instances))
-        metrics = evaluate_labels(instances, universe=universe)
+        metrics = count_labels(instances).over(universe)
         columns = list(zip(*metrics.per_article.values()))
         assert metrics.macro_precision == statistics.fmean(columns[0])
         assert metrics.macro_recall == statistics.fmean(columns[1])
@@ -259,7 +258,7 @@ class TestProperties:
 
 
 def per_article_sum_label_metrics(instances, universe):
-    """``evaluate_labels`` with three sums over the instances per article and a count of agreeing cells."""
+    """``count_labels(...).over(universe)`` as three sums per article and a count of agreeing cells."""
     if universe is None:
         universe = set().union(*(inst.ground_truth for inst in instances))
     resolved = tuple(sorted(set(universe)))
@@ -309,7 +308,7 @@ class TestOnePassScoring:
     @settings(max_examples=300, deadline=None)
     def test_label_metrics_equal_per_article_sums(self, instances, universe):
         assume(universe or any(inst.ground_truth for inst in instances))
-        assert evaluate_labels(instances, universe) == per_article_sum_label_metrics(instances, universe)
+        assert count_labels(instances).over(universe) == per_article_sum_label_metrics(instances, universe)
 
     @given(instances=catalog_label_instances)
     @settings(max_examples=300, deadline=None)

@@ -4,20 +4,25 @@ import argparse
 import json
 import re
 import shlex
+import shutil
 from pathlib import Path
+
+import pytest
+import requests
 
 from gdprkit.cli import build_parser, main
 from gdprkit.corpus import load_corpus, read_json
 from gdprkit.engine import load_rules
 from gdprkit.harness import RunConfig
+from tests.conftest import DATA_DIR, REPO_DIR
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+README = REPO_DIR / "README.md"
 
 
-def readme_section(heading: str) -> str:
-    """The text under a second-level README heading."""
-    section = README.read_text(encoding="utf-8").split(f"\n## {heading}\n", 1)[1]
-    return section.split("\n## ", 1)[0]
+def readme_section(heading: str, level: int = 2) -> str:
+    """The text under a README heading, up to the next heading of its level or above."""
+    section = README.read_text(encoding="utf-8").split(f"\n{'#' * level} {heading}\n", 1)[1]
+    return re.split(rf"\n#{{1,{level}}} ", section, maxsplit=1)[0]
 
 
 def json_block(heading: str) -> str:
@@ -41,7 +46,7 @@ def test_readme_json_examples_load(tmp_path):
     rules_path = tmp_path / "rules.json"
     rule = json.loads(json_block("Library layout"))
     rules_path.write_text(json.dumps({"rules": [rule]}), encoding="utf-8")
-    assert [r.id for r in load_rules(rules_path)] == [rule["id"]]
+    assert [r.id for r in load_rules(rules_path).rules] == [rule["id"]]
 
 
 def test_readme_cli_table_lists_every_subcommand():
@@ -56,3 +61,48 @@ def test_readme_quick_start_prints_the_block_shown(capsys):
     ).groups()
     assert main(shlex.split(command)[1:]) == 0
     assert capsys.readouterr().out == shown
+
+
+class FakeSession:
+    """A ``requests.Session`` whose completion API answers "6, 32" to every prompt."""
+
+    def __init__(self):
+        self.posts = 0
+
+    def post(self, *args, **kwargs):
+        self.posts += 1
+        return self
+
+    def raise_for_status(self):
+        pass
+
+    def json(self):
+        return {"text": "6, 32"}
+
+
+@pytest.mark.parametrize("task", [1, 2])
+@pytest.mark.parametrize("reasoner", ["stub", "live"])
+def test_readme_record_and_replay_recipe(tmp_path, monkeypatch, reasoner, task):
+    """The recipe's configs and commands, for either task, record on the fixture corpus and
+    replay byte for byte; a live recording replays under the default id ``http:<model>``."""
+    section = readme_section("Recording and replaying", level=3)
+    record, replay = (json.loads(block) for block in re.findall(r"```json\n(.*?)```", section, re.DOTALL))
+    session = FakeSession()
+    if reasoner == "live":
+        monkeypatch.setattr(requests, "Session", lambda: session)
+        monkeypatch.setenv("GDPRKIT_ENDPOINT", "http://localhost:1/v1")
+        record["reasoner"] = "live"
+        del replay["replay_reasoner_id"]
+    monkeypatch.chdir(tmp_path)
+    shutil.copy(DATA_DIR / "fixture_corpus.json", "corpus.json")
+    Path("record.json").write_text(json.dumps(record), encoding="utf-8")
+    Path("replay.json").write_text(json.dumps(replay), encoding="utf-8")
+    [commands] = re.findall(r"```sh\n(.*?)```", section, re.DOTALL)
+    for line in commands.splitlines():
+        program, *args = shlex.split(line.replace("task2", f"task{task}").replace("--task 2", f"--task {task}"))
+        if program == "gdprkit":
+            assert main(args) == 0, line
+        else:
+            assert program == "cmp", line
+            assert Path(args[0]).read_bytes() == Path(args[1]).read_bytes(), line
+    assert (session.posts > 0) == (reasoner == "live")
