@@ -50,9 +50,9 @@ def _cmd_analyze(args) -> int:
         language = args.language or "java"
         path = "<snippet>"
     catalog = load_rules(args.rules) if args.rules else None
-    result = analyze_source(source, language, path=path, catalog=catalog)
+    result = analyze_source(source, language, catalog=catalog)
     if args.json:
-        print(json.dumps(result.to_dict(), indent=2))
+        print(json.dumps(result.to_dict(path, language), indent=2))
         return 0
     if not result.findings:
         print("no findings")
@@ -60,10 +60,7 @@ def _cmd_analyze(args) -> int:
     print(f"articles (most suspect first): {', '.join(str(a) for a in result.ranking.articles)}")
     ordered = sorted(result.findings, key=lambda f: (-f.confidence, f.article, f.rule_id))
     for finding in ordered:
-        spans = ", ".join(
-            f"{s.start_line}" if s.start_line == s.end_line else f"{s.start_line}-{s.end_line}"
-            for s in finding.spans
-        )
+        spans = ", ".join(f"{start}" if start == end else f"{start}-{end}" for start, end in finding.spans)
         where = f" [lines {spans}]" if spans else ""
         print(
             f"  article {finding.article}  {finding.rule_id}  "

@@ -52,17 +52,16 @@ LANGUAGE_BY_EXTENSION = {
 
 @dataclass(frozen=True, slots=True)
 class SpanRef:
-    """1-based inclusive line span within a file."""
+    """1-based inclusive line span within a file; each line an ``int``, not a bool."""
 
     file_path: str
     start_line: int
     end_line: int
 
     def __post_init__(self):
-        if self.start_line < 1 or self.end_line < self.start_line:
-            raise SpanParseError(
-                f"invalid span ({self.start_line}, {self.end_line}) for {self.file_path!r}"
-            )
+        start, end = self.start_line, self.end_line
+        if not (type(start) is int and type(end) is int and 1 <= start <= end):
+            raise SpanParseError(f"invalid span ({start!r}, {end!r}) for {self.file_path!r}")
 
     def to_dict(self) -> dict:
         return {

@@ -1,9 +1,10 @@
 """Declarative rule engine over extracted facts.
 
-A scope is a fact list and, for a line scope, a span.  Its facts decide
-which predicates of a fixed inventory hold, each with the facts that
-support it; facts outside the span count only as guards (consent checks,
-crypto, notice text), never as evidence.  A catalog of article-tagged rules
+A scope is a fact list and, for a line scope, a span of lines of the text
+the facts describe.  Its facts decide which predicates of a fixed
+inventory hold, each with the facts that support it; facts outside the
+span count only as guards (consent checks, crypto, notice text), never as
+evidence.  A catalog of article-tagged rules
 (boolean expressions over those predicates) is evaluated once per distinct
 set of held predicates.  Each fired rule counts the distinct facts that
 support it, and its confidence grows with their number:
@@ -13,7 +14,9 @@ support it, and its confidence grows with their number:
 ``analyze_facts`` is the one scoring path: it ranks articles by their best
 fired-rule confidence, ties broken by ascending article number, and builds
 the findings (with their spans and explanations) from the same fired rules
-only when they are read.
+only when they are read.  Nothing here knows the text's path or language:
+``AnalysisResult.to_dict`` and ``Finding.to_dict`` take them from the
+caller that prints them.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .corpus import SpanRef, read_entries
+from .corpus import read_entries
 from .errors import InputError, RuleLoadError
 from .facts import (
     SENSITIVE_CATEGORIES,
@@ -171,7 +174,7 @@ def populate_predicates(facts: Sequence[Fact], span: tuple[int, int] | None = No
     held: dict[str, list[Fact]] = {}
     for fact in facts:
         kind = fact.kind
-        contextual = not (start <= fact.span.start_line and fact.span.end_line <= end)
+        contextual = not (start <= fact.start_line and fact.end_line <= end)
         names = _SUPPORTED[kind, fact.data_category, contextual]
         if kind is FactKind.URL_LITERAL:
             if not contextual and fact.detail.startswith("http://"):
@@ -288,11 +291,9 @@ class Finding:
     message: str
 
     @property
-    def spans(self) -> tuple[SpanRef, ...]:
-        """The distinct source spans of the support, in line order."""
-        return tuple(
-            sorted({f.span for f in self.support}, key=lambda s: (s.start_line, s.end_line, s.file_path))
-        )
+    def spans(self) -> tuple[tuple[int, int], ...]:
+        """The distinct ``(start_line, end_line)`` pairs of the support, sorted."""
+        return tuple(sorted({(f.start_line, f.end_line) for f in self.support}))
 
     @property
     def explanation(self) -> str:
@@ -302,12 +303,13 @@ class Finding:
             return f"{self.message} (evidence: {', '.join(symbols)})"
         return self.message
 
-    def to_dict(self) -> dict:
+    def to_dict(self, path: str) -> dict:
+        """The finding as ``analyze --json`` writes it, each span stamped with ``path``."""
         return {
             "article": self.article,
             "rule_id": self.rule_id,
             "confidence": self.confidence,
-            "spans": [s.to_dict() for s in self.spans],
+            "spans": [{"file_path": path, "start_line": s, "end_line": e} for s, e in self.spans],
             "explanation": self.explanation,
         }
 
@@ -377,14 +379,24 @@ class AnalysisResult:
             findings.append(Finding(rule.article, rule.id, confidence, tuple(support.values()), rule.message))
         return tuple(findings)
 
-    def to_dict(self) -> dict:
+    def to_dict(self, path: str, language: str) -> dict:
+        """The result as ``analyze --json`` writes it: every fact and finding span
+        stamped with the text's ``path``, and every fact with its ``language``."""
         start, end = self.span or (-math.inf, math.inf)
         return {
             "facts": [
-                {**f.to_dict(), "contextual": not (start <= f.span.start_line and f.span.end_line <= end)}
+                {
+                    "kind": f.kind.value,
+                    "symbol": f.symbol,
+                    "detail": f.detail,
+                    "span": {"file_path": path, "start_line": f.start_line, "end_line": f.end_line},
+                    "language": language,
+                    "data_category": f.data_category.value if f.data_category else None,
+                    "contextual": not (start <= f.start_line and f.end_line <= end),
+                }
                 for f in self.facts
             ],
-            "findings": [f.to_dict() for f in self.findings],
+            "findings": [f.to_dict(path) for f in self.findings],
             "ranking": self.ranking.to_dict(),
         }
 
@@ -416,9 +428,9 @@ def check_span(text: str, span: tuple[int, int]) -> None:
 
 
 @functools.lru_cache(maxsize=1)
-def _facts_of(source: str, language: str, path: str, frontend: Frontend) -> tuple[Fact, ...]:
+def _facts_of(source: str, language: str, frontend: Frontend) -> tuple[Fact, ...]:
     """The facts of the last text analyzed by ``frontend``, so each scope of one file extracts them once."""
-    return tuple(extract_facts(source, language, path=path))
+    return tuple(extract_facts(source, language))
 
 
 def analyze_source(
@@ -426,7 +438,6 @@ def analyze_source(
     language: str,
     *,
     span: tuple[int, int] | None = None,
-    path: str = "",
     catalog: RuleCatalog | None = None,
 ) -> AnalysisResult:
     """Analyze ``source`` as a whole, or over the lines of ``span`` only, by ``analyze_facts``.
@@ -436,5 +447,5 @@ def analyze_source(
     """
     if span is not None:
         check_span(source, span)
-    facts = _facts_of(source, language, path, default_registry().frontend_for(language))
+    facts = _facts_of(source, language, default_registry().frontend_for(language))
     return analyze_facts(facts, span, catalog)

@@ -20,12 +20,12 @@ class CorpusSchemaError(GdprKitError):
         super().__init__(f"record {index}, field '{field}': {message}")
 
 
-class SpanParseError(GdprKitError):
-    """A line span is malformed: its start is below 1 or after its end."""
-
-
 class InputError(GdprKitError):
     """An analysis input is out of bounds, or a stored dataset or prediction file is malformed."""
+
+
+class SpanParseError(InputError):
+    """A line span is malformed: a line is not an int, or its start is below 1 or after its end."""
 
 
 class ConfigurationError(GdprKitError):

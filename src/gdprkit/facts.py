@@ -11,11 +11,14 @@ keys its word entries by token when it is built, and one ``\\w+`` pass
 over a text looks every token up in that index, instead of testing every
 entry against the text (see ``_WordIndex``).
 
-A fact's ``start_line`` and ``end_line`` are 1 plus the number of "\\n"
-before the offsets where its match starts and ends: only "\\n" ends a line,
-as in task generation and source reconstruction, so "\\r" and "\\u2028" do
-not.  Each frontend counts them with one ``_LineIndex`` per text, a cursor
-that counts the "\\n" between the previous offset asked about and the next.
+A fact describes lines of the one text it was extracted from, and carries
+nothing else about that text: no path, no language.  A frontend takes only
+the text; ``extract_facts`` uses the language only to choose it.  A fact's
+``start_line`` and ``end_line`` are 1 plus the number of "\\n" before the
+offsets where its match starts and ends: only "\\n" ends a line, as in task
+generation and source reconstruction, so "\\r" and "\\u2028" do not.  Each
+frontend counts them with one ``_LineIndex`` per text, a cursor that counts
+the "\\n" between the previous offset asked about and the next.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .corpus import SpanRef, read_entries
+from .corpus import read_entries
 from .errors import ConfigurationError
 
 _DATA_DIR = Path(__file__).parent / "data"
@@ -72,24 +75,14 @@ SENSITIVE_CATEGORIES: frozenset[DataCategory] = frozenset(
 
 @dataclass(frozen=True, slots=True)
 class Fact:
-    """One observation about a piece of source code."""
+    """One observation about lines ``start_line``-``end_line`` of the text it was extracted from."""
 
     kind: FactKind
     symbol: str
     detail: str
-    span: SpanRef
-    language: str
+    start_line: int
+    end_line: int
     data_category: DataCategory | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind.value,
-            "symbol": self.symbol,
-            "detail": self.detail,
-            "span": self.span.to_dict(),
-            "language": self.language,
-            "data_category": self.data_category.value if self.data_category else None,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -296,32 +289,13 @@ class _LineIndex:
 _URL_RE = re.compile(r"https?://[^\s\"'<>\\]+")
 
 
-def _literal_facts(
-    content: str, start_line: int, end_line: int, language: str, path: str
-) -> list[Fact]:
-    span = SpanRef(path, start_line, end_line)
+def _literal_facts(content: str, start_line: int, end_line: int) -> list[Fact]:
     url = _URL_RE.search(content)
     if url is not None:
-        return [
-            Fact(
-                kind=FactKind.URL_LITERAL,
-                symbol="url",
-                detail=url.group(0),
-                span=span,
-                language=language,
-            )
-        ]
+        return [Fact(FactKind.URL_LITERAL, "url", url.group(0), start_line, end_line)]
     if not content.strip():
         return []
-    return [
-        Fact(
-            kind=FactKind.STRING_LITERAL,
-            symbol="literal",
-            detail=content,
-            span=span,
-            language=language,
-        )
-    ]
+    return [Fact(FactKind.STRING_LITERAL, "literal", content, start_line, end_line)]
 
 
 # the symbol of a regex-entry fact whose match has no "symbol" group, by kind;
@@ -329,9 +303,7 @@ def _literal_facts(
 _DEFAULT_SYMBOLS = {FactKind.URL_LITERAL: "url", FactKind.STRING_LITERAL: "literal"}
 
 
-def _regex_pass(
-    source: str, language: str, table: PatternTable, path: str, index: _LineIndex
-) -> list[Fact]:
+def _regex_pass(source: str, table: PatternTable, index: _LineIndex) -> list[Fact]:
     """Run every regex-mode entry over the raw text.
 
     An entry with ``literals`` is skipped when the text is ASCII and its
@@ -359,16 +331,7 @@ def _regex_pass(
                 detail = m.group(0)
             line = index.line_of(m.start())
             end_line = index.line_of(max(m.start(), m.end() - 1))
-            facts.append(
-                Fact(
-                    kind=entry.kind,
-                    symbol=symbol,
-                    detail=detail,
-                    span=SpanRef(path, line, end_line),
-                    language=language,
-                    data_category=entry.data_category,
-                )
-            )
+            facts.append(Fact(entry.kind, symbol, detail, line, end_line, entry.data_category))
     return facts
 
 
@@ -376,8 +339,7 @@ def _finalize(facts: Iterable[Fact]) -> list[Fact]:
     """The facts sorted by (lines, kind, symbol, detail), each such key once: its first fact."""
     by_key: dict[tuple[int, int, str, str, str], Fact] = {}
     for fact in facts:
-        span = fact.span
-        by_key.setdefault((span.start_line, span.end_line, fact.kind.value, fact.symbol, fact.detail), fact)
+        by_key.setdefault((fact.start_line, fact.end_line, fact.kind.value, fact.symbol, fact.detail), fact)
     return [by_key[key] for key in sorted(by_key)]
 
 
@@ -385,7 +347,7 @@ def _finalize(facts: Iterable[Fact]) -> list[Fact]:
 # Lexical fallback frontend
 
 
-def lexical_fallback(source: str, language: str, path: str = "") -> list[Fact]:
+def lexical_fallback(source: str) -> list[Fact]:
     """Pattern-table scan with no parsing at all.
 
     Word entries match on identifier boundaries, so ``getDeviceId`` does not
@@ -401,17 +363,8 @@ def lexical_fallback(source: str, language: str, path: str = "") -> list[Fact]:
     facts = []
     for entry, m in table.word_index.matches(source):
         line = index.line_of(m.start())
-        facts.append(
-            Fact(
-                kind=entry.kind,
-                symbol=entry.pattern,
-                detail=m.group(0),
-                span=SpanRef(path, line, line),
-                language=language,
-                data_category=entry.data_category,
-            )
-        )
-    facts.extend(_regex_pass(source, language, table, path, index))
+        facts.append(Fact(entry.kind, entry.pattern, m.group(0), line, line, entry.data_category))
+    facts.extend(_regex_pass(source, table, index))
     return _finalize(facts)
 
 
@@ -513,7 +466,7 @@ def _preceding_word(text: str, pos: int) -> str | None:
     return text[j:end]
 
 
-def structural_frontend(source: str, language: str, path: str = "") -> list[Fact]:
+def structural_frontend(source: str) -> list[Fact]:
     """Comment/string-aware scan for curly-brace languages.
 
     Emits table-matched call expressions, guard identifiers, string/URL
@@ -545,16 +498,8 @@ def structural_frontend(source: str, language: str, path: str = "") -> list[Fact
             continue
         line = index.line_of(m.start("name"))
         symbol = entry.pattern if "." in entry.pattern else name
-        facts.append(
-            Fact(
-                kind=entry.kind,
-                symbol=symbol,
-                detail=m.group("call").rstrip("( \t"),
-                span=SpanRef(path, line, line),
-                language=language,
-                data_category=entry.data_category,
-            )
-        )
+        detail = m.group("call").rstrip("( \t")
+        facts.append(Fact(entry.kind, symbol, detail, line, line, entry.data_category))
 
     # bare identifiers still count for consent guards and permission strings:
     # `if (consentGiven)` has no call expression but is a guard all the same;
@@ -566,28 +511,20 @@ def structural_frontend(source: str, language: str, path: str = "") -> list[Fact
         if _OPEN_PAREN_RE.match(blanked, m.end()):
             continue  # call form is covered by the call pass above
         line = index.line_of(m.start())
-        facts.append(
-            Fact(
-                kind=entry.kind,
-                symbol=entry.pattern,
-                detail=m.group(0),
-                span=SpanRef(path, line, line),
-                language=language,
-                data_category=entry.data_category,
-            )
-        )
+        facts.append(Fact(entry.kind, entry.pattern, m.group(0), line, line, entry.data_category))
 
     for start_line, end_line, content in literals:
-        facts.extend(_literal_facts(content, start_line, end_line, language, path))
+        facts.extend(_literal_facts(content, start_line, end_line))
 
-    facts.extend(_regex_pass(source, language, table, path, index))
+    facts.extend(_regex_pass(source, table, index))
     return _finalize(facts)
 
 
 # ---------------------------------------------------------------------------
 # Frontend registry
 
-Frontend = Callable[..., list[Fact]]
+# a frontend takes one source text and gives its facts
+Frontend = Callable[[str], list[Fact]]
 
 
 class FrontendRegistry:
@@ -624,16 +561,16 @@ def default_registry() -> FrontendRegistry:
     return _DEFAULT_REGISTRY
 
 
-def extract_facts(source: str, language: str, *, path: str = "") -> list[Fact]:
-    """Extract facts from one source text.
+def extract_facts(source: str, language: str) -> list[Fact]:
+    """Extract facts from one source text; ``language`` only chooses the frontend.
 
     A structural frontend that raises degrades to the lexical fallback
     instead of failing the caller.
     """
     frontend = _DEFAULT_REGISTRY.frontend_for(language)
     try:
-        return frontend(source, language, path=path)
+        return frontend(source)
     except Exception:
         if frontend is lexical_fallback:
             raise
-        return lexical_fallback(source, language, path=path)
+        return lexical_fallback(source)

@@ -316,13 +316,13 @@ _PAST_END = "span outside reconstructed source"
 
 
 def _predict_scopes(
-    scopes: Iterable[tuple[Instance, str, str, str, int | None]],
+    scopes: Iterable[tuple[Instance, str, str, int | None]],
     predict: Callable[..., tuple[RankedPrediction, tuple[int, ...]]],
 ) -> list[PredictionRecord]:
     """One record per instance of ``scopes``, each predicted on its own.
 
-    Each scope is (instance, text, language, path, line count), and
-    ``predict(text, language, span, path)`` gives its (ranking, labels).  A
+    Each scope is (instance, text, language, line count), and
+    ``predict(text, language, span)`` gives its (ranking, labels).  A
     line span past the line count is skipped.  A module instance takes the
     record of the file instance before it: a module's scope is the whole
     reconstructed file until module spans are derived.  An exception errors
@@ -332,7 +332,7 @@ def _predict_scopes(
     records: list[PredictionRecord] = []
     missing: list[str] = []
     file_record = None
-    for inst, text, language, path, line_count in scopes:
+    for inst, text, language, line_count in scopes:
         if inst.granularity == "module":
             if file_record is not None:
                 r = file_record
@@ -343,7 +343,7 @@ def _predict_scopes(
             record = PredictionRecord(inst.instance_id, "skipped", error=_PAST_END)
         else:
             try:
-                ranking, labels = predict(text, language, inst.span, path)
+                ranking, labels = predict(text, language, inst.span)
                 record = PredictionRecord(inst.instance_id, "scored", ranking.articles, labels)
             except ReplayMissError as exc:
                 missing.extend(exc.missing_keys)
@@ -377,10 +377,10 @@ def predict_task1(
                 group = groups.get((entry.repo_url, entry.app_name, entry.file_path), [])
                 source, line_count = reconstruct_source(group)
                 language = detect_language(entry.file_path)
-            yield inst, source, language, entry.file_path, line_count
+            yield inst, source, language, line_count
 
-    def predict(text, language, span, path):
-        return method.rank(text, language, span=span, path=path), ()
+    def predict(text, language, span):
+        return method.rank(text, language, span=span), ()
 
     return _predict_scopes(scopes(), predict)
 
@@ -393,11 +393,11 @@ def predict_task2(
     def scopes():
         for inst, entry in zip(instances, entries):
             file_path, _ = split_snippet_path(entry.code_snippet_path)
-            yield inst, entry.code_snippet, detect_language(file_path), file_path, None
+            yield inst, entry.code_snippet, detect_language(file_path), None
 
-    def predict(text, language, span, path):
-        labels, ranking = method.predict_labels(text, language, path=path)
-        return ranking, tuple(sorted(labels))
+    def predict(text, language, span):
+        labels, ranking = method.predict_labels(text, language)
+        return ranking, labels
 
     return _predict_scopes(scopes(), predict)
 

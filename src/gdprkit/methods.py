@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Mapping, Protocol, Sequence
 
 from .engine import RankedPrediction, RuleCatalog, analyze_source, check_span
-from .errors import ConfigurationError, InputError, MethodError, ModelOutputError, ReplayMissError
+from .errors import ConfigurationError, MethodError, ModelOutputError, ReplayMissError
 from .knowledge import (
     ArticleInfo,
     KnowledgeBase,
@@ -34,19 +34,7 @@ if TYPE_CHECKING:
 
 
 # ---------------------------------------------------------------------------
-# Label sets
-
-
-class LabelSet(frozenset):
-    """Set of violated article numbers; empty means no violation."""
-
-    def __new__(cls, articles: Sequence[int] = ()):
-        items = []
-        for a in articles:
-            if not isinstance(a, int) or isinstance(a, bool) or a < 1:
-                raise InputError(f"article labels must be positive integers, got {a!r}")
-            items.append(a)
-        return super().__new__(cls, items)
+# Model output
 
 
 _STRICT_RE = re.compile(r"^\s*(\d+(?:\s*,\s*\d+)*)\s*$")
@@ -597,18 +585,17 @@ class FormalMethod:
     def __init__(self, rules: RuleCatalog | None = None):
         self.rules = rules
 
-    def rank(
-        self, text: str, language: str, *, span: tuple[int, int] | None = None, path: str = ""
-    ) -> RankedPrediction:
+    def rank(self, text: str, language: str, *, span: tuple[int, int] | None = None) -> RankedPrediction:
         """Rank the whole text, or the lines of ``span`` with the rest of the text as guards only."""
-        return analyze_source(text, language, span=span, path=path, catalog=self.rules).ranking
+        return analyze_source(text, language, span=span, catalog=self.rules).ranking
 
     def predict_labels(
-        self, snippet: str, language: str = "java", path: str = ""
-    ) -> tuple[LabelSet, RankedPrediction]:
-        ranking = self.rank(snippet, language, path=path)
+        self, snippet: str, language: str = "java"
+    ) -> tuple[tuple[int, ...], RankedPrediction]:
+        """The snippet's labels, ascending, and its ranking."""
+        ranking = self.rank(snippet, language)
         picked = [a for a, score in zip(ranking.articles, ranking.scores) if score >= LABEL_THRESHOLD]
-        return LabelSet(picked[:MAX_LABELS]), ranking
+        return tuple(sorted(picked[:MAX_LABELS])), ranking
 
 
 class _PromptedMethod:
@@ -631,9 +618,7 @@ class _PromptedMethod:
         """Distinct articles, most suspect first; the answer is parsed strictly."""
         return parse_model_output(self.reasoner.complete(self.prompt(text)))
 
-    def rank(
-        self, text: str, language: str, *, span: tuple[int, int] | None = None, path: str = ""
-    ) -> RankedPrediction:
+    def rank(self, text: str, language: str, *, span: tuple[int, int] | None = None) -> RankedPrediction:
         """Rank the whole text, or only the lines of ``span``, which alone are sent.
 
         The lines of a span are sent joined by "\\n", with no final "\\n".
@@ -644,14 +629,17 @@ class _PromptedMethod:
         return RankedPrediction(self._predict(text, language))
 
     def predict_labels(
-        self, snippet: str, language: str = "java", path: str = ""
-    ) -> tuple[LabelSet, RankedPrediction]:
-        """Label a task-2 snippet, sent as its lines: its final "\\n" only ends
-        its last line and is not sent.  So a snippet's prompt is the task-1
-        prompt of the line span it was cut from, and a task-2 run that follows
-        task 1 on the same cache finds that prompt recorded."""
-        ranking = self.rank(snippet.removesuffix("\n"), language, path=path)
-        return LabelSet(ranking.articles), ranking
+        self, snippet: str, language: str = "java"
+    ) -> tuple[tuple[int, ...], RankedPrediction]:
+        """Label a task-2 snippet with every ranked article, ascending.
+
+        The snippet is sent as its lines: its final "\\n" only ends its last
+        line and is not sent.  So a snippet's prompt is the task-1 prompt of
+        the line span it was cut from, and a task-2 run that follows task 1
+        on the same cache finds that prompt recorded.
+        """
+        ranking = self.rank(snippet.removesuffix("\n"), language)
+        return tuple(sorted(ranking.articles)), ranking
 
 
 class ZeroShotMethod(_PromptedMethod):

@@ -163,7 +163,8 @@ def build_task2(corpus: list[ViolationRecord]) -> list[Task2Entry]:
 
 
 def dump_entries(entries: list[Task1Entry] | list[Task2Entry], path: str | Path) -> None:
-    """Write entries as a JSON array with stable formatting."""
+    """Write entries as a JSON array with stable formatting, creating the file's directory."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     write_atomic(path, entries_json(entries))
 
 

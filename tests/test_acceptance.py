@@ -242,10 +242,9 @@ def test_formal_engine_fixtures_and_determinism(announce, tmp_path):
         for _ in range(5):
             blob = {}
             for path in sorted(tree.iterdir()):
-                result = analyze_source(
-                    path.read_text(encoding="utf-8"), path.suffix.lstrip(".")
-                )
-                blob[path.name] = result.to_dict()
+                language = path.suffix.lstrip(".")
+                result = analyze_source(path.read_text(encoding="utf-8"), language)
+                blob[path.name] = result.to_dict(path.name, language)
             passes.append(
                 json.dumps(blob, indent=2, ensure_ascii=False, sort_keys=True).encode()
             )

@@ -51,6 +51,14 @@ class TestGeneration:
         assert len(entries) == 10
         assert entries[0]["violated_articles"] == [6, 32]
 
+    @pytest.mark.parametrize("task, count", [(1, 7), (2, 10)])
+    def test_gen_creates_the_output_directory(self, tmp_path, capsys, task, count):
+        out = tmp_path / "runs" / "formal-baseline" / f"task{task}.json"
+        assert main([f"gen-task{task}", CORPUS, "-o", str(out)]) == 0
+        assert capsys.readouterr().out == f"wrote {count} entries to {out}\n"
+        assert len(json.loads(out.read_text(encoding="utf-8"))) == count
+        assert [p.name for p in out.parent.iterdir()] == [out.name]
+
 
 class TestAnalyze:
     def test_inline_snippet(self, capsys):
@@ -207,6 +215,29 @@ class TestRun:
         assert captured.err == (
             f"error: {task2_path}: entry 0: violated_articles must hold positive integer article numbers, "
             "got '5'\n"
+        )
+        assert not out_dir.exists()
+
+
+    @pytest.mark.parametrize(
+        "lines",
+        [{"start_line": True, "end_line": True}, {"start_line": 2.5, "end_line": 2.5}, {"start_line": 0}],
+        ids=["bool", "float", "zero"],
+    )
+    def test_dataset_span_that_is_not_a_line_range_is_an_error_line(self, lines, tmp_path, capsys):
+        task1_path = tmp_path / "task1.json"
+        assert main(["gen-task1", CORPUS, "-o", str(task1_path)]) == 0
+        entries = json.loads(task1_path.read_text(encoding="utf-8"))
+        span = entries[0]["line_level"][0]["span"]
+        span.update(lines)
+        task1_path.write_text(json.dumps(entries), encoding="utf-8")
+        capsys.readouterr()
+        out_dir = tmp_path / "out"
+        assert main(["run", "--task", "1", "--method", "formal", "--dataset", str(task1_path),
+                     "--corpus", CORPUS, "--output-dir", str(out_dir)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {task1_path}: entry 0: invalid span ({span['start_line']!r}, {span['end_line']!r}) "
+            f"for {span['file_path']!r}\n"
         )
         assert not out_dir.exists()
 

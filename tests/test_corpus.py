@@ -21,7 +21,7 @@ from gdprkit.corpus import (
     split_snippet_path,
     write_atomic,
 )
-from gdprkit.errors import CorpusSchemaError
+from gdprkit.errors import CorpusSchemaError, InputError, SpanParseError
 
 VALID_COMMIT = "ab" * 20
 
@@ -172,6 +172,25 @@ class TestParseSpan:
         file_path, span = split_snippet_path("C:/work/Main.java")
         assert file_path == "C:/work/Main.java"
         assert span is None
+
+
+class TestSpanRef:
+    @pytest.mark.parametrize(
+        "start, end",
+        [(True, True), (1, True), (2.5, 2.5), (1.0, 1), (1, 3.0), ("3", "3"), (None, 1),
+         (0, 3), (-1, 1), (4, 3)],
+        ids=repr,
+    )
+    def test_span_that_is_not_a_line_range_is_refused(self, start, end):
+        with pytest.raises(SpanParseError) as raised:
+            SpanRef("src/A.java", start, end)
+        assert str(raised.value) == f"invalid span ({start!r}, {end!r}) for 'src/A.java'"
+        assert isinstance(raised.value, InputError)
+
+    @pytest.mark.parametrize("start, end", [(1, 1), (2, 5)])
+    def test_line_range_is_kept(self, start, end):
+        span = SpanRef("src/A.java", start, end)
+        assert (span.start_line, span.end_line) == (start, end)
 
 
 def _reference_group_by_file(records):

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gdprkit import engine
-from gdprkit.corpus import SpanRef
 from gdprkit.engine import (
     AndExpr,
     AtomExpr,
@@ -187,7 +186,7 @@ class TestPredicates:
     @pytest.mark.parametrize("crypto", [False, True])
     def test_inventory_complete_when_every_predicate_can_hold(self, crypto):
         def fact(kind, category=None, detail="x"):
-            return Fact(kind, "s", detail, SpanRef("", 1, 1), "java", category)
+            return Fact(kind, "s", detail, 1, 1, category)
 
         facts = [fact(FactKind.API_CALL, c) for c in DataCategory]
         facts += [
@@ -331,8 +330,8 @@ class TestMultiGranularity:
         monkeypatch.setattr(registry, "_frontends", dict(registry._frontends))
         source = "camera.open(handler);\n"
         assert analyze_source(source, "rb").facts == ()
-        fact = Fact(FactKind.API_CALL, "open", "camera.open", SpanRef("", 1, 1), "rb", DataCategory.CAMERA)
-        registry.register("rb", lambda text, language, path="": [fact])
+        fact = Fact(FactKind.API_CALL, "open", "camera.open", 1, 1, DataCategory.CAMERA)
+        registry.register("rb", lambda text: [fact])
         again = analyze_source(source, "rb")
         assert again.facts == (fact,)
         assert 6 in again.ranking.articles
@@ -377,8 +376,8 @@ class TestInvariants:
         assert fired_small <= fired_large
 
     def test_repeated_analysis_serializes_identically(self):
-        first = json.dumps(analyze_source(HTTP_SOURCE, "java").to_dict(), sort_keys=True)
-        second = json.dumps(analyze_source(HTTP_SOURCE, "java").to_dict(), sort_keys=True)
+        first = json.dumps(analyze_source(HTTP_SOURCE, "java").to_dict("A.java", "java"), sort_keys=True)
+        second = json.dumps(analyze_source(HTTP_SOURCE, "java").to_dict("A.java", "java"), sort_keys=True)
         assert first == second
 
 
@@ -393,7 +392,7 @@ def reference_predicates(facts, span=None) -> dict[str, list[Fact]]:
 
     With ``span``, only the facts that lie within it are local evidence.
     """
-    local = [f for f in facts if span is None or span[0] <= f.span.start_line <= f.span.end_line <= span[1]]
+    local = [f for f in facts if span is None or span[0] <= f.start_line <= f.end_line <= span[1]]
     held = {}
 
     def put(name, support):
@@ -470,7 +469,7 @@ def reference_findings(facts, rules, span=None) -> list[tuple]:
                     if id(fact) not in seen:
                         seen.add(id(fact))
                         support.append(fact)
-        spans = tuple(sorted({f.span for f in support}, key=lambda s: (s.start_line, s.end_line, s.file_path)))
+        spans = tuple(sorted({(f.start_line, f.end_line) for f in support}))
         symbols = sorted({f.symbol for f in support})[:5]
         explanation = f"{rule.message} (evidence: {', '.join(symbols)})" if symbols else rule.message
         findings.append(
@@ -491,7 +490,7 @@ def finding_fields(finding: Finding) -> tuple:
 
 
 def _pool_fact(kind, category=None, detail="x", line=1):
-    return Fact(kind, f"{kind.value}-{line}", detail, SpanRef("A.java", line, line), "java", category)
+    return Fact(kind, f"{kind.value}-{line}", detail, line, line, category)
 
 
 FACT_POOL = extract_facts(HTTP_SOURCE + CONSENT_SOURCE, "java") + [
@@ -570,7 +569,7 @@ _LINES = 12
 _random_facts = st.lists(
     st.builds(
         lambda kind, category, detail, start, extent: Fact(
-            kind, f"{kind.value}-{start}", detail, SpanRef("A.java", start, start + extent), "java", category
+            kind, f"{kind.value}-{start}", detail, start, start + extent, category
         ),
         st.sampled_from(FactKind),
         st.sampled_from([None, *DataCategory]),
@@ -626,14 +625,14 @@ class TestRankFromHeldPredicates:
         assert dict(zip(result.ranking.articles, result.ranking.scores)) == best_finding_per_article(result)
         assert result.facts == tuple(facts)
         start, end = span or (1, math.inf)
-        assert [f["contextual"] for f in result.to_dict()["facts"]] == [
-            not start <= f.span.start_line <= f.span.end_line <= end for f in facts
+        assert [f["contextual"] for f in result.to_dict("A.java", "java")["facts"]] == [
+            not start <= f.start_line <= f.end_line <= end for f in facts
         ]
 
     def test_a_fact_listed_twice_in_one_predicate_counts_once(self):
         # a log write of credentials supports WritesLogs and HandlesCredentials,
         # so LogsSensitiveAccess lists it twice
-        fact = Fact(FactKind.LOG_WRITE, "d", "Log.d(tag, password)", SpanRef("", 1, 1), "java",
+        fact = Fact(FactKind.LOG_WRITE, "d", "Log.d(tag, password)", 1, 1,
                     DataCategory.CREDENTIALS)
         assert populate_predicates([fact])["LogsSensitiveAccess"] == [fact, fact]
         rule = next(r for r in default_catalog().rules if r.id == "A5-COVERT-LOG")
@@ -645,7 +644,7 @@ class TestRankFromHeldPredicates:
 
     def test_ranking_and_findings_agree_on_a_guard_listed_twice_outside_the_span(self):
         guard = Fact(FactKind.CONSENT_GUARD, "checkSelfPermission", "ContextCompat.checkSelfPermission",
-                     SpanRef("", 1, 1), "java")
+                     1, 1)
         rule = Rule("R-CONSENT", 6, AtomExpr("HasConsentCheck"), 0.5, "consent is checked")
         with mock.patch.object(engine, "_facts_of", lambda *args: (guard, guard)):
             result = analyze_source("x\ny\nz\n", "java", span=(2, 2), catalog=RuleCatalog([rule]))
@@ -659,7 +658,7 @@ class TestRankFromHeldPredicates:
         assert result.findings is result.findings
         # the scope keeps the file's facts as extracted, with no copy per span
         assert result.facts is analyze_source(HTTP_SOURCE, "java").facts
-        facts = result.to_dict()["facts"]
+        facts = result.to_dict("A.java", "java")["facts"]
         assert all(f["contextual"] is (f["span"]["start_line"] != 3) for f in facts)
 
 
@@ -690,7 +689,7 @@ def eager_analysis(facts, span, catalog) -> tuple[tuple, list[tuple]]:
 
 # a log write of credentials: LogsSensitiveAccess lists it twice, once as a
 # log and once as credentials
-_CREDENTIAL_LOG = Fact(FactKind.LOG_WRITE, "d", "Log.d(tag, password)", SpanRef("A.java", 2, 2), "java",
+_CREDENTIAL_LOG = Fact(FactKind.LOG_WRITE, "d", "Log.d(tag, password)", 2, 2,
                        DataCategory.CREDENTIALS)
 _TWICE_RULE = Rule("R-TWICE", 5, AtomExpr("LogsSensitiveAccess"), 0.7, "logs what it collects")
 

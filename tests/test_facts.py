@@ -36,7 +36,7 @@ class TestApiCallExtraction:
         assert fact.kind is FactKind.API_CALL
         assert fact.symbol == "getDeviceId"
         assert fact.data_category is DataCategory.DEVICE_ID
-        assert (fact.span.start_line, fact.span.end_line) == (1, 1)
+        assert (fact.start_line, fact.end_line) == (1, 1)
 
     def test_open_camera_call(self):
         facts = extract_facts(
@@ -56,7 +56,7 @@ class TestApiCallExtraction:
         source = "int a;\nint b;\nloc = manager.getLastKnownLocation(p);\n"
         facts = extract_facts(source, "java")
         assert facts[0].symbol == "getLastKnownLocation"
-        assert facts[0].span.start_line == 3
+        assert facts[0].start_line == 3
 
     def test_call_inside_comment_ignored(self):
         source = "// manager.openCamera(a, b, c);\nint x = 1;\n"
@@ -147,7 +147,7 @@ class TestFocus:
     )
 
     def test_focus_marks_out_of_span_facts_contextual(self):
-        focused = analyze_source(self.SOURCE, "java", span=(2, 2)).to_dict()["facts"]
+        focused = analyze_source(self.SOURCE, "java", span=(2, 2)).to_dict("A.java", "java")["facts"]
         by_symbol = {f["symbol"]: f for f in focused}
         assert by_symbol["openCamera"]["contextual"] is False
         assert by_symbol["checkSelfPermission"]["contextual"] is True
@@ -165,15 +165,9 @@ class TestRegistry:
             registry.register("java", structural_frontend)
 
     def test_custom_frontend_dispatch(self, monkeypatch):
-        marker = Fact(
-            kind=FactKind.API_CALL,
-            symbol="FromCustom",
-            detail="",
-            span=SpanRef("", 1, 1),
-            language="zz",
-        )
+        marker = Fact(kind=FactKind.API_CALL, symbol="FromCustom", detail="", start_line=1, end_line=1)
 
-        def custom(source, language, path=""):
+        def custom(source):
             return [marker]
 
         registry = default_registry()
@@ -183,7 +177,7 @@ class TestRegistry:
         assert extract_facts("anything", "zz") == [marker]
 
     def test_raising_frontend_degrades_to_lexical_fallback(self, monkeypatch):
-        def broken(source, language, path=""):
+        def broken(source):
             raise ValueError("parser exploded")
 
         monkeypatch.setattr(default_registry(), "_frontends", {"java": broken})
@@ -207,7 +201,7 @@ class TestProperties:
     def test_facts_sorted_and_deduplicated(self, source, language):
         facts = extract_facts(source, language)
         keys = [
-            (f.span.start_line, f.span.end_line, f.kind.value, f.symbol, f.detail)
+            (f.start_line, f.end_line, f.kind.value, f.symbol, f.detail)
             for f in facts
         ]
         assert keys == sorted(keys)
@@ -218,15 +212,16 @@ class TestProperties:
     def test_spans_stay_within_source(self, source):
         line_count = max(1, source.count("\n") + 1)
         for fact in extract_facts(source, "java"):
-            assert 1 <= fact.span.start_line <= fact.span.end_line <= line_count
+            assert 1 <= fact.start_line <= fact.end_line <= line_count
 
     @given(source=source_text, start=st.integers(1, 5), extent=st.integers(0, 5))
     @settings(max_examples=100, deadline=None)
     def test_focus_only_toggles_contextual_flag(self, source, start, extent):
         line_count = source.count("\n") + 1
         start = min(start, line_count)
-        plain = analyze_source(source, "java").to_dict()["facts"]
-        focused = analyze_source(source, "java", span=(start, min(start + extent, line_count))).to_dict()["facts"]
+        plain = analyze_source(source, "java").to_dict("A.java", "java")["facts"]
+        focused = analyze_source(source, "java", span=(start, min(start + extent, line_count)))
+        focused = focused.to_dict("A.java", "java")["facts"]
         strip = lambda fs: [{k: v for k, v in f.items() if k != "contextual"} for f in fs]
         assert strip(plain) == strip(focused)
         assert not any(f["contextual"] for f in plain)
@@ -252,35 +247,35 @@ _word_text = st.lists(
 ).map("".join)
 
 
-def _word_fact(entry, m, index, language):
+def _word_fact(entry, m, index):
     line = index.line_of(m.start())
     return Fact(
         kind=entry.kind,
         symbol=entry.pattern,
         detail=m.group(0),
-        span=SpanRef("", line, line),
-        language=language,
+        start_line=line,
+        end_line=line,
         data_category=entry.data_category,
     )
 
 
 # References for TestWordPrefilter: the word-entry loops the token index
 # replaced, which run every entry's regex over the whole text.
-def _reference_lexical(source: str, language: str) -> list[Fact]:
+def _reference_lexical(source: str) -> list[Fact]:
     table = default_pattern_table()
     index = facts_module._LineIndex(source)
     facts = []
     for entry in table.word_entries:
         for m in entry.compiled.finditer(source):
-            facts.append(_word_fact(entry, m, index, language))
-    facts.extend(facts_module._regex_pass(source, language, table, "", index))
+            facts.append(_word_fact(entry, m, index))
+    facts.extend(facts_module._regex_pass(source, table, index))
     return facts_module._finalize(facts)
 
 
-def _reference_structural(source: str, language: str) -> list[Fact]:
+def _reference_structural(source: str) -> list[Fact]:
     # the frontend without its bare-identifier walk, plus that walk as a loop
     with mock.patch.object(facts_module, "_GUARD_KINDS", ()):
-        facts = structural_frontend(source, language)
+        facts = structural_frontend(source)
     index = facts_module._LineIndex(source)
     blanked, _ = facts_module._scan_java_like(source, index)
     for entry in default_pattern_table().word_entries:
@@ -290,28 +285,27 @@ def _reference_structural(source: str, language: str) -> list[Fact]:
             tail = blanked[m.end():].lstrip(" \t")
             if tail.startswith("("):
                 continue
-            facts.append(_word_fact(entry, m, index, language))
+            facts.append(_word_fact(entry, m, index))
     return facts_module._finalize(facts)
 
 
 class TestWordPrefilter:
     """The token index finds exactly the matches of every word entry's regex."""
 
-    @given(source=_word_text, language=st.sampled_from(["java", "kt", "js", "py", "php", "xml"]))
+    @given(source=_word_text)
     @settings(max_examples=300, deadline=None)
-    @example(source="$getDeviceId _getDeviceId getDeviceId2 getdeviceid", language="js")
-    @example(source="Log .\n d(x); uses_permission uses-permission", language="py")
-    @example(source="if (consentGiven) x = consentGivenX;\nhasConsent ()\nconsentGiven\n(x)",
-             language="java")
-    def test_frontends_equal_unfiltered_scan(self, source, language):
-        fast = [lexical_fallback(source, language), structural_frontend(source, language)]
-        slow = [_reference_lexical(source, language), _reference_structural(source, language)]
+    @example(source="$getDeviceId _getDeviceId getDeviceId2 getdeviceid")
+    @example(source="Log .\n d(x); uses_permission uses-permission")
+    @example(source="if (consentGiven) x = consentGivenX;\nhasConsent ()\nconsentGiven\n(x)")
+    def test_frontends_equal_unfiltered_scan(self, source):
+        fast = [lexical_fallback(source), structural_frontend(source)]
+        slow = [_reference_lexical(source), _reference_structural(source)]
         assert fast == slow
 
 
 # Reference for TestRegexPrefilter: the regex-entry loop before the literal
 # pre-check, which runs every entry over every text.
-def _reference_regex_pass(source: str, language: str) -> list[Fact]:
+def _reference_regex_pass(source: str) -> list[Fact]:
     index = facts_module._LineIndex(source)
     facts = []
     defaults = {FactKind.URL_LITERAL: "url", FactKind.STRING_LITERAL: "literal"}
@@ -329,17 +323,17 @@ def _reference_regex_pass(source: str, language: str) -> list[Fact]:
                     kind=entry.kind,
                     symbol=symbol,
                     detail=detail,
-                    span=SpanRef("", line, end_line),
-                    language=language,
+                    start_line=line,
+                    end_line=end_line,
                     data_category=entry.data_category,
                 )
             )
     return facts
 
 
-def _regex_pass(source: str, language: str) -> list[Fact]:
+def _regex_pass(source: str) -> list[Fact]:
     index = facts_module._LineIndex(source)
-    return facts_module._regex_pass(source, language, default_pattern_table(), "", index)
+    return facts_module._regex_pass(source, default_pattern_table(), index)
 
 
 @pytest.fixture(scope="module")
@@ -394,22 +388,21 @@ class TestRegexPrefilter:
 
     def test_fixture_texts_equal_unfiltered_loop(self, fixture_corpus):
         for record in fixture_corpus:
-            language = detect_language(split_snippet_path(record.code_snippet_path)[0])
             text = record.code_snippet
-            assert _regex_pass(text, language) == _reference_regex_pass(text, language)
+            assert _regex_pass(text) == _reference_regex_pass(text)
 
     def test_seed1_texts_equal_unfiltered_loop(self, seed1_texts):
         assert len(seed1_texts) > 1000
-        for text, language in seed1_texts:
-            assert _regex_pass(text, language) == _reference_regex_pass(text, language)
+        for text, _ in seed1_texts:
+            assert _regex_pass(text) == _reference_regex_pass(text)
 
     @pytest.mark.parametrize("key", _CREDENTIAL_KEYS + _NOTICES)
     @pytest.mark.parametrize("case", [str.lower, str.upper, str.title])
     def test_every_match_form_equals_unfiltered_loop(self, key, case):
         for source in (f'"{key}": "v"', f"{key} = 'v'", key):
             source = case(source)
-            assert _regex_pass(source, "js") == _reference_regex_pass(source, "js")
-        assert _regex_pass(case(f'"{key}": "v" {key} = "v"'), "js")
+            assert _regex_pass(source) == _reference_regex_pass(source)
+        assert _regex_pass(case(f'"{key}": "v" {key} = "v"'))
 
     @given(source=_regex_text)
     @example(source="paſsword = 'x'")
@@ -417,7 +410,7 @@ class TestRegexPrefilter:
     @example(source='"private_\u212aey":"t" Data Protection Notice')
     @settings(max_examples=500, deadline=None)
     def test_random_texts_equal_unfiltered_loop(self, source):
-        assert _regex_pass(source, "java") == _reference_regex_pass(source, "java")
+        assert _regex_pass(source) == _reference_regex_pass(source)
 
     @pytest.mark.parametrize(
         "source,symbol",
@@ -425,7 +418,7 @@ class TestRegexPrefilter:
     )
     def test_case_folds_outside_ascii_still_match(self, source, symbol):
         # "paſsword".lower() holds no literal: only the isascii() gate keeps the entry
-        found = [(f.kind, f.symbol) for f in _regex_pass(source, "js")]
+        found = [(f.kind, f.symbol) for f in _regex_pass(source)]
         assert (FactKind.STRING_LITERAL, symbol) in found
 
     @pytest.mark.parametrize(
@@ -608,10 +601,10 @@ class TestLineNumbers:
             text += _PLACED[kind] + end
         text += "".join(filler + line_end for filler, line_end in gaps[-1])
         frontend = {"java": structural_frontend, "js": lexical_fallback}[language]
-        facts = frontend(text, language)
+        facts = frontend(text)
         assert {fact.kind for fact in facts} == set(_PLACED)
         for fact in facts:
-            assert (fact.span.start_line, fact.span.end_line) == (expected[fact.kind],) * 2
+            assert (fact.start_line, fact.end_line) == (expected[fact.kind],) * 2
 
     @given(
         text=st.lists(st.sampled_from(["a", "\n", "\r\n", "\r", "\u2028", "bc"]), max_size=30).map("".join),
@@ -639,10 +632,12 @@ class TestPatternTable:
         assert DataCategory.LOCATION in cats
 
     def test_fact_to_dict_round_shape(self):
-        fact = extract_facts("manager.openCamera(a, b, c);", "java")[0]
-        obj = fact.to_dict()
+        result = analyze_source("manager.openCamera(a, b, c);", "java")
+        obj = result.to_dict("A.java", "java")["facts"][0]
         assert obj["kind"] == "ApiCall"
         assert obj["symbol"] == "openCamera"
+        assert obj["span"] == {"file_path": "A.java", "start_line": 1, "end_line": 1}
+        assert obj["language"] == "java"
         assert obj["data_category"] == "CAMERA"
 
 
@@ -684,15 +679,15 @@ class TestLinearScan:
 
     @pytest.mark.parametrize("source", ["x = \u00e9getDeviceId;", "x = getDeviceId\u00e9;"])
     def test_adjacent_non_ascii_letter_blocks_a_table_word(self, source):
-        assert lexical_fallback(source, "js") == []
-        assert lexical_fallback(source.replace("\u00e9", " "), "js") != []
+        assert lexical_fallback(source) == []
+        assert lexical_fallback(source.replace("\u00e9", " ")) != []
 
     @pytest.mark.parametrize(
         "run", ["a" * 50_000, "$" * 50_000, "a1" * 25_000, "a\u00e9" * 25_000], ids=["a", "$", "a1", "a\u00e9"]
     )
     def test_structural_frontend_is_linear_in_a_run(self, run):
         started = time.perf_counter()
-        facts = structural_frontend(f"x = {run};\ny = tm.getDeviceId();", "java")
+        facts = structural_frontend(f"x = {run};\ny = tm.getDeviceId();")
         elapsed = time.perf_counter() - started
         assert elapsed < 1.0, f"took {elapsed:.2f}s"
         assert [fact.symbol for fact in facts] == ["getDeviceId"]
@@ -713,7 +708,7 @@ class TestLinearScan:
             object.__setattr__(span, "note", "x")
 
 
-def _unfiltered_structural(source: str, language: str) -> list[Fact]:
+def _unfiltered_structural(source: str) -> list[Fact]:
     """``structural_frontend`` without its two prefilters.
 
     Every call candidate but a control keyword goes through the declaration
@@ -736,16 +731,15 @@ def _unfiltered_structural(source: str, language: str) -> list[Fact]:
             line = index.line_of(m.start("name"))
             symbol = entry.pattern if "." in entry.pattern else name
             detail = m.group("call").rstrip("( \t")
-            span = SpanRef("", line, line)
-            facts.append(Fact(entry.kind, symbol, detail, span, language, entry.data_category))
+            facts.append(Fact(entry.kind, symbol, detail, line, line, entry.data_category))
     for entry, m in table.word_index.matches(blanked):
         if entry.kind in (FactKind.CONSENT_GUARD, FactKind.PERMISSION_DECL) and not re.match(
             r"[ \t]*\(", blanked[m.end():]
         ):
-            facts.append(_word_fact(entry, m, index, language))
+            facts.append(_word_fact(entry, m, index))
     for start_line, end_line, content in literals:
-        facts.extend(facts_module._literal_facts(content, start_line, end_line, language, ""))
-    facts.extend(facts_module._regex_pass(source, language, table, "", index))
+        facts.extend(facts_module._literal_facts(content, start_line, end_line))
+    facts.extend(facts_module._regex_pass(source, table, index))
     return facts_module._finalize(facts)
 
 
@@ -776,21 +770,21 @@ class TestStructuralPrefilters:
     def test_fixture_snippets(self, fixture_corpus):
         texts = {(r.code_snippet, detect_language(split_snippet_path(r.code_snippet_path)[0]))
                  for r in fixture_corpus}
-        checked = [(text, lang) for text, lang in sorted(texts) if lang in ("java", "kt")]
+        checked = [text for text, lang in sorted(texts) if lang in ("java", "kt")]
         assert checked
-        for text, language in checked:
-            assert structural_frontend(text, language) == _unfiltered_structural(text, language)
+        for text in checked:
+            assert structural_frontend(text) == _unfiltered_structural(text)
 
     def test_seed1_java_and_kt_texts(self, seed1_texts):
-        checked = [(text, lang) for text, lang in seed1_texts if lang in ("java", "kt")]
+        checked = [text for text, lang in seed1_texts if lang in ("java", "kt")]
         assert len(checked) > 300
-        for text, language in checked:
-            assert structural_frontend(text, language) == _unfiltered_structural(text, language)
+        for text in checked:
+            assert structural_frontend(text) == _unfiltered_structural(text)
 
     @pytest.mark.parametrize("pattern", _WORD_PATTERNS)
     def test_every_table_name_in_every_place(self, pattern):
         text = _placements(pattern)
-        assert structural_frontend(text, "java") == _unfiltered_structural(text, "java")
+        assert structural_frontend(text) == _unfiltered_structural(text)
 
     def test_the_prefilters_skip_what_they_claim(self):
         table = default_pattern_table()

@@ -245,9 +245,9 @@ class TestFormalRuns:
         sources = []
         extract = engine.extract_facts
 
-        def counted(source, language, path=""):
+        def counted(source, language):
             sources.append(source)
-            return extract(source, language, path=path)
+            return extract(source, language)
 
         monkeypatch.setattr(engine, "extract_facts", counted)
         engine._facts_of.cache_clear()
@@ -681,10 +681,10 @@ class FailingMethod:
     def __init__(self, error=None):
         self.error = error or MethodError("model exploded")
 
-    def predict_labels(self, snippet, language="java", path=""):
+    def predict_labels(self, snippet, language="java"):
         raise self.error
 
-    def rank(self, text, language, *, span=None, path=""):
+    def rank(self, text, language, *, span=None):
         raise self.error
 
 

@@ -34,7 +34,6 @@ from gdprkit.methods import (
     CacheReplayReasoner,
     CachingReasoner,
     FormalMethod,
-    LabelSet,
     LiveHttpReasoner,
     RagMethod,
     ReactMethod,
@@ -169,14 +168,6 @@ class TestParseModelOutput:
     def test_format_parse_round_trip(self, labels):
         text = ",".join(map(str, sorted(labels))) or "0"
         assert frozenset(parse_model_output(text)) == labels
-
-    def test_label_set_rejects_non_positive(self):
-        from gdprkit.errors import InputError
-
-        with pytest.raises(InputError):
-            LabelSet({0})
-        with pytest.raises(InputError):
-            LabelSet({-4})
 
 
 class TestInferenceConfig:
@@ -401,7 +392,7 @@ class TestZeroShotMethodPath:
     def test_stub_round_trip(self):
         reasoner = ScriptedReasoner(lambda p: "6,32")
         labels, ranking = ZeroShotMethod(reasoner).predict_labels(CAMERA_SNIPPET)
-        assert labels == LabelSet({6, 32})
+        assert labels == (6, 32)
         assert ranking.articles == (6, 32)
         assert reasoner.calls == [render_zero_shot_prompt(CAMERA_SNIPPET.removesuffix("\n"))]
 
@@ -412,14 +403,18 @@ class TestZeroShotMethodPath:
 
     def test_zero_answer_is_empty_label_set(self):
         labels, ranking = ZeroShotMethod(ScriptedReasoner(lambda p: "0")).predict_labels("x")
-        assert labels == LabelSet()
+        assert labels == ()
         assert ranking.articles == ()
 
     def test_method_adapter_returns_labels_and_ranking(self):
         method = ZeroShotMethod(ScriptedReasoner(lambda p: "5,6"))
         labels, ranking = method.predict_labels("snippet")
-        assert labels == LabelSet({5, 6})
+        assert labels == (5, 6)
         assert ranking.articles == (5, 6)
+
+    def test_labels_ascend_whatever_the_ranking_order(self):
+        labels, ranking = ZeroShotMethod(ScriptedReasoner(lambda p: "32,6,5")).predict_labels("snippet")
+        assert (labels, ranking.articles) == ((5, 6, 32), (32, 6, 5))
 
 
 class TestRagMethodPath:
@@ -444,14 +439,14 @@ class TestRagMethodPath:
 
         reasoner = ScriptedReasoner(echo)
         labels, _ = RagMethod(reasoner, kb).predict_labels(CAMERA_SNIPPET)
-        assert labels == LabelSet({6, 32})
+        assert labels == (6, 32)
         assert "Example (articles 6,32)" in reasoner.calls[0]
 
     def test_rag_method_adapter(self, fixture_corpus):
         kb = build_kb(fixture_corpus)
         method = RagMethod(ScriptedReasoner(lambda p: "5"), kb=kb)
         labels, ranking = method.predict_labels("storage of location data")
-        assert labels == LabelSet({5})
+        assert labels == (5,)
         assert ranking.articles == (5,)
 
     def test_fixture_prompts_match_golden_hashes(self, fixture_corpus):
@@ -688,7 +683,7 @@ class TestReactLoop:
         )
         method = ReactMethod(reasoner)
         labels, ranking = method.predict_labels(CAMERA_SNIPPET)
-        assert labels == LabelSet({6, 32})
+        assert labels == (6, 32)
         assert ranking.articles == (6, 32)
 
     def test_react_method_rule_check_uses_instance_language(self):
@@ -711,12 +706,15 @@ class TestFormalMethodAdapter:
         labels, ranking = FormalMethod().predict_labels(CAMERA_SNIPPET)
         assert 6 in labels
         assert ranking.articles[0] == 6
+        # the best three articles, ascending
+        assert ranking.articles[:3] == (6, 25, 5)
+        assert labels == (5, 6, 25)
 
     def test_label_threshold_filters_weak_articles(self):
         # weight 0.5 keeps one camera fact below confidence 1.0: 0.5 * (1 + ln 2) = 0.85
         weak = RuleCatalog([dataclasses.replace(rule, weight=0.5) for rule in default_catalog().rules])
         labels, ranking = FormalMethod(weak).predict_labels(CAMERA_SNIPPET)
-        assert labels == LabelSet()
+        assert labels == ()
         assert ranking.articles != ()
         assert max(ranking.scores) < gdprkit.methods.LABEL_THRESHOLD == 1.0
         # at full weight the same findings reach the threshold
@@ -755,9 +753,9 @@ class TestScopes:
         calls = []
         extract = gdprkit.engine.extract_facts
 
-        def counted(source, language, path=""):
+        def counted(source, language):
             calls.append(source)
-            return extract(source, language, path=path)
+            return extract(source, language)
 
         monkeypatch.setattr(gdprkit.engine, "extract_facts", counted)
         gdprkit.engine._facts_of.cache_clear()

@@ -63,6 +63,27 @@ def test_readme_quick_start_prints_the_block_shown(capsys):
     assert capsys.readouterr().out == shown
 
 
+def test_readme_formal_baseline_runs_as_shown(tmp_path, monkeypatch, capsys):
+    """The quick start's baseline commands run from a directory without ``runs/``, each as shown."""
+    [commands] = re.findall(r"```sh\n(gdprkit stats .*?)```", readme_section("Quick start"), re.DOTALL)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "tests" / "data").mkdir(parents=True)
+    shutil.copy(DATA_DIR / "fixture_corpus.json", tmp_path / "tests" / "data")
+    argvs = [shlex.split(line) for line in commands.splitlines()]
+    names = ["stats", "gen-task1", "gen-task2", "run", "run"]
+    assert [argv[:2] for argv in argvs] == [["gdprkit", name] for name in names]
+    for program, *args in argvs:
+        assert main(args) == 0, args
+    out = capsys.readouterr().out
+    assert "task 1 / formal: 23 scored, 0 errored, 0 skipped" in out
+    assert "task 2 / formal: 10 scored, 0 errored, 0 skipped" in out
+    for task in (1, 2):
+        run_dir = tmp_path / "runs" / "formal-baseline" / f"task{task}-formal"
+        assert sorted(p.name for p in run_dir.iterdir()) == [
+            "manifest.json", "predictions.json", "report.json", "report.md"
+        ]
+
+
 class FakeSession:
     """A ``requests.Session`` whose completion API answers "6, 32" to every prompt."""
 

@@ -217,6 +217,24 @@ class TestLoadValidation:
             f"{path}: entry 1: {field} must hold positive integer article numbers, got {label!r}"
         )
 
+    @pytest.mark.parametrize(
+        "lines",
+        [{"start_line": True, "end_line": True}, {"start_line": 2.5, "end_line": 2.5}, {"start_line": 0}],
+        ids=["bool", "float", "zero"],
+    )
+    def test_line_span_that_is_not_a_line_range_rejected(self, tmp_path, lines):
+        entries = json.loads((GOLDEN_DIR / "task1_fixture.json").read_text(encoding="utf-8"))
+        span = entries[1]["line_level"][0]["span"]
+        span.update(lines)
+        path = tmp_path / "dataset.json"
+        path.write_text(json.dumps(entries), encoding="utf-8")
+        with pytest.raises(InputError) as raised:
+            load_task1(path)
+        assert str(raised.value) == (
+            f"{path}: entry 1: invalid span ({span['start_line']!r}, {span['end_line']!r}) "
+            f"for {span['file_path']!r}"
+        )
+
     @pytest.mark.parametrize("task, field", [(1, "file_level"), (2, "violated_articles")])
     def test_labels_that_are_not_an_array_rejected(self, tmp_path, task, field):
         entries = json.loads((GOLDEN_DIR / f"task{task}_fixture.json").read_text(encoding="utf-8"))
