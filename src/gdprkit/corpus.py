@@ -22,9 +22,9 @@ import re
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, TypeVar
+from typing import Callable, Iterable, NamedTuple, TypeVar
 
-from .errors import CorpusSchemaError, InputError, SpanParseError
+from .errors import CorpusSchemaError, InputError
 
 T = TypeVar("T")
 
@@ -50,25 +50,11 @@ LANGUAGE_BY_EXTENSION = {
 }
 
 
-@dataclass(frozen=True, slots=True)
-class SpanRef:
-    """1-based inclusive line span within a file; each line an ``int``, not a bool."""
+class Span(NamedTuple):
+    """1-based inclusive line span of one text: the ``(start, end)`` pair every layer takes."""
 
-    file_path: str
     start_line: int
     end_line: int
-
-    def __post_init__(self):
-        start, end = self.start_line, self.end_line
-        if not (type(start) is int and type(end) is int and 1 <= start <= end):
-            raise SpanParseError(f"invalid span ({start!r}, {end!r}) for {self.file_path!r}")
-
-    def to_dict(self) -> dict:
-        return {
-            "file_path": self.file_path,
-            "start_line": self.start_line,
-            "end_line": self.end_line,
-        }
 
 
 @dataclass(frozen=True, slots=True)
@@ -292,7 +278,7 @@ def detect_language(file_path: str) -> str:
     return LANGUAGE_BY_EXTENSION.get(path_suffix(file_path).lower(), "unknown")
 
 
-def split_snippet_path(code_snippet_path: str) -> tuple[str, SpanRef | None]:
+def split_snippet_path(code_snippet_path: str) -> tuple[str, Span | None]:
     """Split a snippet path into (file_path, span).
 
     The line spec, when present, follows the last ``:`` separator: ``line N``
@@ -307,22 +293,21 @@ def split_snippet_path(code_snippet_path: str) -> tuple[str, SpanRef | None]:
         start = int(m.group(1))
         end = int(m.group(2)) if m.group(2) else start
         if 1 <= start <= end:
-            file_path = head.strip()
-            return file_path, SpanRef(file_path, start, end)
+            return head.strip(), Span(start, end)
     return code_snippet_path.strip(), None
 
 
 def group_by_file(
     corpus: Iterable[ViolationRecord],
-) -> dict[tuple[str, str, str], list[tuple[ViolationRecord, SpanRef | None]]]:
+) -> dict[tuple[str, str, str], list[tuple[ViolationRecord, Span | None]]]:
     """(record, span) pairs per (repo_url, app_name, file_path), in corpus order.
 
     Each distinct snippet path is split once per call, here; the span is the
     one ``split_snippet_path`` gives.  Records at one snippet location share
     their path, so the splits are kept for the length of the call only.
     """
-    groups: dict[tuple[str, str, str], list[tuple[ViolationRecord, SpanRef | None]]] = {}
-    splits: dict[str, tuple[str, SpanRef | None]] = {}
+    groups: dict[tuple[str, str, str], list[tuple[ViolationRecord, Span | None]]] = {}
+    splits: dict[str, tuple[str, Span | None]] = {}
     for record in corpus:
         path = record.code_snippet_path
         split = splits.get(path)

@@ -25,7 +25,7 @@ import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .corpus import read_entries
 from .errors import InputError, RuleLoadError
@@ -48,73 +48,48 @@ _PRIVACY_PHRASES = ("privacy policy", "privacy notice", "privacy statement", "da
 # Rule condition expressions
 
 
-@dataclass(frozen=True, slots=True)
-class AtomExpr:
-    name: str
-
-    def evaluate(self, held: Mapping[str, Sequence[Fact]]) -> bool:
-        """Whether this predicate is among the held ones."""
-        return self.name in held
-
-    def walk(self, positive: bool, out: list[tuple[str, bool]]) -> None:
-        out.append((self.name, positive))
-
-
-@dataclass(frozen=True, slots=True)
-class NotExpr:
-    child: "Expr"
-
-    def evaluate(self, held) -> bool:
-        return not self.child.evaluate(held)
-
-    def walk(self, positive, out) -> None:
-        self.child.walk(not positive, out)
-
-
-@dataclass(frozen=True, slots=True)
-class AndExpr:
-    children: tuple["Expr", ...]
-
-    def evaluate(self, held) -> bool:
-        return all(c.evaluate(held) for c in self.children)
-
-    def walk(self, positive, out) -> None:
-        for c in self.children:
-            c.walk(positive, out)
-
-
-@dataclass(frozen=True, slots=True)
-class OrExpr:
-    children: tuple["Expr", ...]
-
-    def evaluate(self, held) -> bool:
-        return any(c.evaluate(held) for c in self.children)
-
-    def walk(self, positive, out) -> None:
-        for c in self.children:
-            c.walk(positive, out)
-
-
-Expr = AtomExpr | NotExpr | AndExpr | OrExpr
-
-
-def parse_condition(obj) -> Expr:
+def parse_condition(obj) -> str | tuple:
+    """A rule's ``when``, checked, as nested tuples: a predicate name is a
+    string, and ``["not", c]``, ``["and", c, ...]`` and ``["or", c, ...]``
+    become ``("not", c)``, ``("and", c, ...)`` and ``("or", c, ...)``."""
     if isinstance(obj, str):
-        return AtomExpr(obj)
+        return obj
     if isinstance(obj, (list, tuple)) and obj:
         op = obj[0]
         args = obj[1:]
         if op == "not":
             if len(args) != 1:
                 raise RuleLoadError("'not' takes exactly one operand")
-            return NotExpr(parse_condition(args[0]))
+            return (op, parse_condition(args[0]))
         if op in ("and", "or"):
             if not args:
                 raise RuleLoadError(f"{op!r} needs at least one operand")
-            children = tuple(parse_condition(a) for a in args)
-            return AndExpr(children) if op == "and" else OrExpr(children)
+            return (op, *map(parse_condition, args))
         raise RuleLoadError(f"unknown operator {op!r}")
     raise RuleLoadError(f"malformed condition: {obj!r}")
+
+
+def holds(condition: str | tuple, held: Mapping[str, Sequence[Fact]]) -> bool:
+    """Whether a parsed condition holds when exactly the predicates in ``held`` hold."""
+    if isinstance(condition, str):
+        return condition in held
+    op, *args = condition
+    if op == "not":
+        return not holds(args[0], held)
+    values = (holds(arg, held) for arg in args)
+    return all(values) if op == "and" else any(values)
+
+
+def predicates(condition: str | tuple) -> Iterator[tuple[str, bool]]:
+    """Each predicate of a parsed condition, in order, with whether it is un-negated."""
+    if isinstance(condition, str):
+        yield condition, True
+    elif condition[0] == "not":
+        for name, positive in predicates(condition[1]):
+            yield name, not positive
+    else:
+        for arg in condition[1:]:
+            yield from predicates(arg)
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +182,7 @@ def populate_predicates(facts: Sequence[Fact], span: tuple[int, int] | None = No
 class Rule:
     id: str
     article: int
-    condition: Expr
+    condition: str | tuple  # as parse_condition gives it
     weight: float
     message: str
 
@@ -219,9 +194,8 @@ class RuleCatalog:
         self.rules = tuple(rules)
         self._compiled: list[tuple[Rule, tuple[str, ...]]] = []
         for rule in self.rules:
-            atoms: list[tuple[str, bool]] = []
-            rule.condition.walk(True, atoms)
-            self._compiled.append((rule, tuple(dict.fromkeys(n for n, positive in atoms if positive))))
+            atoms = dict.fromkeys(name for name, positive in predicates(rule.condition) if positive)
+            self._compiled.append((rule, tuple(atoms)))
         self._fired: dict[frozenset[str], tuple[tuple[Rule, tuple[str, ...]], ...]] = {}
 
     def fired(self, held: Mapping[str, Sequence[Fact]]) -> tuple[tuple[Rule, tuple[str, ...]], ...]:
@@ -232,7 +206,7 @@ class RuleCatalog:
         """
         key = frozenset(held)
         if key not in self._fired:
-            self._fired[key] = tuple(c for c in self._compiled if c[0].condition.evaluate(held))
+            self._fired[key] = tuple(c for c in self._compiled if holds(c[0].condition, held))
         return self._fired[key]
 
 
@@ -250,9 +224,7 @@ def load_rules(path: str | Path | None = None, *, digests: dict[str, str] | None
             raise RuleLoadError(f"duplicate rule id {rule_id!r}")
         seen.add(rule_id)
         condition = parse_condition(obj["when"])
-        atoms: list[tuple[str, bool]] = []
-        condition.walk(True, atoms)
-        for name, _ in atoms:
+        for name, _ in predicates(condition):
             if name not in known:
                 raise RuleLoadError(f"rule {rule_id!r} references unknown predicate {name!r}")
         weight = obj["weight"]

@@ -24,10 +24,6 @@ class InputError(GdprKitError):
     """An analysis input is out of bounds, or a stored dataset or prediction file is malformed."""
 
 
-class SpanParseError(InputError):
-    """A line span is malformed: a line is not an int, or its start is below 1 or after its end."""
-
-
 class ConfigurationError(GdprKitError):
     """Invalid registry or run configuration."""
 

@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from .corpus import (
-    SpanRef,
+    Span,
     ViolationRecord,
     article_numbers,
     detect_language,
@@ -133,7 +133,7 @@ class RunConfig:
 
 
 def reconstruct_source(
-    group: Sequence[tuple[ViolationRecord, SpanRef | None]],
+    group: Sequence[tuple[ViolationRecord, Span | None]],
 ) -> tuple[str, int]:
     """Rebuild an approximate file from its snippet records.
 
@@ -193,15 +193,9 @@ def task1_instances(entries: Sequence[Task1Entry]) -> list[Instance]:
                 )
             )
         for lv in entry.line_level:
-            span = (lv.span.start_line, lv.span.end_line)
+            start, end = lv.span
             instances.append(
-                Instance(
-                    f"{prefix}::line::{span[0]}-{span[1]}",
-                    "line",
-                    i - 1,
-                    frozenset(lv.articles),
-                    span=span,
-                )
+                Instance(f"{prefix}::line::{start}-{end}", "line", i - 1, frozenset(lv.articles), span=lv.span)
             )
     return instances
 
@@ -565,15 +559,26 @@ class RunResult:
     output_dir: Path
 
 
+def _scored_inputs(
+    config: RunConfig, digests: dict[str, str]
+) -> tuple[list[Task1Entry] | list[Task2Entry], dict[int, ArticleInfo] | None, list[Instance]]:
+    """The dataset entries, the articles catalog (None for the built-in one) and
+    the instances that ``run`` scores and ``evaluate_run`` re-scores.
+
+    ``digests`` is filled as ``corpus.read_json`` fills it.
+    """
+    entries = (load_task1 if config.task == 1 else load_task2)(config.dataset_path, digests=digests)
+    catalog = load_articles(config.articles_path, digests=digests) if config.articles_path else None
+    return entries, catalog, (task1_instances if config.task == 1 else task2_instances)(entries)
+
+
 def run(config: RunConfig) -> RunResult:
     """Predict, evaluate, and write all artifacts for one configured run."""
     started = time.monotonic()
     digests: dict[str, str] = {}  # sha256 of each input file, of the bytes its loader read
     corpus = load_corpus(config.corpus_path, digests=digests) if config.corpus_path else None
-    entries = (load_task1 if config.task == 1 else load_task2)(config.dataset_path, digests=digests)
-    catalog = load_articles(config.articles_path, digests=digests) if config.articles_path else None
+    entries, catalog, instances = _scored_inputs(config, digests)
     rules = load_rules(config.rules_path, digests=digests) if config.rules_path else None
-    instances = (task1_instances if config.task == 1 else task2_instances)(entries)
     cache = ResponseCache(config.cache_dir) if config.cache_dir and config.method != "formal" else None
     try:
         method = _build_method(config, corpus, cache, catalog, rules)
@@ -633,8 +638,7 @@ def evaluate_run(run_dir: str | Path) -> RunReport:
         raise ConfigurationError(f"{manifest_path} is not a run manifest") from None
     config = RunConfig.from_dict(raw_config)
     digests: dict[str, str] = {}  # of the bytes the loaders read, which are the bytes scored
-    entries = (load_task1 if config.task == 1 else load_task2)(config.dataset_path, digests=digests)
-    catalog = load_articles(config.articles_path, digests=digests) if config.articles_path else None
+    _, catalog, instances = _scored_inputs(config, digests)
     for name in ("dataset", "articles"):  # the inputs that scoring reads
         path = getattr(config, _INPUT_FIELDS[name])
         if path and digests[path] != recorded.get(name):
@@ -642,7 +646,6 @@ def evaluate_run(run_dir: str | Path) -> RunReport:
                 f"{name} {path} has changed since the run: "
                 f"its sha256 is not the one recorded in {manifest_path}"
             )
-    instances = (task1_instances if config.task == 1 else task2_instances)(entries)
     return score(config, instances, load_predictions(run_dir / "predictions.json"), catalog)[0]
 
 

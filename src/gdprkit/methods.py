@@ -466,54 +466,45 @@ def _parse_react_step(text: str) -> tuple[str, str, str] | None:
     return thought, action, action_input
 
 
-def _tool_gdpr_lookup(arg: str, context: "ReactContext") -> str:
-    m = _INT_RE.search(arg)
-    if m is None:
-        return "error: expected an article number"
-    number = int(m.group(0))
-    try:
-        info = article_lookup(number, context.catalog)
-    except UnknownArticleError:
-        return f"error: article {number} is not in the catalog"
-    return f"Article {number}: {info.title}. {info.summary}"
-
-
-def _tool_code_search(arg: str, context: "ReactContext") -> str:
-    keyword = arg.strip()
-    if not keyword:
-        return "error: expected a keyword"
-    hits = [
-        f"line {i}: {line.strip()}"
-        for i, line in enumerate(context.snippet.split("\n"), start=1)
-        if keyword.lower() in line.lower()
-    ]
-    return "\n".join(hits[:20]) if hits else f"no lines match {keyword!r}"
-
-
-def _tool_rule_check(arg: str, context: "ReactContext") -> str:
-    result = analyze_source(context.snippet, context.language, catalog=context.rules)
-    if not result.findings:
-        return "no rule findings"
-    lines = [
-        f"article {f.article} ({f.rule_id}, confidence {f.confidence:.2f}): {f.explanation}"
-        for f in sorted(result.findings, key=lambda f: (-f.confidence, f.article, f.rule_id))
-    ]
-    return "\n".join(lines[:10])
-
-
-_TOOL_IMPLS = {
-    "gdpr_lookup": _tool_gdpr_lookup,
-    "code_search": _tool_code_search,
-    "rule_check": _tool_rule_check,
-}
-
-
-@dataclass
-class ReactContext:
-    snippet: str
-    language: str = "java"
-    catalog: Mapping[int, ArticleInfo] | None = None
-    rules: RuleCatalog | None = None
+def _observe(
+    action: str,
+    arg: str,
+    snippet: str,
+    language: str,
+    catalog: Mapping[int, ArticleInfo] | None,
+    rules: RuleCatalog | None,
+) -> str:
+    """What the ReAct tool ``action`` observes for the input ``arg`` on ``snippet``."""
+    if action == "gdpr_lookup":
+        m = _INT_RE.search(arg)
+        if m is None:
+            return "error: expected an article number"
+        number = int(m.group(0))
+        try:
+            info = article_lookup(number, catalog)
+        except UnknownArticleError:
+            return f"error: article {number} is not in the catalog"
+        return f"Article {number}: {info.title}. {info.summary}"
+    if action == "code_search":
+        keyword = arg.strip()
+        if not keyword:
+            return "error: expected a keyword"
+        hits = [
+            f"line {i}: {line.strip()}"
+            for i, line in enumerate(snippet.split("\n"), start=1)
+            if keyword.lower() in line.lower()
+        ]
+        return "\n".join(hits[:20]) if hits else f"no lines match {keyword!r}"
+    if action == "rule_check":
+        result = analyze_source(snippet, language, catalog=rules)
+        if not result.findings:
+            return "no rule findings"
+        lines = [
+            f"article {f.article} ({f.rule_id}, confidence {f.confidence:.2f}): {f.explanation}"
+            for f in sorted(result.findings, key=lambda f: (-f.confidence, f.article, f.rule_id))
+        ]
+        return "\n".join(lines[:10])
+    return f"unknown tool {action!r}; available: {', '.join(REACT_TOOLS)}"
 
 
 def react_run(
@@ -530,7 +521,6 @@ def react_run(
     read leniently.  Hitting the step cap marks the trace truncated and
     also falls back to a lenient read of the last turn.
     """
-    context = ReactContext(snippet=snippet, language=language, catalog=catalog, rules=rules)
     transcript = _REACT_SCAFFOLD.format(snippet=snippet)
     steps: list[AgentStep] = []
     last_response = ""
@@ -558,11 +548,7 @@ def react_run(
                 ordered = parse_model_output(action_input, strict=False)
             steps.append(AgentStep(thought, action, action_input, ""))
             return result(ordered, truncated=False)
-        tool = _TOOL_IMPLS.get(action)
-        if tool is None:
-            observation = f"unknown tool {action!r}; available: {', '.join(REACT_TOOLS)}"
-        else:
-            observation = tool(action_input, context)
+        observation = _observe(action, action_input, snippet, language, catalog, rules)
         steps.append(AgentStep(thought, action, action_input, observation))
         transcript += f"Observation: {observation}\nThought:"
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .corpus import (
-    SpanRef,
+    Span,
     ViolationRecord,
     article_numbers,
     group_by_file,
@@ -25,19 +25,21 @@ from .corpus import (
     read_entries,
     write_atomic,
 )
+from .errors import InputError
 
 log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True, slots=True)
 class LineViolation:
-    span: SpanRef
+    span: Span
     articles: frozenset[int]
     description: str
 
-    def to_dict(self) -> dict:
+    def to_dict(self, file_path: str) -> dict:
+        """The violation as a dataset writes it, its span stamped with its entry's ``file_path``."""
         return {
-            "span": self.span.to_dict(),
+            "span": {"file_path": file_path, "start_line": self.span.start_line, "end_line": self.span.end_line},
             "articles": sorted(self.articles),
             "description": self.description,
         }
@@ -61,7 +63,7 @@ class Task1Entry:
             "file_path": self.file_path,
             "file_level": sorted(self.file_level),
             "module_level": {k: sorted(v) for k, v in sorted(self.module_level.items())},
-            "line_level": [item.to_dict() for item in self.line_level],
+            "line_level": [item.to_dict(self.file_path) for item in self.line_level],
         }
 
 
@@ -100,22 +102,18 @@ def build_task1(corpus: list[ViolationRecord]) -> list[Task1Entry]:
         group = groups[(repo_url, app_name, file_path)]
         file_articles = frozenset(record.violated_article for record, _ in group)
 
-        by_span: dict[tuple[int, int], tuple[set[int], list[str]]] = {}
+        by_span: dict[Span, tuple[set[int], list[str]]] = {}
         for record, span in group:
             if span is None:
                 continue
-            articles, notes = by_span.setdefault((span.start_line, span.end_line), (set(), []))
+            articles, notes = by_span.setdefault(span, (set(), []))
             articles.add(record.violated_article)
             if record.annotation_note not in notes:
                 notes.append(record.annotation_note)
 
         line_level = tuple(
-            LineViolation(
-                span=SpanRef(file_path, start, end),
-                articles=frozenset(articles),
-                description="\n".join(notes),
-            )
-            for (start, end), (articles, notes) in sorted(by_span.items())
+            LineViolation(span, frozenset(articles), "\n".join(notes))
+            for span, (articles, notes) in sorted(by_span.items())
         )
 
         entries.append(
@@ -173,41 +171,46 @@ def entries_json(entries: list[Task1Entry] | list[Task2Entry]) -> str:
     return json.dumps([e.to_dict() for e in entries], indent=2, ensure_ascii=False) + "\n"
 
 
+def _texts(obj: dict, keys: tuple[str, ...], where: str = "") -> list[str]:
+    """The values of ``keys`` in ``obj``, which must be strings; InputError names the first that is not."""
+    values = [obj[key] for key in keys]
+    for key, value in zip(keys, values):
+        if not isinstance(value, str):
+            raise InputError(f"{where}{key} must be a string, got {type(value).__name__}")
+    return values
+
+
+def _line_violation(item: dict, j: int, file_path: str) -> LineViolation:
+    """Line violation ``j`` of the task-1 entry of ``file_path``: its span must be a line range of that file."""
+    span = item["span"]
+    if span["file_path"] != file_path:
+        raise InputError(
+            f"line_level[{j}].span.file_path {span['file_path']!r} is not the entry's file_path {file_path!r}"
+        )
+    start, end = span["start_line"], span["end_line"]
+    if not (type(start) is int and type(end) is int and 1 <= start <= end):
+        raise InputError(f"invalid span ({start!r}, {end!r}) for {file_path!r}")
+    articles = frozenset(article_numbers(item["articles"], f"line_level[{j}].articles"))
+    (description,) = _texts(item, ("description",), f"line_level[{j}].")
+    return LineViolation(Span(start, end), articles, description)
+
+
 def _task1_entry(obj: dict) -> Task1Entry:
+    texts = _texts(obj, ("repo_url", "app_name", "commit_id", "file_path"))
     return Task1Entry(
-        repo_url=obj["repo_url"],
-        app_name=obj["app_name"],
-        commit_id=obj["commit_id"],
-        file_path=obj["file_path"],
+        *texts,
         file_level=frozenset(article_numbers(obj["file_level"], "file_level")),
         module_level={
             k: frozenset(article_numbers(v, f"module_level[{k!r}]"))
             for k, v in obj["module_level"].items()
         },
-        line_level=tuple(
-            LineViolation(
-                span=SpanRef(
-                    item["span"]["file_path"],
-                    item["span"]["start_line"],
-                    item["span"]["end_line"],
-                ),
-                articles=frozenset(article_numbers(item["articles"], f"line_level[{j}].articles")),
-                description=item["description"],
-            )
-            for j, item in enumerate(obj["line_level"])
-        ),
+        line_level=tuple(_line_violation(item, j, texts[-1]) for j, item in enumerate(obj["line_level"])),
     )
 
 
 def _task2_entry(obj: dict) -> Task2Entry:
-    return Task2Entry(
-        repo_url=obj["repo_url"],
-        app_name=obj["app_name"],
-        commit_id=obj["commit_id"],
-        code_snippet_path=obj["code_snippet_path"],
-        code_snippet=obj["code_snippet"],
-        violated_articles=article_numbers(obj["violated_articles"], "violated_articles"),
-    )
+    texts = _texts(obj, ("repo_url", "app_name", "commit_id", "code_snippet_path", "code_snippet"))
+    return Task2Entry(*texts, article_numbers(obj["violated_articles"], "violated_articles"))
 
 
 def load_task1(path: str | Path, *, digests: dict[str, str] | None = None) -> list[Task1Entry]:

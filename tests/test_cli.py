@@ -241,6 +241,38 @@ class TestRun:
         )
         assert not out_dir.exists()
 
+    def test_dataset_span_of_another_file_is_an_error_line(self, tmp_path, capsys):
+        task1_path = tmp_path / "task1.json"
+        assert main(["gen-task1", CORPUS, "-o", str(task1_path)]) == 0
+        entries = json.loads(task1_path.read_text(encoding="utf-8"))
+        entries[0]["line_level"][0]["span"]["file_path"] = "some/Other.kt"
+        task1_path.write_text(json.dumps(entries), encoding="utf-8")
+        capsys.readouterr()
+        out_dir = tmp_path / "out"
+        assert main(["run", "--task", "1", "--method", "formal", "--dataset", str(task1_path),
+                     "--corpus", CORPUS, "--output-dir", str(out_dir)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {task1_path}: entry 0: line_level[0].span.file_path 'some/Other.kt' "
+            f"is not the entry's file_path {entries[0]['file_path']!r}\n"
+        )
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "task, field", [(1, "file_path"), (2, "code_snippet_path"), (2, "code_snippet")]
+    )
+    def test_dataset_text_that_is_not_a_string_is_an_error_line(self, task, field, tmp_path, capsys):
+        dataset = tmp_path / f"task{task}.json"
+        assert main([f"gen-task{task}", CORPUS, "-o", str(dataset)]) == 0
+        entries = json.loads(dataset.read_text(encoding="utf-8"))
+        entries[0][field] = 5
+        dataset.write_text(json.dumps(entries), encoding="utf-8")
+        capsys.readouterr()
+        out_dir = tmp_path / "out"
+        assert main(["run", "--task", str(task), "--method", "formal", "--dataset", str(dataset),
+                     "--corpus", CORPUS, "--output-dir", str(out_dir)]) == 2
+        assert capsys.readouterr().err == f"error: {dataset}: entry 0: {field} must be a string, got int\n"
+        assert not out_dir.exists()
+
 
 def run_formal(tmp_path, task: int, dataset, **fields) -> Path:
     """Run the formal method through ``run --config`` and return the output directory."""

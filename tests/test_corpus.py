@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from gdprkit.corpus import (
     LANGUAGE_BY_EXTENSION,
-    SpanRef,
+    Span,
     ViolationRecord,
     compute_stats,
     detect_language,
@@ -21,7 +21,7 @@ from gdprkit.corpus import (
     split_snippet_path,
     write_atomic,
 )
-from gdprkit.errors import CorpusSchemaError, InputError, SpanParseError
+from gdprkit.errors import CorpusSchemaError, InputError
 
 VALID_COMMIT = "ab" * 20
 
@@ -147,7 +147,7 @@ class TestParseSpan:
             "app/src/main/java/me/hawkshaw/test/MainActivity2.java: line 202"
         )
         assert file_path == "app/src/main/java/me/hawkshaw/test/MainActivity2.java"
-        assert span == SpanRef(file_path, 202, 202)
+        assert span == Span(202, 202) == (202, 202)
 
     @pytest.mark.parametrize("dash", ["-", "\u2013"])
     def test_range_spec_accepts_hyphen_and_en_dash(self, dash):
@@ -172,25 +172,6 @@ class TestParseSpan:
         file_path, span = split_snippet_path("C:/work/Main.java")
         assert file_path == "C:/work/Main.java"
         assert span is None
-
-
-class TestSpanRef:
-    @pytest.mark.parametrize(
-        "start, end",
-        [(True, True), (1, True), (2.5, 2.5), (1.0, 1), (1, 3.0), ("3", "3"), (None, 1),
-         (0, 3), (-1, 1), (4, 3)],
-        ids=repr,
-    )
-    def test_span_that_is_not_a_line_range_is_refused(self, start, end):
-        with pytest.raises(SpanParseError) as raised:
-            SpanRef("src/A.java", start, end)
-        assert str(raised.value) == f"invalid span ({start!r}, {end!r}) for 'src/A.java'"
-        assert isinstance(raised.value, InputError)
-
-    @pytest.mark.parametrize("start, end", [(1, 1), (2, 5)])
-    def test_line_range_is_kept(self, start, end):
-        span = SpanRef("src/A.java", start, end)
-        assert (span.start_line, span.end_line) == (start, end)
 
 
 def _reference_group_by_file(records):

@@ -11,11 +11,7 @@ from hypothesis import strategies as st
 
 from gdprkit import engine
 from gdprkit.engine import (
-    AndExpr,
-    AtomExpr,
     Finding,
-    NotExpr,
-    OrExpr,
     Rule,
     RuleCatalog,
     _ranked,
@@ -24,9 +20,11 @@ from gdprkit.engine import (
     atom_inventory,
     confidence_for,
     default_catalog,
+    holds,
     load_rules,
     parse_condition,
     populate_predicates,
+    predicates,
 )
 from gdprkit.errors import InputError, RuleLoadError
 from gdprkit.facts import SENSITIVE_CATEGORIES, DataCategory, Fact, FactKind, default_registry, extract_facts
@@ -150,19 +148,25 @@ class TestCatalog:
 class TestConditionParsing:
     def test_nested_condition_parses_to_its_tree(self):
         obj = ["and", "CollectsData(CAMERA)", ["not", "HasConsentCheck"]]
-        expr = parse_condition(obj)
-        assert expr == AndExpr(
-            (AtomExpr("CollectsData(CAMERA)"), NotExpr(AtomExpr("HasConsentCheck")))
-        )
+        condition = parse_condition(obj)
+        assert condition == ("and", "CollectsData(CAMERA)", ("not", "HasConsentCheck"))
+        assert list(predicates(condition)) == [("CollectsData(CAMERA)", True), ("HasConsentCheck", False)]
 
     def test_bare_string_is_an_atom(self):
-        expr = parse_condition("UsesInsecureTransport")
-        assert expr == AtomExpr("UsesInsecureTransport")
+        condition = parse_condition("UsesInsecureTransport")
+        assert condition == "UsesInsecureTransport"
+        assert list(predicates(condition)) == [("UsesInsecureTransport", True)]
+
+    def test_double_negation_is_un_negated(self):
+        condition = parse_condition(["or", ["not", ["not", "WritesLogs"]], ["not", "UsesEncryption"]])
+        assert list(predicates(condition)) == [("WritesLogs", True), ("UsesEncryption", False)]
 
     def test_or_condition_evaluates(self):
-        expr = parse_condition(["or", "WritesLogs", "HasConsentCheck"])
+        condition = parse_condition(["or", "WritesLogs", "HasConsentCheck"])
         held = populate_predicates(extract_facts('Log.d("t", v);', "java"))
-        assert expr.evaluate(held) is True
+        assert holds(condition, held) is True
+        assert holds(("and", "WritesLogs", "HasConsentCheck"), held) is False
+        assert holds(("not", "HasConsentCheck"), held) is True
 
     @pytest.mark.parametrize(
         "obj",
@@ -339,9 +343,7 @@ class TestMultiGranularity:
 
 def positive_only(rule: Rule) -> bool:
     """No predicate of the rule's condition appears under a negation."""
-    atoms: list[tuple[str, bool]] = []
-    rule.condition.walk(True, atoms)
-    return all(positive for _, positive in atoms)
+    return all(positive for _, positive in reference_atoms(rule.condition))
 
 
 class TestInvariants:
@@ -440,17 +442,28 @@ def reference_predicates(facts, span=None) -> dict[str, list[Fact]]:
 
 
 def reference_holds(condition, held) -> bool:
-    """A rule condition evaluated by matching on its tree, not through ``Expr.evaluate``."""
-    if isinstance(condition, AtomExpr):
-        return condition.name in held
-    if isinstance(condition, NotExpr):
-        return not reference_holds(condition.child, held)
-    values = [reference_holds(child, held) for child in condition.children]
-    return all(values) if isinstance(condition, AndExpr) else any(values)
+    """A parsed rule condition evaluated by matching on its nested tuples, not through ``engine.holds``."""
+    if isinstance(condition, str):
+        return condition in held
+    op, *children = condition
+    if op == "not":
+        (child,) = children
+        return not reference_holds(child, held)
+    values = [reference_holds(child, held) for child in children]
+    return all(values) if op == "and" else any(values)
+
+
+def reference_atoms(condition, positive=True) -> list[tuple[str, bool]]:
+    """Each (predicate, un-negated) of a parsed condition, in order, not through ``engine.predicates``."""
+    if isinstance(condition, str):
+        return [(condition, positive)]
+    if condition[0] == "not":
+        return reference_atoms(condition[1], not positive)
+    return [atom for child in condition[1:] for atom in reference_atoms(child, positive)]
 
 
 def reference_findings(facts, rules, span=None) -> list[tuple]:
-    """``reference_holds`` per rule, ``walk`` for its positive atoms, support deduplicated by id.
+    """``reference_holds`` per rule, ``reference_atoms`` for its positive atoms, support deduplicated by id.
 
     Each finding is ``(article, rule_id, confidence, support, spans, explanation)``,
     with its spans and explanation built eagerly.
@@ -460,10 +473,8 @@ def reference_findings(facts, rules, span=None) -> list[tuple]:
     for rule in rules:
         if not reference_holds(rule.condition, held):
             continue
-        atoms: list[tuple[str, bool]] = []
-        rule.condition.walk(True, atoms)
         support, seen = [], set()
-        for name, positive in atoms:
+        for name, positive in reference_atoms(rule.condition):
             if positive and name in held:
                 for fact in held[name]:
                     if id(fact) not in seen:
@@ -516,11 +527,11 @@ FACT_POOL = extract_facts(HTTP_SOURCE + CONSENT_SOURCE, "java") + [
 _POOL_LINES = 36
 
 _conditions = st.recursive(
-    st.sampled_from(atom_inventory()).map(AtomExpr),
+    st.sampled_from(atom_inventory()),
     lambda children: st.one_of(
-        children.map(NotExpr),
-        st.lists(children, min_size=1, max_size=3).map(lambda cs: AndExpr(tuple(cs))),
-        st.lists(children, min_size=1, max_size=3).map(lambda cs: OrExpr(tuple(cs))),
+        children.map(lambda child: ("not", child)),
+        st.lists(children, min_size=1, max_size=3).map(lambda cs: ("and", *cs)),
+        st.lists(children, min_size=1, max_size=3).map(lambda cs: ("or", *cs)),
     ),
     max_leaves=8,
 )
@@ -547,7 +558,13 @@ class TestFiredRuleMemo:
     @settings(max_examples=200, deadline=None)
     def test_condition_evaluates_as_the_tree_evaluator(self, condition, facts, span):
         expected = reference_holds(condition, reference_predicates(facts, span))
-        assert condition.evaluate(populate_predicates(facts, span)) == expected
+        assert holds(condition, populate_predicates(facts, span)) == expected
+
+    @given(condition=_conditions)
+    @settings(max_examples=200, deadline=None)
+    def test_condition_round_trips_through_its_json_form(self, condition):
+        assert parse_condition(json.loads(json.dumps(condition))) == condition
+        assert list(predicates(condition)) == reference_atoms(condition)
 
     @given(rules=_rules, fact_sets=st.lists(_fact_sets, min_size=1, max_size=4), span=_pool_spans)
     @settings(max_examples=200, deadline=None)
@@ -645,7 +662,7 @@ class TestRankFromHeldPredicates:
     def test_ranking_and_findings_agree_on_a_guard_listed_twice_outside_the_span(self):
         guard = Fact(FactKind.CONSENT_GUARD, "checkSelfPermission", "ContextCompat.checkSelfPermission",
                      1, 1)
-        rule = Rule("R-CONSENT", 6, AtomExpr("HasConsentCheck"), 0.5, "consent is checked")
+        rule = Rule("R-CONSENT", 6, "HasConsentCheck", 0.5, "consent is checked")
         with mock.patch.object(engine, "_facts_of", lambda *args: (guard, guard)):
             result = analyze_source("x\ny\nz\n", "java", span=(2, 2), catalog=RuleCatalog([rule]))
         once = confidence_for(rule.weight, 1)
@@ -691,7 +708,7 @@ def eager_analysis(facts, span, catalog) -> tuple[tuple, list[tuple]]:
 # log and once as credentials
 _CREDENTIAL_LOG = Fact(FactKind.LOG_WRITE, "d", "Log.d(tag, password)", 2, 2,
                        DataCategory.CREDENTIALS)
-_TWICE_RULE = Rule("R-TWICE", 5, AtomExpr("LogsSensitiveAccess"), 0.7, "logs what it collects")
+_TWICE_RULE = Rule("R-TWICE", 5, "LogsSensitiveAccess", 0.7, "logs what it collects")
 
 
 class TestSupportsBuiltWhenRead:

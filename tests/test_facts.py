@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import gdprkit
 from gdprkit import facts as facts_module
-from gdprkit.corpus import SpanRef, detect_language, group_by_file, split_snippet_path
+from gdprkit.corpus import Span, detect_language, group_by_file, split_snippet_path
 from gdprkit.engine import analyze_source
 from gdprkit.errors import ConfigurationError
 from gdprkit.facts import (
@@ -703,7 +703,7 @@ class TestLinearScan:
         for cls in frozen:
             # AnalysisResult keeps its __dict__ for the findings cached_property
             assert hasattr(cls, "__slots__") == (cls.__name__ != "AnalysisResult"), cls
-        span = SpanRef("A.java", 1, 1)
+        span = Span(1, 1)
         with pytest.raises((AttributeError, TypeError)):
             object.__setattr__(span, "note", "x")
 

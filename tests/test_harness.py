@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gdprkit import engine, harness, knowledge, methods
-from gdprkit.corpus import SpanRef, ViolationRecord, group_by_file, load_corpus, read_json, write_atomic
+from gdprkit.corpus import Span, ViolationRecord, group_by_file, load_corpus, read_json, write_atomic
 from gdprkit.errors import (
     ConfigurationError,
     InputError,
@@ -99,7 +99,7 @@ class TestReconstructSource:
         for i, (start, lines, final_newline) in enumerate(placements):
             snippet = "\n".join(f"{line} // {i}" for line in lines) + ("\n" if final_newline else "")
             record = ViolationRecord("App", "https://example.org/app", "0" * 40, 6, "A.java", snippet, "note")
-            span = None if start is None else SpanRef("A.java", start, start + len(lines) - 1)
+            span = None if start is None else Span(start, start + len(lines) - 1)
             group.append((record, span))
         assert reconstruct_source(group) == _reference_reconstruct(group)
 

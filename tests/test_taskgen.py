@@ -219,8 +219,21 @@ class TestLoadValidation:
 
     @pytest.mark.parametrize(
         "lines",
-        [{"start_line": True, "end_line": True}, {"start_line": 2.5, "end_line": 2.5}, {"start_line": 0}],
-        ids=["bool", "float", "zero"],
+        [
+            {"start_line": True, "end_line": True},
+            {"start_line": 1, "end_line": True},
+            {"start_line": 2.5, "end_line": 2.5},
+            {"start_line": 1.0, "end_line": 1},
+            {"start_line": 1, "end_line": 3.0},
+            {"start_line": "3", "end_line": "3"},
+            {"start_line": None, "end_line": 1},
+            {"start_line": 0},
+            {"start_line": 0, "end_line": 3},
+            {"start_line": -1, "end_line": 1},
+            {"start_line": 4, "end_line": 3},
+        ],
+        ids=["bool", "bool-end", "float", "float-start", "float-end", "string", "null", "zero", "zero-start",
+             "negative", "start-after-end"],
     )
     def test_line_span_that_is_not_a_line_range_rejected(self, tmp_path, lines):
         entries = json.loads((GOLDEN_DIR / "task1_fixture.json").read_text(encoding="utf-8"))
@@ -234,6 +247,36 @@ class TestLoadValidation:
             f"{path}: entry 1: invalid span ({span['start_line']!r}, {span['end_line']!r}) "
             f"for {span['file_path']!r}"
         )
+
+    def test_line_span_of_another_file_rejected(self, tmp_path):
+        entries = json.loads((GOLDEN_DIR / "task1_fixture.json").read_text(encoding="utf-8"))
+        entries[1]["line_level"][0]["span"]["file_path"] = "some/Other.kt"
+        path = tmp_path / "dataset.json"
+        path.write_text(json.dumps(entries), encoding="utf-8")
+        with pytest.raises(InputError) as raised:
+            load_task1(path)
+        assert str(raised.value) == (
+            f"{path}: entry 1: line_level[0].span.file_path 'some/Other.kt' "
+            f"is not the entry's file_path {entries[1]['file_path']!r}"
+        )
+
+    @pytest.mark.parametrize(
+        "task, field",
+        [(1, "repo_url"), (1, "app_name"), (1, "commit_id"), (1, "file_path"), (1, "line_level[0].description"),
+         (2, "repo_url"), (2, "app_name"), (2, "commit_id"), (2, "code_snippet_path"), (2, "code_snippet")],
+    )
+    @pytest.mark.parametrize("value", [5, None, ["x"]], ids=["int", "null", "list"])
+    def test_string_field_that_is_not_a_string_rejected(self, tmp_path, task, field, value):
+        entries = json.loads((GOLDEN_DIR / f"task{task}_fixture.json").read_text(encoding="utf-8"))
+        if field == "line_level[0].description":
+            entries[1]["line_level"][0]["description"] = value
+        else:
+            entries[1][field] = value
+        path = tmp_path / "dataset.json"
+        path.write_text(json.dumps(entries), encoding="utf-8")
+        with pytest.raises(InputError) as raised:
+            (load_task1 if task == 1 else load_task2)(path)
+        assert str(raised.value) == f"{path}: entry 1: {field} must be a string, got {type(value).__name__}"
 
     @pytest.mark.parametrize("task, field", [(1, "file_level"), (2, "violated_articles")])
     def test_labels_that_are_not_an_array_rejected(self, tmp_path, task, field):
