@@ -4,19 +4,21 @@ Four interchangeable methods produce article predictions: the formal rule
 engine, zero-shot prompting, retrieval-augmented prompting, and a tool-using
 agent loop.  Model access goes through a tiny Reasoner interface with three
 bindings: live HTTP, scripted (for tests), and cache replay, which serves
-previously recorded responses and refuses to go to the network.  All prompts
-are byte-stable so cached runs reproduce exactly.
+previously recorded responses and refuses to go to the network.  Responses
+are recorded in one append-only log per cache directory (``ResponseCache``).
+All prompts are byte-stable so cached runs reproduce exactly.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import re
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Mapping, Protocol, Sequence
+from typing import Callable, Mapping, Protocol, Sequence
 
 from .engine import RankedPrediction, RuleCatalog, analyze_source, check_span
 from .errors import ConfigurationError, MethodError, ModelOutputError, ReplayMissError
@@ -28,9 +30,6 @@ from .knowledge import (
     article_lookup,
 )
 from .errors import UnknownArticleError
-
-if TYPE_CHECKING:
-    import sqlite3
 
 
 # ---------------------------------------------------------------------------
@@ -197,16 +196,20 @@ class LiveHttpReasoner:
 
 
 class ResponseCache:
-    """Responses keyed by ``cache_key`` in one SQLite file, ``<root>/responses.sqlite3``.
+    """Responses keyed by ``cache_key`` in one append-only file, ``<root>/responses.log``.
 
-    Each ``put`` commits on its own, so a response survives a process crash
-    once ``put`` returns.  An equal re-record leaves its row untouched; a
-    different one replaces it.  Nothing is created before the first ``put``.
-    A directory holding an old-format entry, ``<sha256 hex>.json``, raises
+    A record is one line of tab-separated fields: the key, the JSON-encoded
+    response, reasoner id and prompt, and ``created_at``.  Each ``put`` is one
+    ``os.write`` of a whole line to an ``O_APPEND`` descriptor, so a response
+    survives a crash or kill of the process once ``put`` returns; an equal
+    re-record appends nothing.  The first ``get`` or ``put`` streams the log
+    into a dict, without decoding prompts: the last record of a key wins, a
+    torn last line is skipped (the next ``put`` ends it first), and records
+    appended later by another writer are not seen.  Nothing is created before
+    the first ``put``.  A directory holding an old-format cache, SQLite
+    ``responses.sqlite*`` files or ``<sha256 hex>.json`` entries, raises
     ConfigurationError; other ``*.json`` files, such as a run's artifacts
     when ``cache_dir`` is also its ``output_dir``, are left alone.
-    SQLite loads on first use, so a run that never reads or writes a
-    response does not load it.
     A ``put`` right after a ``get`` of the same reasoner id and the same
     prompt object reuses the key ``get`` computed, so a miss hashes its
     prompt once.
@@ -214,12 +217,16 @@ class ResponseCache:
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
-        self.path = self.root / "responses.sqlite3"
-        if self.root.is_dir() and any(self.root.glob("[0-9a-f]" * 64 + ".json")):
+        self.path = self.root / "responses.log"
+        if self.root.is_dir() and (
+            any(self.root.glob("responses.sqlite*")) or any(self.root.glob("[0-9a-f]" * 64 + ".json"))
+        ):
             raise ConfigurationError(
-                f"{self.root} holds old-format *.json cache entries; record into a new cache_dir"
+                f"{self.root} holds an old-format response cache; record into a new cache_dir"
             )
-        self._db: sqlite3.Connection | None = None
+        self._responses: dict[str, str] | None = None
+        self._torn = False  # the log ends in a line without its "\n"
+        self._fd: int | None = None
         self._last_key: tuple[str, str, str] | None = None  # (reasoner_id, prompt, key)
 
     @staticmethod
@@ -230,27 +237,30 @@ class ResponseCache:
         digest.update(prompt.encode("utf-8"))
         return digest.hexdigest()
 
-    def _connect(self, create: bool) -> sqlite3.Connection | None:
-        if self._db is None and (create or self.path.exists()):
-            import sqlite3
-            from datetime import datetime, timezone
-
-            self._now = lambda: datetime.now(timezone.utc).isoformat()
-            self.root.mkdir(parents=True, exist_ok=True)
-            self._db = sqlite3.connect(self.path, isolation_level=None)  # autocommit
-            self._db.executescript(
-                "PRAGMA journal_mode=WAL; PRAGMA synchronous=NORMAL; PRAGMA cache_size=-64;"
-                "CREATE TABLE IF NOT EXISTS responses (key TEXT PRIMARY KEY,"
-                " reasoner_id TEXT, prompt TEXT, response TEXT, created_at TEXT);"
-            )
-        return self._db
+    def _load(self) -> dict[str, str]:
+        responses: dict[str, str] = {}
+        line = b"\n"
+        try:
+            with open(self.path, "rb") as log:
+                for line in log:
+                    # a line is read once it has ended and its key and response are whole
+                    fields = line.split(b"\t", 2)
+                    if len(fields) == 3 and line.endswith(b"\n"):
+                        try:
+                            responses[fields[0].decode("ascii")] = json.loads(fields[1])
+                        except ValueError:
+                            pass
+        except FileNotFoundError:
+            pass
+        self._torn = not line.endswith(b"\n")
+        self._responses = responses
+        return responses
 
     def get(self, reasoner_id: str, prompt: str) -> str | None:
-        db = self._connect(create=False)
         key = self.cache_key(reasoner_id, prompt)
         self._last_key = (reasoner_id, prompt, key)
-        row = db and db.execute("SELECT response FROM responses WHERE key = ?", (key,)).fetchone()
-        return row[0] if row else None
+        responses = self._load() if self._responses is None else self._responses
+        return responses.get(key)
 
     def put(self, reasoner_id: str, prompt: str, response: str) -> None:
         last = self._last_key
@@ -258,17 +268,27 @@ class ResponseCache:
             key = last[2]
         else:
             key = self.cache_key(reasoner_id, prompt)
-        self._connect(create=True).execute(
-            "INSERT INTO responses VALUES (?, ?, ?, ?, ?) ON CONFLICT (key) DO UPDATE SET"
-            " response = excluded.response, created_at = excluded.created_at"
-            " WHERE response != excluded.response",
-            (key, reasoner_id, prompt, response, self._now()),
-        )
+        responses = self._load() if self._responses is None else self._responses
+        if responses.get(key) == response:
+            return
+        if self._fd is None:
+            from datetime import datetime, timezone
+
+            self._now = lambda: datetime.now(timezone.utc).isoformat()
+            self.root.mkdir(parents=True, exist_ok=True)
+            self._fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+        fields = (key, json.dumps(response), json.dumps(reasoner_id), json.dumps(prompt), self._now())
+        data = (("\n" if self._torn else "") + "\t".join(fields) + "\n").encode("ascii")
+        self._torn = os.write(self._fd, data) < len(data)
+        if self._torn:
+            raise OSError(f"{self.path}: short write; the response was not recorded")
+        responses[key] = response
 
     def close(self) -> None:
-        if self._db is not None:
-            self._db.close()
-            self._db = None
+        if self._fd is not None:
+            os.close(self._fd)
+            self._fd = None
+        self._responses = None
 
 
 class CachingReasoner:

@@ -197,6 +197,12 @@ def _line_violation(item: dict, j: int, file_path: str) -> LineViolation:
 
 def _task1_entry(obj: dict) -> Task1Entry:
     texts = _texts(obj, ("repo_url", "app_name", "commit_id", "file_path"))
+    line_level = tuple(_line_violation(item, j, texts[-1]) for j, item in enumerate(obj["line_level"]))
+    first: dict[Span, int] = {}
+    for j, lv in enumerate(line_level):
+        i = first.setdefault(lv.span, j)
+        if i != j:  # a span is one line instance, named by its lines
+            raise InputError(f"line_level[{j}] repeats the span {lv.span[0]}-{lv.span[1]} of line_level[{i}]")
     return Task1Entry(
         *texts,
         file_level=frozenset(article_numbers(obj["file_level"], "file_level")),
@@ -204,7 +210,7 @@ def _task1_entry(obj: dict) -> Task1Entry:
             k: frozenset(article_numbers(v, f"module_level[{k!r}]"))
             for k, v in obj["module_level"].items()
         },
-        line_level=tuple(_line_violation(item, j, texts[-1]) for j, item in enumerate(obj["line_level"])),
+        line_level=line_level,
     )
 
 

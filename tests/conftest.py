@@ -1,4 +1,5 @@
-"""Shared fixtures: the hand-built corpus, a pair of camera records, and synthetic seed 1."""
+"""Shared fixtures: the hand-built corpus, a pair of camera records, and synthetic seed 1;
+and a reader of recorded response logs."""
 
 import importlib.util
 import json
@@ -67,3 +68,17 @@ def camera_record_pair(fixture_corpus) -> list[ViolationRecord]:
 def examples_only_kb(records) -> KnowledgeBase:
     """The knowledge base of ``records`` without its article texts."""
     return KnowledgeBase([d for d in build_kb(records).docs if d.kind == VIOLATION_EXAMPLE])
+
+
+def cache_log_records(cache_dir) -> list[tuple[str, str, str, str, str]]:
+    """The records of ``<cache_dir>/responses.log`` in order: (key, response, reasoner id, prompt, created_at).
+
+    Every line must be one whole record ending in "\n".
+    """
+    text = (Path(cache_dir) / "responses.log").read_text(encoding="utf-8")
+    assert text.endswith("\n"), "the log ends in a torn line"
+    records = []
+    for line in text.split("\n")[:-1]:
+        key, response, reasoner_id, prompt, created_at = line.split("\t")
+        records.append((key, json.loads(response), json.loads(reasoner_id), json.loads(prompt), created_at))
+    return records

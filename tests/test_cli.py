@@ -257,6 +257,24 @@ class TestRun:
         )
         assert not out_dir.exists()
 
+    def test_dataset_span_repeated_in_one_entry_is_an_error_line(self, tmp_path, capsys):
+        task1_path = tmp_path / "task1.json"
+        assert main(["gen-task1", CORPUS, "-o", str(task1_path)]) == 0
+        entries = json.loads(task1_path.read_text(encoding="utf-8"))
+        line_level = entries[0]["line_level"]
+        line_level.insert(1, line_level[0])
+        span = line_level[0]["span"]
+        task1_path.write_text(json.dumps(entries), encoding="utf-8")
+        capsys.readouterr()
+        out_dir = tmp_path / "out"
+        assert main(["run", "--task", "1", "--method", "formal", "--dataset", str(task1_path),
+                     "--corpus", CORPUS, "--output-dir", str(out_dir)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {task1_path}: entry 0: line_level[1] repeats the span "
+            f"{span['start_line']}-{span['end_line']} of line_level[0]\n"
+        )
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize(
         "task, field", [(1, "file_path"), (2, "code_snippet_path"), (2, "code_snippet")]
     )

@@ -4,7 +4,6 @@ import dataclasses
 import hashlib
 import json
 import os
-import sqlite3
 import subprocess
 import sys
 from collections import Counter
@@ -38,7 +37,7 @@ from gdprkit.harness import (
     task2_instances,
 )
 from gdprkit.taskgen import build_task1, build_task2, dump_entries, load_task1, load_task2
-from tests.conftest import DATA_DIR
+from tests.conftest import DATA_DIR, cache_log_records
 
 
 @pytest.fixture(scope="module")
@@ -512,11 +511,10 @@ class TestCachingAndReplay:
     def test_replay_lists_every_missing_key(self, workspace, method, task):
         root = workspace["root"] / f"partial-{method}-{task}"
         replay = self._record(workspace, root, task, method)
-        db = sqlite3.connect(root / "cache" / "responses.sqlite3")
-        with db:
-            deleted = [key for (key,) in db.execute("SELECT key FROM responses ORDER BY key")][::2]
-            db.executemany("DELETE FROM responses WHERE key = ?", [(key,) for key in deleted])
-        db.close()
+        log = root / "cache" / "responses.log"
+        lines = sorted(log.read_text(encoding="utf-8").split("\n")[:-1])  # by key
+        deleted = [line.split("\t", 1)[0] for line in lines[::2]]
+        log.write_text("".join(line + "\n" for line in lines[1::2]), encoding="utf-8")
         out = root / "replay"
         with pytest.raises(ReplayMissError) as err:
             run(RunConfig(output_dir=str(out), **replay))
@@ -546,11 +544,8 @@ class TestCachingAndReplay:
     def test_replay_from_missing_cache_dir_lists_every_key_and_creates_nothing(self, workspace, task):
         root = workspace["root"] / f"absent-{task}"
         replay = self._record(workspace, root, task, "zero_shot")
-        # the recording run closed its connection, which folds the WAL back into the file
-        assert os.listdir(root / "cache") == ["responses.sqlite3"]
-        db = sqlite3.connect(root / "cache" / "responses.sqlite3")
-        recorded = [key for (key,) in db.execute("SELECT key FROM responses")]
-        db.close()
+        assert os.listdir(root / "cache") == ["responses.log"]
+        recorded = [record[0] for record in cache_log_records(root / "cache")]
         absent = root / "absent" / "cache"
         with pytest.raises(ReplayMissError) as err:
             run(RunConfig(output_dir=str(root / "replay"), **dict(replay, cache_dir=str(absent))))
@@ -632,10 +627,7 @@ class TestCachingAndReplay:
 
     @staticmethod
     def _keys(cache_dir) -> set[str]:
-        db = sqlite3.connect(cache_dir / "responses.sqlite3")
-        keys = {key for (key,) in db.execute("SELECT key FROM responses")}
-        db.close()
-        return keys
+        return {record[0] for record in cache_log_records(cache_dir)}
 
 
 def test_offline_runs_never_import_requests(workspace, tmp_path):

@@ -1,12 +1,10 @@
 """Prompt protocol, output parsing, reasoner bindings, and method adapters."""
 
-import contextlib
 import dataclasses
 import hashlib
 import json
 import os
 import re
-import sqlite3
 import subprocess
 import sys
 import time
@@ -47,7 +45,7 @@ from gdprkit.methods import (
     render_zero_shot_prompt,
 )
 from gdprkit.taskgen import build_task1, build_task2
-from tests.conftest import GOLDEN_DIR, examples_only_kb
+from tests.conftest import GOLDEN_DIR, cache_log_records, examples_only_kb
 
 CAMERA_SNIPPET = "            manager.openCamera(camerId, stateCallback, null);\n"
 
@@ -216,22 +214,19 @@ class TestReasoners:
 
     def test_cache_rerecord_keeps_equal_rows_and_replaces_changed_ones(self, tmp_path):
         cache = ResponseCache(tmp_path)
-
-        def rows():
-            with contextlib.closing(sqlite3.connect(cache.path)) as db:
-                return db.execute("SELECT response, created_at FROM responses").fetchall()
-
         cache.put("r1", "prompt", "6")
-        first = rows()
+        first = cache.path.read_bytes()
         cache.put("r1", "prompt", "6")
-        assert rows() == first
+        assert cache.path.read_bytes() == first
         cache.put("r1", "prompt", "32")
-        assert [response for response, _ in rows()] == ["32"]
+        assert [record[1] for record in cache_log_records(tmp_path)] == ["6", "32"]
+        assert cache.get("r1", "prompt") == "32"
         cache.close()
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["responses.sqlite3"]
+        assert ResponseCache(tmp_path).get("r1", "prompt") == "32"  # the last record of a key wins
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["responses.log"]
 
     def test_cache_keeps_every_put_when_the_writer_dies_unclosed(self, tmp_path):
-        """Each put commits on its own, so a process that exits without closing loses none."""
+        """Each put is one write of a whole line, so a process that exits without closing loses none."""
         n = 50
         script = (
             "import os, sys\n"
@@ -246,10 +241,72 @@ class TestReasoners:
             [sys.executable, "-c", script, str(tmp_path)], env=dict(os.environ, PYTHONPATH=src), timeout=60
         )
         assert proc.returncode == 1
-        assert (tmp_path / "responses.sqlite3-wal").stat().st_size > 0
+        assert len(cache_log_records(tmp_path)) == n
         cache = ResponseCache(tmp_path)
         assert [cache.get("r1", f"prompt {i}") for i in range(n)] == [f"{i}" for i in range(n)]
         cache.close()
+
+    def test_cache_skips_a_torn_last_line_and_ends_it_before_the_next_put(self, tmp_path):
+        cache = ResponseCache(tmp_path)
+        cache.put("r1", "whole", "5")
+        cache.close()
+        whole = cache.path.read_bytes()
+        torn = ResponseCache(tmp_path)
+        torn.put("r1", "torn", "6")
+        torn.close()
+        line = cache.path.read_bytes()[len(whole):]
+        cache.path.write_bytes(whole + line[: len(line) // 2])  # half a record, no "\n"
+        cache = ResponseCache(tmp_path)
+        assert [cache.get("r1", "whole"), cache.get("r1", "torn")] == ["5", None]
+        cache.put("r1", "next", "7")
+        cache.close()
+        assert cache.path.read_bytes().startswith(whole + line[: len(line) // 2] + b"\n")
+        fresh = ResponseCache(tmp_path)
+        assert [fresh.get("r1", p) for p in ("whole", "torn", "next")] == ["5", None, "7"]
+        fresh.put("r1", "after", "8")
+        fresh.close()
+        assert [ResponseCache(tmp_path).get("r1", p) for p in ("whole", "next", "after")] == ["5", "7", "8"]
+
+    def test_cache_put_after_a_short_write_ends_its_torn_line_first(self, tmp_path):
+        cache = ResponseCache(tmp_path)
+        write = os.write
+        with mock.patch.object(os, "write", lambda fd, data: write(fd, data[: len(data) // 2])):
+            with pytest.raises(OSError, match="short write"):
+                cache.put("r1", "lost", "6")
+        assert cache.get("r1", "lost") is None
+        cache.put("r1", "kept", "7")
+        cache.close()
+        fresh = ResponseCache(tmp_path)
+        assert [fresh.get("r1", "lost"), fresh.get("r1", "kept")] == [None, "7"]
+
+    def test_cache_round_trips_tabs_line_breaks_and_non_ascii(self, tmp_path):
+        text = "a\tb\nc\rd\r\ne \u2028 f \u2029 g \x85 h \x0b\x0c \u00e9\u4e2d\U0001f600 \x00 \\t"
+        cache = ResponseCache(tmp_path)
+        cache.put("r\t1", text, text + "!")
+        cache.put("r\t1", text + "?", "plain")
+        cache.close()
+        records = cache_log_records(tmp_path)
+        assert [(r[2], r[3]) for r in records] == [("r\t1", text), ("r\t1", text + "?")]
+        cache = ResponseCache(tmp_path)
+        assert [cache.get("r\t1", text), cache.get("r\t1", text + "?")] == [text + "!", "plain"]
+        cache.close()
+
+    def test_two_caches_putting_alternately_into_one_directory_both_land(self, tmp_path):
+        first, second = ResponseCache(tmp_path), ResponseCache(tmp_path)
+        for i in range(10):
+            (first if i % 2 else second).put("r1", f"prompt {i}", f"{i}")
+        first.close()
+        second.close()
+        cache = ResponseCache(tmp_path)
+        assert [cache.get("r1", f"prompt {i}") for i in range(10)] == [f"{i}" for i in range(10)]
+        assert len(cache_log_records(tmp_path)) == 10
+
+    @pytest.mark.parametrize("name", ["responses.sqlite3", "0" * 64 + ".json"])
+    def test_old_format_cache_is_refused(self, tmp_path, name):
+        (tmp_path / name).write_bytes(b"")
+        with pytest.raises(ConfigurationError, match="record into a new cache_dir"):
+            ResponseCache(tmp_path)
+        assert [p.name for p in tmp_path.iterdir()] == [name]
 
     def test_cache_key_separates_reasoners(self):
         assert ResponseCache.cache_key("a", "p") != ResponseCache.cache_key("b", "p")
@@ -289,10 +346,10 @@ class TestReasoners:
         cache.put("r1", prompt, "3")
         got = [cache.get("r1", "b"), cache.get("r2", "b"), cache.get("r1", "ab")]
         assert got == ["1", "2", "3"]
-        with contextlib.closing(sqlite3.connect(cache.path)) as db:
-            rows = db.execute("SELECT key, reasoner_id, prompt FROM responses").fetchall()
-        assert all(key == ResponseCache.cache_key(rid, prompt) for key, rid, prompt in rows)
         cache.close()
+        records = cache_log_records(tmp_path)
+        assert len(records) == 3
+        assert all(key == ResponseCache.cache_key(rid, prompt) for key, _, rid, prompt, _ in records)
 
     def test_replay_reasoner_serves_cache_only(self, tmp_path):
         cache = ResponseCache(tmp_path)

@@ -260,6 +260,20 @@ class TestLoadValidation:
             f"is not the entry's file_path {entries[1]['file_path']!r}"
         )
 
+    def test_line_span_repeated_in_one_entry_rejected(self, tmp_path):
+        entries = json.loads((GOLDEN_DIR / "task1_fixture.json").read_text(encoding="utf-8"))
+        line_level = entries[1]["line_level"]
+        line_level.append({**line_level[0], "articles": [5]})
+        span = line_level[0]["span"]
+        path = tmp_path / "dataset.json"
+        path.write_text(json.dumps(entries), encoding="utf-8")
+        with pytest.raises(InputError) as raised:
+            load_task1(path)
+        assert str(raised.value) == (
+            f"{path}: entry 1: line_level[{len(line_level) - 1}] repeats the span "
+            f"{span['start_line']}-{span['end_line']} of line_level[0]"
+        )
+
     @pytest.mark.parametrize(
         "task, field",
         [(1, "repo_url"), (1, "app_name"), (1, "commit_id"), (1, "file_path"), (1, "line_level[0].description"),
