@@ -211,7 +211,11 @@ def read_entries(
     keeps its type (a rules file raises RuleLoadError).  ``digests`` is
     filled as ``read_json`` fills it.
     """
-    raw = read_json(path, digests=digests)
+    return build_entries(read_json(path, digests=digests), path, build, key)
+
+
+def build_entries(raw, path: str | Path, build: Callable[[dict], T], key: str | None = None) -> list[T]:
+    """``read_entries`` of ``raw``, the JSON document already read from ``path``."""
     if key is not None:
         if not isinstance(raw, dict) or key not in raw:
             raise InputError(f"{path}: expected a JSON object with key {key!r}")
@@ -251,10 +255,14 @@ def article_numbers(values, field: str) -> tuple[int, ...]:
 
 
 def write_atomic(path: str | Path, text: str) -> None:
-    """Write ``text`` beside ``path``, then rename it over ``path``: never a torn file."""
+    """Write ``text`` beside ``path``, then rename it over ``path``: never a torn file.
+
+    The file holds ``text.encode("utf-8")``, with no newline translation on
+    any platform, so its sha256 is that of those bytes.
+    """
     tmp = Path(f"{path}.{os.getpid()}.tmp")
     try:
-        tmp.write_text(text, encoding="utf-8")
+        tmp.write_bytes(text.encode("utf-8"))
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

@@ -8,7 +8,10 @@ and cache-replay misses abort a run.  Prediction goes on past a replay miss,
 so the one ``ReplayMissError`` raised at its end, before any artifact is
 written, lists every key the cache lacks.  Everything written is byte-stable
 except the manifest's "timings" section, which determinism comparisons must
-drop.  The manifest's "counters" are the cache hits and misses of a caching
+drop.  Each artifact is written atomically, and the manifest last: its
+"artifacts" block records the sha256 of the others, so it commits them as
+one set, and ``evaluate_run`` refuses a directory whose files it does not
+name.  The manifest's "counters" are the cache hits and misses of a caching
 binding, 0 and 0 for a run without one.  ``score`` is the only scoring
 path: ``run`` and ``evaluate_run`` both call it, so a run directory
 re-scores to its own report.json.
@@ -16,6 +19,7 @@ re-scores to its own report.json.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import time
@@ -28,6 +32,7 @@ from .corpus import (
     Span,
     ViolationRecord,
     article_numbers,
+    build_entries,
     detect_language,
     group_by_file,
     load_corpus,
@@ -263,6 +268,10 @@ _INPUT_FIELDS = {
     "rules": "rules_path",
     "articles": "articles_path",
 }
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 def _build_reasoner(config: RunConfig, cache: ResponseCache | None) -> Reasoner:
@@ -599,10 +608,16 @@ def run(config: RunConfig) -> RunResult:
         path = getattr(config, attr)
         if path:
             datasets[name] = {"path": path, "sha256": digests[path]}
+    artifacts = {
+        "predictions.json": predictions_json(config.task, config.method, records),
+        "report.json": emit_report(report, "json"),
+        "report.md": emit_report(report, "markdown"),
+    }
     manifest = {
         "version": 1,
         "config": asdict(config),
         "datasets": datasets,
+        "artifacts": {name: _sha256(text.encode("utf-8")) for name, text in artifacts.items()},
         "counts": counts,
         "counters": {
             "cache_hits": reasoner.hits if caching else 0,
@@ -613,10 +628,10 @@ def run(config: RunConfig) -> RunResult:
 
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_atomic(out / "predictions.json", predictions_json(config.task, config.method, records))
+    for name, text in artifacts.items():
+        write_atomic(out / name, text)
+    # last, so a manifest on disk names artifacts that are all on disk
     write_atomic(out / "manifest.json", json.dumps(manifest, indent=2, ensure_ascii=False) + "\n")
-    write_atomic(out / "report.json", emit_report(report, "json"))
-    write_atomic(out / "report.md", emit_report(report, "markdown"))
     return RunResult(config, records, report, manifest, out)
 
 
@@ -626,7 +641,11 @@ def evaluate_run(run_dir: str | Path) -> RunReport:
     The config is the one in the run's manifest.json, so its paths resolve
     as they did for the run.  A dataset or articles file whose bytes, as
     its loader read them, have a sha256 other than the one the manifest
-    recorded is refused with ConfigurationError.
+    recorded is refused with ConfigurationError.  So is, with a message
+    that starts with its path, an artifact whose sha256 is not the one in
+    the manifest's "artifacts" block, which is what an interrupted run
+    leaves, and a predictions.json of another task or method than the
+    manifest's config.
     """
     run_dir = Path(run_dir)
     manifest_path = run_dir / "manifest.json"
@@ -634,6 +653,7 @@ def evaluate_run(run_dir: str | Path) -> RunReport:
     try:
         raw_config = manifest["config"]
         recorded = {name: entry["sha256"] for name, entry in manifest["datasets"].items()}
+        committed = {name: sha256 for name, sha256 in manifest["artifacts"].items()}
     except (KeyError, TypeError, AttributeError):
         raise ConfigurationError(f"{manifest_path} is not a run manifest") from None
     config = RunConfig.from_dict(raw_config)
@@ -646,7 +666,23 @@ def evaluate_run(run_dir: str | Path) -> RunReport:
                 f"{name} {path} has changed since the run: "
                 f"its sha256 is not the one recorded in {manifest_path}"
             )
-    return score(config, instances, load_predictions(run_dir / "predictions.json"), catalog)[0]
+    predictions_path = run_dir / "predictions.json"
+    document = read_json(predictions_path, digests=digests)
+    records = build_entries(document, predictions_path, _prediction, "predictions")
+    for name in ("predictions.json", "report.json", "report.md"):
+        path = run_dir / name
+        digest = digests[str(path)] if path == predictions_path else _sha256(path.read_bytes())
+        if digest != committed.get(name):
+            raise ConfigurationError(
+                f"{path}: its sha256 is not the one recorded in {manifest_path}; "
+                "the run that wrote the directory did not finish, or the file changed after it"
+            )
+    if (document.get("task"), document.get("method")) != (config.task, config.method):
+        raise ConfigurationError(
+            f"{predictions_path}: predictions of task {document.get('task')!r} and method "
+            f"{document.get('method')!r}, but {manifest_path} is of task {config.task} and method {config.method!r}"
+        )
+    return score(config, instances, records, catalog)[0]
 
 
 def load_predictions(path: str | Path) -> list[PredictionRecord]:

@@ -57,6 +57,20 @@ def seed1_corpus(seed1_corpus_path) -> list[ViolationRecord]:
     return load_corpus(seed1_corpus_path)
 
 
+@pytest.fixture(scope="session")
+def offline_runs(tmp_path_factory, fixture_corpus_path, seed1_corpus_path) -> dict[str, tuple[Path, dict]]:
+    """Every method's offline run of both tasks, over the fixture corpus and over seed 1, by
+    corpus name: the directory that ``tests.test_digests.corpus_digests`` ran them in, and the
+    digests it returned."""
+    from tests.test_digests import corpus_digests
+
+    runs = {}
+    for name, corpus_path in (("fixture", fixture_corpus_path), ("seed1", seed1_corpus_path)):
+        root = tmp_path_factory.mktemp(name)
+        runs[name] = root, corpus_digests(name, corpus_path, root)
+    return runs
+
+
 @pytest.fixture
 def camera_record_pair(fixture_corpus) -> list[ViolationRecord]:
     """The two records annotating the same openCamera line with articles 6 and 32."""

@@ -376,6 +376,36 @@ class TestEvaluateAndReport:
         assert main(["evaluate", str(out_dir)]) == 0
         assert capsys.readouterr().out.encode("utf-8") == (out_dir / "report.json").read_bytes()
 
+    @pytest.mark.parametrize("name", ["predictions.json", "report.json", "report.md"])
+    def test_evaluate_refuses_an_artifact_changed_after_the_run(self, name, task2_path, tmp_path, capsys):
+        out_dir = run_formal(tmp_path, 2, task2_path)
+        artifact = out_dir / name
+        artifact.write_bytes(artifact.read_bytes().replace(b"\n", b"\r\n"))  # the same JSON, in other bytes
+        capsys.readouterr()
+        assert main(["evaluate", str(out_dir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {artifact}: its sha256 is not the one recorded in ")
+
+    def test_evaluate_refuses_predictions_of_another_method(self, task2_path, tmp_path, capsys):
+        out_dir = run_formal(tmp_path, 2, task2_path)
+        (tmp_path / "zero-shot").mkdir()
+        other = run_formal(tmp_path / "zero-shot", 2, task2_path, method="zero_shot")
+        shutil.copy(other / "predictions.json", out_dir)
+        manifest = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))
+        manifest["artifacts"]["predictions.json"] = json.loads(
+            (other / "manifest.json").read_text(encoding="utf-8")
+        )["artifacts"]["predictions.json"]
+        (out_dir / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["evaluate", str(out_dir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {out_dir / 'predictions.json'}: predictions of task 2 and method 'zero_shot', "
+            f"but {out_dir / 'manifest.json'} is of task 2 and method 'formal'\n"
+        )
+
     def test_evaluate_refuses_a_manifest_naming_article_universe(self, task2_path, tmp_path, capsys):
         # a run of an earlier gdprkit, which scored one label universe per run
         out_dir = run_formal(tmp_path, 2, task2_path)
@@ -463,7 +493,7 @@ class TestMisshapenCatalogs:
 
 
 class TestEntryPoint:
-    def test_installed_console_script(self):
+    def test_module_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "gdprkit.cli", "stats", CORPUS],
             capture_output=True,

@@ -17,6 +17,7 @@ from gdprkit import engine, harness, knowledge, methods
 from gdprkit.corpus import Span, ViolationRecord, group_by_file, load_corpus, read_json, write_atomic
 from gdprkit.errors import (
     ConfigurationError,
+    GdprKitError,
     InputError,
     MethodError,
     ReconciliationError,
@@ -200,7 +201,7 @@ class TestFormalRuns:
             assert (out / name).exists()
         # per-instance status and reasons live in predictions.json alone
         manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
-        assert list(manifest) == ["version", "config", "datasets", "counts", "counters", "timings"]
+        assert list(manifest) == ["version", "config", "datasets", "artifacts", "counts", "counters", "timings"]
         assert manifest["counters"] == {"cache_hits": 0, "cache_misses": 0}
 
     def test_task1_rankings_do_not_depend_on_the_other_files_of_the_dataset(self, seed1_corpus):
@@ -707,6 +708,36 @@ class TestAtomicArtifacts:
             self._write(writer, workspace, tmp_path)
         assert {path: path.read_bytes() for path in targets} == old
         assert sorted(tmp_path.iterdir()) == sorted(targets)
+
+    @pytest.mark.parametrize("earlier", [False, True], ids=["fresh", "over-a-finished-run"])
+    @pytest.mark.parametrize("k", range(1, len(ARTIFACTS) + 1))
+    def test_run_cut_off_at_a_write_rescores_to_the_finished_run_or_is_refused(
+        self, workspace, tmp_path, monkeypatch, k, earlier
+    ):
+        """A zero-shot run killed at its k-th artifact write, into an empty directory or over a
+        finished formal run, leaves a directory that evaluate either refuses or re-scores to the
+        finished run's report.json, byte for byte: never zero-shot's predictions under formal's name."""
+        out = tmp_path / "run"
+        finished = None
+        if earlier:
+            run(formal_config(workspace, 2, output_dir=str(out)))
+            finished = (out / "report.json").read_text(encoding="utf-8")
+        writes, write = [], harness.write_atomic
+
+        def killed_at_k(path, text):
+            writes.append(path)
+            if len(writes) == k:
+                raise KeyboardInterrupt
+            write(path, text)
+
+        monkeypatch.setattr(harness, "write_atomic", killed_at_k)
+        with pytest.raises(KeyboardInterrupt):
+            run(RunConfig(task=2, method="zero_shot", dataset_path=workspace["task2"], output_dir=str(out)))
+        try:
+            rescored = emit_report(evaluate_run(out), "json")
+        except (GdprKitError, OSError):  # the CLI's error line
+            return
+        assert rescored == finished
 
 
 def _reference_predictions_json(task, method, records):
